@@ -129,9 +129,9 @@ def function_distance(s, samples=DEFAULT_SAMPLES):
     fn = lambda x: _expr.evaluate(s.f, x)
     direction = _monotone_direction(fn, lo, hi)
     flo, fhi = fn(lo), fn(hi)
-    y_lo, y_hi = min(flo, fhi), max(flo, fhi)
-    y_lo = max(y_lo, s.y_domain[0])
-    y_hi = min(y_hi, s.y_domain[1])
+    f_min, f_max = min(flo, fhi), max(flo, fhi)
+    y_lo = max(f_min, s.y_domain[0])
+    y_hi = min(f_max, s.y_domain[1])
     if not (y_lo < y_hi):
         raise OutOfRangeError("image of f does not overlap y_domain")
     increasing = direction == "increasing"
@@ -139,6 +139,8 @@ def function_distance(s, samples=DEFAULT_SAMPLES):
     argmax = y_lo
     for k in range(samples):
         y = y_lo + (y_hi - y_lo) * k / (samples - 1)
+        # The top grid point can round one ulp past f's attained range.
+        y = min(max(y, f_min), f_max)
         inv = _bisect_invert(fn, lo, hi, y, increasing, INVERT_RTOL)
         diff = abs(_expr.evaluate(s.phi, y) - inv)
         if diff > best:

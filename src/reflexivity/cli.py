@@ -38,11 +38,6 @@ def load_scenario(name_or_path):
     return data
 
 
-def bundled_scenario_path(name):
-    """Filesystem path of a bundled scenario (for documentation/tests)."""
-    return resources.files(__package__) / "scenarios" / f"{name}.json"
-
-
 class _Params:
     """Scenario fields overridden by any inline flags that were given."""
 

@@ -139,10 +139,14 @@ class ScalarMap:
 
 
 def step(s, st):
-    """Advance one full loop: x' = phi(f(x)), y' = f(x')."""
+    """Advance one full loop: x' = phi(f(x)), y' = f(x').
+
+    Trusts its input: st.y must equal f(st.x), as it does in every state
+    that orbit and step build, so f(x) is not evaluated again.
+    """
     if not _is_finite(st.x):
         raise OrbitNumericError(f"non-finite state x={st.x!r}", st.index)
-    x_next = _expr.evaluate(s.phi, _expr.evaluate(s.f, st.x))
+    x_next = _expr.evaluate(s.phi, st.y)
     y_next = _expr.evaluate(s.f, x_next)
     return SystemState(x_next, y_next, st.index + 1)
 

@@ -2,7 +2,10 @@
 forward-mode (dual number) differentiation.
 
 Expressions hold at most one free variable.  Trees are immutable after
-parsing, so evaluation and differentiation are pure and reentrant.
+parsing, so evaluation and differentiation are pure and reentrant.  Values
+come from a straight-line float function compiled from the tree when the
+Expression is built; derivatives, and the exact message and offset of every
+evaluation error, come from the dual-number walk of the tree.
 """
 
 from __future__ import annotations
@@ -89,6 +92,14 @@ class Expression:
     root: object
     variable_name: str | None
     source: str = field(compare=False, default="")
+    _value: object = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_value", _compile(self.root))
+
+    def __reduce__(self):
+        # The compiled function cannot be pickled; rebuild it on load.
+        return Expression, (self.root, self.variable_name, self.source)
 
     def __call__(self, v):
         return evaluate(self, v)
@@ -300,19 +311,23 @@ def parse(source):
     """Parse a DSL expression with exactly one (or zero) free variable."""
     if not source or not source.strip():
         raise ParseError("empty expression", 0)
-    p = _Parser(source)
-    root = p.expr()
-    kind, text, offset = p.peek()
-    if kind != "end":
-        raise ParseError(f"unexpected trailing token {text!r}", offset)
-    names = {}
-    _free_variables(root, names)
-    if len(names) > 1:
-        listed = ", ".join(sorted(names))
-        offset = max(names.values())
-        raise MultipleVariablesError(f"multiple free variables: {listed}", offset)
-    var = next(iter(names)) if names else None
-    return Expression(root, var, source)
+    try:
+        p = _Parser(source)
+        root = p.expr()
+        kind, text, offset = p.peek()
+        if kind != "end":
+            raise ParseError(f"unexpected trailing token {text!r}", offset)
+        names = {}
+        _free_variables(root, names)
+        if len(names) > 1:
+            listed = ", ".join(sorted(names))
+            offset = max(names.values())
+            raise MultipleVariablesError(f"multiple free variables: {listed}", offset)
+        var = next(iter(names)) if names else None
+        return Expression(root, var, source)
+    except RecursionError:
+        # Parser, variable scan and compiler all recurse once per tree level.
+        raise ParseError("expression nested too deeply", 0) from None
 
 
 # ---------------------------------------------------------------------------
@@ -410,8 +425,16 @@ def _eval(node, x):
 
 
 def evaluate(e, v):
-    """Evaluate e at the real point v (IEEE-754 double arithmetic)."""
-    return _eval(e.root, DualValue(float(v), 0.0)).value
+    """Evaluate e at the real point v (IEEE-754 double arithmetic).
+
+    Runs e's compiled function.  On a numeric error it re-runs the
+    dual-number walk, which raises that error with its node offset.
+    """
+    x = float(v)
+    try:
+        return e._value(x)
+    except (ArithmeticError, ValueError):
+        return _eval(e.root, DualValue(x, 0.0)).value
 
 
 def derivative(e, v):
@@ -419,6 +442,86 @@ def derivative(e, v):
     return _eval(e.root, DualValue(float(v), 1.0)).derivative
 
 
-def evaluate_dual(e, v):
-    """Evaluate e at v returning both value and derivative."""
-    return _eval(e.root, DualValue(float(v), 1.0))
+# ---------------------------------------------------------------------------
+# Compilation to a value-only float function
+#
+# The generated source holds only names the compiler chooses: the parameter
+# x, one local v<k> per operator node, constants k<j> and the helpers in
+# _HELPERS, all bound as default arguments (a constant may be inf, which has
+# no literal).  Node values and user identifiers never become source text;
+# operators and function names are written only after an exact match with
+# _INFIX or FUNCTION_NAMES.
+
+def _pow(v, e):
+    """Value part of DualValue.__pow__ when the exponent's derivative is 0."""
+    if float(e).is_integer():
+        n = int(e)
+        if v == 0.0 and n < 0:
+            raise ZeroDivisionError("zero raised to a negative power")
+        return v ** n
+    if v <= 0.0:
+        raise ValueError("non-integer power of a non-positive base")
+    return v ** e
+
+
+def _tan(v):
+    if math.cos(v) == 0.0:
+        raise ValueError("tan undefined here")
+    return math.tan(v)
+
+
+def _unknown_node():
+    # The tree walk raises the precise error for a node it does not know.
+    raise ValueError("unknown node")
+
+
+_HELPERS = {
+    "sin": math.sin, "cos": math.cos, "tan": _tan, "exp": math.exp,
+    "log": math.log, "tanh": math.tanh, "sqrt": math.sqrt, "abs": abs,
+    "pow": _pow, "unknown_node": _unknown_node,
+}
+_INFIX = ("+", "-", "*", "/")
+
+
+class _Emitter:
+    def __init__(self):
+        self.lines = []
+        self.consts = []
+
+    def emit(self, node):
+        """Name holding node's value, after the lines that compute it."""
+        if isinstance(node, Num):
+            self.consts.append(node.value)
+            return f"k{len(self.consts) - 1}"
+        if isinstance(node, Var):
+            return "x"
+        if isinstance(node, Neg):
+            rhs = f"-{self.emit(node.operand)}"
+        elif isinstance(node, BinOp) and node.op in _INFIX:
+            rhs = f"{self.emit(node.left)} {node.op} {self.emit(node.right)}"
+        elif isinstance(node, BinOp) and node.op == "^":
+            rhs = f"pow({self.emit(node.left)}, {self.emit(node.right)})"
+        elif isinstance(node, Call) and node.func in FUNCTION_NAMES:
+            rhs = f"{node.func}({self.emit(node.arg)})"
+        else:
+            rhs = "unknown_node()"
+        name = f"v{len(self.lines)}"
+        self.lines.append(f"    {name} = {rhs}\n")
+        return name
+
+
+def _compile(root):
+    """Straight-line function x -> value of root, one local per node.
+
+    Nested expressions would hit the compiler's parenthesis limit on long
+    sums, so every operator node gets its own statement.
+    """
+    em = _Emitter()
+    result = em.emit(root)
+    env = dict(_HELPERS)
+    env.update((f"k{j}", c) for j, c in enumerate(em.consts))
+    params = "".join(f", {name}={name}" for name in env)
+    source = f"def value(x{params}):\n{''.join(em.lines)}    return {result}\n"
+    env["__builtins__"] = {}
+    exec(source, env)
+    return env["value"]

@@ -84,6 +84,14 @@ class TestFunctionDistance:
         s = make_system("-x", "-y", (0.0, 1.0), (-1.0, 0.0))
         assert function_distance(s).monotone_direction == "decreasing"
 
+    def test_top_grid_point_rounding_past_range(self):
+        # y_lo + (y_hi - y_lo)*(n-1)/(n-1) rounds one ulp above f(hi) here
+        s = make_system("1.2754*x + 1.4597", "(y - 1.4597)/1.2754",
+                        (-3.303485, 0.367968), (-4.0, 3.0))
+        rep = function_distance(s, 256)
+        assert rep.d <= 1e-10
+        assert rep.samples == 256
+
 
 class TestDetectPeriod:
     def test_logistic_two_cycle(self):

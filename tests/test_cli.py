@@ -192,3 +192,9 @@ class TestExitCodeScheme:
     def test_uniform_exit_codes(self, capsys, argv, expected):
         code, _, _ = run(capsys, *argv)
         assert code == expected
+
+    def test_too_deep_expression_exit_2(self, capsys):
+        code, _, err = run(capsys, "simulate", "--f", "+".join(["x"] * 1200),
+                           "--phi", "y", "--x0", "1")
+        assert code == 2
+        assert "parse error: expression nested too deeply" in err

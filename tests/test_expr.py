@@ -1,4 +1,6 @@
 import math
+import operator
+import pickle
 import random
 
 import pytest
@@ -108,6 +110,45 @@ class TestEvaluate:
     def test_negative_base_integer_power(self):
         assert expr.evaluate(expr.parse("x^3"), -2.0) == -8.0
 
+    @pytest.mark.parametrize("src, v, value", [
+        # w*w underflows in the quotient rule's derivative
+        ("x/1e-200", 1.0, 1e200),
+        # the exponent's derivative is NaN (inf*0), so it looked non-integer
+        ("(0-2)^tanh(1e999*x)", 1.0, -2.0),
+        # v**(n-1) overflows in the integer power rule
+        ("x^-1", 1e-200, 1e200),
+    ])
+    def test_value_survives_failing_derivative_bookkeeping(self, src, v, value):
+        e = expr.parse(src)
+        assert expr.evaluate(e, v) == value
+        with pytest.raises(expr.EvalDomainError):
+            expr.derivative(e, v)
+
+    def test_long_sum(self):
+        assert expr.evaluate(expr.parse("+".join(["x"] * 300)), 1.0) == 300.0
+
+    @pytest.mark.parametrize("src", ["+".join(["x"] * 1200), "(" * 400 + "x" + ")" * 400],
+                             ids=["sum-of-1200", "400-parens"])
+    def test_too_deep_is_parse_error(self, src):
+        with pytest.raises(expr.ParseError, match="nested too deeply"):
+            expr.parse(src)
+
+    @pytest.mark.parametrize("name", ["k0", "_pow", "x1", "v0", "value"])
+    def test_variable_name_is_not_source(self, name):
+        e = expr.parse(f"{name}^2 - 3*{name} + sin({name})")
+        assert e.variable_name == name
+        assert expr.evaluate(e, 2.0) == 2.0 ** 2 - 3 * 2.0 + math.sin(2.0)
+
+    def test_built_tree_with_int_constants(self):
+        e = expr.Expression(BinOp("^", Var("x"), Num(2)), "x")
+        assert expr.evaluate(e, 3.0) == 9.0
+
+    def test_pickle_round_trip(self):
+        e = expr.parse("sin(x)^2 + 1e999*0.5")
+        e2 = pickle.loads(pickle.dumps(e))
+        assert e2 == e and e2.source == e.source
+        assert expr.evaluate(e2, 0.5) == expr.evaluate(e, 0.5)
+
     def test_deterministic(self):
         e = expr.parse("sin(x) * exp(x) - tanh(x)")
         a = expr.evaluate(e, 0.7348291)
@@ -203,3 +244,63 @@ class TestRoundTrip:
             e1 = expr.parse(src)
             e2 = expr.parse(expr.serialize(e1))
             assert e1.root == e2.root, src
+
+
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def _value_walk(node, x):
+    """Plain-float walk of the tree: the value the dual-number walk computes
+    when its derivative bookkeeping does not fail."""
+    if isinstance(node, Num):
+        return node.value
+    if isinstance(node, Var):
+        return x
+    if isinstance(node, Neg):
+        return -_value_walk(node.operand, x)
+    if isinstance(node, Call):
+        arg = DualValue(_value_walk(node.arg, x), 0.0)
+        return expr._apply_function(node.func, arg, node.offset).value
+    a, b = _value_walk(node.left, x), _value_walk(node.right, x)
+    if node.op != "^":
+        return _OPS[node.op](a, b)
+    if b.is_integer():
+        return a ** int(b)
+    if a <= 0.0:
+        raise ValueError("non-integer power of a non-positive base")
+    return a ** b
+
+
+def _outcome(fn):
+    """repr of the value (so -0.0 and nan are told apart), or the error."""
+    try:
+        return repr(fn())
+    except (expr.ExpressionError, ArithmeticError, ValueError) as exc:
+        return (type(exc).__name__, getattr(exc, "offset", None), str(exc))
+
+
+class TestCompiledMatchesTreeWalk:
+    POINTS = (0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 3.0, math.pi / 2, 1e-200, -1e-200,
+              1e200, 709.0, 710.0, math.inf, -math.inf, math.nan)
+
+    def test_random_expressions(self):
+        rng = random.Random(20261017)
+        counts = {"value": 0, "error": 0, "bookkeeping": 0}
+        for _ in range(1000):
+            e = expr.parse(gen_source(rng, 5, wide=True))
+            for v in self.POINTS:
+                got = _outcome(lambda: expr.evaluate(e, v))
+                ref = _outcome(lambda: expr._eval(e.root, DualValue(v, 0.0)).value)
+                if got == ref:
+                    counts["error" if isinstance(ref, tuple) else "value"] += 1
+                    continue
+                # Allowed only where the walk failed on derivative bookkeeping
+                # alone: the plain value walk succeeds with the compiled value.
+                where = f"{e.source} at {v!r}: {got} vs {ref}"
+                assert isinstance(ref, tuple), where
+                assert issubclass(getattr(expr, ref[0]), expr.EvalDomainError), where
+                assert got == _outcome(lambda: _value_walk(e.root, v)), where
+                counts["bookkeeping"] += 1
+        total = 1000 * len(self.POINTS)
+        assert counts["value"] > total // 3 and counts["error"] > total // 20, counts
+        assert counts["bookkeeping"] > 0, counts
