@@ -71,12 +71,11 @@ class ConjugacyReport:
 
 def _monotone_direction(fn, lo, hi):
     """Sign of MONOTONE_DIFFS consecutive differences; raises on disagreement."""
-    n = MONOTONE_DIFFS + 1
+    xs = _dyn._grid(lo, hi, MONOTONE_DIFFS + 1)
     prev_x = lo
     prev_v = fn(lo)
     direction = 0
-    for k in range(1, n):
-        x = lo + (hi - lo) * k / (n - 1)
+    for x in xs[1:]:
         v = fn(x)
         d = v - prev_v
         sign = 1 if d > 0 else (-1 if d < 0 else 0)
@@ -90,30 +89,38 @@ def _monotone_direction(fn, lo, hi):
     return "increasing" if direction > 0 else "decreasing"
 
 
-def _bisect_invert(fn, lo, hi, y, increasing, rtol):
-    y_min, y_max = (fn(lo), fn(hi)) if increasing else (fn(hi), fn(lo))
-    if not (y_min <= y <= y_max):
-        raise OutOfRangeError(f"y={y!r} outside attained range [{y_min!r}, {y_max!r}]")
-    a, b = lo, hi
-    mid = 0.5 * (a + b)
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        fm = fn(mid)
-        if abs(fm - y) <= rtol * max(1.0, abs(y)):
-            return mid
-        if (fm < y) == increasing:
-            a = mid
-        else:
-            b = mid
-    return mid
+def _invert(fn, dfn, lo, hi, flo, fhi, y, rtol, x0=None):
+    """x in [lo, hi] with |fn(x) - y| <= rtol*max(1, |y|), for monotone fn
+    with fn(lo) = flo and fn(hi) = fhi; Newton steps use dfn unless None."""
+    if not (min(flo, fhi) <= y <= max(flo, fhi)):
+        raise OutOfRangeError(
+            f"y={y!r} outside attained range [{min(flo, fhi)!r}, {max(flo, fhi)!r}]")
+    x, status, _ = _dyn.bracket_solve(lambda t: fn(t) - y, lo, hi, flo - y, fhi - y,
+                                      rtol * max(1.0, abs(y)), x0, dfn)
+    if status == "discontinuity":
+        raise OutOfRangeError(f"y={y!r} is not attained: f jumps across it at x={x!r}")
+    return x
+
+
+def _evaluator(f):
+    """(value, derivative) callables for an Expression or a plain callable."""
+    if isinstance(f, _expr.Expression):
+        return (lambda x: _expr.evaluate(f, x)), (lambda x: _expr.derivative(f, x))
+    return f, None
 
 
 def invert_numeric(f, interval, y, rtol=INVERT_RTOL):
-    """Solve f(x) = y on the interval by bisection (f strictly monotone)."""
+    """Solve f(x) = y on the interval (f strictly monotone).
+
+    Safeguarded Newton steps on an Expression's exact derivative, plain
+    bisection for any other callable; see dynamics.bracket_solve.  Raises
+    OutOfRangeError when y lies outside f's range on the interval or in a
+    jump of f.
+    """
     lo, hi = interval
-    fn = (lambda x: _expr.evaluate(f, x)) if isinstance(f, _expr.Expression) else f
-    direction = _monotone_direction(fn, lo, hi)
-    return _bisect_invert(fn, lo, hi, y, direction == "increasing", rtol)
+    fn, dfn = _evaluator(f)
+    _monotone_direction(fn, lo, hi)
+    return _invert(fn, dfn, lo, hi, fn(lo), fn(hi), y, rtol)
 
 
 def function_distance(s, samples=DEFAULT_SAMPLES):
@@ -121,12 +128,12 @@ def function_distance(s, samples=DEFAULT_SAMPLES):
 
     The grid covers the image of f's domain endpoints intersected with the
     declared y_domain; a finite grid, so the result is a lower bound on the
-    true supremum.
+    true supremum.  Each inversion starts from the previous grid point's.
     """
     if samples < 2:
         raise ValueError("samples must be >= 2")
     lo, hi = s.x_domain
-    fn = lambda x: _expr.evaluate(s.f, x)
+    fn, dfn = _evaluator(s.f)
     direction = _monotone_direction(fn, lo, hi)
     flo, fhi = fn(lo), fn(hi)
     f_min, f_max = min(flo, fhi), max(flo, fhi)
@@ -134,14 +141,13 @@ def function_distance(s, samples=DEFAULT_SAMPLES):
     y_hi = min(f_max, s.y_domain[1])
     if not (y_lo < y_hi):
         raise OutOfRangeError("image of f does not overlap y_domain")
-    increasing = direction == "increasing"
     best = -1.0
     argmax = y_lo
-    for k in range(samples):
-        y = y_lo + (y_hi - y_lo) * k / (samples - 1)
+    inv = None
+    for y in _dyn._grid(y_lo, y_hi, samples):
         # The top grid point can round one ulp past f's attained range.
         y = min(max(y, f_min), f_max)
-        inv = _bisect_invert(fn, lo, hi, y, increasing, INVERT_RTOL)
+        inv = _invert(fn, dfn, lo, hi, flo, fhi, y, INVERT_RTOL, inv)
         diff = abs(_expr.evaluate(s.phi, y) - inv)
         if diff > best:
             best = diff
@@ -259,8 +265,7 @@ def verify_conjugacy(f, g, h, interval, samples=DEFAULT_SAMPLES,
 
     max_residual = -1.0
     argmax = lo
-    for k in range(samples):
-        x = lo + (hi - lo) * k / (samples - 1)
+    for x in _dyn._grid(lo, hi, samples):
         r = abs(h_fn(f_fn(x)) - g_fn(h_fn(x)))
         if r > max_residual:
             max_residual = r
@@ -268,7 +273,8 @@ def verify_conjugacy(f, g, h, interval, samples=DEFAULT_SAMPLES,
     verdict = "consistent" if max_residual <= tol else "violated"
     violation_x = None if verdict == "consistent" else argmax
 
-    fixed_points, _ = _dyn.find_map_fixed_points(f_fn, lo, hi, grid_n=1024)
+    f_map = _dyn.ScalarMap(f_fn, lambda x: _expr.derivative(f, x))
+    fixed_points, _ = _dyn.find_map_fixed_points(f_map, lo, hi, grid_n=1024)
     checked = 0
     for x_bar in fixed_points:
         hx = h_fn(x_bar)

@@ -72,7 +72,7 @@ class _Params:
 
 def _derive_y_domain(f, x_domain, samples=256):
     lo, hi = x_domain
-    vals = [expr.evaluate(f, lo + (hi - lo) * k / (samples - 1)) for k in range(samples)]
+    vals = [expr.evaluate(f, x) for x in dynamics._grid(lo, hi, samples)]
     y_lo, y_hi = min(vals), max(vals)
     if y_lo == y_hi:
         y_lo, y_hi = y_lo - 1.0, y_hi + 1.0

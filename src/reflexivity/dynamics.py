@@ -16,6 +16,7 @@ CONVERGENCE_RTOL = 1e-13
 CONVERGENCE_WINDOW = 3
 STABILITY_BAND = 1e-6  # half-width of the "marginal" band around |multiplier| = 1
 ROOT_TOL = 1e-12
+SOLVE_MAX_ITER = 200
 DEDUP_RADIUS_FACTOR = 1e-9
 DEFAULT_GRID = 4096
 _VALIDATION_GRID = 1024
@@ -45,6 +46,11 @@ def _is_finite(v):
     return v == v and abs(v) != float("inf")
 
 
+def _grid(lo, hi, n):
+    """n evenly spaced points from lo to hi, both included."""
+    return [lo + (hi - lo) * k / (n - 1) for k in range(n)]
+
+
 @dataclass(frozen=True)
 class ReflexiveSystem:
     """The pair (f, phi) with their declared closed domains."""
@@ -63,10 +69,7 @@ class ReflexiveSystem:
 
 
 def _check_finite_on(fn, domain, label):
-    lo, hi = domain
-    n = _VALIDATION_GRID
-    for k in range(n):
-        v = lo + (hi - lo) * k / (n - 1)
+    for v in _grid(*domain, _VALIDATION_GRID):
         try:
             out = _expr.evaluate(fn, v)
         except _expr.EvalDomainError as exc:
@@ -200,19 +203,82 @@ def compose_phi_map(s):
     )
 
 
-def find_map_fixed_points(fn, lo, hi, grid_n=DEFAULT_GRID, tol=ROOT_TOL):
-    """Roots of fn(x) - x on [lo, hi] by uniform grid plus bisection.
+def _slope(dg, x):
+    """dg(x), or 0.0 (no Newton step) when dg is None or fails at x."""
+    if dg is None:
+        return 0.0
+    try:
+        return dg(x)
+    except _expr.EvalDomainError:
+        return 0.0
 
-    Returns (roots, skipped) where skipped counts grid points dropped for
-    numeric domain errors.  Tangential roots are only caught when a grid
-    point lands within tol of zero.
+
+def bracket_solve(g, a, b, ga, gb, tol, x0=None, dg=None):
+    """Root of g on [a, b], where ga = g(a) and gb = g(b) differ in sign.
+
+    Safeguarded Newton (Numerical Recipes' rtsafe): from x0, or the midpoint,
+    take Newton steps with the derivative dg, and a bisection step whenever
+    the Newton step leaves the bracket, is not at least half as long as the
+    step before last, or dg fails.  With dg=None every step bisects.
+
+    Returns (x, status, iters).  status is "converged" when |g(x)| <= tol;
+    "discontinuity" when the bracket has shrunk to two adjacent floats with
+    |g| above tol at both and a step in g between them larger than dg on
+    either side accounts for (g jumps across zero there); "iteration-cap"
+    (logged) after SOLVE_MAX_ITER evaluations of g.  When the step is
+    accounted for, the root lies below float resolution and counts as
+    converged.  Without tol met, x is the bracket end with the smaller |g|.
+    """
+    if abs(ga) <= tol:
+        return a, "converged", 0
+    if abs(gb) <= tol:
+        return b, "converged", 0
+    x = x0 if dg is not None and x0 is not None and a < x0 < b else 0.5 * (a + b)
+    step = step_old = b - a
+    for it in range(1, SOLVE_MAX_ITER + 1):
+        gx = g(x)
+        if abs(gx) <= tol:
+            return x, "converged", it
+        if (gx > 0) == (ga > 0):
+            a, ga = x, gx
+        else:
+            b, gb = x, gx
+        mid = 0.5 * (a + b)
+        if not a < mid < b:
+            # A root below float resolution if the slope on both sides
+            # accounts for the step in g between the ends, a jump if not.
+            x = a if abs(ga) <= abs(gb) else b
+            slope = min(abs(_slope(dg, a)), abs(_slope(dg, b)))
+            if abs(gb - ga) <= 2.0 * slope * (b - a):
+                return x, "converged", it
+            return x, "discontinuity", it
+        nxt = mid
+        slope = _slope(dg, x)
+        if slope != 0.0:
+            newton = x - gx / slope
+            if a < newton < b and 2.0 * abs(newton - x) <= step_old:
+                nxt = newton
+        step_old, step = step, abs(nxt - x)
+        x = nxt
+    log.warning("root solve: no convergence in %d iterations on [%r, %r]",
+                SOLVE_MAX_ITER, a, b)
+    return (a if abs(ga) <= abs(gb) else b), "iteration-cap", SOLVE_MAX_ITER
+
+
+def find_map_fixed_points(fn, lo, hi, grid_n=DEFAULT_GRID, tol=ROOT_TOL):
+    """Roots of fn(x) - x on [lo, hi] by uniform grid plus bracket_solve.
+
+    When fn is a ScalarMap the solver takes Newton steps with its
+    derivative.  Returns (roots, skipped) where skipped counts
+    grid points dropped for numeric domain errors.  Sign changes that are
+    jumps, not roots, are dropped with a warning.  Tangential roots are
+    only caught when a grid point lands within tol of zero.
     """
     if grid_n < 2:
         raise ValueError("grid_n must be >= 2")
     vals = []
     skipped = 0
-    for k in range(grid_n):
-        x = lo + (hi - lo) * k / (grid_n - 1)
+    for x in _grid(lo, hi, grid_n):
         try:
             vals.append((x, fn(x) - x))
         except _expr.EvalDomainError:
@@ -223,7 +289,10 @@ def find_map_fixed_points(fn, lo, hi, grid_n=DEFAULT_GRID, tol=ROOT_TOL):
     if skipped:
         log.warning("fixed-point grid: skipped %d of %d points", skipped, grid_n)
 
+    g = lambda x: fn(x) - x
+    dg = (lambda x: fn.derivative(x) - 1.0) if isinstance(fn, ScalarMap) else None
     roots = []
+    jumps = 0
     for entry in vals:
         if entry is not None and abs(entry[1]) < tol:
             roots.append(entry[0])
@@ -234,9 +303,17 @@ def find_map_fixed_points(fn, lo, hi, grid_n=DEFAULT_GRID, tol=ROOT_TOL):
         if abs(ga) < tol or abs(gb) < tol or ga * gb > 0:
             continue
         try:
-            roots.append(_bisect_root(fn, xa, ga, xb, gb, tol))
+            x, status, _ = bracket_solve(g, xa, xb, ga, gb, tol, dg=dg)
         except _expr.EvalDomainError:
             skipped += 1
+            continue
+        if status == "discontinuity":
+            jumps += 1
+        else:
+            roots.append(x)
+    if jumps:
+        log.warning("fixed-point search: dropped %d sign changes that are jumps, "
+                    "not roots", jumps)
     roots.sort()
     merged = []
     radius = DEDUP_RADIUS_FACTOR * (hi - lo)
@@ -244,19 +321,6 @@ def find_map_fixed_points(fn, lo, hi, grid_n=DEFAULT_GRID, tol=ROOT_TOL):
         if not merged or r - merged[-1] > radius:
             merged.append(r)
     return merged, skipped
-
-
-def _bisect_root(fn, xa, ga, xb, gb, tol):
-    for _ in range(200):
-        mid = 0.5 * (xa + xb)
-        gm = fn(mid) - mid
-        if abs(gm) < tol:
-            return mid
-        if (gm > 0) == (ga > 0):
-            xa, ga = mid, gm
-        else:
-            xb, gb = mid, gm
-    return 0.5 * (xa + xb)
 
 
 def find_fixed_points(s, grid_n=DEFAULT_GRID):

@@ -4,8 +4,10 @@ forward-mode (dual number) differentiation.
 Expressions hold at most one free variable.  Trees are immutable after
 parsing, so evaluation and differentiation are pure and reentrant.  Values
 come from a straight-line float function compiled from the tree when the
-Expression is built; derivatives, and the exact message and offset of every
-evaluation error, come from the dual-number walk of the tree.
+Expression is built; derivatives from a straight-line value-plus-derivative
+function compiled on the first derivative call.  The dual-number walk of the
+tree is the reference both follow, and it reports every evaluation error
+with its exact message and offset.
 """
 
 from __future__ import annotations
@@ -93,12 +95,14 @@ class Expression:
     variable_name: str | None
     source: str = field(compare=False, default="")
     _value: object = field(init=False, compare=False, repr=False)
+    # Compiled on the first derivative call: most expressions never need it.
+    _derivative: object = field(init=False, compare=False, repr=False, default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "_value", _compile(self.root))
 
     def __reduce__(self):
-        # The compiled function cannot be pickled; rebuild it on load.
+        # The compiled functions cannot be pickled; rebuild them on load.
         return Expression, (self.root, self.variable_name, self.source)
 
     def __call__(self, v):
@@ -158,24 +162,7 @@ class DualValue:
 
     def __pow__(self, other):
         other = _as_dual(other)
-        v, dv = self.value, self.derivative
-        e, de = other.value, other.derivative
-        if de == 0.0 and float(e).is_integer():
-            n = int(e)
-            if v == 0.0 and n < 0:
-                raise ZeroDivisionError("zero raised to a negative power")
-            val = v ** n
-            if n == 0:
-                der = 0.0
-            elif v == 0.0:
-                der = dv if n == 1 else 0.0
-            else:
-                der = n * v ** (n - 1) * dv
-            return DualValue(val, der)
-        if v <= 0.0:
-            raise ValueError("non-integer power of a non-positive base")
-        val = v ** e
-        return DualValue(val, val * (de * math.log(v) + e * dv / v))
+        return DualValue(*_dual_pow(self.value, self.derivative, other.value, other.derivative))
 
     def __rpow__(self, other):
         return _as_dual(other) ** self
@@ -183,6 +170,26 @@ class DualValue:
 
 def _as_dual(x):
     return x if isinstance(x, DualValue) else DualValue(float(x), 0.0)
+
+
+def _dual_pow(v, dv, e, de):
+    """(value, derivative) of (v + dv*eps) ** (e + de*eps)."""
+    if de == 0.0 and float(e).is_integer():
+        n = int(e)
+        if v == 0.0 and n < 0:
+            raise ZeroDivisionError("zero raised to a negative power")
+        val = v ** n
+        if n == 0:
+            der = 0.0
+        elif v == 0.0:
+            der = dv if n == 1 else 0.0
+        else:
+            der = n * v ** (n - 1) * dv
+        return val, der
+    if v <= 0.0:
+        raise ValueError("non-integer power of a non-positive base")
+    val = v ** e
+    return val, val * (de * math.log(v) + e * dv / v)
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +426,8 @@ def _eval(node, x):
         arg = _eval(node.arg, x)
         try:
             return _apply_function(node.func, arg, node.offset)
-        except OverflowError as exc:
+        except (ValueError, OverflowError) as exc:
+            # math.sin/cos/tan raise ValueError at +-inf, math.exp overflows.
             raise EvalDomainError(str(exc), node.offset) from None
     raise TypeError(f"not an expression node: {node!r}")
 
@@ -438,22 +446,43 @@ def evaluate(e, v):
 
 
 def derivative(e, v):
-    """Exact forward-mode derivative of e at v."""
-    return _eval(e.root, DualValue(float(v), 1.0)).derivative
+    """Exact forward-mode derivative of e at v.
+
+    Runs e's compiled value-plus-derivative function, compiling it on the
+    first call.  On a numeric error it re-runs the dual-number walk, which
+    raises that error with its node offset.
+    """
+    x = float(v)
+    fn = e._derivative
+    if fn is None:
+        fn = _compile(e.root, dual=True)
+        object.__setattr__(e, "_derivative", fn)
+    try:
+        return fn(x)
+    except (ArithmeticError, ValueError):
+        return _eval(e.root, DualValue(x, 1.0)).derivative
 
 
 # ---------------------------------------------------------------------------
-# Compilation to a value-only float function
+# Compilation to straight-line float functions
+#
+# _compile(root) builds x -> value.  _compile(root, dual=True) builds
+# x -> derivative by forward-mode source transformation: one pair of locals
+# v<k>, d<k> per operator node, computed by the same float operations in the
+# same order as DualValue and _apply_function, so its results are the walk's
+# bit for bit.  Where the walk raises an EvalDomainError of its own (log of a
+# non-positive value, abs at 0 with a nonzero derivative, ...), the compiled
+# code raises ArithmeticError or ValueError and the caller re-runs the walk.
 #
 # The generated source holds only names the compiler chooses: the parameter
-# x, one local v<k> per operator node, constants k<j> and the helpers in
-# _HELPERS, all bound as default arguments (a constant may be inf, which has
-# no literal).  Node values and user identifiers never become source text;
-# operators and function names are written only after an exact match with
-# _INFIX or FUNCTION_NAMES.
+# x, the locals, constants k<j> and the helpers in _HELPERS, all bound as
+# default arguments (a constant may be inf, which has no literal), plus the
+# float literals in _RULES.  Node values and user identifiers never become
+# source text; operators and function names are written only after an exact
+# match with _INFIX or FUNCTION_NAMES.
 
 def _pow(v, e):
-    """Value part of DualValue.__pow__ when the exponent's derivative is 0."""
+    """Value part of _dual_pow when the exponent's derivative is 0."""
     if float(e).is_integer():
         n = int(e)
         if v == 0.0 and n < 0:
@@ -470,6 +499,13 @@ def _tan(v):
     return math.tan(v)
 
 
+def _kink(d):
+    """Derivative of abs at 0, which exists only for a constant argument."""
+    if d != 0.0:
+        raise ValueError("abs not differentiable at 0")
+    return 0.0
+
+
 def _unknown_node():
     # The tree walk raises the precise error for a node it does not know.
     raise ValueError("unknown node")
@@ -478,50 +514,87 @@ def _unknown_node():
 _HELPERS = {
     "sin": math.sin, "cos": math.cos, "tan": _tan, "exp": math.exp,
     "log": math.log, "tanh": math.tanh, "sqrt": math.sqrt, "abs": abs,
-    "pow": _pow, "unknown_node": _unknown_node,
+    "copysign": math.copysign, "pow": _pow, "dpow": _dual_pow, "kink": _kink,
+    "unknown_node": _unknown_node,
 }
 _INFIX = ("+", "-", "*", "/")
 
+# (value, derivative) templates per rule: a and b name the operands' values,
+# da and db their derivatives, v this node's value.  In dual mode "^" gets
+# value and derivative from one call to _dual_pow, as DualValue.__pow__ does.
+_RULES = {
+    "neg": ("-{a}", "-{da}"),
+    "+": ("{a} + {b}", "{da} + {db}"),
+    "-": ("{a} - {b}", "{da} - {db}"),
+    "*": ("{a} * {b}", "{a} * {db} + {da} * {b}"),
+    "/": ("{a} / {b}", "({da} * {b} - {a} * {db}) / ({b} * {b})"),
+    "^": ("pow({a}, {b})", "dpow({a}, {da}, {b}, {db})"),
+    "sin": ("sin({a})", "cos({a}) * {da}"),
+    "cos": ("cos({a})", "-sin({a}) * {da}"),
+    "tan": ("tan({a})", "{da} / (cos({a}) * cos({a}))"),
+    "exp": ("exp({a})", "{v} * {da}"),
+    "log": ("log({a})", "{da} / {a}"),
+    "tanh": ("tanh({a})", "(1.0 - {v} * {v}) * {da}"),
+    "sqrt": ("sqrt({a})", "{da} / (2.0 * {v}) if {da} != 0.0 else 0.0"),
+    "abs": ("abs({a})", "copysign(1.0, {a}) * {da} if {a} != 0.0 else kink({da})"),
+    "unknown": ("unknown_node()", "unknown_node()"),
+}
+
 
 class _Emitter:
-    def __init__(self):
+    def __init__(self, dual):
+        self.dual = dual
         self.lines = []
         self.consts = []
 
     def emit(self, node):
-        """Name holding node's value, after the lines that compute it."""
+        """Names holding node's value and derivative, after the lines that
+        compute them."""
         if isinstance(node, Num):
             self.consts.append(node.value)
-            return f"k{len(self.consts) - 1}"
+            return f"k{len(self.consts) - 1}", "0.0"
         if isinstance(node, Var):
-            return "x"
+            return "x", "1.0"
         if isinstance(node, Neg):
-            rhs = f"-{self.emit(node.operand)}"
-        elif isinstance(node, BinOp) and node.op in _INFIX:
-            rhs = f"{self.emit(node.left)} {node.op} {self.emit(node.right)}"
-        elif isinstance(node, BinOp) and node.op == "^":
-            rhs = f"pow({self.emit(node.left)}, {self.emit(node.right)})"
+            rule, operands = "neg", (node.operand,)
+        elif isinstance(node, BinOp) and (node.op in _INFIX or node.op == "^"):
+            rule, operands = node.op, (node.left, node.right)
         elif isinstance(node, Call) and node.func in FUNCTION_NAMES:
-            rhs = f"{node.func}({self.emit(node.arg)})"
+            rule, operands = node.func, (node.arg,)
         else:
-            rhs = "unknown_node()"
-        name = f"v{len(self.lines)}"
-        self.lines.append(f"    {name} = {rhs}\n")
-        return name
+            rule, operands = "unknown", ()
+        emitted = [self.emit(operand) for operand in operands]
+        k = len(self.lines)
+        v, d = f"v{k}", f"d{k}"
+        names = {"v": v, "d": d}
+        for (val, der), (vk, dk) in zip(emitted, (("a", "da"), ("b", "db"))):
+            names[vk], names[dk] = val, der
+        value, deriv = _RULES[rule]
+        if not self.dual:
+            self.lines.append(f"    {v} = {value.format(**names)}\n")
+        elif rule == "^":
+            self.lines.append(f"    {v}, {d} = {deriv.format(**names)}\n")
+        else:
+            self.lines.append(f"    {v} = {value.format(**names)}\n"
+                              f"    {d} = {deriv.format(**names)}\n")
+        return v, d
 
 
-def _compile(root):
-    """Straight-line function x -> value of root, one local per node.
+def _compile(root, dual=False):
+    """Straight-line function x -> value of root (x -> derivative if dual).
 
     Nested expressions would hit the compiler's parenthesis limit on long
-    sums, so every operator node gets its own statement.
+    sums, so every operator node gets its own statements.
     """
-    em = _Emitter()
-    result = em.emit(root)
-    env = dict(_HELPERS)
+    em = _Emitter(dual)
+    value, deriv = em.emit(root)
+    body = "".join(em.lines)
+    used = set(re.findall(r"\w+", body))
+    env = {name: fn for name, fn in _HELPERS.items() if name in used}
     env.update((f"k{j}", c) for j, c in enumerate(em.consts))
     params = "".join(f", {name}={name}" for name in env)
-    source = f"def value(x{params}):\n{''.join(em.lines)}    return {result}\n"
+    result = deriv if dual else value
+    source = f"def compiled(x{params}):\n{body}    return {result}\n"
     env["__builtins__"] = {}
     exec(source, env)
-    return env["value"]
+    return env["compiled"]

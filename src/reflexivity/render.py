@@ -11,6 +11,7 @@ from . import dynamics as _dyn
 from . import expr as _expr
 
 DEFAULT_CURVE_SAMPLES = 256
+_TICKS = 5  # tick marks per axis, both ends included
 
 
 @dataclass(frozen=True)
@@ -49,16 +50,10 @@ def staircase(s, o, curve_samples=DEFAULT_CURVE_SAMPLES):
         segments.append(((xs[i], ys[i]), (xs[i + 1], ys[i])))
         segments.append(((xs[i + 1], ys[i]), (xs[i + 1], ys[i + 1])))
 
-    lo, hi = s.x_domain
-    curve_f = tuple(
-        (x, _expr.evaluate(s.f, x))
-        for x in (lo + (hi - lo) * k / (curve_samples - 1) for k in range(curve_samples))
-    )
-    ylo, yhi = s.y_domain
-    curve_phi = tuple(
-        (_expr.evaluate(s.phi, y), y)
-        for y in (ylo + (yhi - ylo) * k / (curve_samples - 1) for k in range(curve_samples))
-    )
+    curve_f = tuple((x, _expr.evaluate(s.f, x))
+                    for x in _dyn._grid(*s.x_domain, curve_samples))
+    curve_phi = tuple((_expr.evaluate(s.phi, y), y)
+                      for y in _dyn._grid(*s.y_domain, curve_samples))
     fps = tuple((fp.x_bar, fp.y_bar) for fp in _dyn.find_fixed_points(s))
     return StaircaseTrace(tuple(segments), curve_f, curve_phi, fps)
 
@@ -121,10 +116,6 @@ def _data_bounds(trace):
     return (x_lo, x_hi, y_lo, y_hi)
 
 
-def _ticks(lo, hi, n=5):
-    return [lo + (hi - lo) * k / (n - 1) for k in range(n)]
-
-
 def to_svg(trace, options=None):
     """Standalone SVG 1.1 document with axes and tick labels."""
     opt = options or RenderOptions()
@@ -152,7 +143,7 @@ def to_svg(trace, options=None):
         f'<line class="axis" x1="{m}" y1="{m}" x2="{m}" y2="{opt.height - m}" '
         'stroke="black" stroke-width="1"/>',
     ]
-    for t in _ticks(x_lo, x_hi):
+    for t in _dyn._grid(x_lo, x_hi, _TICKS):
         x = px(t)
         out.append(
             f'<line class="tick" x1="{x:.3f}" y1="{opt.height - m}" '
@@ -162,7 +153,7 @@ def to_svg(trace, options=None):
             f'<text class="tick-label" x="{x:.3f}" y="{opt.height - m + 18}" '
             f'font-size="11" text-anchor="middle">{t:.4g}</text>'
         )
-    for t in _ticks(y_lo, y_hi):
+    for t in _dyn._grid(y_lo, y_hi, _TICKS):
         y = py(t)
         out.append(
             f'<line class="tick" x1="{m - 5}" y1="{y:.3f}" x2="{m}" y2="{y:.3f}" '

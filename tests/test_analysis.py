@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from reflexivity import analysis, dynamics, expr
+from reflexivity import analysis, cli, dynamics, expr
 from reflexivity.analysis import (
     detect_boom_bust,
     detect_period,
@@ -49,6 +49,16 @@ class TestInvertNumeric:
             x = invert_numeric(f, (lo, hi), y)
             assert abs(expr.evaluate(f, x) - y) <= 1e-12 * max(1.0, abs(y))
 
+    def test_value_in_a_jump_is_out_of_range(self):
+        # f jumps from 0.3 to about 0.4 between 0.3 and the next float
+        f = expr.parse("x + 0.1*tanh(1e300*(x-0.3))")
+        with pytest.raises(analysis.OutOfRangeError, match="not attained"):
+            invert_numeric(f, (0.0, 1.0), 0.35)
+
+    def test_plain_callable_bisects(self):
+        got = invert_numeric(lambda x: x ** 3, (0.0, 2.0), 2.0)
+        assert abs(got ** 3 - 2.0) <= 1e-12 * 2.0
+
 
 class TestFunctionDistance:
     def test_exact_inverse_is_zero(self):
@@ -83,6 +93,23 @@ class TestFunctionDistance:
     def test_direction_reported(self):
         s = make_system("-x", "-y", (0.0, 1.0), (-1.0, 0.0))
         assert function_distance(s).monotone_direction == "decreasing"
+
+    def test_case1_evaluations_per_sample(self, monkeypatch):
+        # Machine-independent cost guard: warm-started Newton steps, and
+        # f(lo), f(hi) evaluated once, not once per sample.
+        sc = cli.load_scenario("case1")
+        s = make_system(sc["f"], sc["phi"], sc["x_domain"], sc["y_domain"])
+        calls = [0]
+        real = expr.evaluate
+
+        def counting(e, v):
+            calls[0] += e is s.f
+            return real(e, v)
+
+        monkeypatch.setattr(expr, "evaluate", counting)
+        rep = function_distance(s, 4096)
+        assert calls[0] <= 6 * 4096
+        assert rep.d == pytest.approx(0.05, abs=1e-6)
 
     def test_top_grid_point_rounding_past_range(self):
         # y_lo + (y_hi - y_lo)*(n-1)/(n-1) rounds one ulp above f(hi) here

@@ -188,6 +188,8 @@ class TestExitCodeScheme:
         (("distance", "--f", "x*0 + 1", "--phi", "y", "--domain", "0", "1"), 4),
         (("period", "--f", "x", "--phi", "y", "--x0", "0",
           "--max-period", "0"), 4),
+        # math.sin raises ValueError at inf: a numeric error, not a precondition
+        (("simulate", "--f", "sin(1e999*x)", "--phi", "y", "--x0", "1"), 3),
     ])
     def test_uniform_exit_codes(self, capsys, argv, expected):
         code, _, _ = run(capsys, *argv)

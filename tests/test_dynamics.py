@@ -1,3 +1,4 @@
+import logging
 import math
 import random
 
@@ -186,6 +187,61 @@ class TestFindFixedPoints:
         for fp in find_fixed_points(s):
             assert fp.residual_f <= 1e-9
             assert fp.residual_phi <= 1e-9
+
+    def test_jump_across_diagonal_is_not_a_fixed_point(self, caplog):
+        # gamma - x falls from +0.05 to -0.05 between 0.3 and the next float
+        s = make_system("0.35 - 0.1*tanh(1e300*(x-0.3))", "y", (0.0, 1.0), (0.0, 1.0))
+        with caplog.at_level(logging.WARNING, logger="reflexivity.dynamics"):
+            assert find_fixed_points(s) == []
+        assert "dropped 1 sign changes that are jumps" in caplog.text
+
+    def test_steep_root_below_float_resolution_is_kept(self):
+        # |gamma - x| is about 3e-11 > ROOT_TOL at the floats next to the
+        # root, but the slope 999999 on both sides accounts for that step.
+        s = make_system("1000000*x - 333333.1", "y", (0.3, 0.4), (-1e6, 1e6))
+        (fp,) = find_fixed_points(s)
+        assert fp.x_bar == pytest.approx(333333.1 / 999999.0, abs=1e-16)
+        assert fp.stability == "repelling"
+
+
+class TestBracketSolve:
+    def test_newton_converges_in_fewer_steps_than_bisection(self):
+        g, dg = (lambda x: x * x - 2.0), (lambda x: 2.0 * x)
+        x, status, newton_iters = dynamics.bracket_solve(g, 0.0, 2.0, -2.0, 2.0, 1e-15, dg=dg)
+        assert status == "converged" and abs(g(x)) <= 1e-15
+        assert x == pytest.approx(math.sqrt(2.0), abs=1e-15)
+        _, status, bisect_iters = dynamics.bracket_solve(g, 0.0, 2.0, -2.0, 2.0, 1e-15)
+        assert status == "converged"
+        assert newton_iters <= 6 < bisect_iters
+
+    def test_newton_step_leaving_the_bracket_bisects(self):
+        # From x0 = -1.9 the Newton step for atan lands near 9.75, past b = 3.
+        g = lambda x: math.atan(x - 1.0)
+        dg = lambda x: 1.0 / (1.0 + (x - 1.0) ** 2)
+        x, status, _ = dynamics.bracket_solve(g, -2.0, 3.0, g(-2.0), g(3.0), 1e-14,
+                                              x0=-1.9, dg=dg)
+        assert status == "converged" and x == pytest.approx(1.0, abs=1e-13)
+
+    def test_endpoint_within_tolerance(self):
+        assert dynamics.bracket_solve(lambda x: x, 0.0, 1.0, 0.0, 1.0, 1e-12) == (
+            0.0, "converged", 0)
+
+    def test_jump_is_discontinuity(self):
+        g = lambda x: 1.0 if x > 0.3 else -1.0
+        for dg in (None, lambda x: 0.0):
+            x, status, iters = dynamics.bracket_solve(g, 0.0, 1.0, -1.0, 1.0, 1e-12, dg=dg)
+            assert status == "discontinuity"
+            assert x in (0.3, math.nextafter(0.3, 1.0))
+            assert iters < dynamics.SOLVE_MAX_ITER
+
+    def test_iteration_cap_is_logged(self, caplog):
+        # Bisection from [-1, 1] needs about 1000 halvings to reach 1e-300.
+        g = lambda x: x - 1e-300
+        with caplog.at_level(logging.WARNING, logger="reflexivity.dynamics"):
+            x, status, iters = dynamics.bracket_solve(g, -1.0, 1.0, g(-1.0), g(1.0), 0.0)
+        assert (status, iters) == ("iteration-cap", dynamics.SOLVE_MAX_ITER)
+        assert 0.0 <= x <= 2.0 ** -199
+        assert "no convergence in 200 iterations" in caplog.text
 
 
 class TestClassifyStability:

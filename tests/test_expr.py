@@ -124,6 +124,14 @@ class TestEvaluate:
         with pytest.raises(expr.EvalDomainError):
             expr.derivative(e, v)
 
+    @pytest.mark.parametrize("src, offset", [("sin(x)", 0), ("2 + cos(x)", 4), ("tan(x)", 0)])
+    def test_math_domain_error_at_infinity_is_typed(self, src, offset):
+        e = expr.parse(src)
+        for fn in (expr.evaluate, expr.derivative):
+            with pytest.raises(expr.EvalDomainError) as ei:
+                fn(e, math.inf)
+            assert ei.value.offset == offset
+
     def test_long_sum(self):
         assert expr.evaluate(expr.parse("+".join(["x"] * 300)), 1.0) == 300.0
 
@@ -304,3 +312,21 @@ class TestCompiledMatchesTreeWalk:
         total = 1000 * len(self.POINTS)
         assert counts["value"] > total // 3 and counts["error"] > total // 20, counts
         assert counts["bookkeeping"] > 0, counts
+
+    def test_random_derivatives(self):
+        rng = random.Random(20261017)  # the trees of test_random_expressions
+        counts = {"value": 0, "error": 0}
+        for _ in range(1000):
+            e = expr.parse(gen_source(rng, 5, wide=True))
+            for v in self.POINTS:
+                got = _outcome(lambda: expr.derivative(e, v))
+                ref = _outcome(lambda: expr._eval(e.root, DualValue(v, 1.0)).derivative)
+                where = f"{e.source} at {v!r}: {got} vs {ref}"
+                assert got == ref, where
+                # The compiled function itself, without the walk as fallback,
+                # fails exactly where the walk fails.
+                compiled = _outcome(lambda: e._derivative(v))
+                assert isinstance(compiled, tuple) == isinstance(ref, tuple), where
+                counts["error" if isinstance(ref, tuple) else "value"] += 1
+        total = 1000 * len(self.POINTS)
+        assert counts["value"] > total // 3 and counts["error"] > total // 20, counts
