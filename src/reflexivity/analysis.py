@@ -5,10 +5,14 @@ boom-then-bust detection, and sampled conjugacy verification.
 
 from __future__ import annotations
 
+import logging
+import math
 from dataclasses import dataclass
 
 from . import dynamics as _dyn
 from . import expr as _expr
+
+log = logging.getLogger(__name__)
 
 MONOTONE_DIFFS = 1024
 INVERT_RTOL = 1e-12
@@ -90,16 +94,18 @@ def _monotone_direction(fn, lo, hi):
 
 
 def _invert(fn, dfn, lo, hi, flo, fhi, y, rtol, x0=None):
-    """x in [lo, hi] with |fn(x) - y| <= rtol*max(1, |y|), for monotone fn
-    with fn(lo) = flo and fn(hi) = fhi; Newton steps use dfn unless None."""
+    """(x, status) with x in [lo, hi] and |fn(x) - y| <= rtol*max(1, |y|),
+    for monotone fn with fn(lo) = flo and fn(hi) = fhi; Newton steps use dfn
+    unless None.  status is bracket_solve's; on "discontinuity" y lies in a
+    jump of fn and x is where fn jumps."""
     if not (min(flo, fhi) <= y <= max(flo, fhi)):
         raise OutOfRangeError(
             f"y={y!r} outside attained range [{min(flo, fhi)!r}, {max(flo, fhi)!r}]")
+    # bracket_solve accepts |g| < tol; the next float up makes that <= rtol*...
+    tol = math.nextafter(rtol * max(1.0, abs(y)), math.inf)
     x, status, _ = _dyn.bracket_solve(lambda t: fn(t) - y, lo, hi, flo - y, fhi - y,
-                                      rtol * max(1.0, abs(y)), x0, dfn)
-    if status == "discontinuity":
-        raise OutOfRangeError(f"y={y!r} is not attained: f jumps across it at x={x!r}")
-    return x
+                                      tol, x0, dfn)
+    return x, status
 
 
 def _evaluator(f):
@@ -114,13 +120,17 @@ def invert_numeric(f, interval, y, rtol=INVERT_RTOL):
 
     Safeguarded Newton steps on an Expression's exact derivative, plain
     bisection for any other callable; see dynamics.bracket_solve.  Raises
-    OutOfRangeError when y lies outside f's range on the interval or in a
-    jump of f.
+    OutOfRangeError when y lies outside f's range on the interval.  For y
+    inside a jump of an Expression f, returns where f jumps and logs a
+    warning; a plain callable gives the same x without the warning.
     """
     lo, hi = interval
     fn, dfn = _evaluator(f)
     _monotone_direction(fn, lo, hi)
-    return _invert(fn, dfn, lo, hi, fn(lo), fn(hi), y, rtol)
+    x, status = _invert(fn, dfn, lo, hi, fn(lo), fn(hi), y, rtol)
+    if status == "discontinuity":
+        log.warning("inversion: y=%r is not attained, f jumps across it at x=%r", y, x)
+    return x
 
 
 def function_distance(s, samples=DEFAULT_SAMPLES):
@@ -129,6 +139,8 @@ def function_distance(s, samples=DEFAULT_SAMPLES):
     The grid covers the image of f's domain endpoints intersected with the
     declared y_domain; a finite grid, so the result is a lower bound on the
     true supremum.  Each inversion starts from the previous grid point's.
+    A y inside a jump of f counts with the x where f jumps, and the number
+    of such samples is logged.
     """
     if samples < 2:
         raise ValueError("samples must be >= 2")
@@ -144,14 +156,19 @@ def function_distance(s, samples=DEFAULT_SAMPLES):
     best = -1.0
     argmax = y_lo
     inv = None
+    jumps = 0
     for y in _dyn._grid(y_lo, y_hi, samples):
         # The top grid point can round one ulp past f's attained range.
         y = min(max(y, f_min), f_max)
-        inv = _invert(fn, dfn, lo, hi, flo, fhi, y, INVERT_RTOL, inv)
+        inv, status = _invert(fn, dfn, lo, hi, flo, fhi, y, INVERT_RTOL, inv)
+        jumps += status == "discontinuity"
         diff = abs(_expr.evaluate(s.phi, y) - inv)
         if diff > best:
             best = diff
             argmax = y
+    if jumps:
+        log.warning("function_distance: %d of %d samples lie in a jump of f; "
+                    "each is inverted to where f jumps", jumps, samples)
     return DistanceReport(best, argmax, samples, direction)
 
 

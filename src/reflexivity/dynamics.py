@@ -221,23 +221,24 @@ def bracket_solve(g, a, b, ga, gb, tol, x0=None, dg=None):
     the Newton step leaves the bracket, is not at least half as long as the
     step before last, or dg fails.  With dg=None every step bisects.
 
-    Returns (x, status, iters).  status is "converged" when |g(x)| <= tol;
-    "discontinuity" when the bracket has shrunk to two adjacent floats with
-    |g| above tol at both and a step in g between them larger than dg on
-    either side accounts for (g jumps across zero there); "iteration-cap"
-    (logged) after SOLVE_MAX_ITER evaluations of g.  When the step is
-    accounted for, the root lies below float resolution and counts as
-    converged.  Without tol met, x is the bracket end with the smaller |g|.
+    Returns (x, status, iters).  status is "converged" when |g(x)| < tol, or
+    when the bracket has shrunk to two adjacent floats and nothing shows a
+    jump between them: the root then lies below float resolution and x is
+    the end with the smaller |g|.  It is "discontinuity" when dg is given and
+    the step in g between those two floats is larger than dg on either side
+    accounts for (g jumps across zero there; x is again the better end), and
+    "iteration-cap" (logged) after SOLVE_MAX_ITER evaluations of g.  Without
+    dg a jump cannot be told from a steep root, so it counts as converged.
     """
-    if abs(ga) <= tol:
+    if abs(ga) < tol:
         return a, "converged", 0
-    if abs(gb) <= tol:
+    if abs(gb) < tol:
         return b, "converged", 0
     x = x0 if dg is not None and x0 is not None and a < x0 < b else 0.5 * (a + b)
     step = step_old = b - a
     for it in range(1, SOLVE_MAX_ITER + 1):
         gx = g(x)
-        if abs(gx) <= tol:
+        if abs(gx) < tol:
             return x, "converged", it
         if (gx > 0) == (ga > 0):
             a, ga = x, gx
@@ -248,6 +249,8 @@ def bracket_solve(g, a, b, ga, gb, tol, x0=None, dg=None):
             # A root below float resolution if the slope on both sides
             # accounts for the step in g between the ends, a jump if not.
             x = a if abs(ga) <= abs(gb) else b
+            if dg is None:
+                return x, "converged", it
             slope = min(abs(_slope(dg, a)), abs(_slope(dg, b)))
             if abs(gb - ga) <= 2.0 * slope * (b - a):
                 return x, "converged", it
@@ -266,13 +269,13 @@ def bracket_solve(g, a, b, ga, gb, tol, x0=None, dg=None):
 
 
 def find_map_fixed_points(fn, lo, hi, grid_n=DEFAULT_GRID, tol=ROOT_TOL):
-    """Roots of fn(x) - x on [lo, hi] by uniform grid plus bracket_solve.
+    """Roots of the ScalarMap fn minus x on [lo, hi], by uniform grid plus
+    bracket_solve with fn's derivative.
 
-    When fn is a ScalarMap the solver takes Newton steps with its
-    derivative.  Returns (roots, skipped) where skipped counts
-    grid points dropped for numeric domain errors.  Sign changes that are
-    jumps, not roots, are dropped with a warning.  Tangential roots are
-    only caught when a grid point lands within tol of zero.
+    Returns (roots, skipped) where skipped counts grid points dropped for
+    numeric domain errors.  Sign changes that are jumps, not roots, are
+    dropped with a warning.  Tangential roots are only caught when a grid
+    point lands within tol of zero.
     """
     if grid_n < 2:
         raise ValueError("grid_n must be >= 2")
@@ -290,7 +293,7 @@ def find_map_fixed_points(fn, lo, hi, grid_n=DEFAULT_GRID, tol=ROOT_TOL):
         log.warning("fixed-point grid: skipped %d of %d points", skipped, grid_n)
 
     g = lambda x: fn(x) - x
-    dg = (lambda x: fn.derivative(x) - 1.0) if isinstance(fn, ScalarMap) else None
+    dg = lambda x: fn.derivative(x) - 1.0
     roots = []
     jumps = 0
     for entry in vals:

@@ -589,8 +589,7 @@ def _compile(root, dual=False):
     em = _Emitter(dual)
     value, deriv = em.emit(root)
     body = "".join(em.lines)
-    used = set(re.findall(r"\w+", body))
-    env = {name: fn for name, fn in _HELPERS.items() if name in used}
+    env = dict(_HELPERS)
     env.update((f"k{j}", c) for j, c in enumerate(em.consts))
     params = "".join(f", {name}={name}" for name in env)
     result = deriv if dual else value

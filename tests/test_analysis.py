@@ -1,3 +1,4 @@
+import logging
 import math
 
 import pytest
@@ -49,15 +50,22 @@ class TestInvertNumeric:
             x = invert_numeric(f, (lo, hi), y)
             assert abs(expr.evaluate(f, x) - y) <= 1e-12 * max(1.0, abs(y))
 
-    def test_value_in_a_jump_is_out_of_range(self):
+    def test_value_in_a_jump_gives_the_jump_location(self, caplog):
         # f jumps from 0.3 to about 0.4 between 0.3 and the next float
         f = expr.parse("x + 0.1*tanh(1e300*(x-0.3))")
-        with pytest.raises(analysis.OutOfRangeError, match="not attained"):
-            invert_numeric(f, (0.0, 1.0), 0.35)
+        with caplog.at_level(logging.WARNING, logger="reflexivity.analysis"):
+            assert invert_numeric(f, (0.0, 1.0), 0.35) in (0.3, math.nextafter(0.3, 1.0))
+        assert "y=0.35 is not attained" in caplog.text
 
     def test_plain_callable_bisects(self):
         got = invert_numeric(lambda x: x ** 3, (0.0, 2.0), 2.0)
         assert abs(got ** 3 - 2.0) <= 1e-12 * 2.0
+
+    def test_steep_plain_callable_is_inverted(self):
+        # Adjacent floats near the root differ by about 1.1e-11 in f, past
+        # the 1e-12 tolerance; without a derivative that is still a root.
+        got = invert_numeric(lambda x: 1e5 * (x - 0.5), (0.0, 1.0), 0.123456789)
+        assert got == pytest.approx(0.5 + 0.123456789 / 1e5, abs=2.3e-16)
 
 
 class TestFunctionDistance:
@@ -110,6 +118,15 @@ class TestFunctionDistance:
         rep = function_distance(s, 4096)
         assert calls[0] <= 6 * 4096
         assert rep.d == pytest.approx(0.05, abs=1e-6)
+
+    def test_jump_in_f_counts_its_location(self, caplog):
+        # f(x) = x - 0.1 below 0.3, f(0.3) = 0.3, x + 0.1 above: y in
+        # (0.2, 0.4) other than 0.3 is inverted to where f jumps.
+        s = make_system("x + 0.1*tanh(1e300*(x-0.3))", "y", (0.0, 1.0), (-1.0, 2.0))
+        with caplog.at_level(logging.WARNING, logger="reflexivity.analysis"):
+            rep = function_distance(s, 1201)
+        assert rep.d == pytest.approx(0.1, abs=1e-12)
+        assert "lie in a jump of f" in caplog.text
 
     def test_top_grid_point_rounding_past_range(self):
         # y_lo + (y_hi - y_lo)*(n-1)/(n-1) rounds one ulp above f(hi) here

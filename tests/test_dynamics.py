@@ -228,11 +228,26 @@ class TestBracketSolve:
 
     def test_jump_is_discontinuity(self):
         g = lambda x: 1.0 if x > 0.3 else -1.0
-        for dg in (None, lambda x: 0.0):
-            x, status, iters = dynamics.bracket_solve(g, 0.0, 1.0, -1.0, 1.0, 1e-12, dg=dg)
-            assert status == "discontinuity"
-            assert x in (0.3, math.nextafter(0.3, 1.0))
-            assert iters < dynamics.SOLVE_MAX_ITER
+        x, status, iters = dynamics.bracket_solve(g, 0.0, 1.0, -1.0, 1.0, 1e-12,
+                                                  dg=lambda x: 0.0)
+        assert status == "discontinuity"
+        assert x in (0.3, math.nextafter(0.3, 1.0))
+        assert iters < dynamics.SOLVE_MAX_ITER
+
+    def test_without_derivative_a_collapsed_bracket_converges(self):
+        # Without dg a jump cannot be told from a steep root: the bracket
+        # end with the smaller |g| is the answer.
+        g = lambda x: 1.0 if x > 0.3 else -1.0
+        x, status, iters = dynamics.bracket_solve(g, 0.0, 1.0, -1.0, 1.0, 1e-12)
+        assert status == "converged"
+        assert x in (0.3, math.nextafter(0.3, 1.0))
+        assert iters < dynamics.SOLVE_MAX_ITER
+
+    def test_tolerance_is_exclusive(self):
+        # |g| < tol, as the fixed-point grid tests it: neither a = 0 nor the
+        # midpoint 0.5, where |g| = tol, is taken for a root.
+        got = dynamics.bracket_solve(lambda x: x - 0.25, 0.0, 1.0, -0.25, 0.75, 0.25)
+        assert got == (0.25, "converged", 2)
 
     def test_iteration_cap_is_logged(self, caplog):
         # Bisection from [-1, 1] needs about 1000 halvings to reach 1e-300.
