@@ -14,6 +14,7 @@ from .expr import (
     UnknownIdentifierError,
     derivative,
     evaluate,
+    evaluate_many,
     parse,
     serialize,
 )

@@ -73,14 +73,29 @@ class ConjugacyReport:
     violation_x: float | None = None
 
 
-def _monotone_direction(fn, lo, hi):
-    """Sign of MONOTONE_DIFFS consecutive differences; raises on disagreement."""
-    xs = _dyn._grid(lo, hi, MONOTONE_DIFFS + 1)
-    prev_x = lo
-    prev_v = fn(lo)
+def _grid_values(f, xs):
+    """Iterator over f(x) for the floats xs, f an Expression or a callable.
+
+    An Expression runs as one evaluate_many pass.  If a point fails there,
+    or f is a plain callable, each value is computed as the iterator reaches
+    it, so a caller's check that fails at an earlier point still comes first.
+    """
+    if isinstance(f, _expr.Expression):
+        try:
+            return iter(_expr.evaluate_many(f, xs))
+        except _expr.EvalDomainError:
+            return (_expr.evaluate(f, x) for x in xs)
+    return map(f, xs)
+
+
+def _monotone_direction(f, lo, hi):
+    """Sign of MONOTONE_DIFFS consecutive differences of f (an Expression or
+    a plain callable); raises on disagreement."""
+    fn, _ = _evaluator(f)
+    prev_x, prev_v = lo, fn(lo)
+    xs = _dyn._grid(lo, hi, MONOTONE_DIFFS + 1)[1:]
     direction = 0
-    for x in xs[1:]:
-        v = fn(x)
+    for x, v in zip(xs, _grid_values(f, xs)):
         d = v - prev_v
         sign = 1 if d > 0 else (-1 if d < 0 else 0)
         if sign == 0 or (direction and sign != direction):
@@ -126,7 +141,7 @@ def invert_numeric(f, interval, y, rtol=INVERT_RTOL):
     """
     lo, hi = interval
     fn, dfn = _evaluator(f)
-    _monotone_direction(fn, lo, hi)
+    _monotone_direction(f, lo, hi)
     x, status = _invert(fn, dfn, lo, hi, fn(lo), fn(hi), y, rtol)
     if status == "discontinuity":
         log.warning("inversion: y=%r is not attained, f jumps across it at x=%r", y, x)
@@ -146,23 +161,24 @@ def function_distance(s, samples=DEFAULT_SAMPLES):
         raise ValueError("samples must be >= 2")
     lo, hi = s.x_domain
     fn, dfn = _evaluator(s.f)
-    direction = _monotone_direction(fn, lo, hi)
+    direction = _monotone_direction(s.f, lo, hi)
     flo, fhi = fn(lo), fn(hi)
     f_min, f_max = min(flo, fhi), max(flo, fhi)
     y_lo = max(f_min, s.y_domain[0])
     y_hi = min(f_max, s.y_domain[1])
     if not (y_lo < y_hi):
         raise OutOfRangeError("image of f does not overlap y_domain")
+    # The top grid point can round one ulp past f's attained range.
+    ys = [min(max(y, f_min), f_max) for y in _dyn._grid(y_lo, y_hi, samples)]
+    phis = _grid_values(s.phi, ys)
     best = -1.0
     argmax = y_lo
     inv = None
     jumps = 0
-    for y in _dyn._grid(y_lo, y_hi, samples):
-        # The top grid point can round one ulp past f's attained range.
-        y = min(max(y, f_min), f_max)
+    for y in ys:
         inv, status = _invert(fn, dfn, lo, hi, flo, fhi, y, INVERT_RTOL, inv)
         jumps += status == "discontinuity"
-        diff = abs(_expr.evaluate(s.phi, y) - inv)
+        diff = abs(next(phis) - inv)
         if diff > best:
             best = diff
             argmax = y
@@ -278,19 +294,27 @@ def verify_conjugacy(f, g, h, interval, samples=DEFAULT_SAMPLES,
     h_fn = lambda x: _expr.evaluate(h, x)
     f_fn = lambda x: _expr.evaluate(f, x)
     g_fn = lambda x: _expr.evaluate(g, x)
-    _monotone_direction(h_fn, lo, hi)  # homeomorphism proxy check
+    _monotone_direction(h, lo, hi)  # homeomorphism proxy check
 
+    xs = _dyn._grid(lo, hi, samples)
+    try:
+        sides = zip(_expr.evaluate_many(h, _expr.evaluate_many(f, xs)),
+                    _expr.evaluate_many(g, _expr.evaluate_many(h, xs)))
+    except _expr.EvalDomainError:
+        # Point by point, so the error is the one the first failing x meets.
+        sides = ((h_fn(f_fn(x)), g_fn(h_fn(x))) for x in xs)
     max_residual = -1.0
     argmax = lo
-    for x in _dyn._grid(lo, hi, samples):
-        r = abs(h_fn(f_fn(x)) - g_fn(h_fn(x)))
+    for x, (hf, gh) in zip(xs, sides):
+        r = abs(hf - gh)
         if r > max_residual:
             max_residual = r
             argmax = x
     verdict = "consistent" if max_residual <= tol else "violated"
     violation_x = None if verdict == "consistent" else argmax
 
-    f_map = _dyn.ScalarMap(f_fn, lambda x: _expr.derivative(f, x))
+    f_map = _dyn.ScalarMap(f_fn, lambda x: _expr.derivative(f, x),
+                           lambda xs: _expr.evaluate_many(f, xs))
     fixed_points, _ = _dyn.find_map_fixed_points(f_map, lo, hi, grid_n=1024)
     checked = 0
     for x_bar in fixed_points:

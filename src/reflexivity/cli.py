@@ -22,16 +22,16 @@ class UsageError(Exception):
 
 
 def load_scenario(name_or_path):
-    """Load a scenario JSON file; bare names fall back to bundled scenarios."""
+    """Load a scenario JSON file.  A bare name, with no path separator and
+    no suffix, that is not a file names a bundled scenario."""
     p = Path(name_or_path)
-    if p.exists():
+    bundled = resources.files(__package__) / "scenarios" / f"{p.name}.json"
+    if p.is_file():
         text = p.read_text()
-    else:
-        stem = p.stem
-        bundled = resources.files(__package__) / "scenarios" / f"{stem}.json"
-        if not bundled.is_file():
-            raise UsageError(f"scenario not found: {name_or_path}")
+    elif p.name == str(name_or_path) and not p.suffix and bundled.is_file():
         text = bundled.read_text()
+    else:
+        raise UsageError(f"scenario not found: {name_or_path}")
     data = json.loads(text)
     if not isinstance(data, dict):
         raise json.JSONDecodeError("scenario must be a JSON object", text, 0)
@@ -72,7 +72,7 @@ class _Params:
 
 def _derive_y_domain(f, x_domain, samples=256):
     lo, hi = x_domain
-    vals = [expr.evaluate(f, x) for x in dynamics._grid(lo, hi, samples)]
+    vals = expr.evaluate_many(f, dynamics._grid(lo, hi, samples))
     y_lo, y_hi = min(vals), max(vals)
     if y_lo == y_hi:
         y_lo, y_hi = y_lo - 1.0, y_hi + 1.0

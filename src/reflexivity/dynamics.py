@@ -53,7 +53,12 @@ def _grid(lo, hi, n):
 
 @dataclass(frozen=True)
 class ReflexiveSystem:
-    """The pair (f, phi) with their declared closed domains."""
+    """The pair (f, phi) with their declared closed domains.
+
+    Building one checks that f and phi are finite at _VALIDATION_GRID evenly
+    spaced points of their domains only: a pole between two of those points
+    passes the check.
+    """
 
     f: _expr.Expression
     phi: _expr.Expression
@@ -123,17 +128,25 @@ class Prop1Report:
 
 
 class ScalarMap:
-    """A one-dimensional map with a pointwise derivative."""
+    """A one-dimensional map with a pointwise derivative and, optionally, a
+    grid function: many_fn(ts) == [value_fn(t) for t in ts]."""
 
-    def __init__(self, value_fn, deriv_fn):
+    def __init__(self, value_fn, deriv_fn, many_fn=None):
         self._value = value_fn
         self._deriv = deriv_fn
+        self._many = many_fn
 
     def __call__(self, t):
         return self._value(t)
 
     def derivative(self, t):
         return self._deriv(t)
+
+    def many(self, ts):
+        """The map at each of ts, as a list; raises if any point fails."""
+        if self._many is None:
+            return [self._value(t) for t in ts]
+        return self._many(ts)
 
     def iterate(self, t, n):
         for _ in range(n):
@@ -191,6 +204,7 @@ def compose_gamma(s):
     return ScalarMap(
         lambda x: _expr.evaluate(phi, _expr.evaluate(f, x)),
         lambda x: _expr.derivative(phi, _expr.evaluate(f, x)) * _expr.derivative(f, x),
+        lambda xs: _expr.evaluate_many(phi, _expr.evaluate_many(f, xs)),
     )
 
 
@@ -269,8 +283,9 @@ def bracket_solve(g, a, b, ga, gb, tol, x0=None, dg=None):
 
 
 def find_map_fixed_points(fn, lo, hi, grid_n=DEFAULT_GRID, tol=ROOT_TOL):
-    """Roots of the ScalarMap fn minus x on [lo, hi], by uniform grid plus
-    bracket_solve with fn's derivative.
+    """Roots of the ScalarMap fn minus x on [lo, hi], by uniform grid (one
+    fn.many pass while no point fails) plus bracket_solve with fn's
+    derivative.
 
     Returns (roots, skipped) where skipped counts grid points dropped for
     numeric domain errors.  Sign changes that are jumps, not roots, are
@@ -279,14 +294,19 @@ def find_map_fixed_points(fn, lo, hi, grid_n=DEFAULT_GRID, tol=ROOT_TOL):
     """
     if grid_n < 2:
         raise ValueError("grid_n must be >= 2")
-    vals = []
+    xs = _grid(lo, hi, grid_n)
     skipped = 0
-    for x in _grid(lo, hi, grid_n):
-        try:
-            vals.append((x, fn(x) - x))
-        except _expr.EvalDomainError:
-            vals.append(None)
-            skipped += 1
+    try:
+        vals = [(x, v - x) for x, v in zip(xs, fn.many(xs))]
+    except _expr.EvalDomainError:
+        # Some point fails: go point by point and skip the failures.
+        vals = []
+        for x in xs:
+            try:
+                vals.append((x, fn(x) - x))
+            except _expr.EvalDomainError:
+                vals.append(None)
+                skipped += 1
     if skipped == grid_n:
         raise DomainValidationError("map invalid over the entire domain")
     if skipped:

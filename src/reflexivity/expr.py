@@ -4,10 +4,11 @@ forward-mode (dual number) differentiation.
 Expressions hold at most one free variable.  Trees are immutable after
 parsing, so evaluation and differentiation are pure and reentrant.  Values
 come from a straight-line float function compiled from the tree when the
-Expression is built; derivatives from a straight-line value-plus-derivative
-function compiled on the first derivative call.  The dual-number walk of the
-tree is the reference both follow, and it reports every evaluation error
-with its exact message and offset.
+Expression is built; values over a grid from the same lines run in one
+loop, and derivatives from a straight-line value-plus-derivative function,
+both compiled on first use.  The dual-number walk of the tree is the
+reference they all follow, and it reports every evaluation error with its
+exact message and offset.
 """
 
 from __future__ import annotations
@@ -95,8 +96,10 @@ class Expression:
     variable_name: str | None
     source: str = field(compare=False, default="")
     _value: object = field(init=False, compare=False, repr=False)
-    # Compiled on the first derivative call: most expressions never need it.
+    # Compiled on the first derivative and evaluate_many call: most
+    # expressions never need them.
     _derivative: object = field(init=False, compare=False, repr=False, default=None)
+    _many: object = field(init=False, compare=False, repr=False, default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "_value", _compile(self.root))
@@ -445,6 +448,24 @@ def evaluate(e, v):
         return _eval(e.root, DualValue(x, 0.0)).value
 
 
+def evaluate_many(e, xs):
+    """[evaluate(e, x) for x in xs] for a list of floats xs.
+
+    Runs e's compiled grid function, compiling it on the first call: the
+    point function's lines in one loop, so every value is the same bit for
+    bit.  If any point fails it evaluates point by point instead, so the
+    first failing x raises the walk's error, as a loop over evaluate does.
+    """
+    fn = e._many
+    if fn is None:
+        fn = _compile(e.root, many=True)
+        object.__setattr__(e, "_many", fn)
+    try:
+        return fn(xs)
+    except (ArithmeticError, ValueError):
+        return [evaluate(e, x) for x in xs]
+
+
 def derivative(e, v):
     """Exact forward-mode derivative of e at v.
 
@@ -466,16 +487,19 @@ def derivative(e, v):
 # ---------------------------------------------------------------------------
 # Compilation to straight-line float functions
 #
-# _compile(root) builds x -> value.  _compile(root, dual=True) builds
-# x -> derivative by forward-mode source transformation: one pair of locals
-# v<k>, d<k> per operator node, computed by the same float operations in the
-# same order as DualValue and _apply_function, so its results are the walk's
-# bit for bit.  Where the walk raises an EvalDomainError of its own (log of a
-# non-positive value, abs at 0 with a nonzero derivative, ...), the compiled
-# code raises ArithmeticError or ValueError and the caller re-runs the walk.
+# _compile(root) builds x -> value, and _compile(root, many=True) the same
+# lines in a loop over a list of x.  A constant whole-number exponent there
+# becomes `a ** n` with n a bound int, the operation _pow performs for it.
+# _compile(root, dual=True) builds x -> derivative by forward-mode source
+# transformation: one pair of locals v<k>, d<k> per operator node, computed
+# by the same float operations in the same order as DualValue and
+# _apply_function, so its results are the walk's bit for bit.  Where the
+# walk raises an EvalDomainError of its own (log of a non-positive value,
+# abs at 0 with a nonzero derivative, ...), the compiled code raises
+# ArithmeticError or ValueError and the caller re-runs the walk.
 #
-# The generated source holds only names the compiler chooses: the parameter
-# x, the locals, constants k<j> and the helpers in _HELPERS, all bound as
+# The generated source holds only names the compiler chooses: the parameters
+# x or xs, the locals, constants k<j> and the helpers in _HELPERS, all bound as
 # default arguments (a constant may be inf, which has no literal), plus the
 # float literals in _RULES.  Node values and user identifiers never become
 # source text; operators and function names are written only after an exact
@@ -529,6 +553,7 @@ _RULES = {
     "*": ("{a} * {b}", "{a} * {db} + {da} * {b}"),
     "/": ("{a} / {b}", "({da} * {b} - {a} * {db}) / ({b} * {b})"),
     "^": ("pow({a}, {b})", "dpow({a}, {da}, {b}, {db})"),
+    "ipow": ("{a} ** {b}", None),  # value mode only; b is a bound int
     "sin": ("sin({a})", "cos({a}) * {da}"),
     "cos": ("cos({a})", "-sin({a}) * {da}"),
     "tan": ("tan({a})", "{da} / (cos({a}) * cos({a}))"),
@@ -547,16 +572,23 @@ class _Emitter:
         self.lines = []
         self.consts = []
 
+    def const(self, value):
+        self.consts.append(value)
+        return f"k{len(self.consts) - 1}"
+
     def emit(self, node):
         """Names holding node's value and derivative, after the lines that
         compute them."""
         if isinstance(node, Num):
-            self.consts.append(node.value)
-            return f"k{len(self.consts) - 1}", "0.0"
+            return self.const(node.value), "0.0"
         if isinstance(node, Var):
             return "x", "1.0"
         if isinstance(node, Neg):
             rule, operands = "neg", (node.operand,)
+        elif (not self.dual and isinstance(node, BinOp) and node.op == "^"
+              and isinstance(node.right, Num) and float(node.right.value).is_integer()):
+            # _pow's integer branch, without the call: v ** n with n an int.
+            rule, operands = "ipow", (node.left,)
         elif isinstance(node, BinOp) and (node.op in _INFIX or node.op == "^"):
             rule, operands = node.op, (node.left, node.right)
         elif isinstance(node, Call) and node.func in FUNCTION_NAMES:
@@ -564,6 +596,8 @@ class _Emitter:
         else:
             rule, operands = "unknown", ()
         emitted = [self.emit(operand) for operand in operands]
+        if rule == "ipow":
+            emitted.append((self.const(int(node.right.value)), "0.0"))
         k = len(self.lines)
         v, d = f"v{k}", f"d{k}"
         names = {"v": v, "d": d}
@@ -571,29 +605,36 @@ class _Emitter:
             names[vk], names[dk] = val, der
         value, deriv = _RULES[rule]
         if not self.dual:
-            self.lines.append(f"    {v} = {value.format(**names)}\n")
+            self.lines.append(f"{v} = {value.format(**names)}")
         elif rule == "^":
-            self.lines.append(f"    {v}, {d} = {deriv.format(**names)}\n")
+            self.lines.append(f"{v}, {d} = {deriv.format(**names)}")
         else:
-            self.lines.append(f"    {v} = {value.format(**names)}\n"
-                              f"    {d} = {deriv.format(**names)}\n")
+            self.lines.append(f"{v} = {value.format(**names)}")
+            self.lines.append(f"{d} = {deriv.format(**names)}")
         return v, d
 
 
-def _compile(root, dual=False):
+def _compile(root, dual=False, many=False):
     """Straight-line function x -> value of root (x -> derivative if dual).
 
-    Nested expressions would hit the compiler's parenthesis limit on long
-    sums, so every operator node gets its own statements.
+    With many=True the function takes a list xs instead and returns the
+    list of values, running the same lines once per x in one loop.  Nested
+    expressions would hit the compiler's parenthesis limit on long sums, so
+    every operator node gets its own statements.
     """
     em = _Emitter(dual)
     value, deriv = em.emit(root)
-    body = "".join(em.lines)
     env = dict(_HELPERS)
     env.update((f"k{j}", c) for j, c in enumerate(em.consts))
     params = "".join(f", {name}={name}" for name in env)
     result = deriv if dual else value
-    source = f"def compiled(x{params}):\n{body}    return {result}\n"
+    if many:
+        body = "".join(f"        {line}\n" for line in em.lines)
+        source = (f"def compiled(xs{params}):\n    out = []\n    append = out.append\n"
+                  f"    for x in xs:\n{body}        append({result})\n    return out\n")
+    else:
+        body = "".join(f"    {line}\n" for line in em.lines)
+        source = f"def compiled(x{params}):\n{body}    return {result}\n"
     env["__builtins__"] = {}
     exec(source, env)
     return env["compiled"]

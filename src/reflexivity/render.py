@@ -50,10 +50,10 @@ def staircase(s, o, curve_samples=DEFAULT_CURVE_SAMPLES):
         segments.append(((xs[i], ys[i]), (xs[i + 1], ys[i])))
         segments.append(((xs[i + 1], ys[i]), (xs[i + 1], ys[i + 1])))
 
-    curve_f = tuple((x, _expr.evaluate(s.f, x))
-                    for x in _dyn._grid(*s.x_domain, curve_samples))
-    curve_phi = tuple((_expr.evaluate(s.phi, y), y)
-                      for y in _dyn._grid(*s.y_domain, curve_samples))
+    grid_x = _dyn._grid(*s.x_domain, curve_samples)
+    curve_f = tuple(zip(grid_x, _expr.evaluate_many(s.f, grid_x)))
+    grid_y = _dyn._grid(*s.y_domain, curve_samples)
+    curve_phi = tuple(zip(_expr.evaluate_many(s.phi, grid_y), grid_y))
     fps = tuple((fp.x_bar, fp.y_bar) for fp in _dyn.find_fixed_points(s))
     return StaircaseTrace(tuple(segments), curve_f, curve_phi, fps)
 

@@ -57,6 +57,15 @@ class TestInvertNumeric:
             assert invert_numeric(f, (0.0, 1.0), 0.35) in (0.3, math.nextafter(0.3, 1.0))
         assert "y=0.35 is not attained" in caplog.text
 
+    def test_non_monotone_pair_comes_before_a_later_domain_error(self):
+        # sqrt fails above x = 5, but sin turns at pi/2 first.
+        xs = dynamics._grid(0.0, 6.28, analysis.MONOTONE_DIFFS + 1)
+        k = next(k for k in range(1, len(xs)) if math.sin(xs[k + 1]) <= math.sin(xs[k]))
+        for f in (expr.parse("sin(x) + 0*sqrt(5 - x)"), math.sin):
+            with pytest.raises(analysis.NonMonotoneError) as exc:
+                invert_numeric(f, (0.0, 6.28), 0.5)
+            assert exc.value.x_pair == (xs[k], xs[k + 1]) == (1.57, 1.5761328125)
+
     def test_plain_callable_bisects(self):
         got = invert_numeric(lambda x: x ** 3, (0.0, 2.0), 2.0)
         assert abs(got ** 3 - 2.0) <= 1e-12 * 2.0
@@ -104,17 +113,23 @@ class TestFunctionDistance:
 
     def test_case1_evaluations_per_sample(self, monkeypatch):
         # Machine-independent cost guard: warm-started Newton steps, and
-        # f(lo), f(hi) evaluated once, not once per sample.
+        # f(lo), f(hi) evaluated once, not once per sample.  Points f gets
+        # through evaluate_many (the monotone check) count too.
         sc = cli.load_scenario("case1")
         s = make_system(sc["f"], sc["phi"], sc["x_domain"], sc["y_domain"])
         calls = [0]
-        real = expr.evaluate
+        real, real_many = expr.evaluate, expr.evaluate_many
 
         def counting(e, v):
             calls[0] += e is s.f
             return real(e, v)
 
+        def counting_many(e, xs):
+            calls[0] += len(xs) if e is s.f else 0
+            return real_many(e, xs)
+
         monkeypatch.setattr(expr, "evaluate", counting)
+        monkeypatch.setattr(expr, "evaluate_many", counting_many)
         rep = function_distance(s, 4096)
         assert calls[0] <= 6 * 4096
         assert rep.d == pytest.approx(0.05, abs=1e-6)
@@ -269,6 +284,24 @@ class TestVerifyConjugacy:
             verify_conjugacy(
                 expr.parse("x"), expr.parse("x"), expr.parse("x^2"),
                 (-1.0, 1.0), samples=64)
+
+    def test_first_failing_grid_point_decides_the_error(self):
+        # Point by point, g fails at x = 0 before f fails at x = 0.9; the
+        # grid passes would meet f's error first, so the loop takes over.
+        with pytest.raises(expr.EvalDomainError) as exc:
+            verify_conjugacy(expr.parse("x + 1/(x - 0.9)"), expr.parse("log(x - 0.1)"),
+                             expr.parse("x"), (0.0, 1.0), samples=11)
+        assert str(exc.value) == "log of non-positive value -0.1 (node at offset 0)"
+
+    def test_nan_residuals_are_passed_over(self):
+        # f is nan for x > 0 (inf - inf); the residual |x/2 - x/3| on
+        # [-1, 0] peaks at x = -1.
+        f = expr.parse("x/2 + (x + abs(x))*1e300*1e300 - (x + abs(x))*1e300*1e300")
+        assert math.isnan(expr.evaluate(f, 0.5))
+        rep = verify_conjugacy(f, expr.parse("x/3"), expr.parse("x"), (-1.0, 1.0), samples=101)
+        assert rep.max_residual == abs(-0.5 - (-1.0 / 3.0))
+        assert rep.violation_x == -1.0
+        assert rep.verdict == "violated"
 
     def test_consistent_pairs_have_corresponding_orbits(self):
         # h(x) = x^3 conjugates x/2 to y/8; both orbits contract

@@ -80,6 +80,14 @@ class TestScenarioHandling:
         code, _, _ = run(capsys, "simulate", "--scenario", "nope.json")
         assert code == 2
 
+    @pytest.mark.parametrize("name", ["/no/such/dir/case2.json", "case1.json"])
+    def test_missing_path_is_not_a_bundled_name(self, capsys, tmp_path, monkeypatch, name):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "distance", "--scenario", name)
+        assert code == 2
+        assert out == ""
+        assert f"scenario not found: {name}" in err
+
     def test_malformed_json_exit_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

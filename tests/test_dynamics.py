@@ -195,6 +195,20 @@ class TestFindFixedPoints:
             assert find_fixed_points(s) == []
         assert "dropped 1 sign changes that are jumps" in caplog.text
 
+    def test_map_invalid_on_part_of_the_grid(self, caplog):
+        # gamma(x) = sqrt(x - 1) + 2 fails at the 134 grid points below 1,
+        # so the grid pass falls back to the loop that skips them.
+        s = make_system("x - 1", "sqrt(y) + 2", (-1.0, 5.0), (0.0, 4.0))
+        with caplog.at_level(logging.WARNING, logger="reflexivity.dynamics"):
+            (fp,) = find_fixed_points(s, 401)
+        assert "skipped 134 of 401 points" in caplog.text
+        assert fp.x_bar == pytest.approx((5.0 + math.sqrt(5.0)) / 2.0, abs=1e-12)
+        gamma = compose_gamma(s)
+        point_only = dynamics.ScalarMap(gamma, gamma.derivative)
+        expected = dynamics.find_map_fixed_points(point_only, -1.0, 5.0, 401)
+        assert dynamics.find_map_fixed_points(gamma, -1.0, 5.0, 401) == expected
+        assert expected[1] == 134
+
     def test_steep_root_below_float_resolution_is_kept(self):
         # |gamma - x| is about 3e-11 > ROOT_TOL at the floats next to the
         # root, but the slope 999999 on both sides accounts for that step.

@@ -313,6 +313,25 @@ class TestCompiledMatchesTreeWalk:
         assert counts["value"] > total // 3 and counts["error"] > total // 20, counts
         assert counts["bookkeeping"] > 0, counts
 
+    def test_random_grids(self):
+        rng = random.Random(20261017)  # the trees of test_random_expressions
+        points = list(self.POINTS)
+        counts = {"value": 0, "error": 0}
+        for _ in range(1000):
+            e = expr.parse(gen_source(rng, 5, wide=True))
+            got = _outcome(lambda: expr.evaluate_many(e, points))
+            ref = _outcome(lambda: [expr.evaluate(e, v) for v in points])
+            where = f"{e.source}: {got} vs {ref}"
+            assert got == ref, where
+            # The grid function itself, without the per-point fallback,
+            # fails exactly where the point function fails, with its error.
+            assert _outcome(lambda: e._many(points)) == \
+                _outcome(lambda: [e._value(v) for v in points]), where
+            for v in points:
+                assert _outcome(lambda: e._many([v])) == _outcome(lambda: [e._value(v)]), where
+            counts["error" if isinstance(ref, tuple) else "value"] += 1
+        assert counts["value"] > 100 and counts["error"] > 100, counts
+
     def test_random_derivatives(self):
         rng = random.Random(20261017)  # the trees of test_random_expressions
         counts = {"value": 0, "error": 0}
