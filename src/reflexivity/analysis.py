@@ -286,7 +286,9 @@ def verify_conjugacy(f, g, h, interval, samples=DEFAULT_SAMPLES,
                      tol=CONJUGACY_TOL, fp_tol=CONJUGACY_FP_TOL):
     """Sampled check of h(f(x)) = g(h(x)) with h strictly monotone.
 
-    Also verifies that images of f's fixed points are fixed under g.
+    A NaN residual is a violation: violation_x is the first such x unless a
+    residual exceeds tol; max_residual is the largest residual that is not
+    NaN.  Also verifies that images of f's fixed points are fixed under g.
     """
     if samples < 2:
         raise ValueError("samples must be >= 2")
@@ -305,13 +307,17 @@ def verify_conjugacy(f, g, h, interval, samples=DEFAULT_SAMPLES,
         sides = ((h_fn(f_fn(x)), g_fn(h_fn(x))) for x in xs)
     max_residual = -1.0
     argmax = lo
+    nan_x = None  # the first x with a NaN residual
     for x, (hf, gh) in zip(xs, sides):
         r = abs(hf - gh)
-        if r > max_residual:
-            max_residual = r
-            argmax = x
-    verdict = "consistent" if max_residual <= tol else "violated"
-    violation_x = None if verdict == "consistent" else argmax
+        if not r <= max_residual:  # also true for NaN
+            if r == r:
+                max_residual = r
+                argmax = x
+            elif nan_x is None:
+                nan_x = x
+    violation_x = argmax if max_residual > tol else nan_x
+    verdict = "consistent" if violation_x is None else "violated"
 
     f_map = _dyn.ScalarMap(f_fn, lambda x: _expr.derivative(f, x),
                            lambda xs: _expr.evaluate_many(f, xs))

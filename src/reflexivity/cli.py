@@ -1,6 +1,11 @@
 """Command-line interface.  Data goes to stdout (or --out), diagnostics to
 stderr.  Exit codes: 0 ok, 2 parse/usage error, 3 numeric or domain error,
 4 violated precondition (e.g. a non-monotone function).
+
+Each scenario field is one row of FIELDS, which drives its flag, its check
+in a scenario file and its default.  A handler receives one record holding
+its command's fields, each taken from the flag, else the scenario file,
+else the default.
 """
 
 from __future__ import annotations
@@ -10,15 +15,61 @@ import json
 import sys
 from importlib import resources
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import analysis, dynamics, expr, render
-
-DEFAULT_X_DOMAIN = (-10.0, 10.0)
-DEFAULT_STEPS = 1000
 
 
 class UsageError(Exception):
     pass
+
+
+def _is_number(v):
+    return type(v) in (int, float)  # bool is not a number
+
+
+# kind: (test of a JSON value, argparse keywords, conversion of a given value)
+KINDS = {
+    "string": (lambda v: isinstance(v, str), {}, str),
+    "integer": (lambda v: type(v) is int, {"type": int}, int),
+    "number": (_is_number, {"type": float}, float),
+    "[lo, hi] pair": (lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_number, v)),
+                      {"type": float, "nargs": 2, "metavar": ("LO", "HI")},
+                      lambda v: tuple(map(float, v))),
+}
+
+_RENDER = render.RenderOptions()
+
+# name (flag --name with '_' as '-'): (JSON path, None if flag only; kind; default; help)
+FIELDS = {
+    "scenario": (None, "string", None, "scenario JSON (path or bundled name)"),
+    "f": ("f", "string", None, "cognitive function of x"),
+    "phi": ("phi", "string", None, "manipulative function of y"),
+    "g": (None, "string", None, "map that h should conjugate f to"),
+    "h": (None, "string", None, "candidate conjugacy, strictly monotone on the domain"),
+    "x0": ("x0", "number", None, "initial x value"),
+    "steps": ("steps", "integer", 1000, "maximum iteration steps"),
+    "domain": ("x_domain", "[lo, hi] pair", (-10.0, 10.0), "x domain"),
+    "y_domain": ("y_domain", "[lo, hi] pair", None, "y domain (default: image of f)"),
+    "grid": ("grid", "integer", dynamics.DEFAULT_GRID, "fixed-point search grid size"),
+    "samples": ("samples", "integer", analysis.DEFAULT_SAMPLES, "sample grid size"),
+    "max_period": ("analysis.max_period", "integer", analysis.DEFAULT_MAX_PERIOD,
+                   "longest period tested"),
+    "burn_in": ("analysis.burn_in", "integer", 1000, "steps iterated before the period test"),
+    "min_run": ("analysis.min_run", "integer", analysis.DEFAULT_MIN_RUN,
+                "shortest rise that counts as a boom"),
+    "retrace_threshold": ("analysis.retrace_threshold", "number",
+                          analysis.DEFAULT_RETRACE_THRESHOLD,
+                          "share of the rise the reversal must retrace"),
+    "width": ("render.width", "integer", _RENDER.width, "SVG width in pixels"),
+    "height": ("render.height", "integer", _RENDER.height, "SVG height in pixels"),
+    "margin": ("render.margin", "integer", _RENDER.margin, "SVG margin in pixels"),
+    "curve_samples": ("render.curve_samples", "integer", render.DEFAULT_CURVE_SAMPLES,
+                      "points per drawn curve"),
+    "out": (None, "string", None, "write output to this file instead of stdout"),
+}
+_BY_PATH = {tuple(row[0].split(".")): name for name, row in FIELDS.items() if row[0]}
+_SECTIONS = {path[0] for path in _BY_PATH if len(path) > 1}
 
 
 def load_scenario(name_or_path):
@@ -38,36 +89,45 @@ def load_scenario(name_or_path):
     return data
 
 
-class _Params:
-    """Scenario fields overridden by any inline flags that were given."""
+def _scenario_values(data):
+    """{field name: value} of a scenario dict; a null value is absent.
+    Raises UsageError for an unknown key or a value of the wrong kind."""
+    items = []
+    for key, v in data.items():
+        if key not in _SECTIONS:
+            items.append(((key,), v))
+        elif not isinstance(v, dict):
+            raise UsageError(f"{key}: expected object, got {json.dumps(v)}")
+        else:
+            items += [((key, k), sub) for k, sub in v.items()]
+    values = {}
+    for path, v in items:
+        name = _BY_PATH.get(path)
+        if name is None:
+            raise UsageError(f"{'.'.join(path)}: unknown field")
+        kind = FIELDS[name][1]
+        if v is not None and not KINDS[kind][0](v):
+            raise UsageError(f"{'.'.join(path)}: expected {kind}, got {json.dumps(v)}")
+        values[name] = v
+    return values
 
-    def __init__(self, args):
-        self.data = load_scenario(args.scenario) if getattr(args, "scenario", None) else {}
-        self.args = args
 
-    def get(self, flag_name, key, default=None):
-        v = getattr(self.args, flag_name, None)
-        if v is not None:
-            return v
-        return self.data.get(key, default)
-
-    def analysis_opt(self, key, default):
-        v = getattr(self.args, key, None)
-        if v is not None:
-            return v
-        return self.data.get("analysis", {}).get(key, default)
-
-    def render_opt(self, key, default):
-        v = getattr(self.args, key, None)
-        if v is not None:
-            return v
-        return self.data.get("render", {}).get(key, default)
-
-    def require(self, flag_name, key):
-        v = self.get(flag_name, key)
+def _record(args, required, optional):
+    """The command's fields: each from its flag, else the scenario, else
+    the default."""
+    scenario = getattr(args, "scenario", None)
+    given = _scenario_values(load_scenario(scenario)) if scenario else {}
+    rec = {}
+    for name in required + optional:
+        v = getattr(args, name)
         if v is None:
-            raise UsageError(f"missing required value: --{flag_name.replace('_', '-')}")
-        return v
+            v = given.get(name)
+        if v is None and name in required:
+            raise UsageError(f"missing required value: --{name.replace('_', '-')}")
+        if v is None:
+            v = FIELDS[name][2]
+        rec[name] = None if v is None else KINDS[FIELDS[name][1]][2](v)
+    return SimpleNamespace(**rec)
 
 
 def _derive_y_domain(f, x_domain, samples=256):
@@ -79,96 +139,68 @@ def _derive_y_domain(f, x_domain, samples=256):
     return (y_lo, y_hi)
 
 
-def _build_system(p):
-    f = expr.parse(p.require("f", "f"))
-    phi = expr.parse(p.require("phi", "phi"))
-    x_domain = tuple(p.get("domain", "x_domain", DEFAULT_X_DOMAIN))
-    y_domain = p.get("y_domain", "y_domain")
-    if y_domain is None:
-        y_domain = _derive_y_domain(f, x_domain)
-    return dynamics.ReflexiveSystem(f, phi, tuple(map(float, x_domain)),
-                                    tuple(map(float, y_domain)))
+def _build_system(sc):
+    f = expr.parse(sc.f)
+    phi = expr.parse(sc.phi)
+    y_domain = sc.y_domain or _derive_y_domain(f, sc.domain)
+    return dynamics.ReflexiveSystem(f, phi, sc.domain, y_domain)
 
 
-def _emit(args, text):
-    if getattr(args, "out", None):
-        Path(args.out).write_text(text)
+def _emit(sc, text):
+    if sc.out:
+        Path(sc.out).write_text(text)
     else:
         sys.stdout.write(text)
 
 
-def _render_options(p):
-    return render.RenderOptions(
-        width=int(p.render_opt("width", 800)),
-        height=int(p.render_opt("height", 600)),
-        margin=int(p.render_opt("margin", 60)),
-    )
-
-
-def _run_orbit(p):
-    s = _build_system(p)
-    x0 = float(p.require("x0", "x0"))
-    steps = int(p.get("steps", "steps", DEFAULT_STEPS))
-    return s, dynamics.orbit(s, x0, steps)
+def _run_orbit(sc):
+    s = _build_system(sc)
+    return s, dynamics.orbit(s, sc.x0, sc.steps)
 
 
 # ---------------------------------------------------------------------------
 # command handlers
 
-def cmd_simulate(args):
-    p = _Params(args)
-    _, o = _run_orbit(p)
-    _emit(args, render.to_csv(o))
+def cmd_simulate(sc):
+    _, o = _run_orbit(sc)
+    _emit(sc, render.to_csv(o))
     print(f"terminated_by={o.terminated_by}", file=sys.stderr)
     return 0
 
 
-def cmd_fixed_points(args):
-    p = _Params(args)
-    s = _build_system(p)
-    grid = int(p.get("grid", "grid", dynamics.DEFAULT_GRID))
-    fps = dynamics.find_fixed_points(s, grid)
+def cmd_fixed_points(sc):
+    fps = dynamics.find_fixed_points(_build_system(sc), sc.grid)
     lines = ["# x_bar y_bar lambda stability residual_f residual_phi"]
     for fp in fps:
         lines.append("%.17g %.17g %.17g %s %.3g %.3g" % (
             fp.x_bar, fp.y_bar, fp.multiplier, fp.stability,
             fp.residual_f, fp.residual_phi))
-    _emit(args, "\n".join(lines) + "\n")
+    _emit(sc, "\n".join(lines) + "\n")
     print(f"fixed_points={len(fps)}", file=sys.stderr)
     return 0
 
 
-def cmd_distance(args):
-    p = _Params(args)
-    s = _build_system(p)
-    samples = int(p.get("samples", "samples", analysis.DEFAULT_SAMPLES))
-    rep = analysis.function_distance(s, samples)
-    _emit(args, "d=%.17g argmax_y=%.17g samples=%d direction=%s\n" % (
+def cmd_distance(sc):
+    rep = analysis.function_distance(_build_system(sc), sc.samples)
+    _emit(sc, "d=%.17g argmax_y=%.17g samples=%d direction=%s\n" % (
         rep.d, rep.argmax_y, rep.samples, rep.monotone_direction))
     return 0
 
 
-def cmd_period(args):
-    p = _Params(args)
-    s = _build_system(p)
-    x0 = float(p.require("x0", "x0"))
-    max_period = int(p.analysis_opt("max_period", analysis.DEFAULT_MAX_PERIOD))
-    burn_in = int(p.analysis_opt("burn_in", 1000))
-    rep = analysis.detect_period(dynamics.compose_gamma(s), x0, max_period, burn_in)
+def cmd_period(sc):
+    gamma = dynamics.compose_gamma(_build_system(sc))
+    rep = analysis.detect_period(gamma, sc.x0, sc.max_period, sc.burn_in)
     if rep is None:
-        _emit(args, "period=none\n")
+        _emit(sc, "period=none\n")
     else:
         cycle = " ".join("%.17g" % v for v in rep.cycle)
-        _emit(args, "period=%d residual=%.3g cycle=%s\n" % (rep.period, rep.residual, cycle))
+        _emit(sc, "period=%d residual=%.3g cycle=%s\n" % (rep.period, rep.residual, cycle))
     return 0
 
 
-def cmd_boom_bust(args):
-    p = _Params(args)
-    _, o = _run_orbit(p)
-    min_run = int(p.analysis_opt("min_run", analysis.DEFAULT_MIN_RUN))
-    threshold = float(p.analysis_opt("retrace_threshold", analysis.DEFAULT_RETRACE_THRESHOLD))
-    events = analysis.detect_boom_bust(o, min_run, threshold)
+def cmd_boom_bust(sc):
+    _, o = _run_orbit(sc)
+    events = analysis.detect_boom_bust(o, sc.min_run, sc.retrace_threshold)
     lines = [f"events={len(events)}"]
     for ev in events:
         lines.append(
@@ -176,56 +208,60 @@ def cmd_boom_bust(args):
             "retrace_fraction=%.17g" % (
                 ev.rise_start, ev.peak, ev.reversal_end, ev.amplitude,
                 ev.retrace_fraction))
-    _emit(args, "\n".join(lines) + "\n")
+    _emit(sc, "\n".join(lines) + "\n")
     return 0
 
 
-def cmd_conjugacy(args):
-    f = expr.parse(args.f)
-    g = expr.parse(args.g)
-    h = expr.parse(args.h)
-    samples = int(args.samples) if args.samples is not None else analysis.DEFAULT_SAMPLES
-    rep = analysis.verify_conjugacy(f, g, h, tuple(args.domain), samples)
+def cmd_conjugacy(sc):
+    rep = analysis.verify_conjugacy(expr.parse(sc.f), expr.parse(sc.g), expr.parse(sc.h),
+                                    sc.domain, sc.samples)
     line = "verdict=%s max_residual=%.17g fixed_points_checked=%d" % (
         rep.verdict, rep.max_residual, rep.fixed_point_images_checked)
     if rep.violation_x is not None:
         line += " violation_x=%.17g" % rep.violation_x
-    _emit(args, line + "\n")
+    _emit(sc, line + "\n")
     return 0
 
 
-def cmd_staircase(args):
-    p = _Params(args)
-    s, o = _run_orbit(p)
-    curve_samples = int(p.render_opt("curve_samples", render.DEFAULT_CURVE_SAMPLES))
-    trace = render.staircase(s, o, curve_samples)
-    _emit(args, render.to_svg(trace, _render_options(p)))
+def cmd_staircase(sc):
+    s, o = _run_orbit(sc)
+    trace = render.staircase(s, o, sc.curve_samples)
+    _emit(sc, render.to_svg(trace, render.RenderOptions(sc.width, sc.height, sc.margin)))
     return 0
 
 
-def cmd_portrait(args):
-    p = _Params(args)
-    _, o = _run_orbit(p)
+def cmd_portrait(sc):
+    _, o = _run_orbit(sc)
     trace = render.phase_portrait(o)
-    _emit(args, render.to_svg(trace, _render_options(p)))
+    _emit(sc, render.to_svg(trace, render.RenderOptions(sc.width, sc.height, sc.margin)))
     return 0
 
 
 # ---------------------------------------------------------------------------
 # argument parsing
 
-def _add_common(sp, x0=True):
-    sp.add_argument("--scenario", help="scenario JSON (path or bundled name)")
-    sp.add_argument("--f", help="cognitive function of x")
-    sp.add_argument("--phi", help="manipulative function of y")
-    if x0:
-        sp.add_argument("--x0", type=float, help="initial x value")
-        sp.add_argument("--steps", type=int, help="maximum iteration steps")
-    sp.add_argument("--domain", type=float, nargs=2, metavar=("LO", "HI"),
-                    help="x domain (default -10 10)")
-    sp.add_argument("--y-domain", dest="y_domain", type=float, nargs=2,
-                    metavar=("LO", "HI"), help="y domain (default: image of f)")
-    sp.add_argument("--out", help="write output to this file instead of stdout")
+_SYSTEM = ("scenario", "domain", "y_domain", "out")
+_ORBIT = _SYSTEM + ("steps",)
+_SVG = _ORBIT + ("width", "height", "margin")
+
+# command: (handler, help, required fields, optional fields)
+COMMANDS = {
+    "simulate": (cmd_simulate, "iterate the system and emit orbit CSV",
+                 ("f", "phi", "x0"), _ORBIT),
+    "fixed-points": (cmd_fixed_points, "locate and classify fixed points",
+                     ("f", "phi"), _SYSTEM + ("grid",)),
+    "distance": (cmd_distance, "max |phi(y) - f^-1(y)| over the image of f",
+                 ("f", "phi"), _SYSTEM + ("samples",)),
+    "period": (cmd_period, "detect a periodic orbit of phi(f(x))",
+               ("f", "phi", "x0"), _ORBIT + ("max_period", "burn_in")),
+    "boom-bust": (cmd_boom_bust, "detect rise-then-reversal events",
+                  ("f", "phi", "x0"), _ORBIT + ("min_run", "retrace_threshold")),
+    "conjugacy": (cmd_conjugacy, "verify a candidate conjugacy h between f and g",
+                  ("f", "g", "h", "domain"), ("samples", "out")),
+    "staircase": (cmd_staircase, "emit a staircase (cobweb) diagram SVG",
+                  ("f", "phi", "x0"), _SVG + ("curve_samples",)),
+    "portrait": (cmd_portrait, "emit a phase portrait SVG", ("f", "phi", "x0"), _SVG),
+}
 
 
 def build_parser():
@@ -234,65 +270,21 @@ def build_parser():
         description="Iterate, analyze, and plot coupled cognitive/manipulative "
                     "function pairs.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("simulate", help="iterate the system and emit orbit CSV")
-    _add_common(sp)
-    sp.set_defaults(handler=cmd_simulate)
-
-    sp = sub.add_parser("fixed-points", help="locate and classify fixed points")
-    _add_common(sp, x0=False)
-    sp.add_argument("--grid", type=int, help="search grid size (default 4096)")
-    sp.set_defaults(handler=cmd_fixed_points)
-
-    sp = sub.add_parser("distance", help="max |phi(y) - f^-1(y)| over the image of f")
-    _add_common(sp, x0=False)
-    sp.add_argument("--samples", type=int, help="y-grid size (default 4096)")
-    sp.set_defaults(handler=cmd_distance)
-
-    sp = sub.add_parser("period", help="detect a periodic orbit of phi(f(x))")
-    _add_common(sp)
-    sp.add_argument("--max-period", dest="max_period", type=int)
-    sp.add_argument("--burn-in", dest="burn_in", type=int)
-    sp.set_defaults(handler=cmd_period)
-
-    sp = sub.add_parser("boom-bust", help="detect rise-then-reversal events")
-    _add_common(sp)
-    sp.add_argument("--min-run", dest="min_run", type=int)
-    sp.add_argument("--retrace-threshold", dest="retrace_threshold", type=float)
-    sp.set_defaults(handler=cmd_boom_bust)
-
-    sp = sub.add_parser("conjugacy", help="verify a candidate conjugacy h between f and g")
-    sp.add_argument("--f", required=True)
-    sp.add_argument("--g", required=True)
-    sp.add_argument("--h", required=True)
-    sp.add_argument("--domain", type=float, nargs=2, metavar=("LO", "HI"), required=True)
-    sp.add_argument("--samples", type=int)
-    sp.add_argument("--out")
-    sp.set_defaults(handler=cmd_conjugacy)
-
-    sp = sub.add_parser("staircase", help="emit a staircase (cobweb) diagram SVG")
-    _add_common(sp)
-    sp.add_argument("--width", type=int)
-    sp.add_argument("--height", type=int)
-    sp.add_argument("--margin", type=int)
-    sp.add_argument("--curve-samples", dest="curve_samples", type=int)
-    sp.set_defaults(handler=cmd_staircase)
-
-    sp = sub.add_parser("portrait", help="emit a phase portrait SVG")
-    _add_common(sp)
-    sp.add_argument("--width", type=int)
-    sp.add_argument("--height", type=int)
-    sp.add_argument("--margin", type=int)
-    sp.set_defaults(handler=cmd_portrait)
-
+    for command, (_, help_text, required, optional) in COMMANDS.items():
+        sp = sub.add_parser(command, help=help_text)
+        for name in required + optional:
+            _, kind, default, text = FIELDS[name]
+            if default is not None and name not in required:
+                text += f" (default {default})"
+            sp.add_argument("--" + name.replace("_", "-"), help=text, **KINDS[kind][1])
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    handler, _, required, optional = COMMANDS[args.command]
     try:
-        return args.handler(args)
+        return handler(_record(args, required, optional))
     except expr.ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

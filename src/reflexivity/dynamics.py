@@ -148,11 +148,6 @@ class ScalarMap:
             return [self._value(t) for t in ts]
         return self._many(ts)
 
-    def iterate(self, t, n):
-        for _ in range(n):
-            t = self._value(t)
-        return t
-
 
 def step(s, st):
     """Advance one full loop: x' = phi(f(x)), y' = f(x').
@@ -288,9 +283,10 @@ def find_map_fixed_points(fn, lo, hi, grid_n=DEFAULT_GRID, tol=ROOT_TOL):
     derivative.
 
     Returns (roots, skipped) where skipped counts grid points dropped for
-    numeric domain errors.  Sign changes that are jumps, not roots, are
-    dropped with a warning.  Tangential roots are only caught when a grid
-    point lands within tol of zero.
+    numeric domain errors.  A pair of grid values with a NaN end brackets
+    nothing.  Sign changes that are jumps, not roots, are dropped with a
+    warning.  Tangential roots are only caught when a grid point lands
+    within tol of zero.
     """
     if grid_n < 2:
         raise ValueError("grid_n must be >= 2")
@@ -323,7 +319,7 @@ def find_map_fixed_points(fn, lo, hi, grid_n=DEFAULT_GRID, tol=ROOT_TOL):
         if a is None or b is None:
             continue
         (xa, ga), (xb, gb) = a, b
-        if abs(ga) < tol or abs(gb) < tol or ga * gb > 0:
+        if abs(ga) < tol or abs(gb) < tol or not ga * gb < 0:
             continue
         try:
             x, status, _ = bracket_solve(g, xa, xb, ga, gb, tol, dg=dg)

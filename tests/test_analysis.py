@@ -303,6 +303,32 @@ class TestVerifyConjugacy:
         assert rep.violation_x == -1.0
         assert rep.verdict == "violated"
 
+    # f is x/2 on [-1, 0] and NaN for x > 0, so every finite residual
+    # against g = x/2 is 0.
+    NAN_RIGHT = "x/2 + (x + abs(x))*1e300*1e300 - (x + abs(x))*1e300*1e300"
+
+    def test_nan_residual_alone_is_a_violation(self):
+        rep = verify_conjugacy(expr.parse(self.NAN_RIGHT), expr.parse("x/2"),
+                               expr.parse("x"), (-1.0, 1.0), samples=101)
+        assert rep.verdict == "violated"
+        assert rep.max_residual == 0.0
+        assert rep.violation_x == min(x for x in dynamics._grid(-1.0, 1.0, 101) if x > 0)
+
+    def test_nan_grid_value_brackets_no_root(self, monkeypatch, caplog):
+        ends = []
+        solve = dynamics.bracket_solve
+
+        def recording(g, a, b, ga, gb, *args, **kwargs):
+            ends.append((ga, gb))
+            return solve(g, a, b, ga, gb, *args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "bracket_solve", recording)
+        with caplog.at_level(logging.WARNING, logger="reflexivity.dynamics"):
+            verify_conjugacy(expr.parse(self.NAN_RIGHT), expr.parse("x/2"),
+                             expr.parse("x"), (-1.0, 1.0), samples=101)
+        assert not any(math.isnan(ga) or math.isnan(gb) for ga, gb in ends)
+        assert "jumps" not in caplog.text
+
     def test_consistent_pairs_have_corresponding_orbits(self):
         # h(x) = x^3 conjugates x/2 to y/8; both orbits contract
         f = expr.parse("x/2")

@@ -1,4 +1,7 @@
+import argparse
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -208,3 +211,137 @@ class TestExitCodeScheme:
                            "--phi", "y", "--x0", "1")
         assert code == 2
         assert "parse error: expression nested too deeply" in err
+
+
+class TestScenarioValidation:
+    BASE = {"f": "x", "phi": "y", "x0": 0.5, "steps": 5,
+            "x_domain": [0.0, 1.0], "y_domain": [0.0, 1.0]}
+
+    @pytest.mark.parametrize("command,field,message", [
+        ("simulate", {"x_domain": [1]}, "x_domain: expected [lo, hi] pair, got [1]"),
+        ("simulate", {"x0": "abc"}, 'x0: expected number, got "abc"'),
+        ("staircase", {"render": {"width": "wide"}},
+         'render.width: expected integer, got "wide"'),
+        ("simulate", {"f": 2}, "f: expected string, got 2"),
+        ("boom-bust", {"analysis": []}, "analysis: expected object, got []"),
+        ("simulate", {"stpes": 3}, "stpes: unknown field"),
+        ("simulate", {"steps": 2.7}, "steps: expected integer, got 2.7"),
+        ("simulate", {"steps": True}, "steps: expected integer, got true"),
+        ("simulate", {"y_domain": [0, "8"]},
+         'y_domain: expected [lo, hi] pair, got [0, "8"]'),
+        ("boom-bust", {"analysis": {"min_rn": 5}}, "analysis.min_rn: unknown field"),
+        ("period", {"analysis": None}, "analysis: expected object, got null"),
+        ("period", {"analysis": {"max_period": 2.0}},
+         "analysis.max_period: expected integer, got 2.0"),
+        ("boom-bust", {"analysis": {"retrace_threshold": False}},
+         "analysis.retrace_threshold: expected number, got false"),
+        ("fixed-points", {"grid": "4096"}, 'grid: expected integer, got "4096"'),
+        ("distance", {"samples": [256]}, "samples: expected integer, got [256]"),
+        ("portrait", {"render": 800}, "render: expected object, got 800"),
+        ("simulate", {"x_domain": [0, 1, 2]},
+         "x_domain: expected [lo, hi] pair, got [0, 1, 2]"),
+        ("simulate", {"analysis.min_run": 5}, "analysis.min_run: unknown field"),
+        # fields the command does not use are checked too
+        ("simulate", {"render": {"curve_samples": None, "colour": "red"}},
+         "render.colour: unknown field"),
+    ])
+    def test_malformed_field_exit_2(self, capsys, tmp_path, command, field, message):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(dict(self.BASE, **field)))
+        code, out, err = run(capsys, command, "--scenario", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    def test_null_field_counts_as_absent(self, capsys, tmp_path):
+        scenario = {"f": "x + 0.0001", "phi": "y", "x0": 0.0, "x_domain": [0.0, 1.0]}
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(dict(scenario, steps=None, y_domain=None)))
+        _, with_nulls, _ = run(capsys, "simulate", "--scenario", str(path))
+        path.write_text(json.dumps(scenario))
+        _, without, _ = run(capsys, "simulate", "--scenario", str(path))
+        assert with_nulls == without
+        assert len(without.splitlines()) == 1002  # header, x0 and 1000 default steps
+
+    def test_out_of_range_value_is_a_precondition(self, capsys, tmp_path):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(dict(self.BASE, render={"width": 0})))
+        code, out, err = run(capsys, "staircase", "--scenario", str(path))
+        assert code == 4
+        assert out == ""
+        assert "precondition error" in err
+
+
+class TestFlagSurface:
+    SYSTEM = {"--scenario", "--f", "--phi", "--domain", "--y-domain", "--out"}
+    ORBIT = SYSTEM | {"--x0", "--steps"}
+    SVG = ORBIT | {"--width", "--height", "--margin"}
+    OPTIONS = {
+        "simulate": ORBIT,
+        "fixed-points": SYSTEM | {"--grid"},
+        "distance": SYSTEM | {"--samples"},
+        "period": ORBIT | {"--max-period", "--burn-in"},
+        "boom-bust": ORBIT | {"--min-run", "--retrace-threshold"},
+        "conjugacy": {"--f", "--g", "--h", "--domain", "--samples", "--out"},
+        "staircase": SVG | {"--curve-samples"},
+        "portrait": SVG,
+    }
+
+    def test_each_subcommand_takes_exactly_its_flags(self):
+        parser = cli.build_parser()
+        (commands,) = [a for a in parser._actions
+                       if isinstance(a, argparse._SubParsersAction)]
+        assert set(commands.choices) == set(self.OPTIONS)
+        for name, sp in commands.choices.items():
+            flags = {s for a in sp._actions for s in a.option_strings} - {"-h", "--help"}
+            assert flags == self.OPTIONS[name], name
+
+    def test_pair_flag_takes_two_numbers(self):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["distance", "--f", "2*x", "--phi", "y/2", "--domain", "0"])
+        assert exc.value.code == 2
+
+    def test_conjugacy_requires_its_domain(self, capsys):
+        code, out, err = run(capsys, "conjugacy", "--f", "x", "--g", "x", "--h", "x")
+        assert code == 2
+        assert out == ""
+        assert "missing required value: --domain" in err
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_block(fence, heading):
+    text = README.read_text()
+    start = text.index(fence + "\n", text.index(heading)) + len(fence) + 1
+    return text[start:text.index("```", start)]
+
+
+class TestReadme:
+    def test_cli_examples_run(self, capsys, tmp_path):
+        block = _readme_block("```sh", "## CLI").replace("\\\n", " ")
+        commands = [shlex.split(line) for line in block.splitlines() if line.strip()]
+        assert len(commands) == len(cli.COMMANDS)
+        for i, argv in enumerate(commands):
+            assert argv[0] == "reflexivity"
+            argv = argv[1:]
+            if ">" in argv:
+                k = argv.index(">")
+                argv[k:k + 2] = ["--out", argv[k + 1]]
+            if "--out" not in argv:
+                argv += ["--out", f"out{i}.txt"]
+            k = argv.index("--out") + 1
+            argv[k] = str(tmp_path / argv[k])
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (0, ""), (argv, err)
+            assert Path(argv[k]).read_text()
+
+    @pytest.mark.parametrize("scenario", ["readme", "case1", "case2"])
+    def test_scenarios_load(self, capsys, tmp_path, scenario):
+        if scenario == "readme":
+            data = json.loads(_readme_block("```json", "## CLI"))
+            scenario = tmp_path / "readme.json"
+            scenario.write_text(json.dumps(data))
+        code, out, err = run(capsys, "simulate", "--scenario", str(scenario), "--steps", "3")
+        assert code == 0, err
+        assert len(out.splitlines()) == 5

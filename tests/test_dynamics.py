@@ -148,10 +148,6 @@ class TestCompositeMaps:
         s = make_system("2*x", "0.4*y", (-1.0, 1.0), (-2.0, 2.0))
         assert compose_phi_map(s).derivative(0.7) == pytest.approx(0.8, rel=1e-15)
 
-    def test_iterate(self):
-        s = make_system("2*x", "y", (-1.0, 1.0), (-2.0, 2.0))
-        assert compose_gamma(s).iterate(1.0, 5) == 32.0
-
 
 class TestFindFixedPoints:
     def test_logistic_two_fixed_points(self):
