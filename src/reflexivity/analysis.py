@@ -5,14 +5,12 @@ boom-then-bust detection, and sampled conjugacy verification.
 
 from __future__ import annotations
 
-import logging
 import math
-from dataclasses import dataclass
 
 from . import dynamics as _dyn
 from . import expr as _expr
 
-log = logging.getLogger(__name__)
+log = _expr.LazyLogger(__name__)
 
 MONOTONE_DIFFS = 1024
 INVERT_RTOL = 1e-12
@@ -41,7 +39,7 @@ class OutOfRangeError(AnalysisError):
     """Requested value lies outside the attained range."""
 
 
-@dataclass(frozen=True)
+@_expr.record
 class DistanceReport:
     d: float
     argmax_y: float
@@ -49,14 +47,14 @@ class DistanceReport:
     monotone_direction: str  # "increasing" | "decreasing"
 
 
-@dataclass(frozen=True)
+@_expr.record
 class PeriodReport:
     period: int
     cycle: tuple
     residual: float
 
 
-@dataclass(frozen=True)
+@_expr.record
 class BoomBustEvent:
     rise_start: int
     peak: int
@@ -65,7 +63,7 @@ class BoomBustEvent:
     retrace_fraction: float
 
 
-@dataclass(frozen=True)
+@_expr.record
 class ConjugacyReport:
     max_residual: float
     fixed_point_images_checked: int
@@ -288,7 +286,8 @@ def verify_conjugacy(f, g, h, interval, samples=DEFAULT_SAMPLES,
 
     A NaN residual is a violation: violation_x is the first such x unless a
     residual exceeds tol; max_residual is the largest residual that is not
-    NaN.  Also verifies that images of f's fixed points are fixed under g.
+    NaN, or NaN if every residual is.  Also verifies that images of f's
+    fixed points are fixed under g.
     """
     if samples < 2:
         raise ValueError("samples must be >= 2")
@@ -305,7 +304,7 @@ def verify_conjugacy(f, g, h, interval, samples=DEFAULT_SAMPLES,
     except _expr.EvalDomainError:
         # Point by point, so the error is the one the first failing x meets.
         sides = ((h_fn(f_fn(x)), g_fn(h_fn(x))) for x in xs)
-    max_residual = -1.0
+    max_residual = math.nan  # until a residual is not NaN
     argmax = lo
     nan_x = None  # the first x with a NaN residual
     for x, (hf, gh) in zip(xs, sides):

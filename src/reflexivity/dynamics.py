@@ -4,12 +4,11 @@ composite maps, fixed-point location, and stability classification.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass
+import math
 
 from . import expr as _expr
 
-log = logging.getLogger(__name__)
+log = _expr.LazyLogger(__name__)
 
 DIVERGENCE_CUTOFF = 1e12
 CONVERGENCE_RTOL = 1e-13
@@ -42,16 +41,12 @@ class PreconditionError(DynamicsError):
     pass
 
 
-def _is_finite(v):
-    return v == v and abs(v) != float("inf")
-
-
 def _grid(lo, hi, n):
     """n evenly spaced points from lo to hi, both included."""
     return [lo + (hi - lo) * k / (n - 1) for k in range(n)]
 
 
-@dataclass(frozen=True)
+@_expr.record
 class ReflexiveSystem:
     """The pair (f, phi) with their declared closed domains.
 
@@ -74,12 +69,20 @@ class ReflexiveSystem:
 
 
 def _check_finite_on(fn, domain, label):
-    for v in _grid(*domain, _VALIDATION_GRID):
+    """One grid pass; if it fails or a value is not finite, a point loop
+    finds the first bad point and raises with it."""
+    xs = _grid(*domain, _VALIDATION_GRID)
+    try:
+        if all(map(math.isfinite, _expr.evaluate_many(fn, xs))):
+            return
+    except _expr.EvalDomainError:
+        pass
+    for v in xs:
         try:
             out = _expr.evaluate(fn, v)
         except _expr.EvalDomainError as exc:
             raise DomainValidationError(f"{label} invalid at {v!r}: {exc}") from exc
-        if not _is_finite(out):
+        if not math.isfinite(out):
             raise DomainValidationError(f"{label} not finite at {v!r}")
 
 
@@ -92,14 +95,14 @@ def make_system(f_source, phi_source, x_domain, y_domain):
     )
 
 
-@dataclass(frozen=True)
+@_expr.record
 class SystemState:
     x: float
     y: float
     index: int
 
 
-@dataclass(frozen=True)
+@_expr.record
 class Orbit:
     states: tuple
     terminated_by: str  # "step-budget" | "divergence" | "convergence"
@@ -111,17 +114,17 @@ class Orbit:
         return [st.y for st in self.states]
 
 
-@dataclass(frozen=True)
+@_expr.record
 class FixedPoint:
     x_bar: float
     y_bar: float
     residual_f: float
     residual_phi: float
-    multiplier: float
-    stability: str  # "attracting" | "repelling" | "marginal"
+    multiplier: float  # NaN where f or phi has no derivative
+    stability: str  # "attracting" | "repelling" | "marginal" | "undetermined" (NaN)
 
 
-@dataclass(frozen=True)
+@_expr.record
 class Prop1Report:
     residual_gamma: float
     residual_phi_map: float
@@ -155,7 +158,7 @@ def step(s, st):
     Trusts its input: st.y must equal f(st.x), as it does in every state
     that orbit and step build, so f(x) is not evaluated again.
     """
-    if not _is_finite(st.x):
+    if not math.isfinite(st.x):
         raise OrbitNumericError(f"non-finite state x={st.x!r}", st.index)
     x_next = _expr.evaluate(s.phi, st.y)
     y_next = _expr.evaluate(s.f, x_next)
@@ -180,7 +183,7 @@ def orbit(s, x0, max_steps):
         except _expr.EvalDomainError as exc:
             raise OrbitNumericError(str(exc), prev.index + 1) from exc
         states.append(nxt)
-        if not _is_finite(nxt.x) or abs(nxt.x) > DIVERGENCE_CUTOFF:
+        if not math.isfinite(nxt.x) or abs(nxt.x) > DIVERGENCE_CUTOFF:
             tag = "divergence"
             break
         if abs(nxt.x - prev.x) < CONVERGENCE_RTOL * max(1.0, abs(prev.x)):
@@ -355,12 +358,19 @@ def find_fixed_points(s, grid_n=DEFAULT_GRID):
 
 
 def classify_stability(s, x_bar, y_bar):
-    """Build a FixedPoint with multiplier f'(x_bar) * phi'(y_bar)."""
+    """Build a FixedPoint with multiplier f'(x_bar) * phi'(y_bar).  Where
+    either has no derivative, or the product is NaN, the multiplier is NaN
+    and the stability "undetermined"."""
     residual_f = abs(_expr.evaluate(s.f, x_bar) - y_bar)
     residual_phi = abs(_expr.evaluate(s.phi, y_bar) - x_bar)
-    multiplier = _expr.derivative(s.f, x_bar) * _expr.derivative(s.phi, y_bar)
+    try:
+        multiplier = _expr.derivative(s.f, x_bar) * _expr.derivative(s.phi, y_bar)
+    except _expr.NonDifferentiableError:
+        multiplier = math.nan
     mag = abs(multiplier)
-    if mag < 1.0 - STABILITY_BAND:
+    if math.isnan(mag):
+        stability = "undetermined"
+    elif mag < 1.0 - STABILITY_BAND:
         stability = "attracting"
     elif mag > 1.0 + STABILITY_BAND:
         stability = "repelling"

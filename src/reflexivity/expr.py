@@ -9,13 +9,15 @@ loop, and derivatives from a straight-line value-plus-derivative function,
 both compiled on first use.  The dual-number walk of the tree is the
 reference they all follow, and it reports every evaluation error with its
 exact message and offset.
+
+The module also holds the two helpers every layer uses: `record`, which
+makes the frozen result classes, and `LazyLogger`.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 
 
 class ExpressionError(Exception):
@@ -49,28 +51,125 @@ class NonDifferentiableError(EvalDomainError):
 
 
 # ---------------------------------------------------------------------------
+# Records: frozen __slots__ classes, the shape of every result type in the
+# package.  Built without the dataclasses module, which with the inspect
+# module it imports would be most of the CLI's start-up.
+
+_NO_DEFAULT = object()
+
+
+class field:
+    """A record field's options, given as its class attribute."""
+
+    __slots__ = ("default", "compare", "init", "repr")
+
+    def __init__(self, *, default=_NO_DEFAULT, compare=True, init=True, repr=True):
+        self.default, self.compare, self.init, self.repr = default, compare, init, repr
+
+
+def _frozen(self, name, *value):
+    raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
+
+
+def _values(rec, names):
+    return tuple([getattr(rec, n) for n in names])
+
+
+def record(cls):
+    """cls rebuilt as a frozen __slots__ class, like a frozen dataclass.
+
+    Its annotated class attributes are its fields, in order; the value of
+    one is its default or a field(...).  Unless cls defines its own, the
+    class gets __init__ (defaults filled, init=False fields set to their
+    default, then __post_init__ if cls has one), __eq__ and __hash__ over
+    the compared fields, a dataclass-style __repr__, and a __reduce__ that
+    calls the class with the init fields.  Setting or deleting an attribute
+    raises AttributeError; only object.__setattr__ gets past it.
+    """
+    specs = {}
+    for name in cls.__dict__.get("__annotations__", ()):
+        spec = cls.__dict__.get(name, _NO_DEFAULT)
+        specs[name] = spec if isinstance(spec, field) else field(default=spec)
+    ns = {k: v for k, v in cls.__dict__.items()
+          if k not in specs and k not in ("__dict__", "__weakref__")}
+    ns.update(__slots__=tuple(specs), __qualname__=cls.__qualname__,
+              __setattr__=_frozen, __delattr__=_frozen)
+    new = type(cls.__name__, cls.__bases__, ns)
+    compared = [n for n, s in specs.items() if s.compare]
+    shown = [n for n, s in specs.items() if s.repr]
+    inits = [n for n, s in specs.items() if s.init]
+
+    # __init__ comes from one small exec, as namedtuple's __new__ does: one
+    # slot store per field, as fast as a hand-written one.
+    env = {f"_set_{n}": new.__dict__[n].__set__ for n in specs}
+    env.update((f"_default_{n}", s.default) for n, s in specs.items()
+               if s.default is not _NO_DEFAULT)
+    params = [n if specs[n].default is _NO_DEFAULT else f"{n}=_default_{n}" for n in inits]
+    stores = [f"_set_{n}(self, {n if s.init else '_default_' + n})"
+              for n, s in specs.items() if s.init or s.default is not _NO_DEFAULT]
+    if hasattr(new, "__post_init__"):
+        stores.append("self.__post_init__()")
+    exec(f"def __init__(self, {', '.join(params)}):\n"
+         + "".join(f"    {line}\n" for line in stores), env)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _values(self, compared) == _values(other, compared)
+
+    def __repr__(self):
+        shows = ", ".join([f"{n}={getattr(self, n)!r}" for n in shown])
+        return f"{self.__class__.__qualname__}({shows})"
+
+    methods = {
+        "__init__": env["__init__"], "__eq__": __eq__, "__repr__": __repr__,
+        "__hash__": lambda self: hash(_values(self, compared)),
+        "__reduce__": lambda self: (self.__class__, _values(self, inits)),
+    }
+    for name, fn in methods.items():
+        if name not in ns:
+            setattr(new, name, fn)
+    return new
+
+
+class LazyLogger:
+    """logging.getLogger(name), for warnings only.  The logging module is
+    imported on the first warning, so start-up does without it; records
+    name the caller's line, as a logger's own would."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name):
+        self.name = name
+
+    def warning(self, msg, *args):
+        import logging
+        logging.getLogger(self.name).warning(msg, *args, stacklevel=2)
+
+
+# ---------------------------------------------------------------------------
 # AST nodes.  Offsets are byte positions into the source, excluded from
 # structural equality so that parse(serialize(parse(s))) == parse(s).
 
-@dataclass(frozen=True)
+@record
 class Num:
     value: float
     offset: int = field(compare=False, default=0)
 
 
-@dataclass(frozen=True)
+@record
 class Var:
     name: str
     offset: int = field(compare=False, default=0)
 
 
-@dataclass(frozen=True)
+@record
 class Neg:
     operand: object
     offset: int = field(compare=False, default=0)
 
 
-@dataclass(frozen=True)
+@record
 class BinOp:
     op: str  # one of + - * / ^
     left: object
@@ -78,7 +177,7 @@ class BinOp:
     offset: int = field(compare=False, default=0)
 
 
-@dataclass(frozen=True)
+@record
 class Call:
     func: str
     arg: object
@@ -88,7 +187,7 @@ class Call:
 FUNCTION_NAMES = ("sin", "cos", "tan", "exp", "log", "tanh", "sqrt", "abs")
 
 
-@dataclass(frozen=True)
+@record
 class Expression:
     """A parsed scalar function of one variable (or a constant)."""
 
@@ -104,21 +203,11 @@ class Expression:
     def __post_init__(self):
         object.__setattr__(self, "_value", _compile(self.root))
 
-    def __reduce__(self):
-        # The compiled functions cannot be pickled; rebuild them on load.
-        return Expression, (self.root, self.variable_name, self.source)
-
-    def __call__(self, v):
-        return evaluate(self, v)
-
-    def deriv(self, v):
-        return derivative(self, v)
-
 
 # ---------------------------------------------------------------------------
 # Dual numbers
 
-@dataclass(frozen=True)
+@record
 class DualValue:
     """value + derivative*eps with eps^2 = 0."""
 

@@ -5,8 +5,6 @@ inputs produce byte-identical documents.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import dynamics as _dyn
 from . import expr as _expr
 
@@ -14,14 +12,14 @@ DEFAULT_CURVE_SAMPLES = 256
 _TICKS = 5  # tick marks per axis, both ends included
 
 
-@dataclass(frozen=True)
+@_expr.record
 class RenderOptions:
     width: int = 800
     height: int = 600
     margin: int = 60
 
 
-@dataclass(frozen=True)
+@_expr.record
 class StaircaseTrace:
     segments: tuple  # ((x1, y1), (x2, y2)) pairs, chained end to start
     curve_f: tuple  # (x, f(x)) polyline
@@ -29,7 +27,7 @@ class StaircaseTrace:
     fixed_points: tuple  # (x_bar, y_bar) markers
 
 
-@dataclass(frozen=True)
+@_expr.record
 class PhasePortraitTrace:
     points: tuple  # (x_i, y_i) in orbit order
     connect: bool = True

@@ -314,6 +314,14 @@ class TestVerifyConjugacy:
         assert rep.max_residual == 0.0
         assert rep.violation_x == min(x for x in dynamics._grid(-1.0, 1.0, 101) if x > 0)
 
+    def test_no_finite_residual_reports_nan(self):
+        rep = verify_conjugacy(expr.parse("x*1e300*1e300 - x*1e300*1e300"), expr.parse("x"),
+                               expr.parse("x"), (0.5, 1.0), samples=101)
+        assert math.isnan(rep.max_residual)
+        assert rep.verdict == "violated"
+        assert rep.violation_x == 0.5
+        assert rep.fixed_point_images_checked == 0
+
     def test_nan_grid_value_brackets_no_root(self, monkeypatch, caplog):
         ends = []
         solve = dynamics.bracket_solve

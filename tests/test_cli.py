@@ -121,6 +121,15 @@ class TestFixedPoints:
         assert len(rows) == 11
         assert all("marginal" in r for r in rows)
 
+    def test_root_without_derivative_is_undetermined(self, capsys):
+        # sqrt has no derivative at y = 0, the image of the root x = 1.
+        code, out, _ = run(capsys, "fixed-points", "--f", "x - 1", "--phi", "sqrt(y) + 1",
+                           "--domain", "-1", "3", "--y-domain", "0", "2", "--grid", "401")
+        assert code == 0
+        rows = [ln.split() for ln in out.splitlines() if not ln.startswith("#")]
+        assert [(r[0], r[2], r[3]) for r in rows] == [
+            ("1", "nan", "undetermined"), ("2", "0.5", "attracting")]
+
 
 class TestAnalysisCommands:
     def test_distance_exact_inverse(self, capsys):
@@ -163,6 +172,12 @@ class TestAnalysisCommands:
                            "--h", "x", "--domain", "0", "1")
         assert code == 0
         assert out.startswith("verdict=violated")
+
+    def test_conjugacy_without_finite_residual(self, capsys):
+        code, out, _ = run(capsys, "conjugacy", "--f", "x*1e300*1e300 - x*1e300*1e300",
+                           "--g", "x", "--h", "x", "--domain", "0.5", "1")
+        assert code == 0
+        assert out == "verdict=violated max_residual=nan fixed_points_checked=0 violation_x=0.5\n"
 
 
 class TestRenderCommands:

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from conftest import gen_source
 from reflexivity import dynamics, expr
 from reflexivity.dynamics import (
     FixedPoint,
@@ -36,6 +37,65 @@ class TestSystemConstruction:
     def test_valid_system(self):
         s = make_system("cos(x)", "y", (-10.0, 10.0), (-2.0, 2.0))
         assert s.x_domain == (-10.0, 10.0)
+
+
+def _point_by_point(fn, domain, label):
+    """The finiteness check as a loop over evaluate: the reference for the
+    grid-kernel check ReflexiveSystem runs."""
+    for v in dynamics._grid(*domain, dynamics._VALIDATION_GRID):
+        try:
+            out = expr.evaluate(fn, v)
+        except expr.EvalDomainError as exc:
+            raise dynamics.DomainValidationError(f"{label} invalid at {v!r}: {exc}") from exc
+        if not math.isfinite(out):
+            raise dynamics.DomainValidationError(f"{label} not finite at {v!r}")
+
+
+def _outcome(check):
+    try:
+        check()
+    except dynamics.DomainValidationError as exc:
+        return str(exc)
+    return None
+
+
+class TestValidationMatchesPointLoop:
+    CASES = [
+        ("1/x", (0.0, 1.0)),  # pole on the first grid point
+        ("1/(x - 1)", (0.0, 1.0)),  # pole on the last one
+        ("1/(x - 0.3001)", (0.0, 1.0)),  # pole between grid points passes
+        ("log(x)", (-1.0, 1.0)),
+        ("log(x)", (0.0, 1.0)),
+        ("sqrt(x - 0.5)", (0.0, 1.0)),
+        ("sqrt(x)", (0.0, 1.0)),
+        ("exp(1000*x)", (0.0, 1.0)),  # overflow is a domain error
+        ("x*1e300*1e300", (0.0, 1.0)),  # inf after the first point
+        ("x*1e300*1e300 - x*1e300*1e300", (0.0, 1.0)),  # NaN after the first point
+        ("1e999*x", (0.0, 1.0)),  # NaN at 0, inf after
+        ("1e999 - 1e999", (0.0, 1.0)),
+        ("log(0.5 - x) + x*1e300*1e300", (0.0, 1.0)),  # inf before the error
+        ("tan(x)", (0.0, 3.0)),
+        ("sin(x)", (-10.0, 10.0)),
+        ("x^2", (-1.0, 1.0)),
+    ]
+
+    @pytest.mark.parametrize("src, domain", CASES)
+    @pytest.mark.parametrize("role", ["f", "phi"])
+    def test_same_message_as_point_loop(self, src, domain, role):
+        fn = expr.parse(src)
+        want = _outcome(lambda: _point_by_point(fn, domain, role))
+        pair = (fn, expr.parse("0*y"), domain, (0.0, 1.0)) if role == "f" else \
+            (expr.parse("0*x"), fn, (0.0, 1.0), domain)
+        assert _outcome(lambda: ReflexiveSystem(*pair)) == want
+
+    def test_random_expressions(self):
+        rng = random.Random(20261018)
+        for _ in range(300):
+            fn = expr.parse(gen_source(rng, 4, wide=True))
+            domain = rng.choice([(-2.0, 2.0), (0.0, 1.0), (-1.0, 0.0), (0.5, 800.0)])
+            want = _outcome(lambda: _point_by_point(fn, domain, "f"))
+            got = _outcome(lambda: ReflexiveSystem(fn, fn, domain, domain))
+            assert got == want, fn.source
 
 
 class TestStep:
@@ -293,6 +353,20 @@ class TestClassifyStability:
         fp = classify_stability(s, 0.5, 1.0)
         assert fp.multiplier == 0.0
         assert fp.stability == "attracting"
+
+    def test_no_derivative_is_undetermined(self):
+        s = make_system("x - 1", "sqrt(y) + 1", (-1.0, 3.0), (0.0, 2.0))
+        fp = classify_stability(s, 1.0, 0.0)
+        assert math.isnan(fp.multiplier)
+        assert fp.stability == "undetermined"
+        assert (fp.residual_f, fp.residual_phi) == (0.0, 0.0)
+
+    def test_other_roots_survive_one_without_derivative(self):
+        s = make_system("x - 1", "sqrt(y) + 1", (-1.0, 3.0), (0.0, 2.0))
+        fps = find_fixed_points(s, 401)
+        assert [(fp.x_bar, fp.stability) for fp in fps] == [
+            (1.0, "undetermined"), (2.0, "attracting")]
+        assert fps[1].multiplier == 0.5
 
 
 class TestProposition1:

@@ -1,11 +1,15 @@
 import math
 import operator
+import os
 import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from reflexivity import expr
+from reflexivity import analysis, dynamics, expr, render
 from reflexivity.expr import BinOp, Call, DualValue, Neg, Num, Var
 
 from conftest import central_difference, gen_source, sample_safe_expression
@@ -349,3 +353,104 @@ class TestCompiledMatchesTreeWalk:
                 counts["error" if isinstance(ref, tuple) else "value"] += 1
         total = 1000 * len(self.POINTS)
         assert counts["value"] > total // 3 and counts["error"] > total // 20, counts
+
+
+def _one_of_every_record():
+    """One instance of every record type in the package."""
+    e = expr.parse("-sin(x)^2/3 + 1")
+    s = dynamics.make_system("x/2", "y", (0.0, 1.0), (0.0, 1.0))
+    st = dynamics.SystemState(1.0, 0.5, 3)
+    o = dynamics.Orbit((st, dynamics.SystemState(0.5, 0.25, 4)), "step-budget")
+    return [
+        Num(2.0, 8), Var("x", 5), Neg(Var("x"), 0), BinOp("^", Num(1.0), Num(2.0), 3),
+        Call("sin", Var("x"), 1), e, DualValue(1.0, 2.0), s, st, o,
+        dynamics.FixedPoint(0.0, 0.0, 0.0, 0.0, 0.5, "attracting"),
+        dynamics.Prop1Report(0.0, 1e-17),
+        analysis.DistanceReport(0.1, 2.0, 64, "increasing"),
+        analysis.PeriodReport(2, (0.5, 0.8), 1e-12),
+        analysis.BoomBustEvent(1, 7, 9, -2.5, 0.75),
+        analysis.ConjugacyReport(math.nan, 2, "violated", 0.25),
+        render.RenderOptions(640),
+        render.StaircaseTrace((((0.0, 0.0), (0.0, 1.0)),), ((0.0, 0.0),), (), ()),
+        render.PhasePortraitTrace(((1.0, 0.5),)),
+    ]
+
+
+class TestRecord:
+    @pytest.mark.parametrize("make, text", [
+        (lambda: Num(1.5, 3), "Num(value=1.5, offset=3)"),
+        (lambda: expr.parse("x + 1"),
+         "Expression(root=BinOp(op='+', left=Var(name='x', offset=0), right=Num(value=1.0, "
+         "offset=4), offset=2), variable_name='x', source='x + 1')"),
+        (lambda: dynamics.SystemState(1.0, 2.0, 3),
+         "SystemState(x=1.0, y=2.0, index=3)"),
+        (lambda: dynamics.FixedPoint(1.0, 2.0, 0.0, 0.0, 0.5, "attracting"),
+         "FixedPoint(x_bar=1.0, y_bar=2.0, residual_f=0.0, residual_phi=0.0, multiplier=0.5, "
+         "stability='attracting')"),
+        (lambda: analysis.ConjugacyReport(0.0, 1, "consistent"),
+         "ConjugacyReport(max_residual=0.0, fixed_point_images_checked=1, "
+         "verdict='consistent', violation_x=None)"),
+        (lambda: render.RenderOptions(),
+         "RenderOptions(width=800, height=600, margin=60)"),
+    ])
+    def test_repr_is_the_dataclass_text(self, make, text):
+        assert repr(make()) == text
+
+    @pytest.mark.parametrize("src", ["x^2 + 1", "-sin(x)^2/3", "2*x*(1-x)", "exp(-x) / (1 + x)"])
+    def test_equality_and_hash_ignore_offsets(self, src):
+        e = expr.parse(src)
+        again = expr.parse(expr.serialize(e))
+        assert again.source != e.source
+        assert again == e and hash(again) == hash(e)
+        assert Num(1.0, 0) == Num(1.0, 7) and hash(Num(1.0, 0)) == hash(Num(1.0, 7))
+        assert Num(1.0) != Var("x") and Num(1.0) != 1.0
+
+    def test_pickle_round_trip_of_every_record(self):
+        records = _one_of_every_record()
+        every = {cls for mod in (expr, dynamics, analysis, render) for cls in vars(mod).values()
+                 if isinstance(cls, type) and cls.__setattr__ is expr._frozen}
+        assert {type(r) for r in records} == every and len(every) == 19
+        for r in records:
+            back = pickle.loads(pickle.dumps(r))
+            assert type(back) is type(r) and repr(back) == repr(r)
+        e = pickle.loads(pickle.dumps(records[5]))
+        assert e == records[5] and expr.evaluate(e, 0.5) == expr.evaluate(records[5], 0.5)
+
+    def test_frozen(self):
+        for r in _one_of_every_record():
+            name = next(iter(type(r).__slots__))
+            with pytest.raises(AttributeError):
+                setattr(r, name, 0)
+            with pytest.raises(AttributeError):
+                delattr(r, name)
+            with pytest.raises(AttributeError):
+                r.not_a_field = 1
+
+    def test_keywords_and_defaults(self):
+        assert Num(value=2.0) == Num(2.0, 0)
+        assert Num(value=2.0).offset == 0
+        assert render.RenderOptions(height=10) == render.RenderOptions(800, 10, 60)
+        assert analysis.ConjugacyReport(0.5, 0, verdict="violated").violation_x is None
+        e = expr.Expression(variable_name="x", root=Var("x"))
+        assert e.source == "" and e._derivative is None and e._many is None
+        assert expr.evaluate(e, 3.0) == 3.0
+
+    @pytest.mark.parametrize("call", [
+        lambda: Num(),
+        lambda: Num(1.0, 2, 3),
+        lambda: Num(1.0, size=2),
+        lambda: Num(1.0, value=2.0),
+        lambda: expr.Expression(Var("x"), "x", "x", None),  # _value is not an argument
+        lambda: dynamics.SystemState(1.0, 2.0),
+    ])
+    def test_wrong_arguments_are_type_errors(self, call):
+        with pytest.raises(TypeError):
+            call()
+
+    def test_cli_imports_no_dataclasses_inspect_or_logging(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = ("import reflexivity.cli, sys; "
+                "print([m for m in ('dataclasses', 'inspect', 'logging') if m in sys.modules])")
+        r = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                           env=dict(os.environ, PYTHONPATH=str(src)), check=True)
+        assert r.stdout == "[]\n"
