@@ -4,7 +4,6 @@ boom-bust diagnostics, conjugacy verification, and cobweb/phase rendering.
 """
 
 from .expr import (
-    DualValue,
     EvalDomainError,
     Expression,
     ExpressionError,

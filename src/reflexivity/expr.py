@@ -6,9 +6,9 @@ parsing, so evaluation and differentiation are pure and reentrant.  Values
 come from a straight-line float function compiled from the tree when the
 Expression is built; values over a grid from the same lines run in one
 loop, and derivatives from a straight-line value-plus-derivative function,
-both compiled on first use.  The dual-number walk of the tree is the
-reference they all follow, and it reports every evaluation error with its
-exact message and offset.
+both compiled on first use.  After a failure, a checked variant of the
+failing function runs the same lines again, each in a try, and reports the
+error with its message and node offset.
 
 The module also holds the two helpers every layer uses: `record`, which
 makes the frozen result classes, and `LazyLogger`.
@@ -199,89 +199,11 @@ class Expression:
     # expressions never need them.
     _derivative: object = field(init=False, compare=False, repr=False, default=None)
     _many: object = field(init=False, compare=False, repr=False, default=None)
+    # The checked functions by mode (dual or not), compiled on first failure.
+    _checked: object = field(init=False, compare=False, repr=False, default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "_value", _compile(self.root))
-
-
-# ---------------------------------------------------------------------------
-# Dual numbers
-
-@record
-class DualValue:
-    """value + derivative*eps with eps^2 = 0."""
-
-    value: float
-    derivative: float = 0.0
-
-    def __add__(self, other):
-        other = _as_dual(other)
-        return DualValue(self.value + other.value, self.derivative + other.derivative)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _as_dual(other)
-        return DualValue(self.value - other.value, self.derivative - other.derivative)
-
-    def __rsub__(self, other):
-        return _as_dual(other) - self
-
-    def __mul__(self, other):
-        other = _as_dual(other)
-        return DualValue(
-            self.value * other.value,
-            self.value * other.derivative + self.derivative * other.value,
-        )
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return DualValue(-self.value, -self.derivative)
-
-    def __truediv__(self, other):
-        other = _as_dual(other)
-        if other.value == 0.0:
-            raise ZeroDivisionError("division by zero")
-        return DualValue(
-            self.value / other.value,
-            (self.derivative * other.value - self.value * other.derivative)
-            / (other.value * other.value),
-        )
-
-    def __rtruediv__(self, other):
-        return _as_dual(other) / self
-
-    def __pow__(self, other):
-        other = _as_dual(other)
-        return DualValue(*_dual_pow(self.value, self.derivative, other.value, other.derivative))
-
-    def __rpow__(self, other):
-        return _as_dual(other) ** self
-
-
-def _as_dual(x):
-    return x if isinstance(x, DualValue) else DualValue(float(x), 0.0)
-
-
-def _dual_pow(v, dv, e, de):
-    """(value, derivative) of (v + dv*eps) ** (e + de*eps)."""
-    if de == 0.0 and float(e).is_integer():
-        n = int(e)
-        if v == 0.0 and n < 0:
-            raise ZeroDivisionError("zero raised to a negative power")
-        val = v ** n
-        if n == 0:
-            der = 0.0
-        elif v == 0.0:
-            der = dv if n == 1 else 0.0
-        else:
-            der = n * v ** (n - 1) * dv
-        return val, der
-    if v <= 0.0:
-        raise ValueError("non-integer power of a non-positive base")
-    val = v ** e
-    return val, val * (de * math.log(v) + e * dv / v)
 
 
 # ---------------------------------------------------------------------------
@@ -451,90 +373,20 @@ def _serialize(node):
 
 
 # ---------------------------------------------------------------------------
-# Evaluation / differentiation (single dual-number walk)
-
-def _apply_function(name, arg, offset):
-    v, d = arg.value, arg.derivative
-    if name == "sin":
-        return DualValue(math.sin(v), math.cos(v) * d)
-    if name == "cos":
-        return DualValue(math.cos(v), -math.sin(v) * d)
-    if name == "tan":
-        c = math.cos(v)
-        if c == 0.0:
-            raise EvalDomainError("tan undefined here", offset)
-        return DualValue(math.tan(v), d / (c * c))
-    if name == "exp":
-        ev = math.exp(v)
-        return DualValue(ev, ev * d)
-    if name == "log":
-        if v <= 0.0:
-            raise EvalDomainError(f"log of non-positive value {v!r}", offset)
-        return DualValue(math.log(v), d / v)
-    if name == "tanh":
-        t = math.tanh(v)
-        return DualValue(t, (1.0 - t * t) * d)
-    if name == "sqrt":
-        if v < 0.0:
-            raise EvalDomainError(f"sqrt of negative value {v!r}", offset)
-        if v == 0.0 and d != 0.0:
-            raise NonDifferentiableError("sqrt not differentiable at 0", offset)
-        r = math.sqrt(v)
-        return DualValue(r, d / (2.0 * r) if d != 0.0 else 0.0)
-    if name == "abs":
-        if v == 0.0 and d != 0.0:
-            raise NonDifferentiableError("abs not differentiable at 0", offset)
-        return DualValue(abs(v), math.copysign(1.0, v) * d if v != 0.0 else 0.0)
-    raise EvalDomainError(f"unknown function {name!r}", offset)
-
-
-def _eval(node, x):
-    if isinstance(node, Num):
-        return DualValue(node.value, 0.0)
-    if isinstance(node, Var):
-        return x
-    if isinstance(node, Neg):
-        return -_eval(node.operand, x)
-    if isinstance(node, BinOp):
-        left = _eval(node.left, x)
-        right = _eval(node.right, x)
-        try:
-            if node.op == "+":
-                return left + right
-            if node.op == "-":
-                return left - right
-            if node.op == "*":
-                return left * right
-            if node.op == "/":
-                return left / right
-            if node.op == "^":
-                return left ** right
-        except ZeroDivisionError as exc:
-            raise EvalDomainError(str(exc), node.offset) from None
-        except (ValueError, OverflowError) as exc:
-            raise EvalDomainError(str(exc), node.offset) from None
-        raise EvalDomainError(f"unknown operator {node.op!r}", node.offset)
-    if isinstance(node, Call):
-        arg = _eval(node.arg, x)
-        try:
-            return _apply_function(node.func, arg, node.offset)
-        except (ValueError, OverflowError) as exc:
-            # math.sin/cos/tan raise ValueError at +-inf, math.exp overflows.
-            raise EvalDomainError(str(exc), node.offset) from None
-    raise TypeError(f"not an expression node: {node!r}")
-
+# Evaluation / differentiation
 
 def evaluate(e, v):
     """Evaluate e at the real point v (IEEE-754 double arithmetic).
 
-    Runs e's compiled function.  On a numeric error it re-runs the
-    dual-number walk, which raises that error with its node offset.
+    Runs e's compiled function.  If that raises, e's checked function runs
+    the same lines again and raises the first failure as EvalDomainError
+    with its node's offset.
     """
     x = float(v)
     try:
         return e._value(x)
     except (ArithmeticError, ValueError):
-        return _eval(e.root, DualValue(x, 0.0)).value
+        return _checked(e, False)(x)
 
 
 def evaluate_many(e, xs):
@@ -543,7 +395,7 @@ def evaluate_many(e, xs):
     Runs e's compiled grid function, compiling it on the first call: the
     point function's lines in one loop, so every value is the same bit for
     bit.  If any point fails it evaluates point by point instead, so the
-    first failing x raises the walk's error, as a loop over evaluate does.
+    first failing x raises its EvalDomainError, as a loop over evaluate does.
     """
     fn = e._many
     if fn is None:
@@ -559,8 +411,9 @@ def derivative(e, v):
     """Exact forward-mode derivative of e at v.
 
     Runs e's compiled value-plus-derivative function, compiling it on the
-    first call.  On a numeric error it re-runs the dual-number walk, which
-    raises that error with its node offset.
+    first call.  If that raises, e's checked function runs the same lines
+    again and raises the first failure as EvalDomainError (or
+    NonDifferentiableError) with its node's offset.
     """
     x = float(v)
     fn = e._derivative
@@ -570,7 +423,20 @@ def derivative(e, v):
     try:
         return fn(x)
     except (ArithmeticError, ValueError):
-        return _eval(e.root, DualValue(x, 1.0)).derivative
+        return _checked(e, True)(x)
+
+
+def _checked(e, dual):
+    """e's checked function for the mode, compiled on the mode's first
+    failure and cached on e."""
+    cache = e._checked
+    if cache is None:
+        cache = {}
+        object.__setattr__(e, "_checked", cache)
+    fn = cache.get(dual)
+    if fn is None:
+        fn = cache[dual] = _compile(e.root, dual=dual, checked=True)
+    return fn
 
 
 # ---------------------------------------------------------------------------
@@ -580,19 +446,45 @@ def derivative(e, v):
 # lines in a loop over a list of x.  A constant whole-number exponent there
 # becomes `a ** n` with n a bound int, the operation _pow performs for it.
 # _compile(root, dual=True) builds x -> derivative by forward-mode source
-# transformation: one pair of locals v<k>, d<k> per operator node, computed
-# by the same float operations in the same order as DualValue and
-# _apply_function, so its results are the walk's bit for bit.  Where the
-# walk raises an EvalDomainError of its own (log of a non-positive value,
-# abs at 0 with a nonzero derivative, ...), the compiled code raises
-# ArithmeticError or ValueError and the caller re-runs the walk.
+# transformation: one pair of locals v<k>, d<k> per operator node, each a
+# dual number's value and derivative part.  The dual-number walk of the tree
+# in tests/dual_walk.py is the reference both modes are tested against, bit
+# for bit.
+#
+# A line that fails raises ArithmeticError or ValueError.  The checked
+# variant, _compile(root, dual, checked=True), puts each line in a try whose
+# handler raises the typed error: EvalDomainError (NonDifferentiableError for
+# the kinks of sqrt and abs) with the message in _FAILURES, and the node's
+# offset bound as a constant.  It is compiled only once a fast function has
+# failed, so the fast functions carry no handlers.
 #
 # The generated source holds only names the compiler chooses: the parameters
-# x or xs, the locals, constants k<j> and the helpers in _HELPERS, all bound as
-# default arguments (a constant may be inf, which has no literal), plus the
-# float literals in _RULES.  Node values and user identifiers never become
-# source text; operators and function names are written only after an exact
-# match with _INFIX or FUNCTION_NAMES.
+# x or xs, the locals, exc, constants k<j> and the helpers in _HELPERS and
+# _CHECK_HELPERS, all bound as default arguments (a constant may be inf,
+# which has no literal), plus the literals in _RULES and _FAILURES.  Node
+# values and user identifiers never become source text; operators and
+# function names are written only after an exact match with _INFIX or
+# FUNCTION_NAMES.
+
+def _dual_pow(v, dv, e, de):
+    """(value, derivative) of (v + dv*eps) ** (e + de*eps)."""
+    if de == 0.0 and float(e).is_integer():
+        n = int(e)
+        if v == 0.0 and n < 0:
+            raise ZeroDivisionError("zero raised to a negative power")
+        val = v ** n
+        if n == 0:
+            der = 0.0
+        elif v == 0.0:
+            der = dv if n == 1 else 0.0
+        else:
+            der = n * v ** (n - 1) * dv
+        return val, der
+    if v <= 0.0:
+        raise ValueError("non-integer power of a non-positive base")
+    val = v ** e
+    return val, val * (de * math.log(v) + e * dv / v)
+
 
 def _pow(v, e):
     """Value part of _dual_pow when the exponent's derivative is 0."""
@@ -619,22 +511,20 @@ def _kink(d):
     return 0.0
 
 
-def _unknown_node():
-    # The tree walk raises the precise error for a node it does not know.
-    raise ValueError("unknown node")
-
-
 _HELPERS = {
     "sin": math.sin, "cos": math.cos, "tan": _tan, "exp": math.exp,
     "log": math.log, "tanh": math.tanh, "sqrt": math.sqrt, "abs": abs,
     "copysign": math.copysign, "pow": _pow, "dpow": _dual_pow, "kink": _kink,
-    "unknown_node": _unknown_node,
+}
+_CHECK_HELPERS = {
+    "errors": (ArithmeticError, ValueError), "EvalDomainError": EvalDomainError,
+    "NonDifferentiableError": NonDifferentiableError,
 }
 _INFIX = ("+", "-", "*", "/")
 
 # (value, derivative) templates per rule: a and b name the operands' values,
 # da and db their derivatives, v this node's value.  In dual mode "^" gets
-# value and derivative from one call to _dual_pow, as DualValue.__pow__ does.
+# value and derivative from one call to _dual_pow.
 _RULES = {
     "neg": ("-{a}", "-{da}"),
     "+": ("{a} + {b}", "{da} + {db}"),
@@ -651,19 +541,44 @@ _RULES = {
     "tanh": ("tanh({a})", "(1.0 - {v} * {v}) * {da}"),
     "sqrt": ("sqrt({a})", "{da} / (2.0 * {v}) if {da} != 0.0 else 0.0"),
     "abs": ("abs({a})", "copysign(1.0, {a}) * {da} if {a} != 0.0 else kink({da})"),
-    "unknown": ("unknown_node()", "unknown_node()"),
+}
+
+# The error a checked function raises when a line fails, as (value line,
+# derivative line) templates per rule; at names the node's offset and exc
+# the exception caught.  Any other line raises _DEFAULT_FAILURE, with exc's
+# own message.
+_DEFAULT_FAILURE = "EvalDomainError(exc, {at})"
+_FAILURES = {
+    "/": ('EvalDomainError("division by zero", {at})', None),
+    "ipow": ('EvalDomainError("zero raised to a negative power" if {a} == 0.0 else exc, {at})',
+             None),
+    "log": ('EvalDomainError("log of non-positive value %r" % ({a},), {at})', None),
+    "sqrt": ('EvalDomainError("sqrt of negative value %r" % ({a},), {at})',
+             'NonDifferentiableError("sqrt not differentiable at 0", {at})'),
+    "abs": (None, 'NonDifferentiableError("abs not differentiable at 0", {at})'),
 }
 
 
 class _Emitter:
-    def __init__(self, dual):
+    def __init__(self, dual, checked=False):
         self.dual = dual
+        self.checked = checked
         self.lines = []
         self.consts = []
 
     def const(self, value):
         self.consts.append(value)
         return f"k{len(self.consts) - 1}"
+
+    def statement(self, line, failure, names):
+        """Append line; in a checked function inside a try whose handler
+        raises the failure template (_DEFAULT_FAILURE if None)."""
+        if not self.checked:
+            self.lines.append(line)
+            return
+        raised = (failure or _DEFAULT_FAILURE).format(**names)
+        self.lines += ["try:", f"    {line}", "except errors as exc:",
+                       f"    raise {raised} from None"]
 
     def emit(self, node):
         """Names holding node's value and derivative, after the lines that
@@ -683,7 +598,7 @@ class _Emitter:
         elif isinstance(node, Call) and node.func in FUNCTION_NAMES:
             rule, operands = node.func, (node.arg,)
         else:
-            rule, operands = "unknown", ()
+            raise TypeError(f"not an expression node: {node!r}")
         emitted = [self.emit(operand) for operand in operands]
         if rule == "ipow":
             emitted.append((self.const(int(node.right.value)), "0.0"))
@@ -692,28 +607,34 @@ class _Emitter:
         names = {"v": v, "d": d}
         for (val, der), (vk, dk) in zip(emitted, (("a", "da"), ("b", "db"))):
             names[vk], names[dk] = val, der
+        if self.checked:
+            names["at"] = self.const(node.offset)
         value, deriv = _RULES[rule]
+        on_value, on_deriv = _FAILURES.get(rule, (None, None))
         if not self.dual:
-            self.lines.append(f"{v} = {value.format(**names)}")
+            self.statement(f"{v} = {value.format(**names)}", on_value, names)
         elif rule == "^":
-            self.lines.append(f"{v}, {d} = {deriv.format(**names)}")
+            self.statement(f"{v}, {d} = {deriv.format(**names)}", on_deriv, names)
         else:
-            self.lines.append(f"{v} = {value.format(**names)}")
-            self.lines.append(f"{d} = {deriv.format(**names)}")
+            self.statement(f"{v} = {value.format(**names)}", on_value, names)
+            self.statement(f"{d} = {deriv.format(**names)}", on_deriv, names)
         return v, d
 
 
-def _compile(root, dual=False, many=False):
+def _compile(root, dual=False, many=False, checked=False):
     """Straight-line function x -> value of root (x -> derivative if dual).
 
     With many=True the function takes a list xs instead and returns the
-    list of values, running the same lines once per x in one loop.  Nested
-    expressions would hit the compiler's parenthesis limit on long sums, so
-    every operator node gets its own statements.
+    list of values, running the same lines once per x in one loop; with
+    checked=True each line raises its typed error.  Nested expressions
+    would hit the compiler's parenthesis limit on long sums, so every
+    operator node gets its own statements.
     """
-    em = _Emitter(dual)
+    em = _Emitter(dual, checked)
     value, deriv = em.emit(root)
     env = dict(_HELPERS)
+    if checked:
+        env.update(_CHECK_HELPERS)
     env.update((f"k{j}", c) for j, c in enumerate(em.consts))
     params = "".join(f", {name}={name}" for name in env)
     result = deriv if dual else value

@@ -3,6 +3,7 @@ import operator
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,9 +11,10 @@ from pathlib import Path
 import pytest
 
 from reflexivity import analysis, dynamics, expr, render
-from reflexivity.expr import BinOp, Call, DualValue, Neg, Num, Var
+from reflexivity.expr import BinOp, Call, Neg, Num, Var
 
 from conftest import central_difference, gen_source, sample_safe_expression
+from dual_walk import DualValue, apply_function, eval_walk
 
 
 class TestParse:
@@ -128,6 +130,23 @@ class TestEvaluate:
         with pytest.raises(expr.EvalDomainError):
             expr.derivative(e, v)
 
+    @pytest.mark.parametrize("run", [lambda e: expr.evaluate(e, 1e-200),
+                                     lambda e: expr.evaluate_many(e, [1e-200])],
+                             ids=["evaluate", "evaluate_many"])
+    def test_error_comes_from_the_failing_node(self, run):
+        # 1/x is 1e200 here; only the quotient rule's derivative part
+        # (b*b underflows) fails, and no value needs it.
+        with pytest.raises(expr.EvalDomainError) as ei:
+            run(expr.parse("1/x + log(-x)"))
+        assert ei.value.offset == 6
+        assert str(ei.value) == "log of non-positive value -1e-200 (node at offset 6)"
+
+    def test_derivative_reports_its_own_failing_node(self):
+        with pytest.raises(expr.EvalDomainError) as ei:
+            expr.derivative(expr.parse("1/x + log(-x)"), 1e-200)
+        assert ei.value.offset == 1
+        assert str(ei.value) == "float division by zero (node at offset 1)"
+
     @pytest.mark.parametrize("src, offset", [("sin(x)", 0), ("2 + cos(x)", 4), ("tan(x)", 0)])
     def test_math_domain_error_at_infinity_is_typed(self, src, offset):
         e = expr.parse(src)
@@ -151,9 +170,38 @@ class TestEvaluate:
         assert e.variable_name == name
         assert expr.evaluate(e, 2.0) == 2.0 ** 2 - 3 * 2.0 + math.sin(2.0)
 
+    @pytest.mark.parametrize("name", ["exc", "v0", "d0", "k0", "EvalDomainError", "log"])
+    def test_variable_name_is_not_source_on_error(self, name):
+        for src in ("log(x) + 1/x", "sqrt(x) * abs(x)", "x^-1 - x^0.5", "tan(x) - exp(x)"):
+            e = expr.Expression(_renamed(expr.parse(src).root, name), name)
+            for v in (-1.0, 0.0, 1e-200, 1e300, math.inf):
+                assert _outcome(lambda: expr.evaluate(e, v)) == \
+                    _outcome(lambda: _value_walk(e.root, v)), (src, v)
+                assert _outcome(lambda: expr.derivative(e, v)) == \
+                    _outcome(lambda: eval_walk(e.root, DualValue(v, 1.0)).derivative), (src, v)
+            assert set(e._checked) == {False, True}
+            for fn in (e._value, e._derivative, *e._checked.values()):
+                code = fn.__code__
+                assert code.co_names == () and code.co_varnames[0] == "x", src
+                for local in code.co_varnames:
+                    assert re.fullmatch(r"[vdk]\d+|x|exc", local) or local in _COMPILER_HELPERS
+                for const in code.co_consts:
+                    # The compiler may keep "... %r" % (v,) as its prefix alone.
+                    assert not isinstance(const, str) or const in _CHECKED_MESSAGES \
+                        or const + "%r" in _CHECKED_MESSAGES, const
+
     def test_built_tree_with_int_constants(self):
         e = expr.Expression(BinOp("^", Var("x"), Num(2)), "x")
         assert expr.evaluate(e, 3.0) == 9.0
+
+    @pytest.mark.parametrize("bad", [1.5, BinOp("%", Var("x"), Num(2.0), 1),
+                                     Call("sinh", Var("x"), 1)],
+                             ids=["non-node", "operator", "function"])
+    def test_unknown_node_fails_when_built(self, bad):
+        for root in (bad, BinOp("+", Num(1.0), bad)):
+            with pytest.raises(TypeError) as ei:
+                expr.Expression(root, "x")
+            assert str(ei.value) == f"not an expression node: {bad!r}"
 
     def test_pickle_round_trip(self):
         e = expr.parse("sin(x)^2 + 1e999*0.5")
@@ -209,6 +257,8 @@ class TestDerivative:
 
 
 class TestDualValue:
+    """The dual numbers of the reference walk in dual_walk.py."""
+
     def test_product_rule(self):
         a = DualValue(3.0, 2.0)
         b = DualValue(5.0, 7.0)
@@ -262,8 +312,8 @@ _OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.t
 
 
 def _value_walk(node, x):
-    """Plain-float walk of the tree: the value the dual-number walk computes
-    when its derivative bookkeeping does not fail."""
+    """Plain-float walk of the tree: the value the dual-number walk computes,
+    or the error it raises, when its derivative bookkeeping does not fail."""
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Var):
@@ -272,15 +322,47 @@ def _value_walk(node, x):
         return -_value_walk(node.operand, x)
     if isinstance(node, Call):
         arg = DualValue(_value_walk(node.arg, x), 0.0)
-        return expr._apply_function(node.func, arg, node.offset).value
+        try:
+            return apply_function(node.func, arg, node.offset).value
+        except (ValueError, OverflowError) as exc:
+            raise expr.EvalDomainError(str(exc), node.offset) from None
     a, b = _value_walk(node.left, x), _value_walk(node.right, x)
-    if node.op != "^":
-        return _OPS[node.op](a, b)
-    if b.is_integer():
-        return a ** int(b)
-    if a <= 0.0:
-        raise ValueError("non-integer power of a non-positive base")
-    return a ** b
+    try:
+        if node.op != "^":
+            if node.op == "/" and b == 0.0:
+                raise ZeroDivisionError("division by zero")
+            return _OPS[node.op](a, b)
+        if b.is_integer():
+            if a == 0.0 and b < 0:
+                raise ZeroDivisionError("zero raised to a negative power")
+            return a ** int(b)
+        if a <= 0.0:
+            raise ValueError("non-integer power of a non-positive base")
+        return a ** b
+    except (ArithmeticError, ValueError) as exc:
+        raise expr.EvalDomainError(str(exc), node.offset) from None
+
+
+def _renamed(node, name):
+    """node with every variable named name, which the parser might reject
+    (log is a function name)."""
+    if isinstance(node, Var):
+        return Var(name, node.offset)
+    if isinstance(node, Neg):
+        return Neg(_renamed(node.operand, name), node.offset)
+    if isinstance(node, BinOp):
+        return BinOp(node.op, _renamed(node.left, name), _renamed(node.right, name), node.offset)
+    if isinstance(node, Call):
+        return Call(node.func, _renamed(node.arg, name), node.offset)
+    return node
+
+
+# The only names and strings a compiled function may hold.
+_COMPILER_HELPERS = {"sin", "cos", "tan", "exp", "log", "tanh", "sqrt", "abs", "copysign", "pow",
+                     "dpow", "kink", "errors", "EvalDomainError", "NonDifferentiableError"}
+_CHECKED_MESSAGES = {"division by zero", "zero raised to a negative power",
+                     "log of non-positive value %r", "sqrt of negative value %r",
+                     "sqrt not differentiable at 0", "abs not differentiable at 0"}
 
 
 def _outcome(fn):
@@ -302,12 +384,13 @@ class TestCompiledMatchesTreeWalk:
             e = expr.parse(gen_source(rng, 5, wide=True))
             for v in self.POINTS:
                 got = _outcome(lambda: expr.evaluate(e, v))
-                ref = _outcome(lambda: expr._eval(e.root, DualValue(v, 0.0)).value)
+                ref = _outcome(lambda: eval_walk(e.root, DualValue(v, 0.0)).value)
                 if got == ref:
                     counts["error" if isinstance(ref, tuple) else "value"] += 1
                     continue
                 # Allowed only where the walk failed on derivative bookkeeping
-                # alone: the plain value walk succeeds with the compiled value.
+                # alone: the plain value walk gives what evaluate gives, the
+                # value or the error of the first node whose value fails.
                 where = f"{e.source} at {v!r}: {got} vs {ref}"
                 assert isinstance(ref, tuple), where
                 assert issubclass(getattr(expr, ref[0]), expr.EvalDomainError), where
@@ -343,16 +426,50 @@ class TestCompiledMatchesTreeWalk:
             e = expr.parse(gen_source(rng, 5, wide=True))
             for v in self.POINTS:
                 got = _outcome(lambda: expr.derivative(e, v))
-                ref = _outcome(lambda: expr._eval(e.root, DualValue(v, 1.0)).derivative)
+                ref = _outcome(lambda: eval_walk(e.root, DualValue(v, 1.0)).derivative)
                 where = f"{e.source} at {v!r}: {got} vs {ref}"
                 assert got == ref, where
-                # The compiled function itself, without the walk as fallback,
+                # The compiled function itself, without its checked fallback,
                 # fails exactly where the walk fails.
                 compiled = _outcome(lambda: e._derivative(v))
                 assert isinstance(compiled, tuple) == isinstance(ref, tuple), where
                 counts["error" if isinstance(ref, tuple) else "value"] += 1
         total = 1000 * len(self.POINTS)
         assert counts["value"] > total // 3 and counts["error"] > total // 20, counts
+
+    def test_random_checked_functions(self):
+        # Where a compiled function fails, its checked variant raises the
+        # reference's error; elsewhere it returns the same value.
+        rng = random.Random(20261017)  # the trees of test_random_expressions
+        failures = 0
+        for _ in range(1000):
+            e = expr.parse(gen_source(rng, 5, wide=True))
+            modes = ((e._value, lambda v: _value_walk(e.root, v)),
+                     (expr._compile(e.root, dual=True),
+                      lambda v: eval_walk(e.root, DualValue(v, 1.0)).derivative))
+            for dual, (fast, reference) in enumerate(modes):
+                checked = expr._checked(e, bool(dual))
+                for v in self.POINTS:
+                    want = _outcome(lambda: fast(v))
+                    if isinstance(want, tuple):
+                        want = _outcome(lambda: reference(v))
+                        failures += 1
+                    assert _outcome(lambda: checked(v)) == want, f"{e.source} at {v!r}"
+        assert failures > 2 * 1000 * len(self.POINTS) // 20, failures
+
+    def test_checked_function_is_compiled_once_per_mode(self, monkeypatch):
+        e = expr.parse("sqrt(x)")
+        expr.derivative(e, 1.0)
+        expr.evaluate_many(e, [1.0])
+        compiled = []
+        real = expr._compile
+        monkeypatch.setattr(expr, "_compile", lambda *a, **k: compiled.append(k) or real(*a, **k))
+        for _ in range(3):
+            for fn, v in ((expr.evaluate, -1.0), (expr.derivative, 0.0),
+                          (expr.evaluate_many, [2.0, -1.0])):
+                with pytest.raises(expr.EvalDomainError):
+                    fn(e, v)
+        assert compiled == [{"dual": False, "checked": True}, {"dual": True, "checked": True}]
 
 
 def _one_of_every_record():
@@ -363,7 +480,7 @@ def _one_of_every_record():
     o = dynamics.Orbit((st, dynamics.SystemState(0.5, 0.25, 4)), "step-budget")
     return [
         Num(2.0, 8), Var("x", 5), Neg(Var("x"), 0), BinOp("^", Num(1.0), Num(2.0), 3),
-        Call("sin", Var("x"), 1), e, DualValue(1.0, 2.0), s, st, o,
+        Call("sin", Var("x"), 1), e, s, st, o,
         dynamics.FixedPoint(0.0, 0.0, 0.0, 0.0, 0.5, "attracting"),
         dynamics.Prop1Report(0.0, 1e-17),
         analysis.DistanceReport(0.1, 2.0, 64, "increasing"),
@@ -409,7 +526,7 @@ class TestRecord:
         records = _one_of_every_record()
         every = {cls for mod in (expr, dynamics, analysis, render) for cls in vars(mod).values()
                  if isinstance(cls, type) and cls.__setattr__ is expr._frozen}
-        assert {type(r) for r in records} == every and len(every) == 19
+        assert {type(r) for r in records} == every and len(every) == 18
         for r in records:
             back = pickle.loads(pickle.dumps(r))
             assert type(back) is type(r) and repr(back) == repr(r)
