@@ -190,23 +190,41 @@ def _diverged(x):
     return x != x or abs(x) > _dyn.DIVERGENCE_CUTOFF
 
 
+def _iterates(map_fn, x, n):
+    """Iterator over map_fn(x), map_fn(map_fn(x)), ... (n values); it may
+    end after the first diverged one.
+
+    A compose_gamma map runs its system's compiled loop.  Any other map, or
+    a loop that fails, is stepped as the iterator advances, so an error
+    comes at the step that meets it and a caller that stops early meets
+    none after.
+    """
+    if isinstance(map_fn, _dyn.ScalarMap) and map_fn._iterate is not None:
+        xs = map_fn._iterate(x, n)
+        if xs is not None:
+            return iter(xs)
+    return _stepped(map_fn, x, n)
+
+
+def _stepped(map_fn, x, n):
+    for _ in range(n):
+        x = map_fn(x)
+        yield x
+
+
 def detect_period(map_fn, x0, max_period=DEFAULT_MAX_PERIOD, burn_in=0):
     """Minimal period of the orbit tail of map_fn from x0, or None."""
     if max_period < 1:
         raise ValueError("max_period must be >= 1")
     if burn_in < 0:
         raise ValueError("burn_in must be >= 0")
-    p = float(x0)
-    for _ in range(burn_in):
-        p = map_fn(p)
-        if _diverged(p):
+    iterates = [float(x0)]
+    for x in _iterates(map_fn, iterates[0], burn_in + 2 * max_period):
+        if _diverged(x):
             return None
-    iterates = [p]
-    for _ in range(2 * max_period):
-        nxt = map_fn(iterates[-1])
-        if _diverged(nxt):
-            return None
-        iterates.append(nxt)
+        iterates.append(x)
+    iterates = iterates[burn_in:]
+    p = iterates[0]
     tol = PERIOD_RTOL * max(1.0, abs(p))
     for n in range(1, max_period + 1):
         if abs(iterates[n] - p) <= tol:
@@ -222,9 +240,7 @@ def detect_recurrence(map_fn, p, radius, horizon):
         raise ValueError("radius must be > 0")
     if horizon < 2:
         raise ValueError("horizon must be >= 2")
-    x = float(p)
-    for n in range(1, horizon + 1):
-        x = map_fn(x)
+    for n, x in enumerate(_iterates(map_fn, float(p), horizon), 1):
         if _diverged(x):
             return None
         if n > 1 and abs(x - p) < radius:
@@ -233,25 +249,21 @@ def detect_recurrence(map_fn, p, radius, horizon):
 
 
 def _monotone_runs(xs):
-    """Maximal strictly monotone runs as (sign, start, end) index triples."""
+    """Maximal strictly monotone runs as (sign, start, end) index triples.
+    A step whose difference is not positive or negative (flat, NaN) is in
+    no run."""
     runs = []
-    i = 0
-    n = len(xs)
-    while i < n - 1:
-        d = xs[i + 1] - xs[i]
-        sign = 1 if d > 0 else (-1 if d < 0 else 0)
-        if sign == 0:
-            i += 1
-            continue
-        j = i + 1
-        while j < n - 1:
-            d = xs[j + 1] - xs[j]
-            s = 1 if d > 0 else (-1 if d < 0 else 0)
-            if s != sign:
-                break
-            j += 1
-        runs.append((sign, i, j))
-        i = j
+    sign = start = i = 0
+    for a, b in zip(xs, xs[1:]):
+        d = b - a
+        s = 1 if d > 0 else (-1 if d < 0 else 0)
+        if s != sign:
+            if sign:
+                runs.append((sign, start, i))
+            sign, start = s, i
+        i += 1
+    if sign:
+        runs.append((sign, start, len(xs) - 1))
     return runs
 
 

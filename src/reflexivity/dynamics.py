@@ -59,6 +59,9 @@ class ReflexiveSystem:
     phi: _expr.Expression
     x_domain: tuple
     y_domain: tuple
+    # The compiled loop of orbit and of gamma's iterates, compiled on first
+    # use (see _loop).
+    _loop: object = _expr.field(init=False, compare=False, repr=False, default=None)
 
     def __post_init__(self):
         for name, (lo, hi) in (("x_domain", self.x_domain), ("y_domain", self.y_domain)):
@@ -132,12 +135,16 @@ class Prop1Report:
 
 class ScalarMap:
     """A one-dimensional map with a pointwise derivative and, optionally, a
-    grid function: many_fn(ts) == [value_fn(t) for t in ts]."""
+    grid function: many_fn(ts) == [value_fn(t) for t in ts], and a compiled
+    iteration: iterate_fn(t, n) is None or the n values map(t), map(map(t)),
+    ..., cut after the first one that is not finite or beyond
+    DIVERGENCE_CUTOFF."""
 
-    def __init__(self, value_fn, deriv_fn, many_fn=None):
+    def __init__(self, value_fn, deriv_fn, many_fn=None, iterate_fn=None):
         self._value = value_fn
         self._deriv = deriv_fn
         self._many = many_fn
+        self._iterate = iterate_fn
 
     def __call__(self, t):
         return self._value(t)
@@ -165,8 +172,56 @@ def step(s, st):
     return SystemState(x_next, y_next, st.index + 1)
 
 
+# The loop of orbit and of gamma's iterates: from the state (x, y), up to
+# n steps of x' = phi(y), y' = f(x'), with orbit's divergence and
+# convergence stops, streak counting the converging steps before (x, y).
+# It returns the new xs and ys and the tag; window=0 turns the convergence
+# stop off.  `not -cutoff <= x <= cutoff` is orbit's divergence test
+# (`not isfinite(x) or abs(x) > DIVERGENCE_CUTOFF`) without the calls.
+_LOOP = """\
+def compiled(x, y, n, streak, window{params}):
+    xs = []
+    ys = []
+    append_x = xs.append
+    append_y = ys.append
+    for _ in range(n):
+        p = x
+        @phi
+        x = {phi}
+        @f
+        y = {f}
+        append_x(x)
+        append_y(y)
+        if not -cutoff <= x <= cutoff:
+            return xs, ys, "divergence"
+        if window and abs(x - p) < rtol * max(1.0, abs(p)):
+            streak += 1
+            if streak >= window:
+                return xs, ys, "convergence"
+        else:
+            streak = 0
+    return xs, ys, "step-budget"
+"""
+
+
+def _loop(s):
+    """s's compiled loop (_LOOP), compiled on first use and kept on s."""
+    fn = s._loop
+    if fn is None:
+        fn = _expr.compile_loop(_LOOP, {"phi": (s.phi, "y"), "f": (s.f, "x")}, {
+            "range": range, "max": max,
+            "cutoff": DIVERGENCE_CUTOFF, "rtol": CONVERGENCE_RTOL})
+        object.__setattr__(s, "_loop", fn)
+    return fn
+
+
 def orbit(s, x0, max_steps):
-    """Iterate from (x0, f(x0)); stops early on divergence or convergence."""
+    """Iterate from (x0, f(x0)); stops early on divergence or convergence.
+
+    The first step is step's, which checks x0; s's compiled loop takes the
+    rest, with the same arithmetic.  If the loop raises, step takes those
+    steps instead, so an error has its message and step index.
+    """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     try:
@@ -174,9 +229,22 @@ def orbit(s, x0, max_steps):
     except _expr.EvalDomainError as exc:
         raise OrbitNumericError(str(exc), 0) from exc
     states = [SystemState(float(x0), y0, 0)]
-    tag = "step-budget"
-    streak = 0
-    for _ in range(max_steps):
+    tag, streak = _step_on(s, states, 1, 0)
+    if tag == "step-budget" and max_steps > 1:
+        last = states[1]
+        try:
+            xs, ys, tag = _loop(s)(last.x, last.y, max_steps - 1, streak, CONVERGENCE_WINDOW)
+        except (ArithmeticError, ValueError):
+            tag, _ = _step_on(s, states, max_steps, streak)
+        else:
+            states += map(SystemState, xs, ys, range(2, len(xs) + 2))
+    return Orbit(tuple(states), tag)
+
+
+def _step_on(s, states, max_steps, streak):
+    """Extend states with step up to step number max_steps, or until the
+    orbit stops; returns the tag and the streak of converging steps."""
+    while len(states) <= max_steps:
         prev = states[-1]
         try:
             nxt = step(s, prev)
@@ -184,16 +252,24 @@ def orbit(s, x0, max_steps):
             raise OrbitNumericError(str(exc), prev.index + 1) from exc
         states.append(nxt)
         if not math.isfinite(nxt.x) or abs(nxt.x) > DIVERGENCE_CUTOFF:
-            tag = "divergence"
-            break
+            return "divergence", streak
         if abs(nxt.x - prev.x) < CONVERGENCE_RTOL * max(1.0, abs(prev.x)):
             streak += 1
             if streak >= CONVERGENCE_WINDOW:
-                tag = "convergence"
-                break
+                return "convergence", streak
         else:
             streak = 0
-    return Orbit(tuple(states), tag)
+    return "step-budget", streak
+
+
+def _gamma_iterates(s, x, n):
+    """The iterate_fn of compose_gamma(s): from s's loop with the convergence
+    stop off, orbit's xs after x.  None where the loop fails; the caller then
+    steps the map and meets the error itself."""
+    try:
+        return _loop(s)(x, _expr.evaluate(s.f, x), n, 0, 0)[0]
+    except (ArithmeticError, ValueError, _expr.EvalDomainError):
+        return None
 
 
 def compose_gamma(s):
@@ -203,6 +279,7 @@ def compose_gamma(s):
         lambda x: _expr.evaluate(phi, _expr.evaluate(f, x)),
         lambda x: _expr.derivative(phi, _expr.evaluate(f, x)) * _expr.derivative(f, x),
         lambda xs: _expr.evaluate_many(phi, _expr.evaluate_many(f, xs)),
+        lambda x, n: _gamma_iterates(s, x, n),
     )
 
 

@@ -8,7 +8,9 @@ Expression is built; values over a grid from the same lines run in one
 loop, and derivatives from a straight-line value-plus-derivative function,
 both compiled on first use.  After a failure, a checked variant of the
 failing function runs the same lines again, each in a try, and reports the
-error with its message and node offset.
+error with its message and node offset.  compile_loop puts the value lines
+of several expressions into one function from a template: the orbit loop
+of the dynamics layer.
 
 The module also holds the two helpers every layer uses: `record`, which
 makes the frozen result classes, and `LazyLogger`.
@@ -464,7 +466,14 @@ def _checked(e, dual):
 # which has no literal), plus the literals in _RULES and _FAILURES.  Node
 # values and user identifiers never become source text; operators and
 # function names are written only after an exact match with _INFIX or
-# FUNCTION_NAMES.
+# FUNCTION_NAMES.  Every constant is a float, so the arithmetic is float
+# arithmetic, as evaluate's float(v) makes it for the variable.
+#
+# compile_loop adds the names of its template, which come from the calling
+# layer's source, and names each expression's variable as the template asks
+# and its locals and constants with the part's name as prefix (phiv3, fk0),
+# so that the lines of several expressions share one function.  _define is
+# the one place any generated source is run.
 
 def _dual_pow(v, dv, e, de):
     """(value, derivative) of (v + dv*eps) ** (e + de*eps)."""
@@ -559,16 +568,40 @@ _FAILURES = {
 }
 
 
+def _constant(node):
+    """A Num's value as a float: an int or float (not a bool) in float range."""
+    value = node.value
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise TypeError(f"not an expression node: {node!r}")
+
+
 class _Emitter:
-    def __init__(self, dual, checked=False):
+    """Lines computing a tree's value (and derivative if dual), in the
+    variable var, with locals and constants named prefix + v<k>/d<k>/k<j>."""
+
+    def __init__(self, dual, checked=False, var="x", prefix=""):
         self.dual = dual
         self.checked = checked
+        self.var = var
+        self.prefix = prefix
         self.lines = []
         self.consts = []
 
     def const(self, value):
         self.consts.append(value)
-        return f"k{len(self.consts) - 1}"
+        return f"{self.prefix}k{len(self.consts) - 1}"
+
+    def bound(self):
+        """The names the lines need bound: helpers and constants."""
+        env = dict(_HELPERS)
+        if self.checked:
+            env.update(_CHECK_HELPERS)
+        env.update((f"{self.prefix}k{j}", c) for j, c in enumerate(self.consts))
+        return env
 
     def statement(self, line, failure, names):
         """Append line; in a checked function inside a try whose handler
@@ -584,13 +617,13 @@ class _Emitter:
         """Names holding node's value and derivative, after the lines that
         compute them."""
         if isinstance(node, Num):
-            return self.const(node.value), "0.0"
+            return self.const(_constant(node)), "0.0"
         if isinstance(node, Var):
-            return "x", "1.0"
+            return self.var, "1.0"
         if isinstance(node, Neg):
             rule, operands = "neg", (node.operand,)
         elif (not self.dual and isinstance(node, BinOp) and node.op == "^"
-              and isinstance(node.right, Num) and float(node.right.value).is_integer()):
+              and isinstance(node.right, Num) and _constant(node.right).is_integer()):
             # _pow's integer branch, without the call: v ** n with n an int.
             rule, operands = "ipow", (node.left,)
         elif isinstance(node, BinOp) and (node.op in _INFIX or node.op == "^"):
@@ -601,9 +634,9 @@ class _Emitter:
             raise TypeError(f"not an expression node: {node!r}")
         emitted = [self.emit(operand) for operand in operands]
         if rule == "ipow":
-            emitted.append((self.const(int(node.right.value)), "0.0"))
+            emitted.append((self.const(int(_constant(node.right))), "0.0"))
         k = len(self.lines)
-        v, d = f"v{k}", f"d{k}"
+        v, d = f"{self.prefix}v{k}", f"{self.prefix}d{k}"
         names = {"v": v, "d": d}
         for (val, der), (vk, dk) in zip(emitted, (("a", "da"), ("b", "db"))):
             names[vk], names[dk] = val, der
@@ -621,6 +654,25 @@ class _Emitter:
         return v, d
 
 
+# Function templates.  A line "@<name>" stands for the lines of the part
+# <name>, at the marker's indent, and {<name>} for the name holding its
+# result; {params} binds the names the lines need as default arguments.
+_POINT = """\
+def compiled(x{params}):
+    @value
+    return {value}
+"""
+_MANY = """\
+def compiled(xs{params}):
+    out = []
+    append = out.append
+    for x in xs:
+        @value
+        append({value})
+    return out
+"""
+
+
 def _compile(root, dual=False, many=False, checked=False):
     """Straight-line function x -> value of root (x -> derivative if dual).
 
@@ -632,19 +684,39 @@ def _compile(root, dual=False, many=False, checked=False):
     """
     em = _Emitter(dual, checked)
     value, deriv = em.emit(root)
-    env = dict(_HELPERS)
-    if checked:
-        env.update(_CHECK_HELPERS)
-    env.update((f"k{j}", c) for j, c in enumerate(em.consts))
-    params = "".join(f", {name}={name}" for name in env)
-    result = deriv if dual else value
-    if many:
-        body = "".join(f"        {line}\n" for line in em.lines)
-        source = (f"def compiled(xs{params}):\n    out = []\n    append = out.append\n"
-                  f"    for x in xs:\n{body}        append({result})\n    return out\n")
-    else:
-        body = "".join(f"    {line}\n" for line in em.lines)
-        source = f"def compiled(x{params}):\n{body}    return {result}\n"
-    env["__builtins__"] = {}
-    exec(source, env)
-    return env["compiled"]
+    return _define(_MANY if many else _POINT, {"value": (em, deriv if dual else value)})
+
+
+def compile_loop(template, parts, env):
+    """The function in template, where parts maps a name to (expression,
+    variable name): "@name" lines are the expression's value lines, with its
+    variable so named and its locals and constants prefixed by name, and
+    {name} the name holding its value.  env binds the template's own
+    helpers.  The loop of dynamics.orbit is compiled this way."""
+    emitted = {}
+    for name, (e, var) in parts.items():
+        em = _Emitter(False, var=var, prefix=name)
+        emitted[name] = em, em.emit(e.root)[0]
+    return _define(template, emitted, env)
+
+
+def _define(template, emitted, env=()):
+    """Run template, with emitted mapping each part's name to (emitter,
+    result name), and return the function `compiled` it defines: the one
+    place generated source is run, with no builtins."""
+    scope = {}
+    for em, _ in emitted.values():
+        scope.update(em.bound())
+    scope.update(env)
+    names = {name: result for name, (_, result) in emitted.items()}
+    names["params"] = "".join(f", {name}={name}" for name in scope)
+    lines = []
+    for line in template.splitlines():
+        indent, marker, name = line.partition("@")
+        if marker:
+            lines += [indent + code for code in emitted[name][0].lines]
+        else:
+            lines.append(line.format(**names))
+    scope["__builtins__"] = {}
+    exec("\n".join(lines) + "\n", scope)
+    return scope["compiled"]

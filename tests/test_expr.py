@@ -189,10 +189,30 @@ class TestEvaluate:
                     # The compiler may keep "... %r" % (v,) as its prefix alone.
                     assert not isinstance(const, str) or const in _CHECKED_MESSAGES \
                         or const + "%r" in _CHECKED_MESSAGES, const
+            # The orbit loop holds e as both f and phi, each in its own names.
+            s = dynamics.ReflexiveSystem(e, e, (0.5, 2.0), (0.5, 2.0))
+            code = dynamics._loop(s).__code__
+            assert code.co_names == ("append",) and code.co_varnames[:2] == ("x", "y"), src
+            for local in code.co_varnames:
+                assert re.fullmatch(r"(phi|f)[vk]\d+", local) or local in _COMPILER_HELPERS \
+                    or local in _LOOP_NAMES, local
+            assert {c for c in code.co_consts if isinstance(c, str)} <= _ORBIT_TAGS
 
     def test_built_tree_with_int_constants(self):
         e = expr.Expression(BinOp("^", Var("x"), Num(2)), "x")
         assert expr.evaluate(e, 3.0) == 9.0
+        # Constants are floats in the compiled code: float arithmetic throughout.
+        e = expr.Expression(BinOp("*", Num(2), Num(3)), None)
+        assert repr(expr.evaluate(e, 0.5)) == "6.0"
+
+    @pytest.mark.parametrize("value", ["abc", None, True, 10**400, 1j],
+                             ids=["str", "none", "bool", "huge-int", "complex"])
+    def test_non_float_constant_fails_when_built(self, value):
+        bad = Num(value)
+        for root in (bad, BinOp("+", Var("x"), bad), BinOp("^", Var("x"), bad)):
+            with pytest.raises(TypeError) as ei:
+                expr.Expression(root, "x")
+            assert str(ei.value) == f"not an expression node: {bad!r}"
 
     @pytest.mark.parametrize("bad", [1.5, BinOp("%", Var("x"), Num(2.0), 1),
                                      Call("sinh", Var("x"), 1)],
@@ -360,6 +380,9 @@ def _renamed(node, name):
 # The only names and strings a compiled function may hold.
 _COMPILER_HELPERS = {"sin", "cos", "tan", "exp", "log", "tanh", "sqrt", "abs", "copysign", "pow",
                      "dpow", "kink", "errors", "EvalDomainError", "NonDifferentiableError"}
+_LOOP_NAMES = {"x", "y", "n", "streak", "window", "xs", "ys", "append_x", "append_y", "_", "p",
+               "range", "max", "cutoff", "rtol"}
+_ORBIT_TAGS = {"divergence", "convergence", "step-budget"}
 _CHECKED_MESSAGES = {"division by zero", "zero raised to a negative power",
                      "log of non-positive value %r", "sqrt of negative value %r",
                      "sqrt not differentiable at 0", "abs not differentiable at 0"}

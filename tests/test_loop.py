@@ -1,0 +1,240 @@
+"""The compiled orbit loop against the per-step path it replaces.
+
+orbit runs its first step through step and the rest in the system's
+compiled loop; detect_period and detect_recurrence run the loop for a
+compose_gamma map.  The references here are the per-step orbit as it was
+before the loop, and the same analyses given a plain callable, which steps
+the map one value at a time.  Every state is compared by repr, so -0.0 and
+NaN are told apart; every error by type, message and step index.
+"""
+
+import gc
+import math
+import random
+
+import pytest
+
+from conftest import gen_source
+from reflexivity import analysis, dynamics, expr
+from reflexivity.dynamics import Orbit, OrbitNumericError, SystemState, orbit, step
+
+
+def per_step_orbit(s, x0, max_steps):
+    """orbit as a loop over step: the reference for the compiled loop."""
+    if max_steps < 1:
+        raise ValueError("max_steps must be >= 1")
+    try:
+        y0 = expr.evaluate(s.f, float(x0))
+    except expr.EvalDomainError as exc:
+        raise OrbitNumericError(str(exc), 0) from exc
+    states = [SystemState(float(x0), y0, 0)]
+    tag = "step-budget"
+    streak = 0
+    for _ in range(max_steps):
+        prev = states[-1]
+        try:
+            nxt = step(s, prev)
+        except expr.EvalDomainError as exc:
+            raise OrbitNumericError(str(exc), prev.index + 1) from exc
+        states.append(nxt)
+        if not math.isfinite(nxt.x) or abs(nxt.x) > dynamics.DIVERGENCE_CUTOFF:
+            tag = "divergence"
+            break
+        if abs(nxt.x - prev.x) < dynamics.CONVERGENCE_RTOL * max(1.0, abs(prev.x)):
+            streak += 1
+            if streak >= dynamics.CONVERGENCE_WINDOW:
+                tag = "convergence"
+                break
+        else:
+            streak = 0
+    return Orbit(tuple(states), tag)
+
+
+def reference_runs(xs):
+    """_monotone_runs as a scan that restarts at each run's end: the
+    reference for the single-pass scan."""
+    runs = []
+    i = 0
+    n = len(xs)
+    while i < n - 1:
+        d = xs[i + 1] - xs[i]
+        sign = 1 if d > 0 else (-1 if d < 0 else 0)
+        if sign == 0:
+            i += 1
+            continue
+        j = i + 1
+        while j < n - 1:
+            d = xs[j + 1] - xs[j]
+            s = 1 if d > 0 else (-1 if d < 0 else 0)
+            if s != sign:
+                break
+            j += 1
+        runs.append((sign, i, j))
+        i = j
+    return runs
+
+
+def outcome(run):
+    """repr of the result, or the error's type, message and step index."""
+    try:
+        return repr(run())
+    except (expr.ExpressionError, dynamics.DynamicsError, ArithmeticError, ValueError) as exc:
+        return (type(exc).__name__, str(exc), getattr(exc, "step", None))
+
+
+DOMAINS = ((-2.0, 2.0), (0.0, 1.0), (0.5, 800.0), (-1.0, 0.0))
+STARTS = (0.3, -0.7, 1.5, 0.0, 1e-200, 700.0, math.nan, math.inf, -math.inf)
+BUDGETS = (1, 2, 3, 40, 400)
+
+
+def random_systems(seed, count, wide):
+    """count validated systems with random f and phi trees."""
+    rng = random.Random(seed)
+    systems = []
+    while len(systems) < count:
+        domain = rng.choice(DOMAINS)
+        try:
+            systems.append(dynamics.ReflexiveSystem(
+                expr.parse(gen_source(rng, 4, wide)), expr.parse(gen_source(rng, 3, wide)),
+                domain, rng.choice(DOMAINS)))
+        except dynamics.DomainValidationError:
+            continue
+    return rng, systems
+
+
+class TestOrbitMatchesPerStep:
+    @pytest.mark.parametrize("wide", [False, True], ids=["narrow", "wide"])
+    def test_random_systems(self, wide):
+        rng, systems = random_systems(20261018 + wide, 150, wide)
+        seen = {}
+        for s in systems:
+            for x0 in rng.sample(STARTS, 3) + [rng.uniform(*s.x_domain)]:
+                n = rng.choice(BUDGETS)
+                want = outcome(lambda: per_step_orbit(s, x0, n))
+                assert outcome(lambda: orbit(s, x0, n)) == want, (s.f.source, s.phi.source, x0, n)
+                kind = want[0] if isinstance(want, tuple) else want.rsplit("'", 2)[-2]
+                seen[kind] = seen.get(kind, 0) + 1
+        # Every way an orbit ends shows up.
+        assert {"step-budget", "divergence", "convergence", "OrbitNumericError"} <= set(seen), seen
+
+    @pytest.mark.parametrize("f, phi, domain, x0, n", [
+        ("2*x", "y", (-1.0, 1.0), 1.0, 100000),  # diverges
+        ("cos(x)", "y", (-10.0, 10.0), 1.0, 500),  # converges
+        ("x", "y", (0.0, 1.0), 0.3, 100),  # converges at once
+        ("sqrt(x)", "y - 0.3", (0.0, 2.0), 1.0, 50),  # sqrt of a negative mid-orbit
+        ("x", "log(y)", (1.0, 3.0), 2.0, 50),  # log of a negative in phi
+        ("exp(x)", "y", (0.0, 1.0), 1.0, 50),  # overflow mid-orbit
+        ("x - 1", "4/y", (1.0, 2.0), 5.0, 50),  # division by zero mid-orbit
+        ("x*1e300", "y*1e300", (0.0, 1.0), 0.5, 50),  # inf: divergence, not an error
+        ("sin(x)", "y*1e300*1e300", (0.0, 1.0), 0.5, 50),  # sin(inf) after an inf step
+        ("log(x)", "y", (0.1, 10.0), 0.5, 10),  # fails in the first step
+        ("log(x)", "y", (0.1, 10.0), -1.0, 10),  # fails at x0
+        ("x", "y", (0.0, 1.0), math.nan, 10),
+        ("x", "y", (0.0, 1.0), math.inf, 1),
+        ("x/2", "y", (0.0, 1.0), 1e13, 5),  # x0 beyond the cutoff
+        ("x/2", "y", (0.0, 1.0), 0.5, 1),
+        # Near 1e11 the convergence test allows steps up to 1e-2, which about
+        # a third of these steps are: short streaks that must reset.
+        ("x + 0.02*sin(10000000*x)", "y", (0.0, 1.0), 1e11 + 0.5, 300),
+    ])
+    def test_hand_picked(self, f, phi, domain, x0, n):
+        y_domain = {"y": (-10.0, 10.0), "y*1e300*1e300": (0.0, 1e-300)}.get(phi, domain)
+        s = dynamics.make_system(f, phi, domain, y_domain)
+        assert outcome(lambda: orbit(s, x0, n)) == outcome(lambda: per_step_orbit(s, x0, n))
+
+    def test_int_constants(self):
+        # Built by hand with int constants, which the compiler makes floats:
+        # the loop hands phi's value to f as evaluate does, as a float.
+        f = expr.Expression(expr.BinOp("*", expr.Var("x"), expr.Num(3)), "x")
+        phi = expr.Expression(expr.BinOp("-", expr.Num(2), expr.Var("y")), "y")
+        s = dynamics.ReflexiveSystem(f, phi, (0.0, 1.0), (0.0, 3.0))
+        assert repr(orbit(s, 0.5, 20)) == repr(per_step_orbit(s, 0.5, 20))
+
+    def test_loop_runs_after_the_first_step(self, monkeypatch):
+        s = dynamics.make_system("3.9*x*(1-x)", "y", (0.0, 1.0), (0.0, 1.0))
+        calls = []
+        real = dynamics.step
+        monkeypatch.setattr(dynamics, "step", lambda *a: calls.append(a) or real(*a))
+        o = orbit(s, 0.3, 500)
+        assert len(o.states) == 501 and len(calls) == 1
+        assert s._loop is not None
+
+    def test_loop_is_kept_on_its_system(self):
+        # A loop cached by id() would be handed to a later system at the same
+        # address; kept on the system it dies with it.
+        for k in range(300):
+            r = 2.5 + k / 200
+            s = dynamics.make_system(f"{r!r}*x*(1-x)", "y", (0.0, 1.0), (0.0, 1.0))
+            assert repr(orbit(s, 0.3, 60)) == repr(per_step_orbit(s, 0.3, 60)), r
+            del s
+            if k % 50 == 0:
+                gc.collect()
+
+    def test_loop_is_compiled_on_first_use(self):
+        s = dynamics.make_system("cos(x)", "y", (-1.0, 1.0), (-1.0, 1.0))
+        assert s._loop is None
+        orbit(s, 1.0, 1)
+        assert s._loop is None  # one step needs no loop
+        orbit(s, 1.0, 5)
+        loop = s._loop
+        analysis.detect_period(dynamics.compose_gamma(s), 0.5)
+        assert s._loop is loop
+
+
+class TestPeriodMatchesPlainCallable:
+    """A compose_gamma map runs the compiled loop; a plain callable wrapping
+    the same map steps it, as every map did before the loop."""
+
+    @pytest.mark.parametrize("wide", [False, True], ids=["narrow", "wide"])
+    def test_random_systems(self, wide):
+        rng, systems = random_systems(20261019 + wide, 150, wide)
+        found = errors = 0
+        for s in systems:
+            gamma = dynamics.compose_gamma(s)
+            plain = lambda x: gamma(x)  # noqa: E731
+            for x0 in rng.sample(STARTS, 2) + [rng.uniform(*s.x_domain)]:
+                max_period, burn_in = rng.choice((1, 4, 32)), rng.choice((0, 3, 200))
+                want = outcome(lambda: analysis.detect_period(plain, x0, max_period, burn_in))
+                got = outcome(lambda: analysis.detect_period(gamma, x0, max_period, burn_in))
+                assert got == want, (s.f.source, s.phi.source, x0, max_period, burn_in)
+                found += want.startswith("PeriodReport") if isinstance(want, str) else 0
+                errors += isinstance(want, tuple)
+                radius, horizon = rng.choice((1e-9, 1e-3, 0.5)), rng.choice((2, 10, 300))
+                want = outcome(lambda: analysis.detect_recurrence(plain, x0, radius, horizon))
+                got = outcome(lambda: analysis.detect_recurrence(gamma, x0, radius, horizon))
+                assert got == want, (s.f.source, s.phi.source, x0, radius, horizon)
+        assert found > 20 and errors > 5, (found, errors)
+
+    def test_iterates_are_the_orbit_xs(self):
+        s = dynamics.make_system("3.7*x*(1-x)", "y + 0.01*sin(y)", (0.0, 1.0), (0.0, 1.0))
+        xs = dynamics.compose_gamma(s)._iterate(0.2, 300)
+        assert repr(xs) == repr(orbit(s, 0.2, 300).xs()[1:])
+
+    def test_recurrence_stops_before_a_later_error(self):
+        # The loop meets the error at step 3; the recurrence at step 2 comes
+        # first, as it does when the map is stepped.
+        s = dynamics.make_system("x", "y", (-1.0, 1.0), (-1.0, 1.0))
+        gamma = dynamics.compose_gamma(s)
+        assert analysis.detect_recurrence(gamma, 0.5, 0.1, 1000) == 2
+        s = dynamics.make_system("sqrt(x)", "y - 0.3", (0.0, 2.0), (-1.0, 2.0))
+        gamma = dynamics.compose_gamma(s)
+        plain = lambda x: gamma(x)  # noqa: E731
+        for radius in (0.3, 1e-9):
+            assert outcome(lambda: analysis.detect_recurrence(gamma, 1.0, radius, 50)) == \
+                outcome(lambda: analysis.detect_recurrence(plain, 1.0, radius, 50))
+
+
+class TestMonotoneRuns:
+    def test_random_lists(self):
+        rng = random.Random(9)
+        values = (0.0, 1.0, -1.0, math.nan, math.inf, -math.inf, 0.5)
+        for _ in range(2000):
+            xs = [rng.choice(values) if rng.random() < 0.5 else rng.uniform(-1.0, 1.0)
+                  for _ in range(rng.randrange(0, 30))]
+            assert analysis._monotone_runs(xs) == reference_runs(xs), xs
+
+    def test_orbits(self):
+        for f, x0 in (("3.9*x*(1-x)", 0.3), ("3.2*x*(1-x)", 0.4), ("2.6*x*(1-x)", 0.1),
+                      ("1 - abs(1 - 2*x)", 0.2), ("0.95*sin(3.14159*x)", 0.7)):
+            xs = orbit(dynamics.make_system(f, "y", (0.0, 1.0), (0.0, 1.0)), x0, 3000).xs()
+            assert analysis._monotone_runs(xs) == reference_runs(xs), f
