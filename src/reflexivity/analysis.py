@@ -6,6 +6,8 @@ boom-then-bust detection, and sampled conjugacy verification.
 from __future__ import annotations
 
 import math
+from itertools import compress, filterfalse
+from operator import gt, lt, sub
 
 from . import dynamics as _dyn
 from . import expr as _expr
@@ -72,15 +74,16 @@ class ConjugacyReport:
 
 
 def _grid_values(f, xs):
-    """Iterator over f(x) for the floats xs, f an Expression or a callable.
+    """f(x) for the floats xs, f an Expression or a callable.
 
-    An Expression runs as one evaluate_many pass.  If a point fails there,
-    or f is a plain callable, each value is computed as the iterator reaches
-    it, so a caller's check that fails at an earlier point still comes first.
+    An Expression runs as one evaluate_many pass, which gives the list.  If
+    a point fails there, or f is a plain callable, it gives an iterator that
+    computes each value as it reaches it, so a caller's check that fails at
+    an earlier point still comes first.
     """
     if isinstance(f, _expr.Expression):
         try:
-            return iter(_expr.evaluate_many(f, xs))
+            return _expr.evaluate_many(f, xs)
         except _expr.EvalDomainError:
             return (_expr.evaluate(f, x) for x in xs)
     return map(f, xs)
@@ -88,12 +91,24 @@ def _grid_values(f, xs):
 
 def _monotone_direction(f, lo, hi):
     """Sign of MONOTONE_DIFFS consecutive differences of f (an Expression or
-    a plain callable); raises on disagreement."""
+    a plain callable); raises on disagreement.
+
+    When the values come as one list, comparing neighbours decides it: a
+    difference v - u is positive exactly when u < v, and negative exactly
+    when u > v.  Otherwise, or when neither holds, the loop over the
+    differences runs and raises at the first disagreement."""
     fn, _ = _evaluator(f)
     prev_x, prev_v = lo, fn(lo)
     xs = _dyn._grid(lo, hi, MONOTONE_DIFFS + 1)[1:]
+    vs = _grid_values(f, xs)
+    if isinstance(vs, list):
+        us = [prev_v, *vs]
+        if all(map(lt, us, vs)):
+            return "increasing"
+        if all(map(gt, us, vs)):
+            return "decreasing"
     direction = 0
-    for x, v in zip(xs, _grid_values(f, xs)):
+    for x, v in zip(xs, vs):
         d = v - prev_v
         sign = 1 if d > 0 else (-1 if d < 0 else 0)
         if sign == 0 or (direction and sign != direction):
@@ -153,26 +168,47 @@ def function_distance(s, samples=DEFAULT_SAMPLES):
     declared y_domain; a finite grid, so the result is a lower bound on the
     true supremum.  Each inversion starts from the previous grid point's.
     A y inside a jump of f counts with the x where f jumps, and the number
-    of such samples is logged.
+    of such samples is logged.  A sample whose distance is NaN counts for
+    nothing, and the number of those is logged too; if every sample's is,
+    d is NaN and argmax_y the lowest y.
+
+    s's compiled sweep (_SWEEP) does the work; where it hands a sample back
+    (see _sweep), the per-sample loop over _invert runs the whole grid
+    again, with the same arithmetic, and its statuses, warnings and errors.
     """
     if samples < 2:
         raise ValueError("samples must be >= 2")
     lo, hi = s.x_domain
-    fn, dfn = _evaluator(s.f)
     direction = _monotone_direction(s.f, lo, hi)
-    flo, fhi = fn(lo), fn(hi)
+    flo, fhi = _expr.evaluate(s.f, lo), _expr.evaluate(s.f, hi)
     f_min, f_max = min(flo, fhi), max(flo, fhi)
     y_lo = max(f_min, s.y_domain[0])
     y_hi = min(f_max, s.y_domain[1])
     if not (y_lo < y_hi):
         raise OutOfRangeError("image of f does not overlap y_domain")
-    # The top grid point can round one ulp past f's attained range.
-    ys = [min(max(y, f_min), f_max) for y in _dyn._grid(y_lo, y_hi, samples)]
-    phis = _grid_values(s.phi, ys)
+    grid = _dyn._grid(y_lo, y_hi, samples)
+    swept = _sweep(s, grid, lo, hi, flo, fhi, y_lo)
+    if swept is None:
+        # The top grid point can round one ulp past f's attained range.
+        ys = [min(max(y, f_min), f_max) for y in grid]
+        swept = _sweep_by_sample(s, ys, lo, hi, flo, fhi, y_lo)
+    best, argmax, nans = swept
+    if nans:
+        log.warning("function_distance: %d of %d samples have no finite distance",
+                    nans, samples)
+        if nans == samples:
+            best = math.nan
+    return DistanceReport(best, argmax, samples, direction)
+
+
+def _sweep_by_sample(s, ys, lo, hi, flo, fhi, argmax):
+    """(largest distance, its y, NaN distances) by _invert at each y, from
+    argmax and the start value -1.0."""
+    fn, dfn = _evaluator(s.f)
+    phis = iter(_grid_values(s.phi, ys))
     best = -1.0
-    argmax = y_lo
     inv = None
-    jumps = 0
+    jumps = nans = 0
     for y in ys:
         inv, status = _invert(fn, dfn, lo, hi, flo, fhi, y, INVERT_RTOL, inv)
         jumps += status == "discontinuity"
@@ -180,10 +216,105 @@ def function_distance(s, samples=DEFAULT_SAMPLES):
         if diff > best:
             best = diff
             argmax = y
+        elif diff != diff:
+            nans += 1
     if jumps:
         log.warning("function_distance: %d of %d samples lie in a jump of f; "
-                    "each is inverted to where f jumps", jumps, samples)
-    return DistanceReport(best, argmax, samples, direction)
+                    "each is inverted to where f jumps", jumps, len(ys))
+    return best, argmax, nans
+
+
+# function_distance's sweep: _sweep_by_sample and the clamp of its grid in
+# one function, with _invert's range check and tolerance and bracket_solve's
+# step rule inlined, and f's value and derivative from one pass of its dual
+# lines.  It returns None, and the caller runs the per-sample loop, which
+# reports what it meets, where bracket_solve would end other than by
+# |g| < tol (the bracket down to two adjacent floats, where it tells a steep
+# root from a jump, or the iteration cap) and where a grid point is NaN or
+# below f_min.  Comparisons stand in for calls with the same result:
+# -t < g < t for abs(g) < t, a conditional for max(1.0, abs(y)), and
+# 0.0 - d for abs(d) when d is not > 0 (-0.0 included).
+_SWEEP = """\
+def compiled(ys, lo, hi, flo, fhi, argmax{params}):
+    f_min = min(flo, fhi)
+    f_max = max(flo, fhi)
+    best = -1.0
+    nans = 0
+    inv = None
+    for y in ys:
+        if f_max < y:
+            y = f_max
+        elif not f_min <= y:
+            return None
+        tol = nextafter(rtol * (y if y > 1.0 else -y if y < -1.0 else 1.0), inf)
+        ntol = -tol
+        ga = flo - y
+        if ntol < ga < tol:
+            inv = lo
+        elif ntol < fhi - y < tol:
+            inv = hi
+        else:
+            a = lo
+            b = hi
+            x = inv if inv is not None and a < inv < b else 0.5 * (a + b)
+            step = step_old = b - a
+            for _ in range(cap):
+                @f
+                v, slope = {f}
+                gx = v - y
+                if ntol < gx < tol:
+                    break
+                if (gx > 0) == (ga > 0):
+                    a = x
+                    ga = gx
+                else:
+                    b = x
+                mid = 0.5 * (a + b)
+                if not a < mid < b:
+                    return None
+                nxt = mid
+                if slope != 0.0:
+                    newton = x - gx / slope
+                    if a < newton < b and -step_old <= 2.0 * (newton - x) <= step_old:
+                        nxt = newton
+                step_old = step
+                step = nxt - x if nxt >= x else x - nxt
+                x = nxt
+            else:
+                return None
+            inv = x
+        @phi
+        diff = {phi} - inv
+        if not diff > 0.0:
+            diff = 0.0 - diff
+        if diff > best:
+            best = diff
+            argmax = y
+        elif diff != diff:
+            nans += 1
+    return best, argmax, nans
+"""
+
+
+def _sweep(s, ys, lo, hi, flo, fhi, argmax):
+    """_sweep_by_sample's result from s's compiled sweep, or None where the
+    sweep hands a sample back or one of its lines fails."""
+    try:
+        return _kernel(s)(ys, lo, hi, flo, fhi, argmax)
+    except (ArithmeticError, ValueError):
+        return None
+
+
+def _kernel(s):
+    """s's compiled sweep (_SWEEP), compiled on first use and kept on s."""
+    fn = s._sweep
+    if fn is None:
+        fn = _expr.compile_loop(_SWEEP, {"f": (s.f, "x"), "phi": (s.phi, "y")}, {
+            "min": min, "max": max, "range": range, "nextafter": math.nextafter,
+            "inf": math.inf, "rtol": INVERT_RTOL, "cap": _dyn.SOLVE_MAX_ITER},
+            dual=("f",))
+        object.__setattr__(s, "_sweep", fn)
+    return fn
 
 
 def _diverged(x):
@@ -311,22 +442,19 @@ def verify_conjugacy(f, g, h, interval, samples=DEFAULT_SAMPLES,
 
     xs = _dyn._grid(lo, hi, samples)
     try:
-        sides = zip(_expr.evaluate_many(h, _expr.evaluate_many(f, xs)),
-                    _expr.evaluate_many(g, _expr.evaluate_many(h, xs)))
+        hf = _expr.evaluate_many(h, _expr.evaluate_many(f, xs))
+        gh = _expr.evaluate_many(g, _expr.evaluate_many(h, xs))
     except _expr.EvalDomainError:
         # Point by point, so the error is the one the first failing x meets.
-        sides = ((h_fn(f_fn(x)), g_fn(h_fn(x))) for x in xs)
-    max_residual = math.nan  # until a residual is not NaN
-    argmax = lo
-    nan_x = None  # the first x with a NaN residual
-    for x, (hf, gh) in zip(xs, sides):
-        r = abs(hf - gh)
-        if not r <= max_residual:  # also true for NaN
-            if r == r:
-                max_residual = r
-                argmax = x
-            elif nan_x is None:
-                nan_x = x
+        hf, gh = [], []
+        for x in xs:
+            hf.append(h_fn(f_fn(x)))
+            gh.append(g_fn(h_fn(x)))
+    rs = list(map(abs, map(sub, hf, gh)))
+    # max keeps the first of equal values, so index finds where it is.
+    max_residual = max(filterfalse(math.isnan, rs), default=math.nan)
+    argmax = lo if math.isnan(max_residual) else xs[rs.index(max_residual)]
+    nan_x = next(compress(xs, map(math.isnan, rs)), None)  # the first NaN x
     violation_x = argmax if max_residual > tol else nan_x
     verdict = "consistent" if violation_x is None else "violated"
 

@@ -5,6 +5,8 @@ composite maps, fixed-point location, and stability classification.
 from __future__ import annotations
 
 import math
+from itertools import compress, repeat
+from operator import gt, mul, sub
 
 from . import expr as _expr
 
@@ -43,7 +45,8 @@ class PreconditionError(DynamicsError):
 
 def _grid(lo, hi, n):
     """n evenly spaced points from lo to hi, both included."""
-    return [lo + (hi - lo) * k / (n - 1) for k in range(n)]
+    w, m = hi - lo, n - 1
+    return [lo + w * k / m for k in range(n)]
 
 
 @_expr.record
@@ -60,8 +63,10 @@ class ReflexiveSystem:
     x_domain: tuple
     y_domain: tuple
     # The compiled loop of orbit and of gamma's iterates, compiled on first
-    # use (see _loop).
+    # use (see _loop), and analysis.function_distance's compiled sweep, on
+    # its first call (see analysis._kernel).
     _loop: object = _expr.field(init=False, compare=False, repr=False, default=None)
+    _sweep: object = _expr.field(init=False, compare=False, repr=False, default=None)
 
     def __post_init__(self):
         for name, (lo, hi) in (("x_domain", self.x_domain), ("y_domain", self.y_domain)):
@@ -373,15 +378,16 @@ def find_map_fixed_points(fn, lo, hi, grid_n=DEFAULT_GRID, tol=ROOT_TOL):
     xs = _grid(lo, hi, grid_n)
     skipped = 0
     try:
-        vals = [(x, v - x) for x, v in zip(xs, fn.many(xs))]
+        gs = list(map(sub, fn.many(xs), xs))
     except _expr.EvalDomainError:
-        # Some point fails: go point by point and skip the failures.
-        vals = []
+        # Some point fails: go point by point.  A skipped point is NaN,
+        # which is neither a root nor the end of a bracket.
+        gs = []
         for x in xs:
             try:
-                vals.append((x, fn(x) - x))
+                gs.append(fn(x) - x)
             except _expr.EvalDomainError:
-                vals.append(None)
+                gs.append(math.nan)
                 skipped += 1
     if skipped == grid_n:
         raise DomainValidationError("map invalid over the entire domain")
@@ -390,19 +396,14 @@ def find_map_fixed_points(fn, lo, hi, grid_n=DEFAULT_GRID, tol=ROOT_TOL):
 
     g = lambda x: fn(x) - x
     dg = lambda x: fn.derivative(x) - 1.0
-    roots = []
+    roots = list(compress(xs, map(gt, repeat(tol), map(abs, gs))))
     jumps = 0
-    for entry in vals:
-        if entry is not None and abs(entry[1]) < tol:
-            roots.append(entry[0])
-    for a, b in zip(vals, vals[1:]):
-        if a is None or b is None:
-            continue
-        (xa, ga), (xb, gb) = a, b
-        if abs(ga) < tol or abs(gb) < tol or not ga * gb < 0:
+    for i in compress(range(grid_n - 1), map((0.0).__gt__, map(mul, gs, gs[1:]))):
+        ga, gb = gs[i], gs[i + 1]
+        if abs(ga) < tol or abs(gb) < tol:
             continue
         try:
-            x, status, _ = bracket_solve(g, xa, xb, ga, gb, tol, dg=dg)
+            x, status, _ = bracket_solve(g, xs[i], xs[i + 1], ga, gb, tol, dg=dg)
         except _expr.EvalDomainError:
             skipped += 1
             continue

@@ -8,9 +8,10 @@ Expression is built; values over a grid from the same lines run in one
 loop, and derivatives from a straight-line value-plus-derivative function,
 both compiled on first use.  After a failure, a checked variant of the
 failing function runs the same lines again, each in a try, and reports the
-error with its message and node offset.  compile_loop puts the value lines
-of several expressions into one function from a template: the orbit loop
-of the dynamics layer.
+error with its message and node offset.  compile_loop puts the lines of
+several expressions, values only or values with derivatives, into one
+function from a template: the orbit loop of the dynamics layer and the
+inversion sweep of the analysis layer.
 
 The module also holds the two helpers every layer uses: `record`, which
 makes the frozen result classes, and `LazyLogger`.
@@ -471,9 +472,9 @@ def _checked(e, dual):
 #
 # compile_loop adds the names of its template, which come from the calling
 # layer's source, and names each expression's variable as the template asks
-# and its locals and constants with the part's name as prefix (phiv3, fk0),
-# so that the lines of several expressions share one function.  _define is
-# the one place any generated source is run.
+# and its locals and constants with the part's name as prefix (phiv3, fd2,
+# fk0), so that the lines of several expressions share one function.
+# _define is the one place any generated source is run.
 
 def _dual_pow(v, dv, e, de):
     """(value, derivative) of (v + dv*eps) ** (e + de*eps)."""
@@ -687,16 +688,20 @@ def _compile(root, dual=False, many=False, checked=False):
     return _define(_MANY if many else _POINT, {"value": (em, deriv if dual else value)})
 
 
-def compile_loop(template, parts, env):
+def compile_loop(template, parts, env, dual=()):
     """The function in template, where parts maps a name to (expression,
     variable name): "@name" lines are the expression's value lines, with its
     variable so named and its locals and constants prefixed by name, and
-    {name} the name holding its value.  env binds the template's own
-    helpers.  The loop of dynamics.orbit is compiled this way."""
+    {name} the name holding its value.  A part named in dual gets its value
+    and derivative lines instead, and {name} is "value, derivative", the
+    two names holding them.  env binds the template's own helpers.  The
+    loop of dynamics.orbit and the sweep of analysis.function_distance are
+    compiled this way."""
     emitted = {}
     for name, (e, var) in parts.items():
-        em = _Emitter(False, var=var, prefix=name)
-        emitted[name] = em, em.emit(e.root)[0]
+        em = _Emitter(name in dual, var=var, prefix=name)
+        value, deriv = em.emit(e.root)
+        emitted[name] = em, f"{value}, {deriv}" if em.dual else value
     return _define(template, emitted, env)
 
 

@@ -114,7 +114,10 @@ class TestFunctionDistance:
     def test_case1_evaluations_per_sample(self, monkeypatch):
         # Machine-independent cost guard: warm-started Newton steps, and
         # f(lo), f(hi) evaluated once, not once per sample.  Points f gets
-        # through evaluate_many (the monotone check) count too.
+        # through evaluate_many (the monotone check) count too.  The compiled
+        # sweep evaluates f without evaluate, so the per-sample loop it falls
+        # back to is forced here.
+        monkeypatch.setattr(analysis, "_sweep", lambda *args: None)
         sc = cli.load_scenario("case1")
         s = make_system(sc["f"], sc["phi"], sc["x_domain"], sc["y_domain"])
         calls = [0]

@@ -197,6 +197,13 @@ class TestEvaluate:
                 assert re.fullmatch(r"(phi|f)[vk]\d+", local) or local in _COMPILER_HELPERS \
                     or local in _LOOP_NAMES, local
             assert {c for c in code.co_consts if isinstance(c, str)} <= _ORBIT_TAGS
+            # So does the distance sweep, f's lines in dual mode.
+            code = analysis._kernel(s).__code__
+            assert code.co_names == () and code.co_varnames[0] == "ys", src
+            for local in code.co_varnames:
+                assert re.fullmatch(r"f[vdk]\d+|phi[vk]\d+", local) \
+                    or local in _COMPILER_HELPERS or local in _SWEEP_NAMES, local
+            assert not any(isinstance(c, str) for c in code.co_consts), src
 
     def test_built_tree_with_int_constants(self):
         e = expr.Expression(BinOp("^", Var("x"), Num(2)), "x")
@@ -383,6 +390,10 @@ _COMPILER_HELPERS = {"sin", "cos", "tan", "exp", "log", "tanh", "sqrt", "abs", "
 _LOOP_NAMES = {"x", "y", "n", "streak", "window", "xs", "ys", "append_x", "append_y", "_", "p",
                "range", "max", "cutoff", "rtol"}
 _ORBIT_TAGS = {"divergence", "convergence", "step-budget"}
+_SWEEP_NAMES = {"ys", "lo", "hi", "flo", "fhi", "argmax", "f_min", "f_max", "best", "nans", "inv",
+                "y", "tol", "ntol", "ga", "a", "b", "x", "step", "step_old", "_", "v", "slope",
+                "gx", "mid", "nxt", "newton", "diff", "min", "max", "range", "nextafter", "inf",
+                "rtol", "cap"}
 _CHECKED_MESSAGES = {"division by zero", "zero raised to a negative power",
                      "log of non-positive value %r", "sqrt of negative value %r",
                      "sqrt not differentiable at 0", "abs not differentiable at 0"}

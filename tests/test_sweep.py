@@ -1,0 +1,400 @@
+"""The compiled distance sweep and the grid scans against the loops they
+replace.
+
+function_distance runs its grid through the system's compiled sweep and
+falls back to the per-sample loop over _invert where the sweep hands a
+sample back; forcing the loop (by making _sweep return None) gives the
+reference.  find_map_fixed_points, verify_conjugacy and _monotone_direction
+scan their grids with map/compress/max; the loops they replaced are kept
+here as references.  Reports are compared by repr, so -0.0 and NaN are told
+apart, warnings by message, and errors by type and message.
+"""
+
+import gc
+import logging
+import math
+import random
+
+import pytest
+
+from reflexivity import analysis, dynamics, expr
+from reflexivity.analysis import function_distance
+from reflexivity.dynamics import make_system
+
+
+def outcome(run):
+    """repr of the result, or the error's type and message."""
+    try:
+        return repr(run())
+    except Exception as exc:  # noqa: BLE001 - every error is compared
+        return type(exc).__name__, str(exc)
+
+
+def swept(caplog, monkeypatch, s, samples, force_loop):
+    """function_distance's outcome and warnings, with the sweep or with the
+    per-sample loop forced, and whether the loop ran."""
+    ran = []
+    loop = analysis._sweep_by_sample
+    with monkeypatch.context() as m:
+        m.setattr(analysis, "_sweep_by_sample", lambda *a: ran.append(1) or loop(*a))
+        if force_loop:
+            m.setattr(analysis, "_sweep", lambda *a: None)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
+            got = outcome(lambda: function_distance(s, samples))
+    return got, [r.getMessage() for r in caplog.records], bool(ran)
+
+
+def same_as_loop(caplog, monkeypatch, s, samples):
+    """Assert the sweep and the loop agree; return (outcome, messages, loop
+    ran under the sweep)."""
+    got, said, fell_back = swept(caplog, monkeypatch, s, samples, False)
+    want, want_said, _ = swept(caplog, monkeypatch, s, samples, True)
+    assert (got, said) == (want, want_said), (s.f.source, s.phi.source, samples)
+    return got, said, fell_back
+
+
+class TestSweepMatchesLoop:
+    @pytest.mark.parametrize("f, phi, x_domain, y_domain, samples", [
+        ("2*x + 1", "(y - 1)/2", (0.0, 1.0), (1.0, 3.0), 4096),
+        ("x + 0.3*sin(3*x)", "y - 0.2", (-2.0, 2.0), (-5.0, 5.0), 1000),
+        ("-x^3 - x", "-y/2", (-1.5, 1.5), (-5.0, 5.0), 777),
+        ("exp(8*x)", "log(y)/8 + 0.01", (-1.0, 1.0), (1e-4, 3000.0), 2048),
+        ("1e6*x + 1e-3*x^3", "y*1e-6", (-3.0, 3.0), (-4e6, 4e6), 513),
+        ("tanh(40*x) + 1e-3*x", "y/40", (-1.0, 1.0), (-2.0, 2.0), 1500),
+        ("1e-9*x", "1e9*y", (0.0, 1.0), (-1.0, 1.0), 300),
+        ("x^3", "y", (-1.0, 1.0), (-1.0, 1.0), 2),
+        ("x", "-(0 - y)", (0.0, 1.0), (0.0, 1.0), 9),  # phi(0) - 0.0 is -0.0; d is 0.0
+    ], ids=["affine", "increasing", "decreasing", "steep-exp", "steep-wide", "steep-tanh",
+            "flat", "two-samples", "signed-zero"])
+    def test_smooth(self, caplog, monkeypatch, f, phi, x_domain, y_domain, samples):
+        s = make_system(f, phi, x_domain, y_domain)
+        got, said, fell_back = same_as_loop(caplog, monkeypatch, s, samples)
+        assert got.startswith("DistanceReport") and not said and not fell_back
+
+    def test_jump_is_handed_to_the_loop(self, caplog, monkeypatch):
+        s = make_system("x + 0.1*tanh(1e300*(x-0.3))", "y", (0.0, 1.0), (-1.0, 2.0))
+        got, said, fell_back = same_as_loop(caplog, monkeypatch, s, 1201)
+        assert fell_back and "lie in a jump of f" in said[0], got
+
+    def test_top_grid_point_rounding_past_range(self, caplog, monkeypatch):
+        s = make_system("1.2754*x + 1.4597", "(y - 1.4597)/1.2754",
+                        (-3.303485, 0.367968), (-4.0, 3.0))
+        f_max = expr.evaluate(s.f, 0.367968)
+        assert dynamics._grid(expr.evaluate(s.f, -3.303485), f_max, 256)[-1] > f_max
+        got, _, fell_back = same_as_loop(caplog, monkeypatch, s, 256)
+        assert got.startswith("DistanceReport") and not fell_back
+
+    def test_iteration_cap_is_handed_to_the_loop(self, caplog, monkeypatch):
+        # A sweep compiled under the lowered cap stops where bracket_solve does.
+        monkeypatch.setattr(dynamics, "SOLVE_MAX_ITER", 2)
+        s = make_system("x^3 + x", "y", (0.0, 1.0), (0.0, 2.0))
+        got, said, fell_back = same_as_loop(caplog, monkeypatch, s, 50)
+        assert fell_back and said and all("no convergence in 2 iterations" in m for m in said)
+
+    def test_y_out_of_range(self, caplog, monkeypatch):
+        # f's image is 3e308 wide: the grid's width overflows and its first y
+        # is NaN, which the range check of _invert rejects.
+        s = make_system("1e308*x", "1", (-1.5, 1.5), (-1.7e308, 1.7e308))
+        got, _, fell_back = same_as_loop(caplog, monkeypatch, s, 16)
+        assert fell_back and got[0] == "OutOfRangeError" and "y=nan" in got[1]
+
+    # 0.5*(0.03 + 0.62) = 0.325 is the first point the second sample's solve
+    # tries, and lies on neither validation grid.
+    @pytest.mark.parametrize("f, phi, y_domain, samples, error", [
+        ("x + 0*log(abs(x - 0.325))", "y", (0.0, 3.0), 64, "log of non-positive value 0.0"),
+        ("x + 0/(x - 0.325)", "y", (0.0, 3.0), 64, "division by zero"),
+        ("x", "y + 0*log(abs(y - 0.5))", (0.0, 1.0), 1025, "log of non-positive value 0.0"),
+        ("x", "y + 0*sqrt(abs(y - 0.5) - 1e-300)", (0.0, 1.0), 1025, "sqrt of negative value"),
+    ], ids=["log-in-f", "division-in-f", "log-in-phi", "sqrt-in-phi"])
+    def test_failure_mid_sweep(self, caplog, monkeypatch, f, phi, y_domain, samples, error):
+        x_domain = (0.03, 0.62) if phi == "y" else (0.0, 1.0)
+        s = make_system(f, phi, x_domain, y_domain)
+        got, _, _ = same_as_loop(caplog, monkeypatch, s, samples)
+        assert got[0] == "EvalDomainError" and got[1].startswith(error), got
+
+    def test_derivative_failure_is_handed_to_the_loop(self, caplog, monkeypatch):
+        # abs has no derivative at 0.325, where the value is fine: the loop
+        # bisects there instead of taking a Newton step.
+        s = make_system("x + 0.1*abs(x - 0.325)", "y", (0.03, 0.62), (0.0, 3.0))
+        got, said, fell_back = same_as_loop(caplog, monkeypatch, s, 64)
+        assert fell_back and got.startswith("DistanceReport") and not said
+
+    def test_random_monotone_pairs(self, caplog, monkeypatch):
+        rng = random.Random(20261018)
+        handed_back = 0
+        for _ in range(120):
+            a = rng.choice((-1, 1)) * rng.uniform(0.05, 20.0)
+            eps = rng.uniform(-0.9, 0.9) * abs(a)
+            b, delta = rng.uniform(-5.0, 5.0), rng.uniform(-0.5, 0.5)
+            lo = rng.uniform(-10.0, 10.0)
+            hi = lo + rng.uniform(1e-3, 15.0)
+            s = make_system(f"{a!r}*x + {b!r} + {eps!r}*sin(x)",
+                            f"(y - {b!r})/{a!r} + {delta!r}*cos(y)",
+                            (lo, hi), (-1e3, 1e3))
+            got, _, fell_back = same_as_loop(caplog, monkeypatch, s,
+                                             rng.choice((2, 3, 97, 1000, 4096)))
+            assert got.startswith("DistanceReport"), got
+            handed_back += fell_back
+        assert handed_back <= 2
+
+
+class TestNanDistance:
+    def test_nan_sample_is_counted_and_logged(self, caplog, monkeypatch):
+        # phi is NaN only at y = 0.5, which the 1025-point grid holds and
+        # the 1024-point validation grid does not.
+        s = make_system("x", "y + 0.1*tanh((y - 0.5)*(1e300*1e300))", (0, 1), (0, 1))
+        got, said, fell_back = same_as_loop(caplog, monkeypatch, s, 1025)
+        rep = function_distance(s, 1025)
+        assert not fell_back and rep.d == pytest.approx(0.1) and got == repr(rep)
+        assert said == ["function_distance: 1 of 1025 samples have no finite distance"]
+
+    def test_no_finite_sample_gives_nan(self, caplog, monkeypatch):
+        s = make_system("x", "y + tanh(y*(1e300*1e300)) - tanh((y - 1)*(1e300*1e300))",
+                        (0, 1), (-0.3, 1.7))
+        got, said, _ = same_as_loop(caplog, monkeypatch, s, 2)
+        assert got == ("DistanceReport(d=nan, argmax_y=0.0, samples=2, "
+                       "monotone_direction='increasing')")
+        assert said == ["function_distance: 2 of 2 samples have no finite distance"]
+
+    def test_finite_samples_log_nothing(self, caplog):
+        s = make_system("2*x", "y/2 + 0.01", (0, 1), (0, 2))
+        with caplog.at_level(logging.WARNING):
+            function_distance(s, 300)
+        assert not caplog.records
+
+
+class TestSweepCache:
+    def test_compiled_once_on_first_call(self, monkeypatch):
+        s = make_system("x + 0.2*sin(x)", "y", (0.0, 2.0), (0.0, 3.0))
+        assert s._sweep is None
+        compiled = []
+        real = expr.compile_loop
+        monkeypatch.setattr(expr, "compile_loop", lambda *a, **k: compiled.append(1) or real(*a, **k))
+        first = function_distance(s, 500)
+        kernel = s._sweep
+        assert kernel is not None and compiled == [1]
+        assert function_distance(s, 500) == first and function_distance(s, 37).samples == 37
+        assert s._sweep is kernel and compiled == [1]
+
+    def test_sweep_is_kept_on_its_system(self, caplog, monkeypatch):
+        # A sweep cached by id() would be handed to a later system at the
+        # same address; kept on the system it dies with it.
+        for k in range(200):
+            c = 1.0 + k / 100
+            s = make_system(f"{c!r}*x + 0.1*sin(x)", "y", (0.0, 1.0), (-1.0, 4.0))
+            got, _, fell_back = same_as_loop(caplog, monkeypatch, s, 64)
+            assert got.startswith("DistanceReport") and not fell_back, c
+            del s
+            if k % 50 == 0:
+                gc.collect()
+
+
+# ---------------------------------------------------------------------------
+# The grid scans
+
+def reference_fixed_points(fn, lo, hi, grid_n=dynamics.DEFAULT_GRID, tol=dynamics.ROOT_TOL):
+    """find_map_fixed_points with its loops over (x, g) pairs: the reference
+    for the scan."""
+    if grid_n < 2:
+        raise ValueError("grid_n must be >= 2")
+    xs = dynamics._grid(lo, hi, grid_n)
+    skipped = 0
+    try:
+        vals = [(x, v - x) for x, v in zip(xs, fn.many(xs))]
+    except expr.EvalDomainError:
+        vals = []
+        for x in xs:
+            try:
+                vals.append((x, fn(x) - x))
+            except expr.EvalDomainError:
+                vals.append(None)
+                skipped += 1
+    if skipped == grid_n:
+        raise dynamics.DomainValidationError("map invalid over the entire domain")
+    if skipped:
+        dynamics.log.warning("fixed-point grid: skipped %d of %d points", skipped, grid_n)
+    g = lambda x: fn(x) - x  # noqa: E731
+    dg = lambda x: fn.derivative(x) - 1.0  # noqa: E731
+    roots = []
+    jumps = 0
+    for entry in vals:
+        if entry is not None and abs(entry[1]) < tol:
+            roots.append(entry[0])
+    for a, b in zip(vals, vals[1:]):
+        if a is None or b is None:
+            continue
+        (xa, ga), (xb, gb) = a, b
+        if abs(ga) < tol or abs(gb) < tol or not ga * gb < 0:
+            continue
+        try:
+            x, status, _ = dynamics.bracket_solve(g, xa, xb, ga, gb, tol, dg=dg)
+        except expr.EvalDomainError:
+            skipped += 1
+            continue
+        if status == "discontinuity":
+            jumps += 1
+        else:
+            roots.append(x)
+    if jumps:
+        dynamics.log.warning("fixed-point search: dropped %d sign changes that are jumps, "
+                             "not roots", jumps)
+    roots.sort()
+    merged = []
+    radius = dynamics.DEDUP_RADIUS_FACTOR * (hi - lo)
+    for r in roots:
+        if not merged or r - merged[-1] > radius:
+            merged.append(r)
+    return merged, skipped
+
+
+def reference_residuals(f, g, h, interval, samples=analysis.DEFAULT_SAMPLES,
+                        tol=analysis.CONJUGACY_TOL, fp_tol=analysis.CONJUGACY_FP_TOL):
+    """verify_conjugacy with its loop over the residuals: the reference for
+    the scan."""
+    lo, hi = interval
+    h_fn = lambda x: expr.evaluate(h, x)  # noqa: E731
+    f_fn = lambda x: expr.evaluate(f, x)  # noqa: E731
+    g_fn = lambda x: expr.evaluate(g, x)  # noqa: E731
+    analysis._monotone_direction(h, lo, hi)
+    xs = dynamics._grid(lo, hi, samples)
+    try:
+        sides = zip(expr.evaluate_many(h, expr.evaluate_many(f, xs)),
+                    expr.evaluate_many(g, expr.evaluate_many(h, xs)))
+    except expr.EvalDomainError:
+        sides = ((h_fn(f_fn(x)), g_fn(h_fn(x))) for x in xs)
+    max_residual = math.nan
+    argmax = lo
+    nan_x = None
+    for x, (hf, gh) in zip(xs, sides):
+        r = abs(hf - gh)
+        if not r <= max_residual:
+            if r == r:
+                max_residual = r
+                argmax = x
+            elif nan_x is None:
+                nan_x = x
+    violation_x = argmax if max_residual > tol else nan_x
+    verdict = "consistent" if violation_x is None else "violated"
+    f_map = dynamics.ScalarMap(f_fn, lambda x: expr.derivative(f, x),
+                               lambda xs: expr.evaluate_many(f, xs))
+    fixed_points, _ = dynamics.find_map_fixed_points(f_map, lo, hi, grid_n=1024)
+    checked = 0
+    for x_bar in fixed_points:
+        hx = h_fn(x_bar)
+        if abs(g_fn(hx) - hx) > fp_tol:
+            verdict = "violated"
+            if violation_x is None:
+                violation_x = x_bar
+        checked += 1
+    return analysis.ConjugacyReport(max_residual, checked, verdict, violation_x)
+
+
+def reference_direction(f, lo, hi):
+    """_monotone_direction of an Expression as the loop over its differences:
+    the reference for the neighbour comparisons."""
+    prev_x, prev_v = lo, expr.evaluate(f, lo)
+    xs = dynamics._grid(lo, hi, analysis.MONOTONE_DIFFS + 1)[1:]
+    direction = 0
+    for x, v in zip(xs, expr.evaluate_many(f, xs)):
+        d = v - prev_v
+        sign = 1 if d > 0 else (-1 if d < 0 else 0)
+        if sign == 0 or (direction and sign != direction):
+            raise analysis.NonMonotoneError(
+                f"not strictly monotone between {prev_x!r} and {x!r}", x_pair=(prev_x, x))
+        direction = sign
+        prev_x, prev_v = x, v
+    return "increasing" if direction > 0 else "decreasing"
+
+
+SPECIAL = (math.nan, math.inf, -math.inf, 0.0, -0.0, 1e-200, -1e-200, 1.0, -1.0, 0.3,
+           -2.5, 1e-13, -5e-13, 1e308, -1e308, 5e-324)
+
+
+class TestScansMatchLoops:
+    def test_fixed_point_scan(self, caplog, monkeypatch):
+        # Grid points within 1e-300 of 0, so g = v - x is v for every v drawn
+        # here but the smallest; 1e-200 * -1e-200 underflows to -0.0.
+        rng = random.Random(7)
+        calls = []
+
+        def solve(g, a, b, ga, gb, tol, x0=None, dg=None):
+            calls.append((a, b, ga, gb))
+            if ga == 0.3:
+                raise expr.EvalDomainError("fails", 0)
+            return a + (b - a) / 3, ("discontinuity" if gb == 1.0 else "converged"), 1
+
+        monkeypatch.setattr(dynamics, "bracket_solve", solve)
+        for trial in range(3000):
+            n = rng.randint(2, 12)
+            vs = [rng.choice(SPECIAL) for _ in range(n)]
+            bad = {i for i in range(n) if rng.random() < 0.15 * (trial % 2)}
+            xs = dynamics._grid(-1e-300, 1e-300, n)
+            table = dict(zip(xs, vs))
+
+            def value(x):
+                if xs.index(x) in bad:
+                    raise expr.EvalDomainError("bad point", 0)
+                return table[x]
+
+            def many(ts):
+                if bad:
+                    raise expr.EvalDomainError("bad point", 0)
+                return list(vs)
+
+            fn = dynamics.ScalarMap(value, lambda x: 0.0, many)
+            tol = rng.choice((dynamics.ROOT_TOL, 0.0))  # 0.0: no end is a root
+            results = []
+            for find in (dynamics.find_map_fixed_points, reference_fixed_points):
+                calls.clear()
+                caplog.clear()
+                with caplog.at_level(logging.WARNING):
+                    got = outcome(lambda: find(fn, -1e-300, 1e-300, n, tol))
+                results.append((got, list(calls), [r.getMessage() for r in caplog.records]))
+            assert results[0] == results[1], (vs, bad, tol)
+
+    def test_residual_scan(self, monkeypatch):
+        rng = random.Random(11)
+        f, g, h = expr.parse("x + 5"), expr.parse("x"), expr.parse("x")
+        real = expr.evaluate_many
+        for _ in range(600):
+            n = rng.randint(2, 20)
+            crafted = {id(f): [rng.choice(SPECIAL) for _ in range(n)],
+                       id(g): [rng.choice(SPECIAL) for _ in range(n)]}
+            monkeypatch.setattr(expr, "evaluate_many", lambda e, xs: list(
+                crafted[id(e)]) if id(e) in crafted and len(xs) == n else real(e, xs))
+            got = outcome(lambda: analysis.verify_conjugacy(f, g, h, (-1.0, 1.0), n))
+            want = outcome(lambda: reference_residuals(f, g, h, (-1.0, 1.0), n))
+            assert got == want, crafted
+
+    def test_monotone_scan(self, monkeypatch):
+        rng = random.Random(13)
+        f = expr.parse("x")
+        real = expr.evaluate_many
+        n = analysis.MONOTONE_DIFFS
+        for trial in range(600):
+            lo = rng.choice((0.0, -0.0, 1.0, -1e308, 1e-300))
+            sign = rng.choice((1, -1))
+            vs = sorted(lo + sign * rng.uniform(1e-3, 1e6) for _ in range(n))
+            vs = vs if sign > 0 else vs[::-1]
+            for _ in range(rng.choice((0, 0, 1, 2))):
+                i = rng.randrange(n)
+                vs[i] = rng.choice(SPECIAL + (vs[i - 1], -vs[i]))
+            monkeypatch.setattr(expr, "evaluate_many",
+                                lambda e, xs: list(vs) if e is f else real(e, xs))
+            got = outcome(lambda: analysis._monotone_direction(f, lo, lo + 1.0))
+            want = outcome(lambda: reference_direction(f, lo, lo + 1.0))
+            assert got == want, (lo, trial)
+
+
+def test_grid_hoists_width_and_count():
+    rng = random.Random(17)
+    cases = [(-1e300, 1e300, 5), (-1.7e308, 1.7e308, 4), (5e-324, 1e-323, 7), (-3.0, -2.0, 2)]
+    for _ in range(1000):
+        scale = rng.choice((1e-300, 1e-10, 1.0, 1e10, 1e300))
+        lo = rng.uniform(-1.0, 1.0) * scale
+        cases.append((lo, lo + rng.uniform(0.0, 2.0) * rng.choice((scale, 1.0)),
+                      rng.randint(2, 300)))
+    for lo, hi, n in cases:
+        old = [lo + (hi - lo) * k / (n - 1) for k in range(n)]
+        assert list(map(repr, dynamics._grid(lo, hi, n))) == list(map(repr, old)), (lo, hi, n)
