@@ -6,8 +6,8 @@ boom-then-bust detection, and sampled conjugacy verification.
 from __future__ import annotations
 
 import math
-from itertools import compress, filterfalse
-from operator import gt, lt, sub
+from itertools import compress, filterfalse, repeat
+from operator import ge, gt, lt, ne, sub
 
 from . import dynamics as _dyn
 from . import expr as _expr
@@ -177,7 +177,7 @@ def function_distance(s, samples=DEFAULT_SAMPLES):
     again, with the same arithmetic, and its statuses, warnings and errors.
     """
     if samples < 2:
-        raise ValueError("samples must be >= 2")
+        raise _dyn.PreconditionError("samples must be >= 2")
     lo, hi = s.x_domain
     direction = _monotone_direction(s.f, lo, hi)
     flo, fhi = _expr.evaluate(s.f, lo), _expr.evaluate(s.f, hi)
@@ -322,18 +322,18 @@ def _diverged(x):
 
 
 def _iterates(map_fn, x, n):
-    """Iterator over map_fn(x), map_fn(map_fn(x)), ... (n values); it may
-    end after the first diverged one.
+    """map_fn(x), map_fn(map_fn(x)), ... (n values); they may end after the
+    first diverged one.
 
-    A compose_gamma map runs its system's compiled loop.  Any other map, or
-    a loop that fails, is stepped as the iterator advances, so an error
-    comes at the step that meets it and a caller that stops early meets
-    none after.
+    A compose_gamma map gives the list from its system's compiled loop.  Any
+    other map, or a loop that fails, gives an iterator that steps the map as
+    it advances, so an error comes at the step that meets it and a caller
+    that stops early meets none after.
     """
     if isinstance(map_fn, _dyn.ScalarMap) and map_fn._iterate is not None:
         xs = map_fn._iterate(x, n)
         if xs is not None:
-            return iter(xs)
+            return xs
     return _stepped(map_fn, x, n)
 
 
@@ -346,14 +346,22 @@ def _stepped(map_fn, x, n):
 def detect_period(map_fn, x0, max_period=DEFAULT_MAX_PERIOD, burn_in=0):
     """Minimal period of the orbit tail of map_fn from x0, or None."""
     if max_period < 1:
-        raise ValueError("max_period must be >= 1")
+        raise _dyn.PreconditionError("max_period must be >= 1")
     if burn_in < 0:
-        raise ValueError("burn_in must be >= 0")
+        raise _dyn.PreconditionError("burn_in must be >= 0")
     iterates = [float(x0)]
-    for x in _iterates(map_fn, iterates[0], burn_in + 2 * max_period):
-        if _diverged(x):
+    xs = _iterates(map_fn, iterates[0], burn_in + 2 * max_period)
+    if isinstance(xs, list):
+        # The loop's stop, `not -cutoff <= x <= cutoff`, holds for the values
+        # _diverged names, so only the last value can be one.
+        if xs and _diverged(xs[-1]):
             return None
-        iterates.append(x)
+        iterates += xs
+    else:
+        for x in xs:
+            if _diverged(x):
+                return None
+            iterates.append(x)
     iterates = iterates[burn_in:]
     p = iterates[0]
     tol = PERIOD_RTOL * max(1.0, abs(p))
@@ -368,9 +376,9 @@ def detect_period(map_fn, x0, max_period=DEFAULT_MAX_PERIOD, burn_in=0):
 def detect_recurrence(map_fn, p, radius, horizon):
     """Smallest n with 1 < n <= horizon and |map^n(p) - p| < radius, or None."""
     if radius <= 0:
-        raise ValueError("radius must be > 0")
+        raise _dyn.PreconditionError("radius must be > 0")
     if horizon < 2:
-        raise ValueError("horizon must be >= 2")
+        raise _dyn.PreconditionError("horizon must be >= 2")
     for n, x in enumerate(_iterates(map_fn, float(p), horizon), 1):
         if _diverged(x):
             return None
@@ -379,47 +387,39 @@ def detect_recurrence(map_fn, p, radius, horizon):
     return None
 
 
-def _monotone_runs(xs):
-    """Maximal strictly monotone runs as (sign, start, end) index triples.
-    A step whose difference is not positive or negative (flat, NaN) is in
-    no run."""
-    runs = []
-    sign = start = i = 0
-    for a, b in zip(xs, xs[1:]):
-        d = b - a
-        s = 1 if d > 0 else (-1 if d < 0 else 0)
-        if s != sign:
-            if sign:
-                runs.append((sign, start, i))
-            sign, start = s, i
-        i += 1
-    if sign:
-        runs.append((sign, start, len(xs) - 1))
-    return runs
-
-
 def detect_boom_bust(o, min_run=DEFAULT_MIN_RUN, retrace_threshold=DEFAULT_RETRACE_THRESHOLD):
     """Monotone run of >= min_run steps followed by a retrace of at least
     retrace_threshold times the run amplitude.  Falling-then-rising events
     are reported with negated amplitude.
+
+    A step whose difference is not positive or negative (flat, NaN) is in
+    no run, and a run is maximal: the run after it starts where it ends.
     """
-    if min_run < 2:
-        raise ValueError("min_run must be >= 2")
+    if not min_run >= 2:
+        raise _dyn.PreconditionError("min_run must be >= 2")
     if not (0 < retrace_threshold <= 1):
-        raise ValueError("retrace_threshold must be in (0, 1]")
+        raise _dyn.PreconditionError("retrace_threshold must be in (0, 1]")
     xs = o.xs() if hasattr(o, "xs") else list(o)
+    nxt = xs[1:]
+    # The sign of each step's difference b - a, which is > 0 exactly when
+    # a < b and < 0 exactly when a > b: 0 for a flat or NaN step.
+    signs = list(map(sub, map(lt, xs, nxt), map(gt, xs, nxt)))
+    # Stretch k is steps bounds[k] to bounds[k + 1] - 1, all of one sign.
+    m = len(signs)
+    bounds = [0, *compress(range(1, m), map(ne, signs, signs[1:])), m]
+    long_enough = map(ge, map(sub, bounds[1:], bounds), repeat(min_run))
     events = []
-    runs = _monotone_runs(xs)
-    for run, nxt in zip(runs, runs[1:]):
-        sign, i, j = run
-        nsign, nstart, nend = nxt
-        if j - i < min_run or nstart != j or nsign != -sign:
+    # A run followed by a run; two stretches next to each other differ in
+    # sign, so two runs there rise and fall.
+    for k in compress(range(len(bounds) - 2), long_enough):
+        i, j, end = bounds[k], bounds[k + 1], bounds[k + 2]
+        if not (signs[i] and signs[j]):
             continue
         amplitude = xs[j] - xs[i]
-        retrace = abs(xs[j] - xs[nend])
+        retrace = abs(xs[j] - xs[end])
         fraction = min(1.0, retrace / abs(amplitude))
         if fraction >= retrace_threshold:
-            events.append(BoomBustEvent(i, j, nend, amplitude, fraction))
+            events.append(BoomBustEvent(i, j, end, amplitude, fraction))
     return events
 
 
@@ -433,7 +433,7 @@ def verify_conjugacy(f, g, h, interval, samples=DEFAULT_SAMPLES,
     fixed points are fixed under g.
     """
     if samples < 2:
-        raise ValueError("samples must be >= 2")
+        raise _dyn.PreconditionError("samples must be >= 2")
     lo, hi = interval
     h_fn = lambda x: _expr.evaluate(h, x)
     f_fn = lambda x: _expr.evaluate(f, x)

@@ -1,6 +1,7 @@
 """Command-line interface.  Data goes to stdout (or --out), diagnostics to
 stderr.  Exit codes: 0 ok, 2 parse/usage error, 3 numeric or domain error,
-4 violated precondition (e.g. a non-monotone function).
+4 violated precondition (e.g. a non-monotone function).  Any other error is
+a bug, and its traceback is shown.
 
 Each scenario field is one row of FIELDS, which drives its flag, its check
 in a scenario file and its default.  A handler receives one record holding
@@ -295,7 +296,7 @@ def main(argv=None):
             dynamics.OrbitNumericError, OverflowError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
-    except (analysis.AnalysisError, dynamics.PreconditionError, ValueError) as exc:
+    except (analysis.AnalysisError, dynamics.PreconditionError) as exc:
         print(f"precondition error: {exc}", file=sys.stderr)
         return 4
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from itertools import compress, repeat
-from operator import gt, mul, sub
+from operator import attrgetter, gt, mul, sub
 
 from . import expr as _expr
 
@@ -39,8 +39,8 @@ class OrbitNumericError(DynamicsError):
         self.step = step
 
 
-class PreconditionError(DynamicsError):
-    pass
+class PreconditionError(DynamicsError, ValueError):
+    """An argument the function does not accept (a ValueError too)."""
 
 
 def _grid(lo, hi, n):
@@ -114,12 +114,18 @@ class SystemState:
 class Orbit:
     states: tuple
     terminated_by: str  # "step-budget" | "divergence" | "convergence"
+    # The x and y columns of states, kept by orbit from its compiled loop;
+    # None in any other orbit, whose columns come from states.
+    _xs: list = _expr.field(init=False, compare=False, repr=False, default=None)
+    _ys: list = _expr.field(init=False, compare=False, repr=False, default=None)
 
     def xs(self):
-        return [st.x for st in self.states]
+        xs = self._xs
+        return list(map(attrgetter("x"), self.states)) if xs is None else xs.copy()
 
     def ys(self):
-        return [st.y for st in self.states]
+        ys = self._ys
+        return list(map(attrgetter("y"), self.states)) if ys is None else ys.copy()
 
 
 @_expr.record
@@ -181,8 +187,10 @@ def step(s, st):
 # n steps of x' = phi(y), y' = f(x'), with orbit's divergence and
 # convergence stops, streak counting the converging steps before (x, y).
 # It returns the new xs and ys and the tag; window=0 turns the convergence
-# stop off.  `not -cutoff <= x <= cutoff` is orbit's divergence test
-# (`not isfinite(x) or abs(x) > DIVERGENCE_CUTOFF`) without the calls.
+# stop off.  Comparisons stand in for orbit's calls with the same result:
+# `not -cutoff <= x <= cutoff` for its divergence test
+# (`not isfinite(x) or abs(x) > DIVERGENCE_CUTOFF`), a conditional for
+# max(1.0, abs(p)), and -t < x - p < t for abs(x - p) < t.
 _LOOP = """\
 def compiled(x, y, n, streak, window{params}):
     xs = []
@@ -199,7 +207,8 @@ def compiled(x, y, n, streak, window{params}):
         append_y(y)
         if not -cutoff <= x <= cutoff:
             return xs, ys, "divergence"
-        if window and abs(x - p) < rtol * max(1.0, abs(p)):
+        t = rtol * (p if p > 1.0 else -p if p < -1.0 else 1.0)
+        if window and -t < x - p < t:
             streak += 1
             if streak >= window:
                 return xs, ys, "convergence"
@@ -214,7 +223,7 @@ def _loop(s):
     fn = s._loop
     if fn is None:
         fn = _expr.compile_loop(_LOOP, {"phi": (s.phi, "y"), "f": (s.f, "x")}, {
-            "range": range, "max": max,
+            "range": range,
             "cutoff": DIVERGENCE_CUTOFF, "rtol": CONVERGENCE_RTOL})
         object.__setattr__(s, "_loop", fn)
     return fn
@@ -224,11 +233,12 @@ def orbit(s, x0, max_steps):
     """Iterate from (x0, f(x0)); stops early on divergence or convergence.
 
     The first step is step's, which checks x0; s's compiled loop takes the
-    rest, with the same arithmetic.  If the loop raises, step takes those
-    steps instead, so an error has its message and step index.
+    rest, with the same arithmetic, and the orbit keeps the loop's columns.
+    If the loop raises, step takes those steps instead, so an error has its
+    message and step index.
     """
     if max_steps < 1:
-        raise ValueError("max_steps must be >= 1")
+        raise PreconditionError("max_steps must be >= 1")
     try:
         y0 = _expr.evaluate(s.f, float(x0))
     except _expr.EvalDomainError as exc:
@@ -236,13 +246,20 @@ def orbit(s, x0, max_steps):
     states = [SystemState(float(x0), y0, 0)]
     tag, streak = _step_on(s, states, 1, 0)
     if tag == "step-budget" and max_steps > 1:
-        last = states[1]
+        first, last = states
         try:
             xs, ys, tag = _loop(s)(last.x, last.y, max_steps - 1, streak, CONVERGENCE_WINDOW)
         except (ArithmeticError, ValueError):
             tag, _ = _step_on(s, states, max_steps, streak)
         else:
-            states += map(SystemState, xs, ys, range(2, len(xs) + 2))
+            # Built in C: tuple.__new__ fills each state from zip's triple.
+            states += map(tuple.__new__, repeat(SystemState), zip(xs, ys, range(2, len(xs) + 2)))
+            o = Orbit(tuple(states), tag)
+            xs[:0] = first.x, last.x
+            ys[:0] = first.y, last.y
+            object.__setattr__(o, "_xs", xs)
+            object.__setattr__(o, "_ys", ys)
+            return o
     return Orbit(tuple(states), tag)
 
 
@@ -374,7 +391,7 @@ def find_map_fixed_points(fn, lo, hi, grid_n=DEFAULT_GRID, tol=ROOT_TOL):
     within tol of zero.
     """
     if grid_n < 2:
-        raise ValueError("grid_n must be >= 2")
+        raise PreconditionError("grid_n must be >= 2")
     xs = _grid(lo, hi, grid_n)
     skipped = 0
     try:

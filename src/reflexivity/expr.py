@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import re
+from operator import itemgetter
 
 
 class ExpressionError(Exception):
@@ -54,9 +55,9 @@ class NonDifferentiableError(EvalDomainError):
 
 
 # ---------------------------------------------------------------------------
-# Records: frozen __slots__ classes, the shape of every result type in the
-# package.  Built without the dataclasses module, which with the inspect
-# module it imports would be most of the CLI's start-up.
+# Records: frozen classes, the shape of every result type in the package.
+# Built without the dataclasses module, which with the inspect module it
+# imports would be most of the CLI's start-up.
 
 _NO_DEFAULT = object()
 
@@ -78,16 +79,29 @@ def _values(rec, names):
     return tuple([getattr(rec, n) for n in names])
 
 
+def _tuple_eq(self, other):
+    return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+
+def _tuple_ne(self, other):
+    return other.__class__ is not self.__class__ or tuple.__ne__(self, other)
+
+
 def record(cls):
-    """cls rebuilt as a frozen __slots__ class, like a frozen dataclass.
+    """cls rebuilt as a frozen record class, like a frozen dataclass.
 
     Its annotated class attributes are its fields, in order; the value of
-    one is its default or a field(...).  Unless cls defines its own, the
-    class gets __init__ (defaults filled, init=False fields set to their
-    default, then __post_init__ if cls has one), __eq__ and __hash__ over
-    the compared fields, a dataclass-style __repr__, and a __reduce__ that
-    calls the class with the init fields.  Setting or deleting an attribute
-    raises AttributeError; only object.__setattr__ gets past it.
+    one is its default or a field(...).  A record whose fields are all init
+    and compared, with no __post_init__, is a tuple whose items are its
+    fields (operator.itemgetter properties), so tuple.__new__(cls, values)
+    builds one in C; any other is a __slots__ class.  Unless cls defines
+    its own, the class gets __new__ or __init__ (defaults filled, init=False
+    fields set to their default, then __post_init__ if cls has one), __eq__
+    (true only for the same class: a record never equals a plain tuple) and
+    __hash__ over the compared fields, a dataclass-style __repr__, and a
+    __reduce__ that calls the class with the init fields.  Setting or
+    deleting an attribute raises AttributeError; only object.__setattr__,
+    on a __slots__ record, gets past it.
     """
     specs = {}
     for name in cls.__dict__.get("__annotations__", ()):
@@ -95,40 +109,48 @@ def record(cls):
         specs[name] = spec if isinstance(spec, field) else field(default=spec)
     ns = {k: v for k, v in cls.__dict__.items()
           if k not in specs and k not in ("__dict__", "__weakref__")}
-    ns.update(__slots__=tuple(specs), __qualname__=cls.__qualname__,
-              __setattr__=_frozen, __delattr__=_frozen)
-    new = type(cls.__name__, cls.__bases__, ns)
+    ns.update(__qualname__=cls.__qualname__, __setattr__=_frozen, __delattr__=_frozen)
     compared = [n for n, s in specs.items() if s.compare]
     shown = [n for n, s in specs.items() if s.repr]
     inits = [n for n, s in specs.items() if s.init]
-
-    # __init__ comes from one small exec, as namedtuple's __new__ does: one
-    # slot store per field, as fast as a hand-written one.
-    env = {f"_set_{n}": new.__dict__[n].__set__ for n in specs}
-    env.update((f"_default_{n}", s.default) for n, s in specs.items()
-               if s.default is not _NO_DEFAULT)
+    env = {f"_default_{n}": s.default for n, s in specs.items() if s.default is not _NO_DEFAULT}
     params = [n if specs[n].default is _NO_DEFAULT else f"{n}=_default_{n}" for n in inits]
-    stores = [f"_set_{n}(self, {n if s.init else '_default_' + n})"
-              for n, s in specs.items() if s.init or s.default is not _NO_DEFAULT]
-    if hasattr(new, "__post_init__"):
-        stores.append("self.__post_init__()")
-    exec(f"def __init__(self, {', '.join(params)}):\n"
-         + "".join(f"    {line}\n" for line in stores), env)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return _values(self, compared) == _values(other, compared)
+    # The constructor comes from one small exec, as namedtuple's __new__
+    # does: as fast as a hand-written one.
+    if len(compared) == len(inits) == len(specs) and not hasattr(cls, "__post_init__"):
+        env["_new"] = tuple.__new__
+        exec(f"def __new__(_cls, {', '.join(params)}):\n"
+             f"    return _new(_cls, ({''.join(n + ', ' for n in specs)}))\n", env)
+        ns.setdefault("__new__", env["__new__"])
+        ns.update(__slots__=(), **{n: property(itemgetter(i)) for i, n in enumerate(specs)})
+        new = type(cls.__name__, (tuple,), ns)
+        methods = {"__eq__": _tuple_eq, "__ne__": _tuple_ne, "__hash__": tuple.__hash__}
+    else:
+        ns.update(__slots__=tuple(specs))
+        new = type(cls.__name__, cls.__bases__, ns)
+        env.update((f"_set_{n}", new.__dict__[n].__set__) for n in specs)
+        stores = [f"_set_{n}(self, {n if s.init else '_default_' + n})"
+                  for n, s in specs.items() if s.init or s.default is not _NO_DEFAULT]
+        if hasattr(new, "__post_init__"):
+            stores.append("self.__post_init__()")
+        exec(f"def __init__(self, {', '.join(params)}):\n"
+             + "".join(f"    {line}\n" for line in stores), env)
+
+        def __eq__(self, other):
+            if other.__class__ is not self.__class__:
+                return NotImplemented
+            return _values(self, compared) == _values(other, compared)
+
+        methods = {"__init__": env["__init__"], "__eq__": __eq__,
+                   "__hash__": lambda self: hash(_values(self, compared))}
 
     def __repr__(self):
         shows = ", ".join([f"{n}={getattr(self, n)!r}" for n in shown])
         return f"{self.__class__.__qualname__}({shows})"
 
-    methods = {
-        "__init__": env["__init__"], "__eq__": __eq__, "__repr__": __repr__,
-        "__hash__": lambda self: hash(_values(self, compared)),
-        "__reduce__": lambda self: (self.__class__, _values(self, inits)),
-    }
+    methods.update(__repr__=__repr__,
+                   __reduce__=lambda self: (self.__class__, _values(self, inits)))
     for name, fn in methods.items():
         if name not in ns:
             setattr(new, name, fn)

@@ -1,9 +1,15 @@
 """Staircase (cobweb) diagrams and phase portraits as CSV text and
 standalone SVG 1.1 documents.  All output is deterministic: identical
 inputs produce byte-identical documents.
+
+Traces are built from an orbit's x and y columns, and documents from
+columns of pixel coordinates, one format string per kind of element.
 """
 
 from __future__ import annotations
+
+from itertools import chain, islice, repeat
+from operator import add, attrgetter, itemgetter, mul, sub, truediv
 
 from . import dynamics as _dyn
 from . import expr as _expr
@@ -38,15 +44,15 @@ def staircase(s, o, curve_samples=DEFAULT_CURVE_SAMPLES):
     the phi curve; the first vertical rise starts at the (x0, 0) baseline.
     """
     if not o.states:
-        raise ValueError("orbit is empty")
+        raise _dyn.PreconditionError("orbit is empty")
     if curve_samples < 2:
-        raise ValueError("curve_samples must be >= 2")
+        raise _dyn.PreconditionError("curve_samples must be >= 2")
     xs = o.xs()
     ys = o.ys()
-    segments = [((xs[0], 0.0), (xs[0], ys[0]))]
-    for i in range(len(xs) - 1):
-        segments.append(((xs[i], ys[i]), (xs[i + 1], ys[i])))
-        segments.append(((xs[i + 1], ys[i]), (xs[i + 1], ys[i + 1])))
+    points = list(zip(xs, ys))
+    corners = list(zip(xs[1:], ys))  # (x_{i+1}, y_i)
+    segments = [((xs[0], 0.0), points[0]),
+                *chain.from_iterable(zip(zip(points, corners), zip(corners, points[1:])))]
 
     grid_x = _dyn._grid(*s.x_domain, curve_samples)
     curve_f = tuple(zip(grid_x, _expr.evaluate_many(s.f, grid_x)))
@@ -59,8 +65,8 @@ def staircase(s, o, curve_samples=DEFAULT_CURVE_SAMPLES):
 def phase_portrait(o):
     """The orbit (x_i, y_i) as a connected path."""
     if not o.states:
-        raise ValueError("orbit is empty")
-    return PhasePortraitTrace(tuple((st.x, st.y) for st in o.states), connect=True)
+        raise _dyn.PreconditionError("orbit is empty")
+    return PhasePortraitTrace(tuple(zip(o.xs(), o.ys())), connect=True)
 
 
 # ---------------------------------------------------------------------------
@@ -68,10 +74,8 @@ def phase_portrait(o):
 
 def to_csv(o):
     """Header i,x,y; 17 significant digits (round-trip exact for doubles)."""
-    lines = ["i,x,y"]
-    for st in o.states:
-        lines.append("%d,%.17g,%.17g" % (st.index, st.x, st.y))
-    return "\n".join(lines) + "\n"
+    rows = zip(map(attrgetter("index"), o.states), o.xs(), o.ys())
+    return "i,x,y\n" + "".join(map("%d,%.17g,%.17g\n".__mod__, rows))
 
 
 def orbit_states_from_csv(text):
@@ -89,23 +93,9 @@ def orbit_states_from_csv(text):
 # ---------------------------------------------------------------------------
 # SVG
 
-def _data_bounds(trace):
-    pts = []
-    if isinstance(trace, StaircaseTrace):
-        for a, b in trace.segments:
-            pts.append(a)
-            pts.append(b)
-        pts.extend(trace.curve_f)
-        pts.extend(trace.curve_phi)
-        pts.extend(trace.fixed_points)
-    elif isinstance(trace, PhasePortraitTrace):
-        pts.extend(trace.points)
-    else:
-        raise TypeError(f"cannot render {type(trace).__name__}")
-    if not pts:
+def _bounds(xs, ys):
+    if not xs:
         return (0.0, 1.0, 0.0, 1.0)
-    xs = [p[0] for p in pts]
-    ys = [p[1] for p in pts]
     x_lo, x_hi, y_lo, y_hi = min(xs), max(xs), min(ys), max(ys)
     if x_lo == x_hi:
         x_lo, x_hi = x_lo - 1.0, x_hi + 1.0
@@ -114,21 +104,48 @@ def _data_bounds(trace):
     return (x_lo, x_hi, y_lo, y_hi)
 
 
+def _scaled(vs, lo, hi, size):
+    """(v - lo) / (hi - lo) * size for each of vs, in that order."""
+    return map(mul, map(truediv, map(sub, vs, repeat(lo)), repeat(hi - lo)), repeat(size))
+
+
+_STEP = ('<line class="step" x1="%.3f" y1="%.3f" x2="%.3f" y2="%.3f" '
+         'stroke="#d62728" stroke-width="1"/>')
+_FIXED_POINT = '<circle class="fixed-point" cx="%.3f" cy="%.3f" r="4" fill="black"/>'
+_ORBIT_POINT = '<circle class="orbit-point" cx="%.3f" cy="%.3f" r="2" fill="#d62728"/>'
+
+
+def _polyline(pixels, cls, color):
+    coords = " ".join(map("%.3f,%.3f".__mod__, pixels))
+    return (f'<polyline class="{cls}" points="{coords}" fill="none" '
+            f'stroke="{color}" stroke-width="1.5"/>')
+
+
 def to_svg(trace, options=None):
     """Standalone SVG 1.1 document with axes and tick labels."""
     opt = options or RenderOptions()
     if opt.width <= 0 or opt.height <= 0:
-        raise ValueError("dimensions must be positive")
-    x_lo, x_hi, y_lo, y_hi = _data_bounds(trace)
+        raise _dyn.PreconditionError("dimensions must be positive")
+    # Every drawn point, in drawing order; the data bounds come from all.
+    if isinstance(trace, StaircaseTrace):
+        parts = (list(chain.from_iterable(trace.segments)), trace.curve_f,
+                 trace.curve_phi, trace.fixed_points)
+    elif isinstance(trace, PhasePortraitTrace):
+        parts = (trace.points,)
+    else:
+        raise TypeError(f"cannot render {type(trace).__name__}")
+    xs = list(map(itemgetter(0), chain(*parts)))
+    ys = list(map(itemgetter(1), chain(*parts)))
+    x_lo, x_hi, y_lo, y_hi = _bounds(xs, ys)
     m = opt.margin
     plot_w = opt.width - 2 * m
     plot_h = opt.height - 2 * m
 
-    def px(x):
-        return m + (x - x_lo) / (x_hi - x_lo) * plot_w
+    def px(vs):
+        return list(map(add, repeat(m), _scaled(vs, x_lo, x_hi, plot_w)))
 
-    def py(y):
-        return opt.height - m - (y - y_lo) / (y_hi - y_lo) * plot_h
+    def py(vs):
+        return list(map(sub, repeat(opt.height - m), _scaled(vs, y_lo, y_hi, plot_h)))
 
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -141,8 +158,8 @@ def to_svg(trace, options=None):
         f'<line class="axis" x1="{m}" y1="{m}" x2="{m}" y2="{opt.height - m}" '
         'stroke="black" stroke-width="1"/>',
     ]
-    for t in _dyn._grid(x_lo, x_hi, _TICKS):
-        x = px(t)
+    ticks = _dyn._grid(x_lo, x_hi, _TICKS)
+    for t, x in zip(ticks, px(ticks)):
         out.append(
             f'<line class="tick" x1="{x:.3f}" y1="{opt.height - m}" '
             f'x2="{x:.3f}" y2="{opt.height - m + 5}" stroke="black" stroke-width="1"/>'
@@ -151,8 +168,8 @@ def to_svg(trace, options=None):
             f'<text class="tick-label" x="{x:.3f}" y="{opt.height - m + 18}" '
             f'font-size="11" text-anchor="middle">{t:.4g}</text>'
         )
-    for t in _dyn._grid(y_lo, y_hi, _TICKS):
-        y = py(t)
+    ticks = _dyn._grid(y_lo, y_hi, _TICKS)
+    for t, y in zip(ticks, py(ticks)):
         out.append(
             f'<line class="tick" x1="{m - 5}" y1="{y:.3f}" x2="{m}" y2="{y:.3f}" '
             'stroke="black" stroke-width="1"/>'
@@ -162,35 +179,21 @@ def to_svg(trace, options=None):
             f'font-size="11" text-anchor="end">{t:.4g}</text>'
         )
 
-    def polyline(points, cls, color):
-        coords = " ".join(f"{px(x):.3f},{py(y):.3f}" for x, y in points)
-        return (
-            f'<polyline class="{cls}" points="{coords}" fill="none" '
-            f'stroke="{color}" stroke-width="1.5"/>'
-        )
-
+    pixels = iter(zip(px(xs), py(ys)))
+    pixels = [list(islice(pixels, len(part))) for part in parts]
     if isinstance(trace, StaircaseTrace):
-        if trace.curve_f:
-            out.append(polyline(trace.curve_f, "curve-f", "#1f77b4"))
-        if trace.curve_phi:
-            out.append(polyline(trace.curve_phi, "curve-phi", "#2ca02c"))
-        for (x1, y1), (x2, y2) in trace.segments:
-            out.append(
-                f'<line class="step" x1="{px(x1):.3f}" y1="{py(y1):.3f}" '
-                f'x2="{px(x2):.3f}" y2="{py(y2):.3f}" stroke="#d62728" stroke-width="1"/>'
-            )
-        for x, y in trace.fixed_points:
-            out.append(
-                f'<circle class="fixed-point" cx="{px(x):.3f}" cy="{py(y):.3f}" '
-                'r="4" fill="black"/>'
-            )
+        steps, curve_f, curve_phi, fixed_points = pixels
+        if curve_f:
+            out.append(_polyline(curve_f, "curve-f", "#1f77b4"))
+        if curve_phi:
+            out.append(_polyline(curve_phi, "curve-phi", "#2ca02c"))
+        ends = iter(steps)
+        out += map(_STEP.__mod__, map(add, ends, ends))  # a segment's two pairs as one
+        out += map(_FIXED_POINT.__mod__, fixed_points)
     else:
-        if trace.connect and len(trace.points) > 1:
-            out.append(polyline(trace.points, "orbit", "#d62728"))
-        for x, y in trace.points:
-            out.append(
-                f'<circle class="orbit-point" cx="{px(x):.3f}" cy="{py(y):.3f}" '
-                'r="2" fill="#d62728"/>'
-            )
+        (points,) = pixels
+        if trace.connect and len(points) > 1:
+            out.append(_polyline(points, "orbit", "#d62728"))
+        out += map(_ORBIT_POINT.__mod__, points)
     out.append("</svg>")
     return "\n".join(out) + "\n"

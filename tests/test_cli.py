@@ -360,3 +360,47 @@ class TestReadme:
         code, out, err = run(capsys, "simulate", "--scenario", str(scenario), "--steps", "3")
         assert code == 0, err
         assert len(out.splitlines()) == 5
+
+
+class TestPreconditionExitCode:
+    SYSTEM = ("--f", "3.9*x*(1-x)", "--phi", "y", "--domain", "0", "1", "--x0", "0.3")
+
+    @pytest.mark.parametrize("argv, message", [
+        (("simulate", *SYSTEM, "--steps", "0"), "max_steps must be >= 1"),
+        (("boom-bust", *SYSTEM, "--steps", "0"), "max_steps must be >= 1"),
+        (("staircase", *SYSTEM, "--steps", "0"), "max_steps must be >= 1"),
+        (("portrait", *SYSTEM, "--steps", "0"), "max_steps must be >= 1"),
+        (("period", *SYSTEM, "--max-period", "0"), "max_period must be >= 1"),
+        (("period", *SYSTEM, "--burn-in", "-1"), "burn_in must be >= 0"),
+        (("boom-bust", *SYSTEM, "--min-run", "1"), "min_run must be >= 2"),
+        (("boom-bust", *SYSTEM, "--retrace-threshold", "0"),
+         "retrace_threshold must be in (0, 1]"),
+        (("boom-bust", *SYSTEM, "--retrace-threshold", "1.5"),
+         "retrace_threshold must be in (0, 1]"),
+        (("distance", "--f", "2*x", "--phi", "y/2", "--domain", "0", "1", "--samples", "1"),
+         "samples must be >= 2"),
+        (("conjugacy", "--f", "2*x", "--g", "2*x", "--h", "x", "--domain", "0", "1",
+          "--samples", "1"), "samples must be >= 2"),
+        (("fixed-points", "--f", "x/2", "--phi", "y", "--domain", "0", "1", "--grid", "1"),
+         "grid_n must be >= 2"),
+        (("staircase", *SYSTEM, "--curve-samples", "1"), "curve_samples must be >= 2"),
+        (("staircase", *SYSTEM, "--width", "0"), "dimensions must be positive"),
+        (("portrait", *SYSTEM, "--height", "0"), "dimensions must be positive"),
+        (("distance", "--f", "sin(x)", "--phi", "y", "--domain", "0", "6.28"),
+         "not strictly monotone between 1.57 and 1.5761328125"),
+        (("conjugacy", "--f", "2*x", "--g", "2*x", "--h", "sin(x)", "--domain", "0", "6.28"),
+         "not strictly monotone between 1.57 and 1.5761328125"),
+        (("distance", "--f", "x", "--phi", "y", "--domain", "0", "1", "--y-domain", "5", "6"),
+         "image of f does not overlap y_domain"),
+    ])
+    def test_each_precondition_exits_4(self, capsys, argv, message):
+        assert run(capsys, *argv) == (4, "", f"precondition error: {message}\n")
+
+    def test_a_plain_value_error_is_a_bug(self, monkeypatch):
+        from reflexivity import analysis
+
+        def broken(*args):
+            raise ValueError("not a precondition")
+        monkeypatch.setattr(analysis, "detect_period", broken)
+        with pytest.raises(ValueError, match="not a precondition"):
+            cli.main(["period", *self.SYSTEM])

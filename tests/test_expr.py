@@ -388,7 +388,7 @@ def _renamed(node, name):
 _COMPILER_HELPERS = {"sin", "cos", "tan", "exp", "log", "tanh", "sqrt", "abs", "copysign", "pow",
                      "dpow", "kink", "errors", "EvalDomainError", "NonDifferentiableError"}
 _LOOP_NAMES = {"x", "y", "n", "streak", "window", "xs", "ys", "append_x", "append_y", "_", "p",
-               "range", "max", "cutoff", "rtol"}
+               "t", "range", "cutoff", "rtol"}
 _ORBIT_TAGS = {"divergence", "convergence", "step-budget"}
 _SWEEP_NAMES = {"ys", "lo", "hi", "flo", "fhi", "argmax", "f_min", "f_max", "best", "nans", "inv",
                 "y", "tol", "ntol", "ga", "a", "b", "x", "step", "step_old", "_", "v", "slope",
@@ -569,7 +569,7 @@ class TestRecord:
 
     def test_frozen(self):
         for r in _one_of_every_record():
-            name = next(iter(type(r).__slots__))
+            name = next(iter(type(r).__annotations__))
             with pytest.raises(AttributeError):
                 setattr(r, name, 0)
             with pytest.raises(AttributeError):
@@ -577,11 +577,38 @@ class TestRecord:
             with pytest.raises(AttributeError):
                 r.not_a_field = 1
 
+    def test_tuple_backed_records(self):
+        # Every record whose fields are all init and compared is a tuple.
+        records = [r for r in _one_of_every_record() if isinstance(r, tuple)]
+        assert sorted(type(r).__name__ for r in records) == [
+            "BoomBustEvent", "ConjugacyReport", "DistanceReport", "FixedPoint",
+            "PeriodReport", "PhasePortraitTrace", "Prop1Report", "RenderOptions",
+            "StaircaseTrace", "SystemState"]
+        for r in records:
+            cls = type(r)
+            names = list(cls.__annotations__)
+            values = tuple(getattr(r, n) for n in names)
+            assert tuple(r) == values and not hasattr(r, "__dict__")
+            again = cls(**dict(zip(names, values)))
+            assert again == r and not again != r and hash(again) == hash(r)
+            assert repr(again) == repr(r)
+            assert r != values and values != r and not r == values and not values == r
+            back = pickle.loads(pickle.dumps(r))
+            assert type(back) is cls and repr(back) == repr(r)
+            for name in names:
+                with pytest.raises(AttributeError):
+                    setattr(r, name, 0)
+        # Equal values in another record class are not equal.
+        assert dynamics.Prop1Report(1.0, True) != render.PhasePortraitTrace(1.0, True)
+        assert not dynamics.Prop1Report(1.0, True) == render.PhasePortraitTrace(1.0, True)
+
     def test_keywords_and_defaults(self):
         assert Num(value=2.0) == Num(2.0, 0)
         assert Num(value=2.0).offset == 0
         assert render.RenderOptions(height=10) == render.RenderOptions(800, 10, 60)
         assert analysis.ConjugacyReport(0.5, 0, verdict="violated").violation_x is None
+        assert render.PhasePortraitTrace(points=()) == render.PhasePortraitTrace((), True)
+        assert dynamics.SystemState(index=2, y=1.0, x=0.5) == dynamics.SystemState(0.5, 1.0, 2)
         e = expr.Expression(variable_name="x", root=Var("x"))
         assert e.source == "" and e._derivative is None and e._many is None
         assert expr.evaluate(e, 3.0) == 3.0
@@ -593,6 +620,8 @@ class TestRecord:
         lambda: Num(1.0, value=2.0),
         lambda: expr.Expression(Var("x"), "x", "x", None),  # _value is not an argument
         lambda: dynamics.SystemState(1.0, 2.0),
+        lambda: dynamics.SystemState(1.0, 2.0, 3, 4),
+        lambda: dynamics.SystemState(1.0, 2.0, index=3, z=4),
     ])
     def test_wrong_arguments_are_type_errors(self, call):
         with pytest.raises(TypeError):

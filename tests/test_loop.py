@@ -14,6 +14,7 @@ import random
 
 import pytest
 
+from boom_bust_runs import monotone_runs
 from conftest import gen_source
 from reflexivity import analysis, dynamics, expr
 from reflexivity.dynamics import Orbit, OrbitNumericError, SystemState, orbit, step
@@ -51,8 +52,7 @@ def per_step_orbit(s, x0, max_steps):
 
 
 def reference_runs(xs):
-    """_monotone_runs as a scan that restarts at each run's end: the
-    reference for the single-pass scan."""
+    """monotone_runs as a scan that restarts at each run's end."""
     runs = []
     i = 0
     n = len(xs)
@@ -136,6 +136,9 @@ class TestOrbitMatchesPerStep:
         # Near 1e11 the convergence test allows steps up to 1e-2, which about
         # a third of these steps are: short streaks that must reset.
         ("x + 0.02*sin(10000000*x)", "y", (0.0, 1.0), 1e11 + 0.5, 300),
+        # Halving from 4e-13: step 2 moves by exactly the tolerance, 1e-13,
+        # which does not count as converging; steps 3 to 5 do.
+        ("x", "y/2", (0.0, 1.0), 4 * 1e-13, 50),
     ])
     def test_hand_picked(self, f, phi, domain, x0, n):
         y_domain = {"y": (-10.0, 10.0), "y*1e300*1e300": (0.0, 1e-300)}.get(phi, domain)
@@ -205,6 +208,27 @@ class TestPeriodMatchesPlainCallable:
                 assert got == want, (s.f.source, s.phi.source, x0, radius, horizon)
         assert found > 20 and errors > 5, (found, errors)
 
+    @pytest.mark.parametrize("f, phi, y_domain, x0, burn_in", [
+        ("3.2*x*(1-x)", "y", (0.0, 1.0), 0.3, 200),  # period 2
+        ("3.5*x*(1-x)", "y", (0.0, 1.0), 0.3, 500),  # period 4
+        ("cos(x)", "y", (-1.0, 1.0), 1.0, 100),  # period 1
+        ("3.9*x*(1-x)", "y", (0.0, 1.0), 0.3, 100),  # none
+        ("2*x", "y", (-2.0, 2.0), 0.5, 0),  # diverges at step 41, after the burn-in
+        ("2*x", "y", (-2.0, 2.0), 0.5, 30),  # at step 41, in the period test
+        ("2*x", "y", (-2.0, 2.0), 0.5, 60),  # at step 41, in the burn-in
+        ("2*x", "y", (-2.0, 2.0), 1e12, 0),  # at step 1
+        ("x", "y*1e300*1e300 - y*1e300*1e300", (0.0, 1e-300), 0.5, 0),  # NaN at step 1
+        ("x - 0.25", "y*1e300*1e300 - y*1e300*1e300", (0.0, 1e-300), 0.25, 0),  # NaN at 2
+        ("x", "y", (-1.0, 1.0), math.nan, 0),  # NaN start
+        ("x", "y", (-1.0, 1.0), math.inf, 3),  # infinite start
+    ])
+    def test_hand_picked_periods(self, f, phi, y_domain, x0, burn_in):
+        gamma = dynamics.compose_gamma(dynamics.make_system(f, phi, (-1.0, 1.0), y_domain))
+        plain = lambda x: gamma(x)  # noqa: E731
+        for max_period in (1, 4, 32):
+            assert outcome(lambda: analysis.detect_period(gamma, x0, max_period, burn_in)) == \
+                outcome(lambda: analysis.detect_period(plain, x0, max_period, burn_in))
+
     def test_iterates_are_the_orbit_xs(self):
         s = dynamics.make_system("3.7*x*(1-x)", "y + 0.01*sin(y)", (0.0, 1.0), (0.0, 1.0))
         xs = dynamics.compose_gamma(s)._iterate(0.2, 300)
@@ -225,16 +249,18 @@ class TestPeriodMatchesPlainCallable:
 
 
 class TestMonotoneRuns:
+    """The run split of the boom-bust reference against a second scan."""
+
     def test_random_lists(self):
         rng = random.Random(9)
         values = (0.0, 1.0, -1.0, math.nan, math.inf, -math.inf, 0.5)
         for _ in range(2000):
             xs = [rng.choice(values) if rng.random() < 0.5 else rng.uniform(-1.0, 1.0)
                   for _ in range(rng.randrange(0, 30))]
-            assert analysis._monotone_runs(xs) == reference_runs(xs), xs
+            assert monotone_runs(xs) == reference_runs(xs), xs
 
     def test_orbits(self):
         for f, x0 in (("3.9*x*(1-x)", 0.3), ("3.2*x*(1-x)", 0.4), ("2.6*x*(1-x)", 0.1),
                       ("1 - abs(1 - 2*x)", 0.2), ("0.95*sin(3.14159*x)", 0.7)):
             xs = orbit(dynamics.make_system(f, "y", (0.0, 1.0), (0.0, 1.0)), x0, 3000).xs()
-            assert analysis._monotone_runs(xs) == reference_runs(xs), f
+            assert monotone_runs(xs) == reference_runs(xs), f
