@@ -322,8 +322,8 @@ def _diverged(x):
 
 
 def _iterates(map_fn, x, n):
-    """map_fn(x), map_fn(map_fn(x)), ... (n values); they may end after the
-    first diverged one.
+    """map_fn(x), map_fn(map_fn(x)), ... (n values), ending after the first
+    diverged one.
 
     A compose_gamma map gives the list from its system's compiled loop.  Any
     other map, or a loop that fails, gives an iterator that steps the map as
@@ -341,6 +341,8 @@ def _stepped(map_fn, x, n):
     for _ in range(n):
         x = map_fn(x)
         yield x
+        if _diverged(x):
+            return
 
 
 def detect_period(map_fn, x0, max_period=DEFAULT_MAX_PERIOD, burn_in=0):
@@ -350,18 +352,10 @@ def detect_period(map_fn, x0, max_period=DEFAULT_MAX_PERIOD, burn_in=0):
     if burn_in < 0:
         raise _dyn.PreconditionError("burn_in must be >= 0")
     iterates = [float(x0)]
-    xs = _iterates(map_fn, iterates[0], burn_in + 2 * max_period)
-    if isinstance(xs, list):
-        # The loop's stop, `not -cutoff <= x <= cutoff`, holds for the values
-        # _diverged names, so only the last value can be one.
-        if xs and _diverged(xs[-1]):
-            return None
-        iterates += xs
-    else:
-        for x in xs:
-            if _diverged(x):
-                return None
-            iterates.append(x)
+    # n >= 2 values follow x0, and only the last can have diverged.
+    iterates += _iterates(map_fn, iterates[0], burn_in + 2 * max_period)
+    if _diverged(iterates[-1]):
+        return None
     iterates = iterates[burn_in:]
     p = iterates[0]
     tol = PERIOD_RTOL * max(1.0, abs(p))

@@ -79,12 +79,18 @@ def load_scenario(name_or_path):
     p = Path(name_or_path)
     bundled = resources.files(__package__) / "scenarios" / f"{p.name}.json"
     if p.is_file():
-        text = p.read_text()
+        source = p
     elif p.name == str(name_or_path) and not p.suffix and bundled.is_file():
-        text = bundled.read_text()
+        source = bundled
     else:
         raise UsageError(f"scenario not found: {name_or_path}")
-    data = json.loads(text)
+    try:
+        text = source.read_text()
+        data = json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError as exc:  # not text, or an integer too long to convert
+        raise UsageError(f"scenario {name_or_path}: {exc}") from exc
     if not isinstance(data, dict):
         raise json.JSONDecodeError("scenario must be a JSON object", text, 0)
     return data
@@ -149,7 +155,10 @@ def _build_system(sc):
 
 def _emit(sc, text):
     if sc.out:
-        Path(sc.out).write_text(text)
+        try:
+            Path(sc.out).write_text(text)
+        except ValueError as exc:  # a path with a NUL byte
+            raise UsageError(f"--out {sc.out!r}: {exc}") from exc
     else:
         sys.stdout.write(text)
 

@@ -207,8 +207,10 @@ def compiled(x, y, n, streak, window{params}):
         append_y(y)
         if not -cutoff <= x <= cutoff:
             return xs, ys, "divergence"
+        if not window:
+            continue
         t = rtol * (p if p > 1.0 else -p if p < -1.0 else 1.0)
-        if window and -t < x - p < t:
+        if -t < x - p < t:
             streak += 1
             if streak >= window:
                 return xs, ys, "convergence"

@@ -87,6 +87,10 @@ def _tuple_ne(self, other):
     return other.__class__ is not self.__class__ or tuple.__ne__(self, other)
 
 
+def _unordered(self, other):
+    raise TypeError(f"{self.__class__.__name__} records are not ordered")
+
+
 def record(cls):
     """cls rebuilt as a frozen record class, like a frozen dataclass.
 
@@ -98,7 +102,8 @@ def record(cls):
     its own, the class gets __new__ or __init__ (defaults filled, init=False
     fields set to their default, then __post_init__ if cls has one), __eq__
     (true only for the same class: a record never equals a plain tuple) and
-    __hash__ over the compared fields, a dataclass-style __repr__, and a
+    __hash__ over the compared fields, no ordering (<, <=, > and >= raise
+    TypeError, also against a plain tuple), a dataclass-style __repr__, and a
     __reduce__ that calls the class with the init fields.  Setting or
     deleting an attribute raises AttributeError; only object.__setattr__,
     on a __slots__ record, gets past it.
@@ -125,7 +130,9 @@ def record(cls):
         ns.setdefault("__new__", env["__new__"])
         ns.update(__slots__=(), **{n: property(itemgetter(i)) for i, n in enumerate(specs)})
         new = type(cls.__name__, (tuple,), ns)
-        methods = {"__eq__": _tuple_eq, "__ne__": _tuple_ne, "__hash__": tuple.__hash__}
+        methods = {"__eq__": _tuple_eq, "__ne__": _tuple_ne, "__hash__": tuple.__hash__,
+                   "__lt__": _unordered, "__le__": _unordered,
+                   "__gt__": _unordered, "__ge__": _unordered}
     else:
         ns.update(__slots__=tuple(specs))
         new = type(cls.__name__, cls.__bases__, ns)

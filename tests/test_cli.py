@@ -97,6 +97,23 @@ class TestScenarioHandling:
         code, _, _ = run(capsys, "simulate", "--scenario", str(path))
         assert code == 2
 
+    @pytest.mark.parametrize("data, message", [
+        (b'\xff{"x0": 0.3}', "codec can't decode byte 0xff"),
+        (b'{"x0": ' + b"1" * 5000 + b"}", "Exceeds the limit (4300 digits)"),
+    ])
+    def test_unreadable_scenario_exit_2(self, capsys, tmp_path, data, message):
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+        code, out, err = run(capsys, "simulate", "--scenario", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: scenario {path}: ") and message in err
+
+    def test_out_path_with_nul_exit_2(self, capsys):
+        code, out, err = run(capsys, "simulate", "--f", "x/2", "--phi", "y", "--x0", "1",
+                             "--out", "a\0b")
+        assert (code, out) == (2, "")
+        assert err == "error: --out 'a\\x00b': embedded null byte\n"
+
 
 class TestFixedPoints:
     def test_logistic_rows(self, capsys):

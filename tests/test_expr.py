@@ -602,6 +602,16 @@ class TestRecord:
         assert dynamics.Prop1Report(1.0, True) != render.PhasePortraitTrace(1.0, True)
         assert not dynamics.Prop1Report(1.0, True) == render.PhasePortraitTrace(1.0, True)
 
+    @pytest.mark.parametrize("op", [operator.lt, operator.le, operator.gt, operator.ge])
+    def test_tuple_backed_records_are_not_ordered(self, op):
+        a = dynamics.SystemState(1.0, 2.0, 3)
+        other = [a, dynamics.SystemState(0.5, 2.0, 3), (1.0, 2.0, 3), (0.5,),
+                 dynamics.Prop1Report(1.0, 2.0)]
+        for b in other:
+            for left, right in ((a, b), (b, a)):
+                with pytest.raises(TypeError):
+                    op(left, right)
+
     def test_keywords_and_defaults(self):
         assert Num(value=2.0) == Num(2.0, 0)
         assert Num(value=2.0).offset == 0

@@ -229,6 +229,14 @@ class TestPeriodMatchesPlainCallable:
             assert outcome(lambda: analysis.detect_period(gamma, x0, max_period, burn_in)) == \
                 outcome(lambda: analysis.detect_period(plain, x0, max_period, burn_in))
 
+    def test_stepping_ends_at_the_first_diverged_value(self):
+        def doubling(x):
+            assert not analysis._diverged(x), "stepped past a diverged value"
+            return 2.0 * x
+        for burn_in in (0, 30, 60):  # divergence at step 41
+            assert analysis.detect_period(doubling, 0.5, 32, burn_in) is None
+        assert analysis.detect_recurrence(doubling, 0.5, 1e-9, 300) is None
+
     def test_iterates_are_the_orbit_xs(self):
         s = dynamics.make_system("3.7*x*(1-x)", "y + 0.01*sin(y)", (0.0, 1.0), (0.0, 1.0))
         xs = dynamics.compose_gamma(s)._iterate(0.2, 300)
