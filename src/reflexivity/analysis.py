@@ -6,7 +6,7 @@ boom-then-bust detection, and sampled conjugacy verification.
 from __future__ import annotations
 
 import math
-from itertools import compress, filterfalse, repeat
+from itertools import compress, repeat
 from operator import ge, gt, lt, ne, sub
 
 from . import dynamics as _dyn
@@ -417,6 +417,49 @@ def detect_boom_bust(o, min_run=DEFAULT_MIN_RUN, retrace_threshold=DEFAULT_RETRA
     return events
 
 
+# verify_conjugacy's residual: at each of the n points x = lo + w*k/m of its
+# grid (dynamics._grid's arithmetic), h(f(x)) - g(h(x)) from the lines of f
+# and h on x, of h on f's value and of g on h's value.  It keeps the first
+# strict maximum of the residual's magnitude, where it lies, and the first x
+# whose residual is NaN; best stays -1.0 if no residual is other than NaN.
+# 0.0 - r stands in for abs(r) where r is not > 0 (-0.0 and NaN included).
+_RESIDUALS = """\
+def compiled(lo, w, m, n{params}):
+    best = -1.0
+    argmax = lo
+    nan_x = None
+    for k in range(n):
+        x = lo + w * k / m
+        @f
+        fx = {f}
+        @h
+        hx = {h}
+        @hf
+        @gh
+        r = {hf} - {gh}
+        if not r > 0.0:
+            r = 0.0 - r
+        if r > best:
+            best = r
+            argmax = x
+        elif r != r and nan_x is None:
+            nan_x = x
+    return best, argmax, nan_x
+"""
+
+
+def _residuals(f, g, h):
+    """The compiled residual loop (_RESIDUALS) of f and g under h, kept on h
+    with the f and g it was compiled for and reused for those same objects."""
+    kept = h._conjugacy
+    if kept is not None and kept[0] is f and kept[1] is g:
+        return kept[2]
+    fn = _expr.compile_loop(_RESIDUALS, {
+        "f": (f, "x"), "h": (h, "x"), "hf": (h, "fx"), "gh": (g, "hx")}, {"range": range})
+    object.__setattr__(h, "_conjugacy", (f, g, fn))
+    return fn
+
+
 def verify_conjugacy(f, g, h, interval, samples=DEFAULT_SAMPLES,
                      tol=CONJUGACY_TOL, fp_tol=CONJUGACY_FP_TOL):
     """Sampled check of h(f(x)) = g(h(x)) with h strictly monotone.
@@ -424,7 +467,11 @@ def verify_conjugacy(f, g, h, interval, samples=DEFAULT_SAMPLES,
     A NaN residual is a violation: violation_x is the first such x unless a
     residual exceeds tol; max_residual is the largest residual that is not
     NaN, or NaN if every residual is.  Also verifies that images of f's
-    fixed points are fixed under g.
+    fixed points are fixed under g; a NaN image residual is a violation too.
+
+    The residuals come from one compiled loop (_RESIDUALS); if one of its
+    lines fails, the grid is evaluated point by point instead, which raises
+    the error the first failing x meets.
     """
     if samples < 2:
         raise _dyn.PreconditionError("samples must be >= 2")
@@ -434,21 +481,17 @@ def verify_conjugacy(f, g, h, interval, samples=DEFAULT_SAMPLES,
     g_fn = lambda x: _expr.evaluate(g, x)
     _monotone_direction(h, lo, hi)  # homeomorphism proxy check
 
-    xs = _dyn._grid(lo, hi, samples)
+    kernel = _residuals(f, g, h)
     try:
-        hf = _expr.evaluate_many(h, _expr.evaluate_many(f, xs))
-        gh = _expr.evaluate_many(g, _expr.evaluate_many(h, xs))
-    except _expr.EvalDomainError:
+        best, argmax, nan_x = kernel(lo, hi - lo, samples - 1, samples)
+    except (ArithmeticError, ValueError):
         # Point by point, so the error is the one the first failing x meets.
-        hf, gh = [], []
-        for x in xs:
-            hf.append(h_fn(f_fn(x)))
-            gh.append(g_fn(h_fn(x)))
-    rs = list(map(abs, map(sub, hf, gh)))
-    # max keeps the first of equal values, so index finds where it is.
-    max_residual = max(filterfalse(math.isnan, rs), default=math.nan)
-    argmax = lo if math.isnan(max_residual) else xs[rs.index(max_residual)]
-    nan_x = next(compress(xs, map(math.isnan, rs)), None)  # the first NaN x
+        # The loop ran the same lines, so some x fails here too.
+        for x in _dyn._grid(lo, hi, samples):
+            h_fn(f_fn(x))
+            g_fn(h_fn(x))
+        raise
+    max_residual = best if best >= 0.0 else math.nan
     violation_x = argmax if max_residual > tol else nan_x
     verdict = "consistent" if violation_x is None else "violated"
 
@@ -458,7 +501,7 @@ def verify_conjugacy(f, g, h, interval, samples=DEFAULT_SAMPLES,
     checked = 0
     for x_bar in fixed_points:
         hx = h_fn(x_bar)
-        if abs(g_fn(hx) - hx) > fp_tol:
+        if not abs(g_fn(hx) - hx) <= fp_tol:
             verdict = "violated"
             if violation_x is None:
                 violation_x = x_bar

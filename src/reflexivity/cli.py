@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from importlib import resources
 from pathlib import Path
@@ -78,19 +79,21 @@ def load_scenario(name_or_path):
     no suffix, that is not a file names a bundled scenario."""
     p = Path(name_or_path)
     bundled = resources.files(__package__) / "scenarios" / f"{p.name}.json"
-    if p.is_file():
-        source = p
-    elif p.name == str(name_or_path) and not p.suffix and bundled.is_file():
-        source = bundled
-    else:
-        raise UsageError(f"scenario not found: {name_or_path}")
     try:
+        if p.is_file():
+            source = p
+        elif p.name == str(name_or_path) and not p.suffix and bundled.is_file():
+            source = bundled
+        else:
+            raise UsageError(f"scenario not found: {name_or_path}")
         text = source.read_text()
         data = json.loads(text)
     except json.JSONDecodeError:
         raise
     except ValueError as exc:  # not text, or an integer too long to convert
         raise UsageError(f"scenario {name_or_path}: {exc}") from exc
+    except OSError as exc:  # a name too long, a read that fails
+        raise UsageError(f"scenario {name_or_path}: {exc.strerror}") from exc
     if not isinstance(data, dict):
         raise json.JSONDecodeError("scenario must be a JSON object", text, 0)
     return data
@@ -138,8 +141,11 @@ def _record(args, required, optional):
 
 
 def _derive_y_domain(f, x_domain, samples=256):
-    lo, hi = x_domain
-    vals = expr.evaluate_many(f, dynamics._grid(lo, hi, samples))
+    xs = dynamics._grid(*x_domain, samples)
+    vals = expr.evaluate_many(f, xs)
+    for x, v in zip(xs, vals):
+        if not math.isfinite(v):
+            raise dynamics.DomainValidationError(f"f not finite at {x!r}")
     y_lo, y_hi = min(vals), max(vals)
     if y_lo == y_hi:
         y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
@@ -159,6 +165,8 @@ def _emit(sc, text):
             Path(sc.out).write_text(text)
         except ValueError as exc:  # a path with a NUL byte
             raise UsageError(f"--out {sc.out!r}: {exc}") from exc
+        except OSError as exc:  # a missing directory, a directory, no permission
+            raise UsageError(f"--out {sc.out!r}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 

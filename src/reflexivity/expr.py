@@ -10,8 +10,8 @@ both compiled on first use.  After a failure, a checked variant of the
 failing function runs the same lines again, each in a try, and reports the
 error with its message and node offset.  compile_loop puts the lines of
 several expressions, values only or values with derivatives, into one
-function from a template: the orbit loop of the dynamics layer and the
-inversion sweep of the analysis layer.
+function from a template: the orbit loop of the dynamics layer, and the
+inversion sweep and conjugacy residual of the analysis layer.
 
 The module also holds the two helpers every layer uses: `record`, which
 makes the frozen result classes, and `LazyLogger`.
@@ -233,6 +233,9 @@ class Expression:
     _many: object = field(init=False, compare=False, repr=False, default=None)
     # The checked functions by mode (dual or not), compiled on first failure.
     _checked: object = field(init=False, compare=False, repr=False, default=None)
+    # analysis.verify_conjugacy's compiled residual loop with this as h, as
+    # (f, g, loop), compiled on its first call (see analysis._residuals).
+    _conjugacy: object = field(init=False, compare=False, repr=False, default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "_value", _compile(self.root))
@@ -724,8 +727,8 @@ def compile_loop(template, parts, env, dual=()):
     {name} the name holding its value.  A part named in dual gets its value
     and derivative lines instead, and {name} is "value, derivative", the
     two names holding them.  env binds the template's own helpers.  The
-    loop of dynamics.orbit and the sweep of analysis.function_distance are
-    compiled this way."""
+    loop of dynamics.orbit, the sweep of analysis.function_distance and the
+    residual of analysis.verify_conjugacy are compiled this way."""
     emitted = {}
     for name, (e, var) in parts.items():
         em = _Emitter(name in dual, var=var, prefix=name)

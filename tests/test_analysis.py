@@ -340,6 +340,20 @@ class TestVerifyConjugacy:
         assert not any(math.isnan(ga) or math.isnan(gb) for ga, gb in ends)
         assert "jumps" not in caplog.text
 
+    # W is inf at y = 0.5 and 0 elsewhere, so W - W is NaN only there.
+    W = "exp(-((y - 0.5)*1e300*1e300)*((y - 0.5)*1e300*1e300))*1e300*1e300"
+
+    @pytest.mark.parametrize("samples", [4, 100, 4096])
+    def test_nan_fixed_point_image_is_a_violation(self, samples):
+        # Every grid residual is 0, but g is NaN at h(0.5), the image of f's
+        # fixed point.
+        g = expr.parse(f"y/2 + 0.25 + ({self.W} - {self.W})")
+        assert math.isnan(expr.evaluate(g, 0.5))
+        rep = verify_conjugacy(expr.parse("x/2 + 0.25"), g, expr.parse("x"), (0.0, 1.0),
+                               samples)
+        assert (rep.verdict, rep.violation_x, rep.max_residual,
+                rep.fixed_point_images_checked) == ("violated", 0.5, 0.0, 1)
+
     def test_consistent_pairs_have_corresponding_orbits(self):
         # h(x) = x^3 conjugates x/2 to y/8; both orbits contract
         f = expr.parse("x/2")

@@ -1,11 +1,13 @@
 import argparse
+import errno
 import json
+import os
 import shlex
 from pathlib import Path
 
 import pytest
 
-from reflexivity import cli
+from reflexivity import cli, dynamics
 
 
 def run(capsys, *argv):
@@ -113,6 +115,29 @@ class TestScenarioHandling:
                              "--out", "a\0b")
         assert (code, out) == (2, "")
         assert err == "error: --out 'a\\x00b': embedded null byte\n"
+
+    @pytest.mark.parametrize("target, code", [("missing/o.csv", errno.ENOENT),
+                                              (".", errno.EISDIR)],
+                             ids=["missing-directory", "directory"])
+    def test_out_path_that_cannot_be_written_exit_2(self, capsys, tmp_path, target, code):
+        path = str(tmp_path / target)
+        got = run(capsys, "simulate", "--f", "x/2", "--phi", "y", "--x0", "1", "--out", path)
+        assert got == (2, "", f"error: --out {path!r}: {os.strerror(code)}\n")
+
+    def test_scenario_read_failure_exit_2(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "s.json"
+        path.write_text("{}")
+
+        def failing(self, *args, **kwargs):
+            raise OSError(errno.EIO, os.strerror(errno.EIO), str(self))
+        monkeypatch.setattr(Path, "read_text", failing)
+        got = run(capsys, "simulate", "--scenario", str(path))
+        assert got == (2, "", f"error: scenario {path}: {os.strerror(errno.EIO)}\n")
+
+    def test_scenario_name_too_long_exit_2(self, capsys):
+        name = "a/" + "a" * 5000
+        got = run(capsys, "simulate", "--scenario", name)
+        assert got == (2, "", f"error: scenario {name}: {os.strerror(errno.ENAMETOOLONG)}\n")
 
 
 class TestFixedPoints:
@@ -238,6 +263,17 @@ class TestExitCodeScheme:
         code, _, _ = run(capsys, *argv)
         assert code == expected
 
+    # W is inf at x = at and 0 elsewhere, so W - W is NaN there only.  The
+    # second point of the 256-point grid of the derived y_domain is on no
+    # grid of the system's own check, which saw "phi not finite at nan".
+    @pytest.mark.parametrize("f, at", [("x/2 + W - W", -10.0), ("x/2 + W - W", 10.0),
+                                       ("x/2 + W", dynamics._grid(-10.0, 10.0, 256)[1])],
+                             ids=["nan-at-lo", "nan-at-hi", "inf-off-the-check-grid"])
+    def test_derived_y_domain_names_the_first_non_finite_x(self, capsys, f, at):
+        w = f"exp(-((x - {at!r})*1e300*1e300)*((x - {at!r})*1e300*1e300))*1e300*1e300"
+        got = run(capsys, "simulate", "--f", f.replace("W", w), "--phi", "y", "--x0", "1")
+        assert got == (3, "", f"numeric error: f not finite at {at!r}\n")
+
     def test_too_deep_expression_exit_2(self, capsys):
         code, _, err = run(capsys, "simulate", "--f", "+".join(["x"] * 1200),
                            "--phi", "y", "--x0", "1")
@@ -333,6 +369,19 @@ class TestFlagSurface:
             cli.main(["distance", "--f", "2*x", "--phi", "y/2", "--domain", "0"])
         assert exc.value.code == 2
 
+    # The program's and every subcommand's --help, as argparse prints it at
+    # 80 columns; tests/help holds the expected text.
+    @pytest.mark.parametrize("command", [None, "simulate", "fixed-points", "distance",
+                                         "period", "boom-bust", "conjugacy", "staircase",
+                                         "portrait"])
+    def test_help_text_is_unchanged(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--help"] if command is None else [command, "--help"])
+        assert exc.value.code == 0
+        want = (HELP / f"{command or 'reflexivity'}.txt").read_text()
+        assert capsys.readouterr() == (want, "")
+
     def test_conjugacy_requires_its_domain(self, capsys):
         code, out, err = run(capsys, "conjugacy", "--f", "x", "--g", "x", "--h", "x")
         assert code == 2
@@ -341,6 +390,7 @@ class TestFlagSurface:
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+HELP = Path(__file__).resolve().parent / "help"
 
 
 def _readme_block(fence, heading):

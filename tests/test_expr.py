@@ -204,6 +204,13 @@ class TestEvaluate:
                 assert re.fullmatch(r"f[vdk]\d+|phi[vk]\d+", local) \
                     or local in _COMPILER_HELPERS or local in _SWEEP_NAMES, local
             assert not any(isinstance(c, str) for c in code.co_consts), src
+            # And the conjugacy residual, e as f, g and h in four parts.
+            code = analysis._residuals(e, e, e).__code__
+            assert code.co_names == () and code.co_varnames[:4] == ("lo", "w", "m", "n"), src
+            for local in code.co_varnames:
+                assert re.fullmatch(r"(f|h|hf|gh)[vk]\d+", local) \
+                    or local in _COMPILER_HELPERS or local in _RESIDUAL_NAMES, local
+            assert not any(isinstance(c, str) for c in code.co_consts), src
 
     def test_built_tree_with_int_constants(self):
         e = expr.Expression(BinOp("^", Var("x"), Num(2)), "x")
@@ -394,6 +401,8 @@ _SWEEP_NAMES = {"ys", "lo", "hi", "flo", "fhi", "argmax", "f_min", "f_max", "bes
                 "y", "tol", "ntol", "ga", "a", "b", "x", "step", "step_old", "_", "v", "slope",
                 "gx", "mid", "nxt", "newton", "diff", "min", "max", "range", "nextafter", "inf",
                 "rtol", "cap"}
+_RESIDUAL_NAMES = {"lo", "w", "m", "n", "best", "argmax", "nan_x", "k", "x", "fx", "hx", "r",
+                   "range"}
 _CHECKED_MESSAGES = {"division by zero", "zero raised to a negative power",
                      "log of non-positive value %r", "sqrt of negative value %r",
                      "sqrt not differentiable at 0", "abs not differentiable at 0"}

@@ -4,16 +4,22 @@ replace.
 function_distance runs its grid through the system's compiled sweep and
 falls back to the per-sample loop over _invert where the sweep hands a
 sample back; forcing the loop (by making _sweep return None) gives the
-reference.  find_map_fixed_points, verify_conjugacy and _monotone_direction
-scan their grids with map/compress/max; the loops they replaced are kept
-here as references.  Reports are compared by repr, so -0.0 and NaN are told
-apart, warnings by message, and errors by type and message.
+reference.  find_map_fixed_points and _monotone_direction scan their grids
+with map/compress/max; the loops they replaced are kept here as references.
+verify_conjugacy computes and scans its residuals in one compiled loop
+(_RESIDUALS); the grid passes and builtin scans it replaced, and the loop
+over the residuals before them, are kept here as references.  Reports are
+compared by repr, so -0.0 and NaN are told apart, warnings by message, and
+errors by type and message.
 """
 
 import gc
 import logging
 import math
+import pickle
 import random
+from itertools import compress, filterfalse
+from operator import sub
 
 import pytest
 
@@ -248,6 +254,23 @@ def reference_fixed_points(fn, lo, hi, grid_n=dynamics.DEFAULT_GRID, tol=dynamic
     return merged, skipped
 
 
+def reference_fixed_point_images(f, g, h, lo, hi, fp_tol, verdict, violation_x):
+    """verify_conjugacy's check that g fixes the images of f's fixed points:
+    (images checked, verdict, violation_x)."""
+    f_map = dynamics.ScalarMap(lambda x: expr.evaluate(f, x), lambda x: expr.derivative(f, x),
+                               lambda xs: expr.evaluate_many(f, xs))
+    fixed_points, _ = dynamics.find_map_fixed_points(f_map, lo, hi, grid_n=1024)
+    checked = 0
+    for x_bar in fixed_points:
+        hx = expr.evaluate(h, x_bar)
+        if not abs(expr.evaluate(g, hx) - hx) <= fp_tol:
+            verdict = "violated"
+            if violation_x is None:
+                violation_x = x_bar
+        checked += 1
+    return checked, verdict, violation_x
+
+
 def reference_residuals(f, g, h, interval, samples=analysis.DEFAULT_SAMPLES,
                         tol=analysis.CONJUGACY_TOL, fp_tol=analysis.CONJUGACY_FP_TOL):
     """verify_conjugacy with its loop over the residuals: the reference for
@@ -276,17 +299,42 @@ def reference_residuals(f, g, h, interval, samples=analysis.DEFAULT_SAMPLES,
                 nan_x = x
     violation_x = argmax if max_residual > tol else nan_x
     verdict = "consistent" if violation_x is None else "violated"
-    f_map = dynamics.ScalarMap(f_fn, lambda x: expr.derivative(f, x),
-                               lambda xs: expr.evaluate_many(f, xs))
-    fixed_points, _ = dynamics.find_map_fixed_points(f_map, lo, hi, grid_n=1024)
-    checked = 0
-    for x_bar in fixed_points:
-        hx = h_fn(x_bar)
-        if abs(g_fn(hx) - hx) > fp_tol:
-            verdict = "violated"
-            if violation_x is None:
-                violation_x = x_bar
-        checked += 1
+    checked, verdict, violation_x = reference_fixed_point_images(
+        f, g, h, lo, hi, fp_tol, verdict, violation_x)
+    return analysis.ConjugacyReport(max_residual, checked, verdict, violation_x)
+
+
+def reference_grid_passes(f, g, h, interval, samples=analysis.DEFAULT_SAMPLES,
+                          tol=analysis.CONJUGACY_TOL, fp_tol=analysis.CONJUGACY_FP_TOL):
+    """verify_conjugacy with four evaluate_many passes over its grid and the
+    residuals scanned with builtins: the reference for the compiled
+    residual loop."""
+    if samples < 2:
+        raise dynamics.PreconditionError("samples must be >= 2")
+    lo, hi = interval
+    h_fn = lambda x: expr.evaluate(h, x)  # noqa: E731
+    f_fn = lambda x: expr.evaluate(f, x)  # noqa: E731
+    g_fn = lambda x: expr.evaluate(g, x)  # noqa: E731
+    analysis._monotone_direction(h, lo, hi)
+    xs = dynamics._grid(lo, hi, samples)
+    try:
+        hf = expr.evaluate_many(h, expr.evaluate_many(f, xs))
+        gh = expr.evaluate_many(g, expr.evaluate_many(h, xs))
+    except expr.EvalDomainError:
+        # Point by point, so the error is the one the first failing x meets.
+        hf, gh = [], []
+        for x in xs:
+            hf.append(h_fn(f_fn(x)))
+            gh.append(g_fn(h_fn(x)))
+    rs = list(map(abs, map(sub, hf, gh)))
+    # max keeps the first of equal values, so index finds where it is.
+    max_residual = max(filterfalse(math.isnan, rs), default=math.nan)
+    argmax = lo if math.isnan(max_residual) else xs[rs.index(max_residual)]
+    nan_x = next(compress(xs, map(math.isnan, rs)), None)  # the first NaN x
+    violation_x = argmax if max_residual > tol else nan_x
+    verdict = "consistent" if violation_x is None else "violated"
+    checked, verdict, violation_x = reference_fixed_point_images(
+        f, g, h, lo, hi, fp_tol, verdict, violation_x)
     return analysis.ConjugacyReport(max_residual, checked, verdict, violation_x)
 
 
@@ -354,18 +402,46 @@ class TestScansMatchLoops:
             assert results[0] == results[1], (vs, bad, tol)
 
     def test_residual_scan(self, monkeypatch):
+        # The residual loop compiled with crafted columns for h(f(x)) and
+        # g(h(x)), looked up by x, in place of the parts' lines: the edge
+        # cases below, then 600 random draws.
+        nan, inf = math.nan, math.inf
+        trials = [([-0.0] * 5, [0.0] * 5),
+                  ([0.0, -0.0, 5e-324, -5e-324], [5e-324, 0.0, 0.0, 0.0]),
+                  ([1.0, 2.0, 1.0, 2.0, nan], [0.0] * 5),
+                  ([nan] * 4, [1.0] * 4),
+                  ([inf, -inf, 1e308, -1e308], [inf, inf, -1e308, 1e308]),
+                  ([nan, 0.3, -0.0], [1e-13, -5e-13, -0.0])]
         rng = random.Random(11)
-        f, g, h = expr.parse("x + 5"), expr.parse("x"), expr.parse("x")
-        real = expr.evaluate_many
+        values = SPECIAL + (-5e-324,)
         for _ in range(600):
             n = rng.randint(2, 20)
-            crafted = {id(f): [rng.choice(SPECIAL) for _ in range(n)],
-                       id(g): [rng.choice(SPECIAL) for _ in range(n)]}
-            monkeypatch.setattr(expr, "evaluate_many", lambda e, xs: list(
-                crafted[id(e)]) if id(e) in crafted and len(xs) == n else real(e, xs))
-            got = outcome(lambda: analysis.verify_conjugacy(f, g, h, (-1.0, 1.0), n))
-            want = outcome(lambda: reference_residuals(f, g, h, (-1.0, 1.0), n))
-            assert got == want, crafted
+            cols = [rng.choice(values) for _ in range(n)], [rng.choice(values) for _ in range(n)]
+            trials.append(([nan] * n, cols[1]) if rng.random() < 0.1 else cols)
+        f, g, h = expr.parse("x + 5"), expr.parse("x"), expr.parse("x")
+        real = expr.evaluate_many
+        for cols in trials:
+            n = len(cols[0])
+            xs = dynamics._grid(-1.0, 1.0, n)
+            lookups = {name: dict(zip(xs, col)) for name, col in zip(("hfcol", "ghcol"), cols)}
+            parts = {name: expr._Emitter(False, prefix=name) for name in ("f", "h", "hf", "gh")}
+            parts["hf"].lines.append("hfv0 = hfcol[x]")
+            parts["gh"].lines.append("ghv0 = ghcol[x]")
+            kernel = expr._define(analysis._RESIDUALS, {
+                "f": (parts["f"], "x"), "h": (parts["h"], "x"),
+                "hf": (parts["hf"], "hfv0"), "gh": (parts["gh"], "ghv0")},
+                {"range": range, **lookups})
+            with monkeypatch.context() as m:
+                m.setattr(analysis, "_residuals", lambda *args: kernel)
+                got = outcome(lambda: analysis.verify_conjugacy(f, g, h, (-1.0, 1.0), n))
+            # f's column is h(f(x)) and g's is g(h(x)), h being x.
+            crafted = {id(f): cols[0], id(g): cols[1]}
+            with monkeypatch.context() as m:
+                m.setattr(expr, "evaluate_many", lambda e, ts: list(
+                    crafted[id(e)]) if id(e) in crafted and len(ts) == n else real(e, ts))
+                want = outcome(lambda: reference_residuals(f, g, h, (-1.0, 1.0), n))
+                assert outcome(lambda: reference_grid_passes(f, g, h, (-1.0, 1.0), n)) == want
+            assert got == want, cols
 
     def test_monotone_scan(self, monkeypatch):
         rng = random.Random(13)
@@ -385,6 +461,134 @@ class TestScansMatchLoops:
             got = outcome(lambda: analysis._monotone_direction(f, lo, lo + 1.0))
             want = outcome(lambda: reference_direction(f, lo, lo + 1.0))
             assert got == want, (lo, trial)
+
+
+def conjugacy_triple(rng, family, violated):
+    """Sources of (f, g, h) and the interval of one of solve-sweep's
+    conjugacy families, with h(f(x)) = g(h(x)) in real arithmetic unless
+    violated."""
+    p, q = round(rng.uniform(0.5, 2.0), 4), round(rng.uniform(0.0, 1.0), 4)
+    u = f"((y - {q!r})/{p!r})"
+    if family == "tent-logistic":
+        f = "1.0*(1.0 - abs(2.0*x - 1.0))"
+        g = f"{p!r}*(4.0*{u}*(1.0 - {u})) + {q!r}"
+        h = f"{p!r}*sin(1.5707963267948966*x)^2.0 + {q!r}"
+        interval = (0.0, 1.0)
+    elif family == "affine-logistic":
+        r = round(rng.uniform(1.5, 2.9), 4)
+        f = f"{r!r}*x*(1.0 - x)"
+        g = f"{p!r}*({r!r}*{u}*(1.0 - {u})) + {q!r}"
+        h = f"{p!r}*x + {q!r}"
+        interval = (0.0, 1.0)
+    elif family == "power-log":
+        c = round(rng.uniform(0.6, 1.6), 4)
+        f, g, h = f"{c!r}*x^2.0", f"2.0*y + {math.log(c)!r}", "log(x)"
+        interval = (0.25, 3.0)
+    else:
+        a = round(rng.uniform(0.3, 0.9), 4)
+        f, g, h = f"{a!r}*x", f"y^{a!r}", "exp(x)"
+        interval = (-1.0, 1.5)
+    if violated:
+        g += f" + {round(rng.uniform(1e-4, 1e-2), 6)!r}*sin(y)"
+    return f, g, h, interval
+
+
+def same_as_grid_passes(f, g, h, interval, samples):
+    """Assert verify_conjugacy agrees with the grid passes; return its outcome."""
+    got = outcome(lambda: analysis.verify_conjugacy(f, g, h, interval, samples))
+    assert got == outcome(lambda: reference_grid_passes(f, g, h, interval, samples)), (
+        f.source, g.source, h.source, interval, samples)
+    return got
+
+
+class TestResidualLoopMatchesGridPasses:
+    @pytest.mark.parametrize("family", ["tent-logistic", "affine-logistic", "power-log",
+                                        "linear-exp"])
+    def test_solve_sweep_families(self, family):
+        rng = random.Random(family)
+        verdicts = set()
+        for trial in range(12):
+            f, g, h, interval = conjugacy_triple(rng, family, violated=trial % 3 == 0)
+            got = same_as_grid_passes(expr.parse(f), expr.parse(g), expr.parse(h), interval,
+                                      rng.choice((2, 3, 256, 1024, 4096)))
+            verdicts.add(got.split("verdict='")[1].split("'")[0])
+        assert verdicts == {"consistent", "violated"}
+
+    # 0.3 is the fourth point of the 11-point grid on [0, 1], and lies on
+    # none of the grids of the monotonicity and fixed-point checks.
+    @pytest.mark.parametrize("f, g, h, error", [
+        ("x/2 + 0*log(abs(x - 0.3))", "y/2", "x", "log of non-positive value 0.0"),
+        ("x/2 + 0*sqrt(abs(x - 0.3) - 1e-300)", "y/2", "x", "sqrt of negative value -1e-300"),
+        ("x/2 + 0/(x - 0.3)", "y/2", "x", "division by zero"),
+        ("x/2", "y/2 + 0*log(abs(y - 0.3))", "x", "log of non-positive value 0.0"),
+        ("x/2", "y/2 + 0*sqrt(abs(y - 0.3) - 1e-300)", "x", "sqrt of negative value -1e-300"),
+        ("x/2", "y/2 + 0/(y - 0.3)", "x", "division by zero"),
+        ("x/2", "y/2", "x + 0*log(abs(x - 0.3))", "log of non-positive value 0.0"),
+        ("x/2", "y/2", "x + 0*sqrt(abs(x - 0.3) - 1e-300)", "sqrt of negative value -1e-300"),
+        ("x/2", "y/2", "x + 0/(x - 0.3)", "division by zero"),
+        ("x/2 + 0*exp(1e4*(x - 0.25))", "y/2", "x", "math range error"),
+    ], ids=["log-in-f", "sqrt-in-f", "division-in-f", "log-in-g", "sqrt-in-g",
+            "division-in-g", "log-in-h", "sqrt-in-h", "division-in-h", "overflow-in-f"])
+    def test_failure_mid_grid(self, f, g, h, error):
+        got = same_as_grid_passes(expr.parse(f), expr.parse(g), expr.parse(h), (0.0, 1.0), 11)
+        assert got[0] == "EvalDomainError" and got[1].startswith(error), got
+
+    def test_first_failure_in_point_order(self):
+        # At x = 0.3 the compiled loop computes h(x), which fails in log,
+        # before h(f(x)) = h(0.15), which fails in the division; point by
+        # point, h(f(x)) comes first.
+        got = same_as_grid_passes(expr.parse("x/2"), expr.parse("y/2"),
+                                  expr.parse("x + 0*log(abs(x - 0.3)) + 0/(x - 0.15)"),
+                                  (0.0, 1.0), 11)
+        assert got == ("EvalDomainError", "division by zero (node at offset 27)")
+
+    def test_nan_and_infinite_residuals(self):
+        # f is NaN for x > 0 and g infinite for x < -0.5.
+        nan_right = "x/2 + (x + abs(x))*1e300*1e300 - (x + abs(x))*1e300*1e300"
+        inf_left = "y/3 + (abs(y + 0.5) - y - 0.5)*1e300*1e300"
+        for f, g in ((nan_right, "y/3"), ("x/2", inf_left), (nan_right, inf_left),
+                     ("x*1e300*1e300 - x*1e300*1e300", "y")):
+            for n in (2, 11, 101, 1024):
+                same_as_grid_passes(expr.parse(f), expr.parse(g), expr.parse("x"),
+                                    (-1.0, 1.0), n)
+
+
+class TestResidualCache:
+    F, G, H = "4*x*(1 - x)", "4*y*(1 - y) + 1e-3*y", "x + 0.1*x^3"
+
+    def test_compiled_once_per_f_and_g(self, monkeypatch):
+        f, g, h = expr.parse(self.F), expr.parse(self.G), expr.parse(self.H)
+        assert h._conjugacy is None
+        compiled = []
+        real = expr.compile_loop
+        monkeypatch.setattr(expr, "compile_loop", lambda *a, **k: compiled.append(1) or real(*a, **k))
+        first = same_as_grid_passes(f, g, h, (0.0, 1.0), 500)
+        kept = h._conjugacy
+        assert kept[0] is f and kept[1] is g and compiled == [1]
+        assert same_as_grid_passes(f, g, h, (0.0, 1.0), 500) == first
+        same_as_grid_passes(f, g, h, (0.25, 0.5), 37)
+        assert h._conjugacy is kept and compiled == [1]
+        # A kernel is reused only for the same f and g objects, not equal ones.
+        same_as_grid_passes(expr.parse(self.F), g, h, (0.0, 1.0), 500)
+        assert len(compiled) == 2 and h._conjugacy[0] is not f
+
+    def test_another_f_or_g_with_the_same_h(self):
+        # Each of two f objects with each of two g objects, twice over.
+        h = expr.parse(self.H)
+        fs = expr.parse(self.F), expr.parse("x/2")
+        gs = expr.parse(self.G), expr.parse("y/2")
+        for _ in range(2):
+            for f, g in ((fs[0], gs[0]), (fs[0], gs[1]), (fs[1], gs[1]), (fs[1], gs[0])):
+                got = same_as_grid_passes(f, g, h, (0.0, 1.0), 257)
+                assert h._conjugacy[:2] == (f, g), got
+
+    def test_pickled_h(self):
+        f, g, h = expr.parse(self.F), expr.parse(self.G), expr.parse(self.H)
+        want = same_as_grid_passes(f, g, h, (0.0, 1.0), 300)
+        copy = pickle.loads(pickle.dumps(h))
+        assert copy == h and copy._conjugacy is None and h._conjugacy is not None
+        assert same_as_grid_passes(f, g, copy, (0.0, 1.0), 300) == want
+        assert copy._conjugacy[2] is not h._conjugacy[2]
 
 
 def test_grid_hoists_width_and_count():
