@@ -148,11 +148,13 @@ def invert_numeric(f, interval, y, rtol=INVERT_RTOL):
 
     Safeguarded Newton steps on an Expression's exact derivative, plain
     bisection for any other callable; see dynamics.bracket_solve.  Raises
-    OutOfRangeError when y lies outside f's range on the interval.  For y
-    inside a jump of an Expression f, returns where f jumps and logs a
-    warning; a plain callable gives the same x without the warning.
+    DomainValidationError unless lo < hi, and OutOfRangeError when y lies
+    outside f's range on the interval.  For y inside a jump of an
+    Expression f, returns where f jumps and logs a warning; a plain callable
+    gives the same x without the warning.
     """
     lo, hi = interval
+    _dyn._check_interval(lo, hi)
     fn, dfn = _evaluator(f)
     _monotone_direction(f, lo, hi)
     x, status = _invert(fn, dfn, lo, hi, fn(lo), fn(hi), y, rtol)
@@ -462,7 +464,8 @@ def _residuals(f, g, h):
 
 def verify_conjugacy(f, g, h, interval, samples=DEFAULT_SAMPLES,
                      tol=CONJUGACY_TOL, fp_tol=CONJUGACY_FP_TOL):
-    """Sampled check of h(f(x)) = g(h(x)) with h strictly monotone.
+    """Sampled check of h(f(x)) = g(h(x)) with h strictly monotone, on an
+    interval (lo, hi) with lo < hi (DomainValidationError if not).
 
     A NaN residual is a violation: violation_x is the first such x unless a
     residual exceeds tol; max_residual is the largest residual that is not
@@ -476,6 +479,7 @@ def verify_conjugacy(f, g, h, interval, samples=DEFAULT_SAMPLES,
     if samples < 2:
         raise _dyn.PreconditionError("samples must be >= 2")
     lo, hi = interval
+    _dyn._check_interval(lo, hi)
     h_fn = lambda x: _expr.evaluate(h, x)
     f_fn = lambda x: _expr.evaluate(f, x)
     g_fn = lambda x: _expr.evaluate(g, x)

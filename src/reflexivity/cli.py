@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from importlib import resources
 from pathlib import Path
@@ -140,12 +139,8 @@ def _record(args, required, optional):
     return SimpleNamespace(**rec)
 
 
-def _derive_y_domain(f, x_domain, samples=256):
-    xs = dynamics._grid(*x_domain, samples)
-    vals = expr.evaluate_many(f, xs)
-    for x, v in zip(xs, vals):
-        if not math.isfinite(v):
-            raise dynamics.DomainValidationError(f"f not finite at {x!r}")
+def _derive_y_domain(f, x_domain):
+    vals = dynamics._check_finite_on(f, x_domain, "f", 256)
     y_lo, y_hi = min(vals), max(vals)
     if y_lo == y_hi:
         y_lo, y_hi = y_lo - 1.0, y_hi + 1.0

@@ -69,20 +69,27 @@ class ReflexiveSystem:
     _sweep: object = _expr.field(init=False, compare=False, repr=False, default=None)
 
     def __post_init__(self):
-        for name, (lo, hi) in (("x_domain", self.x_domain), ("y_domain", self.y_domain)):
-            if not (lo < hi):
-                raise DomainValidationError(f"{name} is degenerate: [{lo}, {hi}]")
+        _check_interval(*self.x_domain, "x_domain")
+        _check_interval(*self.y_domain, "y_domain")
         _check_finite_on(self.f, self.x_domain, "f")
         _check_finite_on(self.phi, self.y_domain, "phi")
 
 
-def _check_finite_on(fn, domain, label):
-    """One grid pass; if it fails or a value is not finite, a point loop
-    finds the first bad point and raises with it."""
-    xs = _grid(*domain, _VALIDATION_GRID)
+def _check_interval(lo, hi, name="interval"):
+    """Raise unless lo < hi: a reversed, empty or NaN interval."""
+    if not lo < hi:
+        raise DomainValidationError(f"{name} is degenerate: [{lo}, {hi}]")
+
+
+def _check_finite_on(fn, domain, label, n=_VALIDATION_GRID):
+    """fn's values at n evenly spaced points of domain, from one grid pass;
+    if it fails or a value is not finite, a point loop finds the first bad
+    point and raises with it."""
+    xs = _grid(*domain, n)
     try:
-        if all(map(math.isfinite, _expr.evaluate_many(fn, xs))):
-            return
+        vs = _expr.evaluate_many(fn, xs)
+        if all(map(math.isfinite, vs)):
+            return vs
     except _expr.EvalDomainError:
         pass
     for v in xs:
@@ -114,8 +121,8 @@ class SystemState:
 class Orbit:
     states: tuple
     terminated_by: str  # "step-budget" | "divergence" | "convergence"
-    # The x and y columns of states, kept by orbit from its compiled loop;
-    # None in any other orbit, whose columns come from states.
+    # The x and y columns of states, kept by orbit; None in any other
+    # orbit, whose columns come from states.
     _xs: list = _expr.field(init=False, compare=False, repr=False, default=None)
     _ys: list = _expr.field(init=False, compare=False, repr=False, default=None)
 
@@ -184,17 +191,15 @@ def step(s, st):
 
 
 # The loop of orbit and of gamma's iterates: from the state (x, y), up to
-# n steps of x' = phi(y), y' = f(x'), with orbit's divergence and
-# convergence stops, streak counting the converging steps before (x, y).
-# It returns the new xs and ys and the tag; window=0 turns the convergence
-# stop off.  Comparisons stand in for orbit's calls with the same result:
-# `not -cutoff <= x <= cutoff` for its divergence test
+# n steps of x' = phi(y), y' = f(x'), appended to the caller's lists xs and
+# ys, with orbit's divergence and convergence stops, streak counting the
+# converging steps before (x, y).  It returns the tag; window=0 turns the
+# convergence stop off.  Comparisons stand in for orbit's calls with the
+# same result: `not -cutoff <= x <= cutoff` for its divergence test
 # (`not isfinite(x) or abs(x) > DIVERGENCE_CUTOFF`), a conditional for
 # max(1.0, abs(p)), and -t < x - p < t for abs(x - p) < t.
 _LOOP = """\
-def compiled(x, y, n, streak, window{params}):
-    xs = []
-    ys = []
+def compiled(x, y, n, streak, window, xs, ys{params}):
     append_x = xs.append
     append_y = ys.append
     for _ in range(n):
@@ -206,17 +211,17 @@ def compiled(x, y, n, streak, window{params}):
         append_x(x)
         append_y(y)
         if not -cutoff <= x <= cutoff:
-            return xs, ys, "divergence"
+            return "divergence"
         if not window:
             continue
         t = rtol * (p if p > 1.0 else -p if p < -1.0 else 1.0)
         if -t < x - p < t:
             streak += 1
             if streak >= window:
-                return xs, ys, "convergence"
+                return "convergence"
         else:
             streak = 0
-    return xs, ys, "step-budget"
+    return "step-budget"
 """
 
 
@@ -235,65 +240,52 @@ def orbit(s, x0, max_steps):
     """Iterate from (x0, f(x0)); stops early on divergence or convergence.
 
     The first step is step's, which checks x0; s's compiled loop takes the
-    rest, with the same arithmetic, and the orbit keeps the loop's columns.
-    If the loop raises, step takes those steps instead, so an error has its
-    message and step index.
+    rest, with the same arithmetic.  The orbit keeps its x and y columns.
+    If the loop raises at a step, step runs that step again from the last
+    kept state, so the error has its message and step index.
     """
     if max_steps < 1:
         raise PreconditionError("max_steps must be >= 1")
+    x = float(x0)
     try:
-        y0 = _expr.evaluate(s.f, float(x0))
+        y = _expr.evaluate(s.f, x)
     except _expr.EvalDomainError as exc:
         raise OrbitNumericError(str(exc), 0) from exc
-    states = [SystemState(float(x0), y0, 0)]
-    tag, streak = _step_on(s, states, 1, 0)
-    if tag == "step-budget" and max_steps > 1:
-        first, last = states
-        try:
-            xs, ys, tag = _loop(s)(last.x, last.y, max_steps - 1, streak, CONVERGENCE_WINDOW)
-        except (ArithmeticError, ValueError):
-            tag, _ = _step_on(s, states, max_steps, streak)
-        else:
-            # Built in C: tuple.__new__ fills each state from zip's triple.
-            states += map(tuple.__new__, repeat(SystemState), zip(xs, ys, range(2, len(xs) + 2)))
-            o = Orbit(tuple(states), tag)
-            xs[:0] = first.x, last.x
-            ys[:0] = first.y, last.y
-            object.__setattr__(o, "_xs", xs)
-            object.__setattr__(o, "_ys", ys)
-            return o
-    return Orbit(tuple(states), tag)
-
-
-def _step_on(s, states, max_steps, streak):
-    """Extend states with step up to step number max_steps, or until the
-    orbit stops; returns the tag and the streak of converging steps."""
-    while len(states) <= max_steps:
-        prev = states[-1]
-        try:
-            nxt = step(s, prev)
-        except _expr.EvalDomainError as exc:
-            raise OrbitNumericError(str(exc), prev.index + 1) from exc
-        states.append(nxt)
-        if not math.isfinite(nxt.x) or abs(nxt.x) > DIVERGENCE_CUTOFF:
-            return "divergence", streak
-        if abs(nxt.x - prev.x) < CONVERGENCE_RTOL * max(1.0, abs(prev.x)):
-            streak += 1
-            if streak >= CONVERGENCE_WINDOW:
-                return "convergence", streak
-        else:
-            streak = 0
-    return "step-budget", streak
+    xs, ys = [x], [y]
+    try:
+        first = step(s, SystemState(x, y, 0))
+        xs.append(first.x)
+        ys.append(first.y)
+        tag = "step-budget" if -DIVERGENCE_CUTOFF <= first.x <= DIVERGENCE_CUTOFF else "divergence"
+        if tag == "step-budget" and max_steps > 1:
+            streak = int(abs(first.x - x) < CONVERGENCE_RTOL * max(1.0, abs(x)))
+            try:
+                tag = _loop(s)(first.x, first.y, max_steps - 1, streak, CONVERGENCE_WINDOW,
+                               xs, ys)
+            except (ArithmeticError, ValueError):
+                # The loop failed at step len(xs); step runs the same lines
+                # from the last kept state and raises the typed error.
+                step(s, SystemState(xs[-1], ys[-1], len(xs) - 1))
+                raise
+    except _expr.EvalDomainError as exc:
+        raise OrbitNumericError(str(exc), len(xs)) from exc
+    # Built in C: tuple.__new__ fills each state from zip's triple.
+    o = Orbit(tuple(map(tuple.__new__, repeat(SystemState), zip(xs, ys, range(len(xs))))), tag)
+    object.__setattr__(o, "_xs", xs)
+    object.__setattr__(o, "_ys", ys)
+    return o
 
 
 def _gamma_iterates(s, x, n):
     """The iterate_fn of compose_gamma(s): from s's loop with the convergence
     stop off, orbit's xs after x.  None where the loop fails; the caller then
     steps the map and meets the error itself."""
+    xs = []
     try:
-        return _loop(s)(x, _expr.evaluate(s.f, x), n, 0, 0)[0]
+        _loop(s)(x, _expr.evaluate(s.f, x), n, 0, 0, xs, [])
     except (ArithmeticError, ValueError, _expr.EvalDomainError):
         return None
+    return xs
 
 
 def compose_gamma(s):
@@ -382,9 +374,9 @@ def bracket_solve(g, a, b, ga, gb, tol, x0=None, dg=None):
 
 
 def find_map_fixed_points(fn, lo, hi, grid_n=DEFAULT_GRID, tol=ROOT_TOL):
-    """Roots of the ScalarMap fn minus x on [lo, hi], by uniform grid (one
-    fn.many pass while no point fails) plus bracket_solve with fn's
-    derivative.
+    """Roots of the ScalarMap fn minus x on [lo, hi], lo < hi (else
+    DomainValidationError), by uniform grid (one fn.many pass while no
+    point fails) plus bracket_solve with fn's derivative.
 
     Returns (roots, skipped) where skipped counts grid points dropped for
     numeric domain errors.  A pair of grid values with a NaN end brackets
@@ -394,6 +386,7 @@ def find_map_fixed_points(fn, lo, hi, grid_n=DEFAULT_GRID, tol=ROOT_TOL):
     """
     if grid_n < 2:
         raise PreconditionError("grid_n must be >= 2")
+    _check_interval(lo, hi)
     xs = _grid(lo, hi, grid_n)
     skipped = 0
     try:

@@ -126,6 +126,8 @@ def to_svg(trace, options=None):
     opt = options or RenderOptions()
     if opt.width <= 0 or opt.height <= 0:
         raise _dyn.PreconditionError("dimensions must be positive")
+    if not 0 <= 2 * opt.margin < min(opt.width, opt.height):
+        raise _dyn.PreconditionError("margin must be >= 0 and less than half of each dimension")
     # Every drawn point, in drawing order; the data bounds come from all.
     if isinstance(trace, StaircaseTrace):
         parts = (list(chain.from_iterable(trace.segments)), trace.curve_f,

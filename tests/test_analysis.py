@@ -77,6 +77,34 @@ class TestInvertNumeric:
         assert got == pytest.approx(0.5 + 0.123456789 / 1e5, abs=2.3e-16)
 
 
+class TestDegenerateInterval:
+    """A reversed, empty or NaN interval raises before any grid is built:
+    reversed, it used to give a backward grid and wrong answers."""
+
+    BAD = [(1.0, 0.0), (0.5, 0.5), (0.0, math.nan), (math.nan, 1.0)]
+
+    @pytest.mark.parametrize("lo, hi", BAD)
+    def test_invert_numeric(self, caplog, lo, hi):
+        with pytest.raises(dynamics.DomainValidationError) as info:
+            invert_numeric(expr.parse("2*x"), (lo, hi), 0.5)
+        assert str(info.value) == f"interval is degenerate: [{lo}, {hi}]"
+        assert not caplog.records
+
+    @pytest.mark.parametrize("lo, hi", BAD)
+    def test_verify_conjugacy(self, caplog, lo, hi):
+        f = expr.parse("4*x*(1-x)")
+        with pytest.raises(dynamics.DomainValidationError) as info:
+            verify_conjugacy(f, f, expr.parse("x"), (lo, hi), samples=64)
+        assert str(info.value) == f"interval is degenerate: [{lo}, {hi}]"
+        assert not caplog.records
+
+    def test_forward_interval(self):
+        f = expr.parse("4*x*(1-x)")
+        rep = verify_conjugacy(f, f, expr.parse("x"), (0.0, 1.0), samples=64)
+        assert (rep.verdict, rep.fixed_point_images_checked) == ("consistent", 2)
+        assert invert_numeric(expr.parse("2*x"), (0.0, 1.0), 0.5) == 0.25
+
+
 class TestFunctionDistance:
     def test_exact_inverse_is_zero(self):
         s = make_system("2*x", "y/2", (0.0, 10.0), (0.0, 20.0))

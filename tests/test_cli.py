@@ -274,6 +274,19 @@ class TestExitCodeScheme:
         got = run(capsys, "simulate", "--f", f.replace("W", w), "--phi", "y", "--x0", "1")
         assert got == (3, "", f"numeric error: f not finite at {at!r}\n")
 
+    @pytest.mark.parametrize("y_domain", [(), ("--y-domain", "0", "1")], ids=["derived", "given"])
+    def test_f_invalid_reads_the_same_with_or_without_y_domain(self, capsys, y_domain):
+        got = run(capsys, "simulate", "--f", "log(x)", "--phi", "y", "--x0", "1", *y_domain)
+        assert got == (3, "", "numeric error: f invalid at -10.0: "
+                              "log of non-positive value -10.0 (node at offset 0)\n")
+
+    @pytest.mark.parametrize("lo, hi", [("1", "0"), ("0.5", "0.5"), ("0", "nan"), ("nan", "1")])
+    def test_degenerate_conjugacy_domain_exits_3(self, capsys, lo, hi):
+        got = run(capsys, "conjugacy", "--f", "4*x*(1-x)", "--g", "4*x*(1-x)", "--h", "x",
+                  "--domain", lo, hi, "--samples", "64")
+        message = f"interval is degenerate: [{float(lo)}, {float(hi)}]"
+        assert got == (3, "", f"numeric error: {message}\n")
+
     def test_too_deep_expression_exit_2(self, capsys):
         code, _, err = run(capsys, "simulate", "--f", "+".join(["x"] * 1200),
                            "--phi", "y", "--x0", "1")
@@ -431,6 +444,7 @@ class TestReadme:
 
 class TestPreconditionExitCode:
     SYSTEM = ("--f", "3.9*x*(1-x)", "--phi", "y", "--domain", "0", "1", "--x0", "0.3")
+    MARGIN = "margin must be >= 0 and less than half of each dimension"
 
     @pytest.mark.parametrize("argv, message", [
         (("simulate", *SYSTEM, "--steps", "0"), "max_steps must be >= 1"),
@@ -459,6 +473,10 @@ class TestPreconditionExitCode:
          "not strictly monotone between 1.57 and 1.5761328125"),
         (("distance", "--f", "x", "--phi", "y", "--domain", "0", "1", "--y-domain", "5", "6"),
          "image of f does not overlap y_domain"),
+        (("staircase", *SYSTEM, "--width", "100", "--margin", "50"), MARGIN),
+        (("portrait", *SYSTEM, "--width", "100", "--margin", "80"), MARGIN),
+        (("portrait", *SYSTEM, "--height", "120", "--margin", "60"), MARGIN),
+        (("portrait", *SYSTEM, "--margin", "-10"), MARGIN),
     ])
     def test_each_precondition_exits_4(self, capsys, argv, message):
         assert run(capsys, *argv) == (4, "", f"precondition error: {message}\n")

@@ -1,6 +1,6 @@
 """Columnar orbits against the paths they replace.
 
-An orbit from the compiled loop keeps the loop's x and y columns,
+An orbit from orbit() keeps its x and y columns,
 detect_boom_bust scans the x column with builtins, and render draws from
 columns.  The references are the run-by-run boom-bust detection in
 boom_bust_runs and the point-by-point rendering in render_points.  Results
@@ -110,11 +110,11 @@ def _column_cases():
     logistic = make_system("3.9*x*(1-x)", "y", (0.0, 1.0), (0.0, 1.0))
     return {
         "loop": (orbit(logistic, 0.3, 600), True),
-        "one-step": (orbit(logistic, 0.3, 1), False),
+        "one-step": (orbit(logistic, 0.3, 1), True),
         "two-steps": (orbit(logistic, 0.3, 2), True),
         "diverges": (orbit(make_system("2*x", "y", (-1.0, 1.0), (-2.0, 2.0)), 0.3, 500), True),
         "diverges-at-step-1": (orbit(make_system("x*1e300", "y*1e300", (0.0, 1.0), (0.0, 1.0)),
-                                     0.5, 50), False),
+                                     0.5, 50), True),
         "converges": (orbit(make_system("cos(x)", "y", (-10.0, 10.0), (-2.0, 2.0)), 1.0, 500),
                       True),
         "converges-at-once": (orbit(make_system("x", "y", (0.0, 1.0), (0.0, 1.0)), -0.0, 100),

@@ -210,6 +210,14 @@ class TestCompositeMaps:
 
 
 class TestFindFixedPoints:
+    @pytest.mark.parametrize("lo, hi", [(1.0, 0.0), (0.5, 0.5), (0.0, math.nan)])
+    def test_degenerate_interval_rejected(self, lo, hi):
+        m = dynamics.compose_gamma(make_system("4*x*(1-x)", "y", (0.0, 1.0), (0.0, 1.0)))
+        assert dynamics.find_map_fixed_points(m, 0.0, 1.0) == ([0.0, 0.75], 0)
+        with pytest.raises(dynamics.DomainValidationError) as info:
+            dynamics.find_map_fixed_points(m, lo, hi)
+        assert str(info.value) == f"interval is degenerate: [{lo}, {hi}]"
+
     def test_logistic_two_fixed_points(self):
         s = make_system("2.5*x*(1-x)", "y", (-0.5, 1.5), (-5.0, 5.0))
         fps = find_fixed_points(s)

@@ -192,7 +192,9 @@ class TestEvaluate:
             # The orbit loop holds e as both f and phi, each in its own names.
             s = dynamics.ReflexiveSystem(e, e, (0.5, 2.0), (0.5, 2.0))
             code = dynamics._loop(s).__code__
-            assert code.co_names == ("append",) and code.co_varnames[:2] == ("x", "y"), src
+            assert code.co_names == ("append",), src
+            # Its columns are the caller's lists, passed in after the state.
+            assert code.co_varnames[:7] == ("x", "y", "n", "streak", "window", "xs", "ys"), src
             for local in code.co_varnames:
                 assert re.fullmatch(r"(phi|f)[vk]\d+", local) or local in _COMPILER_HELPERS \
                     or local in _LOOP_NAMES, local

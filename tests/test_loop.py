@@ -1,11 +1,12 @@
 """The compiled orbit loop against the per-step path it replaces.
 
 orbit runs its first step through step and the rest in the system's
-compiled loop; detect_period and detect_recurrence run the loop for a
-compose_gamma map.  The references here are the per-step orbit as it was
-before the loop, and the same analyses given a plain callable, which steps
-the map one value at a time.  Every state is compared by repr, so -0.0 and
-NaN are told apart; every error by type, message and step index.
+compiled loop, and step again only to raise the loop's error;
+detect_period and detect_recurrence run the loop for a compose_gamma map.
+The references here are the per-step orbit as it was before the loop, and
+the same analyses given a plain callable, which steps the map one value at
+a time.  Every state is compared by repr, so -0.0 and NaN are told apart;
+every error by type, message and step index.
 """
 
 import gc
@@ -182,6 +183,63 @@ class TestOrbitMatchesPerStep:
         loop = s._loop
         analysis.detect_period(dynamics.compose_gamma(s), 0.5)
         assert s._loop is loop
+
+
+def _fails_at(k, part):
+    """A system whose orbit from the returned x0 fails at step k, in f's
+    lines (log of a value that drops by 1 a step) or in phi's (sqrt of one)."""
+    if part == "f":
+        return dynamics.make_system("log(x)", "exp(y) - 1", (0.5, 10.0), (0.0, 1.0)), k - 0.5
+    return dynamics.make_system("x - 1", "y + 0*sqrt(y + 3)", (0.0, 1.0), (0.0, 1.0)), k - 3.5
+
+
+class TestOnePathOrbit:
+    """Each way the first step and the loop hand over: an error at any step,
+    divergence and convergence near the first step, and the smallest
+    budgets."""
+
+    @pytest.mark.parametrize("part", ["f", "phi"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 7])
+    def test_failure_at_step_k(self, k, part):
+        s, x0 = _fails_at(k, part)
+        # Budgets that end before, at and after the failing step.
+        for n in sorted({1, 2, max(k - 1, 1), k, k + 5}):
+            want = outcome(lambda: per_step_orbit(s, x0, n))
+            assert outcome(lambda: orbit(s, x0, n)) == want, n
+            if n >= k:
+                assert want[0] == "OrbitNumericError" and want[2] == k, want
+                assert want[1].startswith({"f": "log", "phi": "sqrt"}[part]), want
+
+    @pytest.mark.parametrize("k", [2, 3, 7])
+    def test_failure_runs_step_twice(self, monkeypatch, k):
+        # Once for the first step, once to raise the loop's error typed.
+        s, x0 = _fails_at(k, "f")
+        calls = []
+        real = dynamics.step
+        monkeypatch.setattr(dynamics, "step", lambda *a: calls.append(a) or real(*a))
+        with pytest.raises(OrbitNumericError, match=rf"\(step {k}\)$"):
+            orbit(s, x0, 50)
+        assert len(calls) == 2 and calls[1][1].index == k - 1
+
+    @pytest.mark.parametrize("f, phi, x0, ends", [
+        ("x*1e300", "y*1e300", 0.5, ("divergence", 1)),  # inf at step 1
+        ("2*x", "y", 6e11, ("divergence", 1)),  # beyond the cutoff at step 1
+        ("2*x", "y", 4e11, ("divergence", 2)),
+        ("x", "y", 0.3, ("convergence", 3)),  # the streak starts at step 1
+        ("x", "y", -0.0, ("convergence", 3)),
+        # Step 1 moves by exactly the tolerance, which does not count;
+        # steps 2 to 4 do.
+        ("x", "y/2", 2e-13, ("convergence", 4)),
+        ("x", "y/2", 4e-13, ("convergence", 5)),
+    ])
+    def test_stops_near_the_first_step(self, f, phi, x0, ends):
+        s = dynamics.make_system(f, phi, (0.0, 1.0), (0.0, 1.0))
+        for n in (1, 2, 3, 4, 50):
+            o = orbit(s, x0, n)
+            assert repr(o) == repr(per_step_orbit(s, x0, n)), n
+            assert repr(o.xs()) == repr([st.x for st in o.states])
+            assert repr(o.ys()) == repr([st.y for st in o.states])
+        assert (o.terminated_by, len(o.states) - 1) == ends
 
 
 class TestPeriodMatchesPlainCallable:

@@ -1,7 +1,9 @@
+import re
+
 import pytest
 
 from reflexivity import render
-from reflexivity.dynamics import Orbit, SystemState, make_system, orbit
+from reflexivity.dynamics import Orbit, PreconditionError, SystemState, make_system, orbit
 from reflexivity.render import (
     PhasePortraitTrace,
     RenderOptions,
@@ -162,6 +164,25 @@ class TestSvg:
     def test_dimension_validation(self):
         with pytest.raises(ValueError):
             to_svg(PhasePortraitTrace(((0.0, 0.0),)), RenderOptions(width=0))
+
+    @pytest.mark.parametrize("width, height, margin", [
+        (100, 600, 50), (100, 600, 80), (800, 120, 60), (800, 600, -10), (800, 600, -1)])
+    def test_margin_must_leave_room_to_plot(self, width, height, margin):
+        with pytest.raises(PreconditionError, match="margin must be >= 0 and less than half"):
+            to_svg(PhasePortraitTrace(((0.0, 0.0), (1.0, 1.0))),
+                   RenderOptions(width, height, margin))
+
+    @pytest.mark.parametrize("width, height, margin", [(100, 600, 49), (800, 600, 0),
+                                                       (800, 600, 60), (7, 3, 1)])
+    def test_margins_that_fit_draw_on_the_canvas(self, cos_orbit, width, height, margin):
+        _, o = cos_orbit
+        svg = to_svg(phase_portrait(o), RenderOptions(width, height, margin))
+        axis = r'<line class="axis" x1="(\d+)" y1="(\d+)" x2="(\d+)" y2="(\d+)"'
+        (x1, y1, x2, y2), (u1, v1, u2, v2) = [tuple(map(int, a)) for a in re.findall(axis, svg)]
+        # The x axis runs forward along the bottom margin, the y axis down the left.
+        assert (x1, x2, y1, y2) == (margin, width - margin, height - margin, height - margin)
+        assert (u1, u2, v1, v2) == (margin, margin, margin, height - margin)
+        assert 0 <= x1 < x2 <= width and 0 <= v1 < v2 <= height
 
     def test_options_respected(self, cos_orbit):
         _, o = cos_orbit
