@@ -232,13 +232,12 @@ def _sweep_by_sample(s, ys, lo, hi, flo, fhi, argmax):
 # lines.  It returns None, and the caller runs the per-sample loop, which
 # reports what it meets, where bracket_solve would end other than by
 # |g| < tol (the bracket down to two adjacent floats, where it tells a steep
-# root from a jump, or the iteration cap) and where a grid point is NaN or
-# below f_min.  Comparisons stand in for calls with the same result:
+# root from a jump, or the iteration cap).  Its grid points are finite and
+# none lies below f_min.  Comparisons stand in for calls with the same result:
 # -t < g < t for abs(g) < t, a conditional for max(1.0, abs(y)), and
 # 0.0 - d for abs(d) when d is not > 0 (-0.0 included).
 _SWEEP = """\
 def compiled(ys, lo, hi, flo, fhi, argmax{params}):
-    f_min = min(flo, fhi)
     f_max = max(flo, fhi)
     best = -1.0
     nans = 0
@@ -246,8 +245,6 @@ def compiled(ys, lo, hi, flo, fhi, argmax{params}):
     for y in ys:
         if f_max < y:
             y = f_max
-        elif not f_min <= y:
-            return None
         tol = nextafter(rtol * (y if y > 1.0 else -y if y < -1.0 else 1.0), inf)
         ntol = -tol
         ga = flo - y
@@ -303,7 +300,7 @@ def _sweep(s, ys, lo, hi, flo, fhi, argmax):
     sweep hands a sample back or one of its lines fails."""
     try:
         return _kernel(s)(ys, lo, hi, flo, fhi, argmax)
-    except (ArithmeticError, ValueError):
+    except _expr.EvalDomainError:
         return None
 
 
@@ -312,7 +309,7 @@ def _kernel(s):
     fn = s._sweep
     if fn is None:
         fn = _expr.compile_loop(_SWEEP, {"f": (s.f, "x"), "phi": (s.phi, "y")}, {
-            "min": min, "max": max, "range": range, "nextafter": math.nextafter,
+            "max": max, "range": range, "nextafter": math.nextafter,
             "inf": math.inf, "rtol": INVERT_RTOL, "cap": _dyn.SOLVE_MAX_ITER},
             dual=("f",))
         object.__setattr__(s, "_sweep", fn)
@@ -421,10 +418,12 @@ def detect_boom_bust(o, min_run=DEFAULT_MIN_RUN, retrace_threshold=DEFAULT_RETRA
 
 # verify_conjugacy's residual: at each of the n points x = lo + w*k/m of its
 # grid (dynamics._grid's arithmetic), h(f(x)) - g(h(x)) from the lines of f
-# and h on x, of h on f's value and of g on h's value.  It keeps the first
-# strict maximum of the residual's magnitude, where it lies, and the first x
-# whose residual is NaN; best stays -1.0 if no residual is other than NaN.
-# 0.0 - r stands in for abs(r) where r is not > 0 (-0.0 and NaN included).
+# on x, of h on f's value, of h on x and of g on h's value, in that order, so
+# that a failing x raises the error h(f(x)) meets first, as evaluating point
+# by point does.  It keeps the first strict maximum of the residual's
+# magnitude, where it lies, and the first x whose residual is NaN; best stays
+# -1.0 if no residual is other than NaN.  0.0 - r stands in for abs(r) where
+# r is not > 0 (-0.0 and NaN included).
 _RESIDUALS = """\
 def compiled(lo, w, m, n{params}):
     best = -1.0
@@ -434,9 +433,9 @@ def compiled(lo, w, m, n{params}):
         x = lo + w * k / m
         @f
         fx = {f}
+        @hf
         @h
         hx = {h}
-        @hf
         @gh
         r = {hf} - {gh}
         if not r > 0.0:
@@ -472,34 +471,24 @@ def verify_conjugacy(f, g, h, interval, samples=DEFAULT_SAMPLES,
     NaN, or NaN if every residual is.  Also verifies that images of f's
     fixed points are fixed under g; a NaN image residual is a violation too.
 
-    The residuals come from one compiled loop (_RESIDUALS); if one of its
-    lines fails, the grid is evaluated point by point instead, which raises
-    the error the first failing x meets.
+    The residuals come from one compiled loop (_RESIDUALS), which raises the
+    error the first failing x meets.
     """
     if samples < 2:
         raise _dyn.PreconditionError("samples must be >= 2")
     lo, hi = interval
     _dyn._check_interval(lo, hi)
     h_fn = lambda x: _expr.evaluate(h, x)
-    f_fn = lambda x: _expr.evaluate(f, x)
     g_fn = lambda x: _expr.evaluate(g, x)
     _monotone_direction(h, lo, hi)  # homeomorphism proxy check
 
-    kernel = _residuals(f, g, h)
-    try:
-        best, argmax, nan_x = kernel(lo, hi - lo, samples - 1, samples)
-    except (ArithmeticError, ValueError):
-        # Point by point, so the error is the one the first failing x meets.
-        # The loop ran the same lines, so some x fails here too.
-        for x in _dyn._grid(lo, hi, samples):
-            h_fn(f_fn(x))
-            g_fn(h_fn(x))
-        raise
+    w, m = _dyn._grid_span(lo, hi, samples)
+    best, argmax, nan_x = _residuals(f, g, h)(lo, w, m, samples)
     max_residual = best if best >= 0.0 else math.nan
     violation_x = argmax if max_residual > tol else nan_x
     verdict = "consistent" if violation_x is None else "violated"
 
-    f_map = _dyn.ScalarMap(f_fn, lambda x: _expr.derivative(f, x),
+    f_map = _dyn.ScalarMap(lambda x: _expr.evaluate(f, x), lambda x: _expr.derivative(f, x),
                            lambda xs: _expr.evaluate_many(f, xs))
     fixed_points, _ = _dyn.find_map_fixed_points(f_map, lo, hi, grid_n=1024)
     checked = 0

@@ -43,9 +43,18 @@ class PreconditionError(DynamicsError, ValueError):
     """An argument the function does not accept (a ValueError too)."""
 
 
+def _grid_span(lo, hi, n):
+    """(hi - lo, n - 1) for an n-point grid on [lo, hi]; DomainValidationError
+    where their product, and so a grid point, is not finite."""
+    w, m = hi - lo, n - 1
+    if not math.isfinite(w * m):
+        raise DomainValidationError(f"[{lo}, {hi}] is too wide for a grid of {n} points")
+    return w, m
+
+
 def _grid(lo, hi, n):
     """n evenly spaced points from lo to hi, both included."""
-    w, m = hi - lo, n - 1
+    w, m = _grid_span(lo, hi, n)
     return [lo + w * k / m for k in range(n)]
 
 
@@ -76,9 +85,12 @@ class ReflexiveSystem:
 
 
 def _check_interval(lo, hi, name="interval"):
-    """Raise unless lo < hi: a reversed, empty or NaN interval."""
+    """Raise unless lo < hi, both finite: a reversed, empty, NaN or
+    unbounded interval."""
     if not lo < hi:
         raise DomainValidationError(f"{name} is degenerate: [{lo}, {hi}]")
+    if not -math.inf < lo < hi < math.inf:
+        raise DomainValidationError(f"{name} is not finite: [{lo}, {hi}]")
 
 
 def _check_finite_on(fn, domain, label, n=_VALIDATION_GRID):
@@ -241,8 +253,8 @@ def orbit(s, x0, max_steps):
 
     The first step is step's, which checks x0; s's compiled loop takes the
     rest, with the same arithmetic.  The orbit keeps its x and y columns.
-    If the loop raises at a step, step runs that step again from the last
-    kept state, so the error has its message and step index.
+    The loop raises a failing step's error before it keeps the step, so
+    len(xs) is that step's index.
     """
     if max_steps < 1:
         raise PreconditionError("max_steps must be >= 1")
@@ -259,14 +271,8 @@ def orbit(s, x0, max_steps):
         tag = "step-budget" if -DIVERGENCE_CUTOFF <= first.x <= DIVERGENCE_CUTOFF else "divergence"
         if tag == "step-budget" and max_steps > 1:
             streak = int(abs(first.x - x) < CONVERGENCE_RTOL * max(1.0, abs(x)))
-            try:
-                tag = _loop(s)(first.x, first.y, max_steps - 1, streak, CONVERGENCE_WINDOW,
-                               xs, ys)
-            except (ArithmeticError, ValueError):
-                # The loop failed at step len(xs); step runs the same lines
-                # from the last kept state and raises the typed error.
-                step(s, SystemState(xs[-1], ys[-1], len(xs) - 1))
-                raise
+            tag = _loop(s)(first.x, first.y, max_steps - 1, streak, CONVERGENCE_WINDOW,
+                           xs, ys)
     except _expr.EvalDomainError as exc:
         raise OrbitNumericError(str(exc), len(xs)) from exc
     # Built in C: tuple.__new__ fills each state from zip's triple.
@@ -283,7 +289,7 @@ def _gamma_iterates(s, x, n):
     xs = []
     try:
         _loop(s)(x, _expr.evaluate(s.f, x), n, 0, 0, xs, [])
-    except (ArithmeticError, ValueError, _expr.EvalDomainError):
+    except _expr.EvalDomainError:
         return None
     return xs
 

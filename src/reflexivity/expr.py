@@ -6,12 +6,13 @@ parsing, so evaluation and differentiation are pure and reentrant.  Values
 come from a straight-line float function compiled from the tree when the
 Expression is built; values over a grid from the same lines run in one
 loop, and derivatives from a straight-line value-plus-derivative function,
-both compiled on first use.  After a failure, a checked variant of the
-failing function runs the same lines again, each in a try, and reports the
-error with its message and node offset.  compile_loop puts the lines of
-several expressions, values only or values with derivatives, into one
-function from a template: the orbit loop of the dynamics layer, and the
-inversion sweep and conjugacy residual of the analysis layer.
+both compiled on first use.  Each compiled function reports its own
+failures: one handler raises the error of the line that failed, with its
+message and node offset, at no cost until something fails.  compile_loop
+puts the lines of several expressions, values only or values with
+derivatives, into one function from a template: the orbit loop of the
+dynamics layer, and the inversion sweep and conjugacy residual of the
+analysis layer.
 
 The module also holds the two helpers every layer uses: `record`, which
 makes the frozen result classes, and `LazyLogger`.
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from operator import itemgetter
 
 
@@ -231,8 +233,6 @@ class Expression:
     # expressions never need them.
     _derivative: object = field(init=False, compare=False, repr=False, default=None)
     _many: object = field(init=False, compare=False, repr=False, default=None)
-    # The checked functions by mode (dual or not), compiled on first failure.
-    _checked: object = field(init=False, compare=False, repr=False, default=None)
     # analysis.verify_conjugacy's compiled residual loop with this as h, as
     # (f, g, loop), compiled on its first call (see analysis._residuals).
     _conjugacy: object = field(init=False, compare=False, repr=False, default=None)
@@ -413,15 +413,10 @@ def _serialize(node):
 def evaluate(e, v):
     """Evaluate e at the real point v (IEEE-754 double arithmetic).
 
-    Runs e's compiled function.  If that raises, e's checked function runs
-    the same lines again and raises the first failure as EvalDomainError
+    Runs e's compiled function, which raises a failure as EvalDomainError
     with its node's offset.
     """
-    x = float(v)
-    try:
-        return e._value(x)
-    except (ArithmeticError, ValueError):
-        return _checked(e, False)(x)
+    return e._value(float(v))
 
 
 def evaluate_many(e, xs):
@@ -429,25 +424,20 @@ def evaluate_many(e, xs):
 
     Runs e's compiled grid function, compiling it on the first call: the
     point function's lines in one loop, so every value is the same bit for
-    bit.  If any point fails it evaluates point by point instead, so the
-    first failing x raises its EvalDomainError, as a loop over evaluate does.
+    bit, and the first failing x raises its EvalDomainError.
     """
     fn = e._many
     if fn is None:
         fn = _compile(e.root, many=True)
         object.__setattr__(e, "_many", fn)
-    try:
-        return fn(xs)
-    except (ArithmeticError, ValueError):
-        return [evaluate(e, x) for x in xs]
+    return fn(xs)
 
 
 def derivative(e, v):
     """Exact forward-mode derivative of e at v.
 
     Runs e's compiled value-plus-derivative function, compiling it on the
-    first call.  If that raises, e's checked function runs the same lines
-    again and raises the first failure as EvalDomainError (or
+    first call, which raises a failure as EvalDomainError (or
     NonDifferentiableError) with its node's offset.
     """
     x = float(v)
@@ -455,23 +445,7 @@ def derivative(e, v):
     if fn is None:
         fn = _compile(e.root, dual=True)
         object.__setattr__(e, "_derivative", fn)
-    try:
-        return fn(x)
-    except (ArithmeticError, ValueError):
-        return _checked(e, True)(x)
-
-
-def _checked(e, dual):
-    """e's checked function for the mode, compiled on the mode's first
-    failure and cached on e."""
-    cache = e._checked
-    if cache is None:
-        cache = {}
-        object.__setattr__(e, "_checked", cache)
-    fn = cache.get(dual)
-    if fn is None:
-        fn = cache[dual] = _compile(e.root, dual=dual, checked=True)
-    return fn
+    return fn(x)
 
 
 # ---------------------------------------------------------------------------
@@ -484,23 +458,24 @@ def _checked(e, dual):
 # transformation: one pair of locals v<k>, d<k> per operator node, each a
 # dual number's value and derivative part.  The dual-number walk of the tree
 # in tests/dual_walk.py is the reference both modes are tested against, bit
-# for bit.
+# for bit, errors included.
 #
-# A line that fails raises ArithmeticError or ValueError.  The checked
-# variant, _compile(root, dual, checked=True), puts each line in a try whose
-# handler raises the typed error: EvalDomainError (NonDifferentiableError for
-# the kinks of sqrt and abs) with the message in _FAILURES, and the node's
-# offset bound as a constant.  It is compiled only once a fast function has
-# failed, so the fast functions carry no handlers.
+# A line that fails raises ArithmeticError or ValueError.  _define puts the
+# body of every generated function in one try, whose handler `fail` finds
+# the failing line by the traceback's line number and raises its typed
+# error: EvalDomainError (NonDifferentiableError for the kinks of sqrt and
+# abs) with the message in _FAILURES and the node's offset.  A template's
+# own line re-raises its exception unchanged.  A try costs nothing until
+# something raises, so one function per mode is fast and reports too.
 #
 # The generated source holds only names the compiler chooses: the parameters
-# x or xs, the locals, exc, constants k<j> and the helpers in _HELPERS and
-# _CHECK_HELPERS, all bound as default arguments (a constant may be inf,
-# which has no literal), plus the literals in _RULES and _FAILURES.  Node
-# values and user identifiers never become source text; operators and
-# function names are written only after an exact match with _INFIX or
-# FUNCTION_NAMES.  Every constant is a float, so the arithmetic is float
-# arithmetic, as evaluate's float(v) makes it for the variable.
+# x or xs, the locals, constants k<j>, the helpers in _HELPERS its lines
+# call, and fail, all bound as default arguments (a constant may be inf,
+# which has no literal), plus the literals in _RULES.  Node values and user
+# identifiers never become source text; operators and function names are
+# written only after an exact match with _INFIX or FUNCTION_NAMES.  Every
+# constant is a float, so the arithmetic is float arithmetic, as evaluate's
+# float(v) makes it for the variable.
 #
 # compile_loop adds the names of its template, which come from the calling
 # layer's source, and names each expression's variable as the template asks
@@ -558,11 +533,8 @@ _HELPERS = {
     "log": math.log, "tanh": math.tanh, "sqrt": math.sqrt, "abs": abs,
     "copysign": math.copysign, "pow": _pow, "dpow": _dual_pow, "kink": _kink,
 }
-_CHECK_HELPERS = {
-    "errors": (ArithmeticError, ValueError), "EvalDomainError": EvalDomainError,
-    "NonDifferentiableError": NonDifferentiableError,
-}
 _INFIX = ("+", "-", "*", "/")
+_CALL = re.compile(r"\b(\w+)\(")  # a helper's name where a line calls it
 
 # (value, derivative) templates per rule: a and b name the operands' values,
 # da and db their derivatives, v this node's value.  In dual mode "^" gets
@@ -585,19 +557,18 @@ _RULES = {
     "abs": ("abs({a})", "copysign(1.0, {a}) * {da} if {a} != 0.0 else kink({da})"),
 }
 
-# The error a checked function raises when a line fails, as (value line,
-# derivative line) templates per rule; at names the node's offset and exc
-# the exception caught.  Any other line raises _DEFAULT_FAILURE, with exc's
-# own message.
-_DEFAULT_FAILURE = "EvalDomainError(exc, {at})"
+# The error a failing line raises, per rule, as (value line, derivative
+# line): an error class and its message, where %r stands for the value of
+# the line's first operand.  A line given None, and a line whose exception is
+# an OverflowError (of the lines named here, only ipow's can overflow),
+# raise EvalDomainError with the exception's own message.
 _FAILURES = {
-    "/": ('EvalDomainError("division by zero", {at})', None),
-    "ipow": ('EvalDomainError("zero raised to a negative power" if {a} == 0.0 else exc, {at})',
-             None),
-    "log": ('EvalDomainError("log of non-positive value %r" % ({a},), {at})', None),
-    "sqrt": ('EvalDomainError("sqrt of negative value %r" % ({a},), {at})',
-             'NonDifferentiableError("sqrt not differentiable at 0", {at})'),
-    "abs": (None, 'NonDifferentiableError("abs not differentiable at 0", {at})'),
+    "/": ((EvalDomainError, "division by zero"), None),
+    "ipow": ((EvalDomainError, "zero raised to a negative power"), None),
+    "log": ((EvalDomainError, "log of non-positive value %r"), None),
+    "sqrt": ((EvalDomainError, "sqrt of negative value %r"),
+             (NonDifferentiableError, "sqrt not differentiable at 0")),
+    "abs": (None, (NonDifferentiableError, "abs not differentiable at 0")),
 }
 
 
@@ -614,14 +585,16 @@ def _constant(node):
 
 class _Emitter:
     """Lines computing a tree's value (and derivative if dual), in the
-    variable var, with locals and constants named prefix + v<k>/d<k>/k<j>."""
+    variable var, with locals and constants named prefix + v<k>/d<k>/k<j>,
+    and for each line what it raises on failure: (the _FAILURES entry, the
+    name of its first operand, the node's offset)."""
 
-    def __init__(self, dual, checked=False, var="x", prefix=""):
+    def __init__(self, dual, var="x", prefix=""):
         self.dual = dual
-        self.checked = checked
         self.var = var
         self.prefix = prefix
         self.lines = []
+        self.failures = []
         self.consts = []
 
     def const(self, value):
@@ -629,22 +602,11 @@ class _Emitter:
         return f"{self.prefix}k{len(self.consts) - 1}"
 
     def bound(self):
-        """The names the lines need bound: helpers and constants."""
-        env = dict(_HELPERS)
-        if self.checked:
-            env.update(_CHECK_HELPERS)
+        """The names the lines need bound: the helpers they call, and the
+        constants.  Each bound name costs a little on every call."""
+        env = {name: _HELPERS[name] for name in _CALL.findall("\n".join(self.lines))}
         env.update((f"{self.prefix}k{j}", c) for j, c in enumerate(self.consts))
         return env
-
-    def statement(self, line, failure, names):
-        """Append line; in a checked function inside a try whose handler
-        raises the failure template (_DEFAULT_FAILURE if None)."""
-        if not self.checked:
-            self.lines.append(line)
-            return
-        raised = (failure or _DEFAULT_FAILURE).format(**names)
-        self.lines += ["try:", f"    {line}", "except errors as exc:",
-                       f"    raise {raised} from None"]
 
     def emit(self, node):
         """Names holding node's value and derivative, after the lines that
@@ -673,18 +635,41 @@ class _Emitter:
         names = {"v": v, "d": d}
         for (val, der), (vk, dk) in zip(emitted, (("a", "da"), ("b", "db"))):
             names[vk], names[dk] = val, der
-        if self.checked:
-            names["at"] = self.const(node.offset)
         value, deriv = _RULES[rule]
         on_value, on_deriv = _FAILURES.get(rule, (None, None))
         if not self.dual:
-            self.statement(f"{v} = {value.format(**names)}", on_value, names)
+            steps = [(f"{v} = {value.format(**names)}", on_value)]
         elif rule == "^":
-            self.statement(f"{v}, {d} = {deriv.format(**names)}", on_deriv, names)
+            steps = [(f"{v}, {d} = {deriv.format(**names)}", on_deriv)]
         else:
-            self.statement(f"{v} = {value.format(**names)}", on_value, names)
-            self.statement(f"{d} = {deriv.format(**names)}", on_deriv, names)
+            steps = [(f"{v} = {value.format(**names)}", on_value),
+                     (f"{d} = {deriv.format(**names)}", on_deriv)]
+        for line, failure in steps:
+            self.lines.append(line)
+            self.failures.append((failure, names["a"], node.offset))
         return v, d
+
+
+def _failure(table):
+    """The handler of a generated function, called in its except clause.  It
+    raises the typed error of a numeric exception from a line in table (keyed
+    by line number), and returns on any other, which the clause re-raises."""
+    def fail():
+        exc = sys.exc_info()[1]
+        if not isinstance(exc, (ArithmeticError, ValueError)):
+            return
+        tb = exc.__traceback__
+        entry = table.get(tb.tb_lineno)
+        if entry is None:
+            return
+        failure, operand, at = entry
+        if failure is None or isinstance(exc, OverflowError):
+            raise EvalDomainError(exc, at) from None
+        cls, message = failure
+        if "%r" in message:
+            message %= (tb.tb_frame.f_locals[operand],)
+        raise cls(message, at) from None
+    return fail
 
 
 # Function templates.  A line "@<name>" stands for the lines of the part
@@ -706,16 +691,15 @@ def compiled(xs{params}):
 """
 
 
-def _compile(root, dual=False, many=False, checked=False):
+def _compile(root, dual=False, many=False):
     """Straight-line function x -> value of root (x -> derivative if dual).
 
     With many=True the function takes a list xs instead and returns the
-    list of values, running the same lines once per x in one loop; with
-    checked=True each line raises its typed error.  Nested expressions
-    would hit the compiler's parenthesis limit on long sums, so every
-    operator node gets its own statements.
+    list of values, running the same lines once per x in one loop.  Nested
+    expressions would hit the compiler's parenthesis limit on long sums, so
+    every operator node gets its own statements.
     """
-    em = _Emitter(dual, checked)
+    em = _Emitter(dual)
     value, deriv = em.emit(root)
     return _define(_MANY if many else _POINT, {"value": (em, deriv if dual else value)})
 
@@ -728,7 +712,8 @@ def compile_loop(template, parts, env, dual=()):
     and derivative lines instead, and {name} is "value, derivative", the
     two names holding them.  env binds the template's own helpers.  The
     loop of dynamics.orbit, the sweep of analysis.function_distance and the
-    residual of analysis.verify_conjugacy are compiled this way."""
+    residual of analysis.verify_conjugacy are compiled this way; a failing
+    part line raises its typed error, as in _compile's functions."""
     emitted = {}
     for name, (e, var) in parts.items():
         em = _Emitter(name in dual, var=var, prefix=name)
@@ -740,20 +725,30 @@ def compile_loop(template, parts, env, dual=()):
 def _define(template, emitted, env=()):
     """Run template, with emitted mapping each part's name to (emitter,
     result name), and return the function `compiled` it defines: the one
-    place generated source is run, with no builtins."""
+    place generated source is run, with no builtins.  Its body runs in one
+    try whose handler is fail (see _failure)."""
     scope = {}
     for em, _ in emitted.values():
         scope.update(em.bound())
     scope.update(env)
+    table = {}
+    scope["fail"] = _failure(table)
     names = {name: result for name, (_, result) in emitted.items()}
     names["params"] = "".join(f", {name}={name}" for name in scope)
-    lines = []
-    for line in template.splitlines():
+    head, *body = template.splitlines()
+    lines = [head.format(**names), "    try:"]
+    for line in body:
         indent, marker, name = line.partition("@")
         if marker:
-            lines += [indent + code for code in emitted[name][0].lines]
+            em = emitted[name][0]
+            # Line numbers count from 1, the def line.
+            table.update(enumerate(em.failures, len(lines) + 1))
+            lines += [f"    {indent}{code}" for code in em.lines]
         else:
-            lines.append(line.format(**names))
+            lines.append("    " + line.format(**names))
+    # A bare except, as the source has no builtins to name a class with: fail
+    # raises the typed error of a numeric one, and raise re-raises the rest.
+    lines += ["    except:", "        fail()", "        raise"]
     scope["__builtins__"] = {}
     exec("\n".join(lines) + "\n", scope)
     return scope["compiled"]

@@ -8,6 +8,7 @@ columns of pixel coordinates, one format string per kind of element.
 
 from __future__ import annotations
 
+import math
 from itertools import chain, islice, repeat
 from operator import add, attrgetter, itemgetter, mul, sub, truediv
 
@@ -122,7 +123,10 @@ def _polyline(pixels, cls, color):
 
 
 def to_svg(trace, options=None):
-    """Standalone SVG 1.1 document with axes and tick labels."""
+    """Standalone SVG 1.1 document with axes and tick labels.  A point that
+    is not finite, or a data span (padded where 0) still 0 or too wide for
+    the ticks' grid, is a PreconditionError: its pixels would not be numbers.
+    """
     opt = options or RenderOptions()
     if opt.width <= 0 or opt.height <= 0:
         raise _dyn.PreconditionError("dimensions must be positive")
@@ -138,7 +142,12 @@ def to_svg(trace, options=None):
         raise TypeError(f"cannot render {type(trace).__name__}")
     xs = list(map(itemgetter(0), chain(*parts)))
     ys = list(map(itemgetter(1), chain(*parts)))
+    if not (all(map(math.isfinite, xs)) and all(map(math.isfinite, ys))):
+        raise _dyn.PreconditionError("cannot draw a point that is not finite")
     x_lo, x_hi, y_lo, y_hi = _bounds(xs, ys)
+    for lo, hi in ((x_lo, x_hi), (y_lo, y_hi)):
+        if not 0.0 < (hi - lo) * (_TICKS - 1) < math.inf:
+            raise _dyn.PreconditionError(f"cannot draw data spanning [{lo}, {hi}]")
     m = opt.margin
     plot_w = opt.width - 2 * m
     plot_h = opt.height - 2 * m

@@ -287,6 +287,28 @@ class TestExitCodeScheme:
         message = f"interval is degenerate: [{float(lo)}, {float(hi)}]"
         assert got == (3, "", f"numeric error: {message}\n")
 
+    # An interval with an infinite end, or one too wide for a grid's points,
+    # is refused by name, not blamed on f at a point outside it.
+    @pytest.mark.parametrize("argv, message", [
+        (("simulate", "--f", "x/2", "--phi", "y", "--domain", "0", "1e308", "--x0", "1",
+          "--steps", "2"), "[0.0, 1e+308] is too wide for a grid of 256 points"),
+        (("simulate", "--f", "x/2", "--phi", "y", "--domain", "0", "1e308", "--y-domain", "0",
+          "1", "--x0", "1", "--steps", "2"),
+         "[0.0, 1e+308] is too wide for a grid of 1024 points"),
+        (("conjugacy", "--f", "x/2", "--g", "x/2", "--h", "x", "--domain", "0", "inf"),
+         "interval is not finite: [0.0, inf]"),
+        (("conjugacy", "--f", "x/2", "--g", "x/2", "--h", "x", "--domain", "0", "1e305",
+          "--samples", "4096"), "[0.0, 1e+305] is too wide for a grid of 4096 points"),
+        (("fixed-points", "--f", "x/2", "--phi", "y", "--domain", "0", "inf", "--y-domain",
+          "0", "1"), "x_domain is not finite: [0.0, inf]"),
+        # Without --y-domain, the grid of the derived y_domain comes first.
+        (("fixed-points", "--f", "x/2", "--phi", "y", "--domain", "-1", "inf"),
+         "[-1.0, inf] is too wide for a grid of 256 points"),
+    ], ids=["simulate-wide", "simulate-wide-given-y", "conjugacy-inf", "conjugacy-wide",
+            "fixed-points-inf", "fixed-points-inf-derived-y"])
+    def test_unbounded_or_too_wide_domain_exits_3(self, capsys, argv, message):
+        assert run(capsys, *argv) == (3, "", f"numeric error: {message}\n")
+
     def test_too_deep_expression_exit_2(self, capsys):
         code, _, err = run(capsys, "simulate", "--f", "+".join(["x"] * 1200),
                            "--phi", "y", "--x0", "1")
@@ -477,6 +499,17 @@ class TestPreconditionExitCode:
         (("portrait", *SYSTEM, "--width", "100", "--margin", "80"), MARGIN),
         (("portrait", *SYSTEM, "--height", "120", "--margin", "60"), MARGIN),
         (("portrait", *SYSTEM, "--margin", "-10"), MARGIN),
+        # The orbit's last state is inf, or every point is 1e300, where
+        # padding the x and y spans by 1 leaves them 0.
+        (("portrait", "--f", "x*1e300", "--phi", "y*1e300", "--domain", "0", "1",
+          "--y-domain", "0", "1", "--x0", "0.5", "--steps", "5"),
+         "cannot draw a point that is not finite"),
+        (("staircase", "--f", "x*1e300", "--phi", "y*1e300", "--domain", "0", "1",
+          "--y-domain", "0", "1", "--x0", "0.5", "--steps", "5"),
+         "cannot draw a point that is not finite"),
+        (("portrait", "--f", "x", "--phi", "y", "--domain", "0", "1e301", "--y-domain", "0",
+          "1e301", "--x0", "1e300", "--steps", "3"),
+         "cannot draw data spanning [1e+300, 1e+300]"),
     ])
     def test_each_precondition_exits_4(self, capsys, argv, message):
         assert run(capsys, *argv) == (4, "", f"precondition error: {message}\n")

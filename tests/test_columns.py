@@ -214,11 +214,19 @@ def _edge_traces():
     return traces
 
 
-def outcome(run):
-    try:
-        return run()
-    except ArithmeticError as exc:
-        return type(exc).__name__, str(exc)
+def _drawable(trace):
+    """Whether to_svg draws trace: every point finite, and each data span,
+    padded where it is 0, above 0 and finite over the ticks' steps."""
+    if isinstance(trace, render.StaircaseTrace):
+        pts = [*(p for seg in trace.segments for p in seg), *trace.curve_f, *trace.curve_phi,
+               *trace.fixed_points]
+    else:
+        pts = list(trace.points)
+    if not all(math.isfinite(c) for p in pts for c in p):
+        return False
+    x_lo, x_hi, y_lo, y_hi = render_points._data_bounds(trace)
+    return all(0.0 < (hi - lo) * (render._TICKS - 1) < math.inf
+               for lo, hi in ((x_lo, x_hi), (y_lo, y_hi)))
 
 
 class TestRenderFromColumns:
@@ -251,10 +259,19 @@ class TestRenderFromColumns:
                 == repr(py)
 
     def test_hand_built_traces_with_edge_values(self):
+        # A trace to_svg cannot draw is refused; any other is drawn as the
+        # point-by-point code draws it.
+        drawn = refused = 0
         for i, trace in enumerate(_edge_traces()):
             opt = self.OPTIONS[i % 3]
-            assert outcome(lambda: render.to_svg(trace, opt)) == \
-                outcome(lambda: render_points.to_svg(trace, opt)), trace
+            if _drawable(trace):
+                assert render.to_svg(trace, opt) == render_points.to_svg(trace, opt), trace
+                drawn += 1
+            else:
+                with pytest.raises(dynamics.PreconditionError, match="^cannot draw"):
+                    render.to_svg(trace, opt)
+                refused += 1
+        assert drawn > 100 and refused > 100, (drawn, refused)
 
     def test_hand_built_orbit_csv(self):
         o, _ = _column_cases()["hand-built"]

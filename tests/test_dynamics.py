@@ -30,6 +30,17 @@ class TestSystemConstruction:
         with pytest.raises(dynamics.DomainValidationError):
             make_system("x", "y", (1.0, 1.0), (0.0, 1.0))
 
+    @pytest.mark.parametrize("x_domain, y_domain, message", [
+        ((0.0, math.inf), (0.0, 1.0), "x_domain is not finite: [0.0, inf]"),
+        ((0.0, 1.0), (-math.inf, 1.0), "y_domain is not finite: [-inf, 1.0]"),
+        # Finite, but its 1024-point validation grid would overflow.
+        ((0.0, 1e308), (0.0, 1.0), "[0.0, 1e+308] is too wide for a grid of 1024 points"),
+    ])
+    def test_unbounded_or_too_wide_domain_rejected(self, x_domain, y_domain, message):
+        with pytest.raises(dynamics.DomainValidationError) as info:
+            make_system("x/2", "y", x_domain, y_domain)
+        assert str(info.value) == message
+
     def test_invalid_function_on_domain_rejected(self):
         with pytest.raises(dynamics.DomainValidationError):
             make_system("log(x)", "y", (-1.0, 1.0), (-1.0, 1.0))
@@ -217,6 +228,26 @@ class TestFindFixedPoints:
         with pytest.raises(dynamics.DomainValidationError) as info:
             dynamics.find_map_fixed_points(m, lo, hi)
         assert str(info.value) == f"interval is degenerate: [{lo}, {hi}]"
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (-math.inf, 0.0),
+                                        (-math.inf, math.inf)])
+    def test_unbounded_interval_rejected(self, lo, hi):
+        m = dynamics.compose_gamma(make_system("x/2", "y", (0.0, 1.0), (0.0, 1.0)))
+        with pytest.raises(dynamics.DomainValidationError) as info:
+            dynamics.find_map_fixed_points(m, lo, hi)
+        assert str(info.value) == f"interval is not finite: [{lo}, {hi}]"
+
+    @pytest.mark.parametrize("lo, hi, n", [(0.0, 1e308, 4096), (-1e308, 1e308, 2),
+                                           (0.0, 1.8e305, 1024)])
+    def test_interval_too_wide_for_the_grid_rejected(self, lo, hi, n):
+        # Its width times n - 1 overflows; where its width alone does not,
+        # the same interval with 2 points is searched.
+        m = dynamics.compose_gamma(make_system("x/2", "y", (0.0, 1.0), (0.0, 1.0)))
+        with pytest.raises(dynamics.DomainValidationError) as info:
+            dynamics.find_map_fixed_points(m, lo, hi, n)
+        assert str(info.value) == f"[{lo}, {hi}] is too wide for a grid of {n} points"
+        if hi - lo < math.inf:
+            assert dynamics.find_map_fixed_points(m, lo, hi, 2) == ([0.0], 0)
 
     def test_logistic_two_fixed_points(self):
         s = make_system("2.5*x*(1-x)", "y", (-0.5, 1.5), (-5.0, 5.0))

@@ -1,3 +1,4 @@
+import builtins
 import math
 import operator
 import os
@@ -170,7 +171,7 @@ class TestEvaluate:
         assert e.variable_name == name
         assert expr.evaluate(e, 2.0) == 2.0 ** 2 - 3 * 2.0 + math.sin(2.0)
 
-    @pytest.mark.parametrize("name", ["exc", "v0", "d0", "k0", "EvalDomainError", "log"])
+    @pytest.mark.parametrize("name", ["exc", "v0", "d0", "k0", "EvalDomainError", "log", "fail"])
     def test_variable_name_is_not_source_on_error(self, name):
         for src in ("log(x) + 1/x", "sqrt(x) * abs(x)", "x^-1 - x^0.5", "tan(x) - exp(x)"):
             e = expr.Expression(_renamed(expr.parse(src).root, name), name)
@@ -179,16 +180,13 @@ class TestEvaluate:
                     _outcome(lambda: _value_walk(e.root, v)), (src, v)
                 assert _outcome(lambda: expr.derivative(e, v)) == \
                     _outcome(lambda: eval_walk(e.root, DualValue(v, 1.0)).derivative), (src, v)
-            assert set(e._checked) == {False, True}
-            for fn in (e._value, e._derivative, *e._checked.values()):
+            for fn in (e._value, e._derivative):
                 code = fn.__code__
                 assert code.co_names == () and code.co_varnames[0] == "x", src
+                assert "fail" in code.co_varnames, src
                 for local in code.co_varnames:
-                    assert re.fullmatch(r"[vdk]\d+|x|exc", local) or local in _COMPILER_HELPERS
-                for const in code.co_consts:
-                    # The compiler may keep "... %r" % (v,) as its prefix alone.
-                    assert not isinstance(const, str) or const in _CHECKED_MESSAGES \
-                        or const + "%r" in _CHECKED_MESSAGES, const
+                    assert re.fullmatch(r"[vdk]\d+|x", local) or local in _COMPILER_HELPERS
+                assert not any(isinstance(c, str) for c in code.co_consts), src
             # The orbit loop holds e as both f and phi, each in its own names.
             s = dynamics.ReflexiveSystem(e, e, (0.5, 2.0), (0.5, 2.0))
             code = dynamics._loop(s).__code__
@@ -393,21 +391,18 @@ def _renamed(node, name):
     return node
 
 
-# The only names and strings a compiled function may hold.
+# The only names and strings a compiled function may hold: the bound helpers
+# and the handler of a failing line.
 _COMPILER_HELPERS = {"sin", "cos", "tan", "exp", "log", "tanh", "sqrt", "abs", "copysign", "pow",
-                     "dpow", "kink", "errors", "EvalDomainError", "NonDifferentiableError"}
+                     "dpow", "kink", "fail"}
 _LOOP_NAMES = {"x", "y", "n", "streak", "window", "xs", "ys", "append_x", "append_y", "_", "p",
                "t", "range", "cutoff", "rtol"}
 _ORBIT_TAGS = {"divergence", "convergence", "step-budget"}
-_SWEEP_NAMES = {"ys", "lo", "hi", "flo", "fhi", "argmax", "f_min", "f_max", "best", "nans", "inv",
-                "y", "tol", "ntol", "ga", "a", "b", "x", "step", "step_old", "_", "v", "slope",
-                "gx", "mid", "nxt", "newton", "diff", "min", "max", "range", "nextafter", "inf",
-                "rtol", "cap"}
+_SWEEP_NAMES = {"ys", "lo", "hi", "flo", "fhi", "argmax", "f_max", "best", "nans", "inv", "y",
+                "tol", "ntol", "ga", "a", "b", "x", "step", "step_old", "_", "v", "slope", "gx",
+                "mid", "nxt", "newton", "diff", "max", "range", "nextafter", "inf", "rtol", "cap"}
 _RESIDUAL_NAMES = {"lo", "w", "m", "n", "best", "argmax", "nan_x", "k", "x", "fx", "hx", "r",
                    "range"}
-_CHECKED_MESSAGES = {"division by zero", "zero raised to a negative power",
-                     "log of non-positive value %r", "sqrt of negative value %r",
-                     "sqrt not differentiable at 0", "abs not differentiable at 0"}
 
 
 def _outcome(fn):
@@ -455,8 +450,8 @@ class TestCompiledMatchesTreeWalk:
             ref = _outcome(lambda: [expr.evaluate(e, v) for v in points])
             where = f"{e.source}: {got} vs {ref}"
             assert got == ref, where
-            # The grid function itself, without the per-point fallback,
-            # fails exactly where the point function fails, with its error.
+            # The grid function fails exactly where the point function
+            # fails, with its error.
             assert _outcome(lambda: e._many(points)) == \
                 _outcome(lambda: [e._value(v) for v in points]), where
             for v in points:
@@ -474,47 +469,57 @@ class TestCompiledMatchesTreeWalk:
                 ref = _outcome(lambda: eval_walk(e.root, DualValue(v, 1.0)).derivative)
                 where = f"{e.source} at {v!r}: {got} vs {ref}"
                 assert got == ref, where
-                # The compiled function itself, without its checked fallback,
-                # fails exactly where the walk fails.
-                compiled = _outcome(lambda: e._derivative(v))
-                assert isinstance(compiled, tuple) == isinstance(ref, tuple), where
+                # derivative adds nothing to the compiled function.
+                assert _outcome(lambda: e._derivative(v)) == got, where
                 counts["error" if isinstance(ref, tuple) else "value"] += 1
         total = 1000 * len(self.POINTS)
         assert counts["value"] > total // 3 and counts["error"] > total // 20, counts
 
-    def test_random_checked_functions(self):
-        # Where a compiled function fails, its checked variant raises the
-        # reference's error; elsewhere it returns the same value.
+    def test_random_compiled_errors(self):
+        # Each compiled function raises the reference's error itself, with
+        # its type, message and offset, where the reference fails, and
+        # returns the reference's value elsewhere.
         rng = random.Random(20261017)  # the trees of test_random_expressions
-        failures = 0
+        points = list(self.POINTS)
+        failures = {"value": 0, "derivative": 0}
         for _ in range(1000):
             e = expr.parse(gen_source(rng, 5, wide=True))
-            modes = ((e._value, lambda v: _value_walk(e.root, v)),
-                     (expr._compile(e.root, dual=True),
-                      lambda v: eval_walk(e.root, DualValue(v, 1.0)).derivative))
-            for dual, (fast, reference) in enumerate(modes):
-                checked = expr._checked(e, bool(dual))
-                for v in self.POINTS:
-                    want = _outcome(lambda: fast(v))
-                    if isinstance(want, tuple):
-                        want = _outcome(lambda: reference(v))
-                        failures += 1
-                    assert _outcome(lambda: checked(v)) == want, f"{e.source} at {v!r}"
-        assert failures > 2 * 1000 * len(self.POINTS) // 20, failures
+            _outcome(lambda: expr.derivative(e, 0.0))  # compiles e._derivative
+            expr.evaluate_many(e, [])  # and e._many
+            for v in points:
+                where = f"{e.source} at {v!r}"
+                want = _outcome(lambda: _value_walk(e.root, v))
+                assert _outcome(lambda: e._value(v)) == want, where
+                assert _outcome(lambda: e._many([v])) == \
+                    _outcome(lambda: [_value_walk(e.root, v)]), where
+                failures["value"] += isinstance(want, tuple)
+                want = _outcome(lambda: eval_walk(e.root, DualValue(v, 1.0)).derivative)
+                assert _outcome(lambda: e._derivative(v)) == want, where
+                failures["derivative"] += isinstance(want, tuple)
+            # Over the grid, the first failing point's error.
+            assert _outcome(lambda: e._many(points)) == \
+                _outcome(lambda: [_value_walk(e.root, v) for v in points]), e.source
+        assert min(failures.values()) > 1000 * len(points) // 20, failures
 
-    def test_checked_function_is_compiled_once_per_mode(self, monkeypatch):
+    def test_failure_compiles_nothing(self, monkeypatch):
         e = expr.parse("sqrt(x)")
         expr.derivative(e, 1.0)
         expr.evaluate_many(e, [1.0])
         compiled = []
-        real = expr._compile
-        monkeypatch.setattr(expr, "_compile", lambda *a, **k: compiled.append(k) or real(*a, **k))
+        for module, name in ((expr, "_define"), (builtins, "exec"), (builtins, "eval"),
+                             (builtins, "compile")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, real=real, name=name, **k:
+                                compiled.append(name) or real(*a, **k))
         for _ in range(3):
-            for fn, v in ((expr.evaluate, -1.0), (expr.derivative, 0.0),
-                          (expr.evaluate_many, [2.0, -1.0])):
-                with pytest.raises(expr.EvalDomainError):
+            for fn, v, error in ((expr.evaluate, -1.0, "sqrt of negative value -1.0"),
+                                 (expr.derivative, 0.0, "sqrt not differentiable at 0"),
+                                 (expr.evaluate_many, [2.0, -1.0], "sqrt of negative value -1.0")):
+                with pytest.raises(expr.EvalDomainError) as ei:
                     fn(e, v)
-        assert compiled == [{"dual": False, "checked": True}, {"dual": True, "checked": True}]
+                assert str(ei.value) == f"{error} (node at offset 0)"
+        monkeypatch.undo()
+        assert compiled == []
 
 
 def _one_of_every_record():

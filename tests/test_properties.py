@@ -1,0 +1,97 @@
+"""The paper's Proposition 1 and conjugacy invariance as properties over
+closed-form families of systems.
+
+Proposition 1: every fixed point x_bar of phi(f(.)) gives the fixed point
+y_bar = f(x_bar) of f(phi(.)), with the same multiplier f'(x_bar)*phi'(y_bar).
+Conjugacy: for an increasing affine h, g = h(f(h^-1(.))) is conjugate to f,
+and h maps each fixed point of f to one of g.
+"""
+
+import math
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from reflexivity import analysis, dynamics, expr
+
+# The multipliers are computed at x_bar and at phi(y_bar), which differ by
+# about the root tolerance (1e-12); over these families f' moves by at most
+# 8 times that between them.
+MULTIPLIER_RTOL = 1e-9
+MULTIPLIER_ATOL = 1e-10
+
+parameter = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+
+
+def family_system(family, s, t):
+    """(system, closed-form fixed points of phi(f(.))) of family with two
+    parameters s and t in [0, 1]."""
+    if family == "logistic":
+        # r*x*(1 - x) with phi = y: fixed points 0 and 1 - 1/r.
+        r = 1.2 + 2.7 * s
+        return (dynamics.make_system(f"{r!r}*x*(1 - x)", "y", (0.0, 1.0), (0.0, 1.0)),
+                [0.0, 1.0 - 1.0 / r])
+    if family == "tanh":
+        # tanh(a*x) with phi = c*y, a*c > 1: fixed points 0 and +-x_star,
+        # where x_star = c*tanh(a*x_star).
+        c = 0.5 + 0.5 * t
+        a = (1.2 + 1.8 * s) / c
+        x_star = c
+        for _ in range(200):
+            x_star = c * math.tanh(a * x_star)
+        return (dynamics.make_system(f"tanh({a!r}*x)", f"{c!r}*y", (-1.5, 1.5), (-1.0, 1.0)),
+                [-x_star, 0.0, x_star])
+    # affine: f = a*x + b, phi = c*y + d, one fixed point x_bar chosen in
+    # (-0.9, 0.9), with a*c at least 0.1 from 1.
+    a = 0.3 + 1.7 * s
+    c = (0.9 - 0.8 * t) / a if t < 0.5 else (1.1 + 0.8 * t) / a
+    b = 0.25 - 0.5 * s
+    x_bar = 0.9 * (2.0 * t - 1.0)
+    d = x_bar - c * (a * x_bar + b)
+    ys = (-a + b, a + b)
+    return (dynamics.make_system(f"{a!r}*x + {b!r}", f"{c!r}*y + {d!r}", (-1.0, 1.0),
+                                 (min(ys) - 1.0, max(ys) + 1.0)),
+            [x_bar])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["logistic", "tanh", "affine"]), parameter, parameter)
+def test_proposition_1(family, s, t):
+    system, expected = family_system(family, s, t)
+    fps = dynamics.find_fixed_points(system)
+    assert len(fps) == len(expected), (fps, expected)
+    for fp, x in zip(fps, expected):
+        assert abs(fp.x_bar - x) < 1e-9, (fp, x)
+        assert fp.y_bar == expr.evaluate(system.f, fp.x_bar)
+        report = dynamics.check_proposition_1(system, fp)
+        assert report.residual_gamma < 1e-11 and report.residual_phi_map < 1e-10, report
+        phi_map = dynamics.compose_phi_map(system)
+        assert math.isclose(phi_map.derivative(fp.y_bar), fp.multiplier,
+                            rel_tol=MULTIPLIER_RTOL, abs_tol=MULTIPLIER_ATOL), fp
+
+
+def conjugate_triple(family, s, p, q):
+    """Sources of f and g = h(f(h^-1(y))), h = p*x + q with p > 0, and the
+    number of fixed points of f on [0, 1]."""
+    u = f"((y - {q!r})/{p!r})"
+    if family == "logistic":
+        r = 1.2 + 2.7 * s
+        return (f"{r!r}*x*(1.0 - x)", f"{p!r}*({r!r}*{u}*(1.0 - {u})) + {q!r}", 2)
+    # 0.5*tanh(a*(x - 0.5)) + 0.5, a > 2: fixed points 0.5 and 0.5 +- z,
+    # where z = 0.5*tanh(a*z) < 0.5.
+    a = 2.4 + 3.6 * s
+    return (f"0.5*tanh({a!r}*(x - 0.5)) + 0.5",
+            f"{p!r}*(0.5*tanh({a!r}*({u} - 0.5)) + 0.5) + {q!r}", 3)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["logistic", "tanh"]), parameter,
+       st.floats(min_value=0.25, max_value=4.0), st.floats(min_value=-2.0, max_value=2.0),
+       st.sampled_from([2, 3, 256, 1024]))
+def test_affine_conjugacy_is_consistent(family, s, p, q, samples):
+    f, g, fixed_points = conjugate_triple(family, s, p, q)
+    h = f"{p!r}*x + {q!r}"
+    report = analysis.verify_conjugacy(expr.parse(f), expr.parse(g), expr.parse(h), (0.0, 1.0),
+                                       samples)
+    assert report.verdict == "consistent" and report.violation_x is None, (f, g, h, report)
+    assert report.fixed_point_images_checked == fixed_points, (f, report)

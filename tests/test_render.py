@@ -1,3 +1,4 @@
+import math
 import re
 
 import pytest
@@ -148,6 +149,27 @@ class TestSvg:
         assert svg.count('<line class="step"') == 0
         assert svg.count('<line class="axis"') == 2
         assert svg.startswith('<?xml version="1.0"')
+
+    @pytest.mark.parametrize("points, message", [
+        (((0.0, 0.0), (math.inf, 1.0)), "cannot draw a point that is not finite"),
+        (((0.0, math.nan), (1.0, 1.0)), "cannot draw a point that is not finite"),
+        (((math.nan, 0.0), (1.0, 1.0)), "cannot draw a point that is not finite"),
+        # The x span overflows over the ticks' 4 steps; then the y span.
+        (((-1e308, 0.0), (1e308, 1.0)), "cannot draw data spanning [-1e+308, 1e+308]"),
+        (((0.0, 0.0), (1.0, 5e307)), "cannot draw data spanning [0.0, 5e+307]"),
+        # One point at 1e300: padding by 1 leaves both spans 0.
+        (((1e300, 1.0),), "cannot draw data spanning [1e+300, 1e+300]"),
+    ])
+    def test_undrawable_points_rejected(self, points, message):
+        for trace in (PhasePortraitTrace(points), StaircaseTrace((), points, (), ())):
+            with pytest.raises(PreconditionError) as info:
+                to_svg(trace)
+            assert str(info.value) == message
+
+    def test_widest_drawable_span(self):
+        # 4.4e307 over 4 tick steps stays finite, and every pixel is a number.
+        svg = to_svg(PhasePortraitTrace(((0.0, 0.0), (4.4e307, 1.0))))
+        assert "nan" not in svg and "inf" not in svg and "4.4e+307" in svg
 
     def test_degenerate_range_padded(self):
         trace = PhasePortraitTrace(((0.5, 0.5), (0.5, 0.5)))

@@ -7,8 +7,10 @@ sample back; forcing the loop (by making _sweep return None) gives the
 reference.  find_map_fixed_points and _monotone_direction scan their grids
 with map/compress/max; the loops they replaced are kept here as references.
 verify_conjugacy computes and scans its residuals in one compiled loop
-(_RESIDUALS); the grid passes and builtin scans it replaced, and the loop
-over the residuals before them, are kept here as references.  Reports are
+(_RESIDUALS), which raises the error the first failing x meets; the grid
+passes and builtin scans it replaced, with the point-by-point evaluation
+that found that error before the loop raised it itself, and the loop over
+the residuals before them, are kept here as references.  Reports are
 compared by repr, so -0.0 and NaN are told apart, warnings by message, and
 errors by type and message.
 """
@@ -23,6 +25,7 @@ from operator import sub
 
 import pytest
 
+from conftest import gen_source
 from reflexivity import analysis, dynamics, expr
 from reflexivity.analysis import function_distance
 from reflexivity.dynamics import make_system
@@ -99,11 +102,16 @@ class TestSweepMatchesLoop:
         assert fell_back and said and all("no convergence in 2 iterations" in m for m in said)
 
     def test_y_out_of_range(self, caplog, monkeypatch):
-        # f's image is 3e308 wide: the grid's width overflows and its first y
-        # is NaN, which the range check of _invert rejects.
-        s = make_system("1e308*x", "1", (-1.5, 1.5), (-1.7e308, 1.7e308))
-        got, _, fell_back = same_as_loop(caplog, monkeypatch, s, 16)
-        assert fell_back and got[0] == "OutOfRangeError" and "y=nan" in got[1]
+        # A y-grid whose points would leave float range is refused before
+        # either path runs: f's image, 1.6e305 wide, fits the 1024 points of
+        # phi's validation grid but not 4096 samples.  A y_domain 3.4e308
+        # wide is refused when the system is built.
+        s = make_system("1e305*x", "1", (-1.5, 1.5), (-8e304, 8e304))
+        got, _, fell_back = same_as_loop(caplog, monkeypatch, s, 4096)
+        assert not fell_back and got == (
+            "DomainValidationError", "[-8e+304, 8e+304] is too wide for a grid of 4096 points")
+        with pytest.raises(dynamics.DomainValidationError, match="too wide for a grid of 1024"):
+            make_system("1e308*x", "1", (-1.5, 1.5), (-1.7e308, 1.7e308))
 
     # 0.5*(0.03 + 0.62) = 0.325 is the first point the second sample's solve
     # tries, and lies on neither validation grid.
@@ -321,7 +329,9 @@ def reference_grid_passes(f, g, h, interval, samples=analysis.DEFAULT_SAMPLES,
         hf = expr.evaluate_many(h, expr.evaluate_many(f, xs))
         gh = expr.evaluate_many(g, expr.evaluate_many(h, xs))
     except expr.EvalDomainError:
-        # Point by point, so the error is the one the first failing x meets.
+        # Point by point, so the error is the one the first failing x meets:
+        # the evaluation verify_conjugacy ran to find it before its compiled
+        # loop raised it itself.
         hf, gh = [], []
         for x in xs:
             hf.append(h_fn(f_fn(x)))
@@ -542,6 +552,37 @@ class TestResidualLoopMatchesGridPasses:
                                   (0.0, 1.0), 11)
         assert got == ("EvalDomainError", "division by zero (node at offset 27)")
 
+    def test_random_wide_triples(self, monkeypatch):
+        # Random wide f and g, and an h monotone on the interval with, at
+        # times, a wide term times 0 added, which can fail or be NaN there.
+        rng = random.Random(1604)
+        raised = []
+        real = analysis._residuals
+
+        def residuals(f, g, h):
+            kernel = real(f, g, h)
+
+            def run(*args):
+                try:
+                    return kernel(*args)
+                except expr.EvalDomainError:
+                    raised.append(1)
+                    raise
+            return run
+
+        monkeypatch.setattr(analysis, "_residuals", residuals)
+        reports = 0
+        for _ in range(400):
+            f, g = (expr.parse(gen_source(rng, 4, wide=True)) for _ in range(2))
+            h = rng.choice(("x", "2*x + 1", "exp(x)", "x^3 + x", "-x"))
+            if rng.random() < 0.6:
+                h += f" + 0*{gen_source(rng, 3, wide=True)}"
+            interval = rng.choice(((-1.0, 1.0), (0.0, 1.0), (0.5, 2.0)))
+            got = same_as_grid_passes(f, g, expr.parse(h), interval,
+                                      rng.choice((2, 3, 11, 64, 257)))
+            reports += not isinstance(got, tuple)
+        assert reports > 100 and len(raised) > 50, (reports, len(raised))
+
     def test_nan_and_infinite_residuals(self):
         # f is NaN for x > 0 and g infinite for x < -0.5.
         nan_right = "x/2 + (x + abs(x))*1e300*1e300 - (x + abs(x))*1e300*1e300"
@@ -601,4 +642,10 @@ def test_grid_hoists_width_and_count():
                       rng.randint(2, 300)))
     for lo, hi, n in cases:
         old = [lo + (hi - lo) * k / (n - 1) for k in range(n)]
-        assert list(map(repr, dynamics._grid(lo, hi, n))) == list(map(repr, old)), (lo, hi, n)
+        if all(map(math.isfinite, old)):
+            assert list(map(repr, dynamics._grid(lo, hi, n))) == list(map(repr, old)), (lo, hi, n)
+        else:
+            # Only a grid whose width times its steps overflows.
+            assert not math.isfinite((hi - lo) * (n - 1)), (lo, hi, n)
+            with pytest.raises(dynamics.DomainValidationError, match="too wide"):
+                dynamics._grid(lo, hi, n)
