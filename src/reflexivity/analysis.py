@@ -73,42 +73,61 @@ class ConjugacyReport:
     violation_x: float | None = None
 
 
-def _grid_values(f, xs):
-    """f(x) for the floats xs, f an Expression or a callable.
+# _monotone_direction's scan: at the n - 1 points x = lo + w*k/m, k >= 1,
+# of its grid (dynamics._grid's arithmetic after lo), 1 if f's values rise
+# strictly from prev = f(lo) at every step, -1 if they fall strictly, and 0
+# otherwise: at the first step that is flat, NaN or against the direction.
+_MONOTONE = """\
+def compiled(lo, w, m, n, prev{params}):
+    sign = 0
+    for k in range(1, n):
+        x = lo + w * k / m
+        @f
+        v = {f}
+        if prev < v:
+            if sign < 0:
+                return 0
+            sign = 1
+        elif prev > v and sign <= 0:
+            sign = -1
+        else:
+            return 0
+        prev = v
+    return sign
+"""
 
-    An Expression runs as one evaluate_many pass, which gives the list.  If
-    a point fails there, or f is a plain callable, it gives an iterator that
-    computes each value as it reaches it, so a caller's check that fails at
-    an earlier point still comes first.
-    """
-    if isinstance(f, _expr.Expression):
-        try:
-            return _expr.evaluate_many(f, xs)
-        except _expr.EvalDomainError:
-            return (_expr.evaluate(f, x) for x in xs)
-    return map(f, xs)
+
+def _monotone(f):
+    """f's compiled monotonicity scan (_MONOTONE), compiled on first use and
+    kept on f."""
+    return f._monotone or _expr.kept_loop(f, "_monotone", _MONOTONE, {"f": (f, "x")},
+                                          {"range": range})
 
 
 def _monotone_direction(f, lo, hi):
     """Sign of MONOTONE_DIFFS consecutive differences of f (an Expression or
     a plain callable); raises on disagreement.
 
-    When the values come as one list, comparing neighbours decides it: a
-    difference v - u is positive exactly when u < v, and negative exactly
-    when u > v.  Otherwise, or when neither holds, the loop over the
-    differences runs and raises at the first disagreement."""
+    An Expression's compiled scan decides it: a difference v - u is positive
+    exactly when u < v, and negative exactly when u > v.  Where the scan
+    finds neither, or fails, and for a plain callable, the loop over the
+    differences runs, point by point, and raises at the first disagreement
+    or at the first point that fails, whichever comes first."""
     fn, _ = _evaluator(f)
     prev_x, prev_v = lo, fn(lo)
-    xs = _dyn._grid(lo, hi, MONOTONE_DIFFS + 1)[1:]
-    vs = _grid_values(f, xs)
-    if isinstance(vs, list):
-        us = [prev_v, *vs]
-        if all(map(lt, us, vs)):
-            return "increasing"
-        if all(map(gt, us, vs)):
-            return "decreasing"
+    n = MONOTONE_DIFFS + 1
+    w, m = _dyn._grid_span(lo, hi, n)
+    if isinstance(f, _expr.Expression):
+        try:
+            sign = _monotone(f)(lo, w, m, n, prev_v)
+        except _expr.EvalDomainError:
+            sign = 0
+        if sign:
+            return "increasing" if sign > 0 else "decreasing"
     direction = 0
-    for x, v in zip(xs, vs):
+    for k in range(1, n):
+        x = lo + w * k / m
+        v = fn(x)
         d = v - prev_v
         sign = 1 if d > 0 else (-1 if d < 0 else 0)
         if sign == 0 or (direction and sign != direction):
@@ -188,11 +207,11 @@ def function_distance(s, samples=DEFAULT_SAMPLES):
     y_hi = min(f_max, s.y_domain[1])
     if not (y_lo < y_hi):
         raise OutOfRangeError("image of f does not overlap y_domain")
-    grid = _dyn._grid(y_lo, y_hi, samples)
-    swept = _sweep(s, grid, lo, hi, flo, fhi, y_lo)
+    w, m = _dyn._grid_span(y_lo, y_hi, samples)
+    swept = _sweep(s, y_lo, w, m, samples, lo, hi, flo, fhi)
     if swept is None:
         # The top grid point can round one ulp past f's attained range.
-        ys = [min(max(y, f_min), f_max) for y in grid]
+        ys = [min(max(y, f_min), f_max) for y in _dyn._grid(y_lo, y_hi, samples)]
         swept = _sweep_by_sample(s, ys, lo, hi, flo, fhi, y_lo)
     best, argmax, nans = swept
     if nans:
@@ -207,14 +226,13 @@ def _sweep_by_sample(s, ys, lo, hi, flo, fhi, argmax):
     """(largest distance, its y, NaN distances) by _invert at each y, from
     argmax and the start value -1.0."""
     fn, dfn = _evaluator(s.f)
-    phis = iter(_grid_values(s.phi, ys))
     best = -1.0
     inv = None
     jumps = nans = 0
     for y in ys:
         inv, status = _invert(fn, dfn, lo, hi, flo, fhi, y, INVERT_RTOL, inv)
         jumps += status == "discontinuity"
-        diff = abs(next(phis) - inv)
+        diff = abs(_expr.evaluate(s.phi, y) - inv)
         if diff > best:
             best = diff
             argmax = y
@@ -226,23 +244,27 @@ def _sweep_by_sample(s, ys, lo, hi, flo, fhi, argmax):
     return best, argmax, nans
 
 
-# function_distance's sweep: _sweep_by_sample and the clamp of its grid in
-# one function, with _invert's range check and tolerance and bracket_solve's
-# step rule inlined, and f's value and derivative from one pass of its dual
-# lines.  It returns None, and the caller runs the per-sample loop, which
-# reports what it meets, where bracket_solve would end other than by
-# |g| < tol (the bracket down to two adjacent floats, where it tells a steep
-# root from a jump, or the iteration cap).  Its grid points are finite and
-# none lies below f_min.  Comparisons stand in for calls with the same result:
+# function_distance's sweep: _sweep_by_sample over the n points
+# y = y_lo + w*k/m of its grid (dynamics._grid's arithmetic), each clamped as
+# the caller clamps the loop's grid, in one function, with _invert's range
+# check and tolerance and bracket_solve's step rule inlined, and f's value
+# and derivative from one pass of its dual lines.  It returns None, and the
+# caller runs the per-sample loop, which reports what it meets, where
+# bracket_solve would end other than by |g| < tol (the bracket down to two
+# adjacent floats, where it tells a steep root from a jump, or the iteration
+# cap).  Its grid points are finite and none lies below y_lo, which is not
+# below f_min.  Comparisons stand in for calls with the same result:
 # -t < g < t for abs(g) < t, a conditional for max(1.0, abs(y)), and
 # 0.0 - d for abs(d) when d is not > 0 (-0.0 included).
 _SWEEP = """\
-def compiled(ys, lo, hi, flo, fhi, argmax{params}):
+def compiled(y_lo, w, m, n, lo, hi, flo, fhi{params}):
     f_max = max(flo, fhi)
     best = -1.0
+    argmax = y_lo
     nans = 0
     inv = None
-    for y in ys:
+    for k in range(n):
+        y = y_lo + w * k / m
         if f_max < y:
             y = f_max
         tol = nextafter(rtol * (y if y > 1.0 else -y if y < -1.0 else 1.0), inf)
@@ -295,25 +317,22 @@ def compiled(ys, lo, hi, flo, fhi, argmax{params}):
 """
 
 
-def _sweep(s, ys, lo, hi, flo, fhi, argmax):
-    """_sweep_by_sample's result from s's compiled sweep, or None where the
-    sweep hands a sample back or one of its lines fails."""
+def _sweep(s, y_lo, w, m, n, lo, hi, flo, fhi):
+    """_sweep_by_sample's result over the n-point y-grid from y_lo, from s's
+    compiled sweep, or None where the sweep hands a sample back or one of
+    its lines fails."""
     try:
-        return _kernel(s)(ys, lo, hi, flo, fhi, argmax)
+        return _kernel(s)(y_lo, w, m, n, lo, hi, flo, fhi)
     except _expr.EvalDomainError:
         return None
 
 
 def _kernel(s):
     """s's compiled sweep (_SWEEP), compiled on first use and kept on s."""
-    fn = s._sweep
-    if fn is None:
-        fn = _expr.compile_loop(_SWEEP, {"f": (s.f, "x"), "phi": (s.phi, "y")}, {
-            "max": max, "range": range, "nextafter": math.nextafter,
-            "inf": math.inf, "rtol": INVERT_RTOL, "cap": _dyn.SOLVE_MAX_ITER},
-            dual=("f",))
-        object.__setattr__(s, "_sweep", fn)
-    return fn
+    return s._sweep or _expr.kept_loop(s, "_sweep", _SWEEP, {
+        "f": (s.f, "x"), "phi": (s.phi, "y")}, {
+        "max": max, "range": range, "nextafter": math.nextafter, "inf": math.inf,
+        "rtol": INVERT_RTOL, "cap": _dyn.SOLVE_MAX_ITER}, dual=("f",))
 
 
 def _diverged(x):
@@ -489,7 +508,7 @@ def verify_conjugacy(f, g, h, interval, samples=DEFAULT_SAMPLES,
     verdict = "consistent" if violation_x is None else "violated"
 
     f_map = _dyn.ScalarMap(lambda x: _expr.evaluate(f, x), lambda x: _expr.derivative(f, x),
-                           lambda xs: _expr.evaluate_many(f, xs))
+                           scan_fn=lambda *grid: _dyn._scan(f, f)(*grid))
     fixed_points, _ = _dyn.find_map_fixed_points(f_map, lo, hi, grid_n=1024)
     checked = 0
     for x_bar in fixed_points:

@@ -140,6 +140,8 @@ def _record(args, required, optional):
 
 
 def _derive_y_domain(f, x_domain):
+    # The system checks x_domain too, but only after this grid would fail on it.
+    dynamics._check_interval(*x_domain, "x_domain")
     vals = dynamics._check_finite_on(f, x_domain, "f", 256)
     y_lo, y_hi = min(vals), max(vals)
     if y_lo == y_hi:
@@ -277,6 +279,21 @@ COMMANDS = {
 }
 
 
+def _is_float(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+# argparse reads a string that starts with '-' as a value when this matches
+# it, and as an option otherwise.  Its own matcher takes -1 and -.5 but not
+# -1e3 or -inf; this one takes every string float() takes.  No flag looks
+# like a number.
+_NUMBER = SimpleNamespace(match=_is_float)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="reflexivity",
@@ -285,6 +302,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (_, help_text, required, optional) in COMMANDS.items():
         sp = sub.add_parser(command, help=help_text)
+        sp._negative_number_matcher = _NUMBER
         for name in required + optional:
             _, kind, default, text = FIELDS[name]
             if default is not None and name not in required:

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from itertools import compress, repeat
-from operator import attrgetter, gt, mul, sub
+from operator import attrgetter, gt, mul
 
 from . import expr as _expr
 
@@ -72,9 +72,11 @@ class ReflexiveSystem:
     x_domain: tuple
     y_domain: tuple
     # The compiled loop of orbit and of gamma's iterates, compiled on first
-    # use (see _loop), and analysis.function_distance's compiled sweep, on
-    # its first call (see analysis._kernel).
+    # use (see _loop), the fixed-point scan of gamma, on the first search
+    # (see _scan), and analysis.function_distance's compiled sweep, on its
+    # first call (see analysis._kernel).
     _loop: object = _expr.field(init=False, compare=False, repr=False, default=None)
+    _scan: object = _expr.field(init=False, compare=False, repr=False, default=None)
     _sweep: object = _expr.field(init=False, compare=False, repr=False, default=None)
 
     def __post_init__(self):
@@ -165,28 +167,22 @@ class Prop1Report:
 
 class ScalarMap:
     """A one-dimensional map with a pointwise derivative and, optionally, a
-    grid function: many_fn(ts) == [value_fn(t) for t in ts], and a compiled
-    iteration: iterate_fn(t, n) is None or the n values map(t), map(map(t)),
-    ..., cut after the first one that is not finite or beyond
-    DIVERGENCE_CUTOFF."""
+    compiled iteration: iterate_fn(t, n) is None or the n values map(t),
+    map(map(t)), ..., cut after the first one that is not finite or beyond
+    DIVERGENCE_CUTOFF; and a compiled fixed-point scan: scan_fn(lo, w, m, n,
+    tol) is _SCAN's result for the map."""
 
-    def __init__(self, value_fn, deriv_fn, many_fn=None, iterate_fn=None):
+    def __init__(self, value_fn, deriv_fn, *, iterate_fn=None, scan_fn=None):
         self._value = value_fn
         self._deriv = deriv_fn
-        self._many = many_fn
         self._iterate = iterate_fn
+        self._scan = scan_fn
 
     def __call__(self, t):
         return self._value(t)
 
     def derivative(self, t):
         return self._deriv(t)
-
-    def many(self, ts):
-        """The map at each of ts, as a list; raises if any point fails."""
-        if self._many is None:
-            return [self._value(t) for t in ts]
-        return self._many(ts)
 
 
 def step(s, st):
@@ -239,13 +235,8 @@ def compiled(x, y, n, streak, window, xs, ys{params}):
 
 def _loop(s):
     """s's compiled loop (_LOOP), compiled on first use and kept on s."""
-    fn = s._loop
-    if fn is None:
-        fn = _expr.compile_loop(_LOOP, {"phi": (s.phi, "y"), "f": (s.f, "x")}, {
-            "range": range,
-            "cutoff": DIVERGENCE_CUTOFF, "rtol": CONVERGENCE_RTOL})
-        object.__setattr__(s, "_loop", fn)
-    return fn
+    return s._loop or _expr.kept_loop(s, "_loop", _LOOP, {"phi": (s.phi, "y"), "f": (s.f, "x")}, {
+        "range": range, "cutoff": DIVERGENCE_CUTOFF, "rtol": CONVERGENCE_RTOL})
 
 
 def orbit(s, x0, max_steps):
@@ -300,8 +291,8 @@ def compose_gamma(s):
     return ScalarMap(
         lambda x: _expr.evaluate(phi, _expr.evaluate(f, x)),
         lambda x: _expr.derivative(phi, _expr.evaluate(f, x)) * _expr.derivative(f, x),
-        lambda xs: _expr.evaluate_many(phi, _expr.evaluate_many(f, xs)),
-        lambda x, n: _gamma_iterates(s, x, n),
+        iterate_fn=lambda x, n: _gamma_iterates(s, x, n),
+        scan_fn=lambda *grid: _scan(s, f, phi)(*grid),
     )
 
 
@@ -379,10 +370,73 @@ def bracket_solve(g, a, b, ga, gb, tol, x0=None, dg=None):
     return (a if abs(ga) <= abs(gb) else b), "iteration-cap", SOLVE_MAX_ITER
 
 
+# find_map_fixed_points' scan of the map phi(f(x)): at each of the n points
+# x = lo + w*k/m of its grid (_grid's arithmetic), g = phi(f(x)) - x from the
+# lines of f on x and of phi on f's value.  It returns the indices k where
+# |g| < tol, and the indices k where g changes sign from k to k + 1 with
+# neither end near 0, the only ones there is a root to solve for.  A g near 0
+# counts as 0.0 in the sign test, and so does the g before the first point:
+# 0.0 times any g is not < 0.  A product that underflows to 0 is no sign
+# change either.
+_SCAN = """\
+def compiled(lo, w, m, n, tol{params}):
+    near = []
+    signs = []
+    ntol = -tol
+    prev = 0.0
+    for k in range(n):
+        x = lo + w * k / m
+        @f
+        y = {f}
+        @phi
+        g = {phi} - x
+        if ntol < g < tol:
+            near.append(k)
+            g = 0.0
+        elif 0.0 > prev * g:
+            signs.append(k - 1)
+        prev = g
+    return near, signs
+"""
+
+
+def _scan(owner, f, phi=None):
+    """The fixed-point scan (_SCAN) of phi(f(x)), or of f(x) if phi is None,
+    compiled on first use and kept on owner: the system of compose_gamma's
+    map, or f itself."""
+    return owner._scan or _expr.kept_loop(owner, "_scan", _SCAN, {
+        "f": (f, "x"), "phi": (phi or _expr.parse("y"), "y")}, {"range": range})
+
+
+def _scan_points(fn, lo, w, m, n, tol):
+    """_SCAN's result for the ScalarMap fn, from fn point by point, and the
+    number of points skipped because fn fails there.  A skipped point is
+    NaN, which is neither near 0 nor the end of a sign change."""
+    gs = []
+    skipped = 0
+    for k in range(n):
+        x = lo + w * k / m
+        try:
+            gs.append(fn(x) - x)
+        except _expr.EvalDomainError:
+            gs.append(math.nan)
+            skipped += 1
+    if skipped == n:
+        raise DomainValidationError("map invalid over the entire domain")
+    if skipped:
+        log.warning("fixed-point grid: skipped %d of %d points", skipped, n)
+    near = list(compress(range(n), map(gt, repeat(tol), map(abs, gs))))
+    for k in near:
+        gs[k] = 0.0
+    signs = list(compress(range(n - 1), map((0.0).__gt__, map(mul, gs, gs[1:]))))
+    return near, signs, skipped
+
+
 def find_map_fixed_points(fn, lo, hi, grid_n=DEFAULT_GRID, tol=ROOT_TOL):
     """Roots of the ScalarMap fn minus x on [lo, hi], lo < hi (else
-    DomainValidationError), by uniform grid (one fn.many pass while no
-    point fails) plus bracket_solve with fn's derivative.
+    DomainValidationError), by uniform grid plus bracket_solve with fn's
+    derivative.  fn's compiled scan covers the grid while no point fails;
+    otherwise, or if fn has none, the grid goes point by point.
 
     Returns (roots, skipped) where skipped counts grid points dropped for
     numeric domain errors.  A pair of grid values with a NaN end brackets
@@ -393,35 +447,26 @@ def find_map_fixed_points(fn, lo, hi, grid_n=DEFAULT_GRID, tol=ROOT_TOL):
     if grid_n < 2:
         raise PreconditionError("grid_n must be >= 2")
     _check_interval(lo, hi)
-    xs = _grid(lo, hi, grid_n)
-    skipped = 0
-    try:
-        gs = list(map(sub, fn.many(xs), xs))
-    except _expr.EvalDomainError:
-        # Some point fails: go point by point.  A skipped point is NaN,
-        # which is neither a root nor the end of a bracket.
-        gs = []
-        for x in xs:
-            try:
-                gs.append(fn(x) - x)
-            except _expr.EvalDomainError:
-                gs.append(math.nan)
-                skipped += 1
-    if skipped == grid_n:
-        raise DomainValidationError("map invalid over the entire domain")
-    if skipped:
-        log.warning("fixed-point grid: skipped %d of %d points", skipped, grid_n)
+    w, m = _grid_span(lo, hi, grid_n)
+    near = None
+    if fn._scan is not None:
+        try:
+            near, signs = fn._scan(lo, w, m, grid_n, tol)
+            skipped = 0
+        except _expr.EvalDomainError:
+            pass
+    if near is None:
+        near, signs, skipped = _scan_points(fn, lo, w, m, grid_n, tol)
 
+    # The few points needed again are made and evaluated as the scan did.
     g = lambda x: fn(x) - x
     dg = lambda x: fn.derivative(x) - 1.0
-    roots = list(compress(xs, map(gt, repeat(tol), map(abs, gs))))
+    roots = [lo + w * k / m for k in near]
     jumps = 0
-    for i in compress(range(grid_n - 1), map((0.0).__gt__, map(mul, gs, gs[1:]))):
-        ga, gb = gs[i], gs[i + 1]
-        if abs(ga) < tol or abs(gb) < tol:
-            continue
+    for k in signs:
+        a, b = lo + w * k / m, lo + w * (k + 1) / m
         try:
-            x, status, _ = bracket_solve(g, xs[i], xs[i + 1], ga, gb, tol, dg=dg)
+            x, status, _ = bracket_solve(g, a, b, g(a), g(b), tol, dg=dg)
         except _expr.EvalDomainError:
             skipped += 1
             continue

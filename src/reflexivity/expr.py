@@ -234,8 +234,13 @@ class Expression:
     _derivative: object = field(init=False, compare=False, repr=False, default=None)
     _many: object = field(init=False, compare=False, repr=False, default=None)
     # analysis.verify_conjugacy's compiled residual loop with this as h, as
-    # (f, g, loop), compiled on its first call (see analysis._residuals).
+    # (f, g, loop), compiled on its first call (see analysis._residuals), and
+    # the grid scans compiled on first use for this expression: the
+    # fixed-point scan of it as a map (dynamics._scan) and the monotonicity
+    # scan (analysis._monotone).
     _conjugacy: object = field(init=False, compare=False, repr=False, default=None)
+    _scan: object = field(init=False, compare=False, repr=False, default=None)
+    _monotone: object = field(init=False, compare=False, repr=False, default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "_value", _compile(self.root))
@@ -711,15 +716,24 @@ def compile_loop(template, parts, env, dual=()):
     {name} the name holding its value.  A part named in dual gets its value
     and derivative lines instead, and {name} is "value, derivative", the
     two names holding them.  env binds the template's own helpers.  The
-    loop of dynamics.orbit, the sweep of analysis.function_distance and the
-    residual of analysis.verify_conjugacy are compiled this way; a failing
-    part line raises its typed error, as in _compile's functions."""
+    loop of dynamics.orbit, the fixed-point and monotonicity scans, the
+    sweep of analysis.function_distance and the residual of
+    analysis.verify_conjugacy are compiled this way; a failing part line
+    raises its typed error, as in _compile's functions."""
     emitted = {}
     for name, (e, var) in parts.items():
         em = _Emitter(name in dual, var=var, prefix=name)
         value, deriv = em.emit(e.root)
         emitted[name] = em, f"{value}, {deriv}" if em.dual else value
     return _define(template, emitted, env)
+
+
+def kept_loop(owner, name, template, parts, env, dual=()):
+    """compile_loop's function, kept on owner as its attribute name: a
+    record field left None until the first use compiles it."""
+    fn = compile_loop(template, parts, env, dual)
+    object.__setattr__(owner, name, fn)
+    return fn
 
 
 def _define(template, emitted, env=()):

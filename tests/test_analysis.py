@@ -142,25 +142,29 @@ class TestFunctionDistance:
     def test_case1_evaluations_per_sample(self, monkeypatch):
         # Machine-independent cost guard: warm-started Newton steps, and
         # f(lo), f(hi) evaluated once, not once per sample.  Points f gets
-        # through evaluate_many (the monotone check) count too.  The compiled
+        # through its compiled monotonicity scan count too.  The compiled
         # sweep evaluates f without evaluate, so the per-sample loop it falls
         # back to is forced here.
         monkeypatch.setattr(analysis, "_sweep", lambda *args: None)
         sc = cli.load_scenario("case1")
         s = make_system(sc["f"], sc["phi"], sc["x_domain"], sc["y_domain"])
         calls = [0]
-        real, real_many = expr.evaluate, expr.evaluate_many
+        real, real_scan = expr.evaluate, analysis._monotone
 
         def counting(e, v):
             calls[0] += e is s.f
             return real(e, v)
 
-        def counting_many(e, xs):
-            calls[0] += len(xs) if e is s.f else 0
-            return real_many(e, xs)
+        def counting_scan(e):
+            kernel = real_scan(e)
+
+            def scan(lo, w, m, n, prev):
+                calls[0] += n - 1 if e is s.f else 0
+                return kernel(lo, w, m, n, prev)
+            return scan
 
         monkeypatch.setattr(expr, "evaluate", counting)
-        monkeypatch.setattr(expr, "evaluate_many", counting_many)
+        monkeypatch.setattr(analysis, "_monotone", counting_scan)
         rep = function_distance(s, 4096)
         assert calls[0] <= 6 * 4096
         assert rep.d == pytest.approx(0.05, abs=1e-6)

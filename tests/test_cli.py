@@ -301,13 +301,27 @@ class TestExitCodeScheme:
           "--samples", "4096"), "[0.0, 1e+305] is too wide for a grid of 4096 points"),
         (("fixed-points", "--f", "x/2", "--phi", "y", "--domain", "0", "inf", "--y-domain",
           "0", "1"), "x_domain is not finite: [0.0, inf]"),
-        # Without --y-domain, the grid of the derived y_domain comes first.
+        # Without --y-domain, x_domain is checked before its grid is made.
         (("fixed-points", "--f", "x/2", "--phi", "y", "--domain", "-1", "inf"),
-         "[-1.0, inf] is too wide for a grid of 256 points"),
+         "x_domain is not finite: [-1.0, inf]"),
+        (("fixed-points", "--f", "x/2", "--phi", "y", "--domain", "-inf", "0"),
+         "x_domain is not finite: [-inf, 0.0]"),
     ], ids=["simulate-wide", "simulate-wide-given-y", "conjugacy-inf", "conjugacy-wide",
-            "fixed-points-inf", "fixed-points-inf-derived-y"])
+            "fixed-points-inf", "fixed-points-inf-derived-y", "fixed-points-minus-inf"])
     def test_unbounded_or_too_wide_domain_exits_3(self, capsys, argv, message):
         assert run(capsys, *argv) == (3, "", f"numeric error: {message}\n")
+
+    # log fails on the whole of each domain, so a grid made before the
+    # interval check would blame f.
+    @pytest.mark.parametrize("domain", [("1", "0"), ("0", "0"), ("0", "nan"), ("-1", "inf")])
+    @pytest.mark.parametrize("y_domain", [(), ("--y-domain", "0", "1")], ids=["derived", "given"])
+    def test_bad_x_domain_reads_the_same_with_or_without_y_domain(self, capsys, domain,
+                                                                  y_domain):
+        got = run(capsys, "fixed-points", "--f", "log(-1 - x*x)", "--phi", "y",
+                  "--domain", *domain, *y_domain)
+        lo, hi = map(float, domain)
+        kind = "degenerate" if not lo < hi else "not finite"
+        assert got == (3, "", f"numeric error: x_domain is {kind}: [{lo}, {hi}]\n")
 
     def test_too_deep_expression_exit_2(self, capsys):
         code, _, err = run(capsys, "simulate", "--f", "+".join(["x"] * 1200),
@@ -403,6 +417,27 @@ class TestFlagSurface:
         with pytest.raises(SystemExit) as exc:
             cli.main(["distance", "--f", "2*x", "--phi", "y/2", "--domain", "0"])
         assert exc.value.code == 2
+
+    # argparse alone takes only strings like -1 and -.5 for negative
+    # numbers, and would read -1e3 as an unknown option.
+    @pytest.mark.parametrize("value", ["-1e3", "-1E-3", "-.5e1", "-1_0.5", "-2.", "-0", "1e3"])
+    def test_any_float_form_is_a_value(self, capsys, value):
+        x = float(value)
+        got = run(capsys, "simulate", "--f", "x/2", "--phi", "y", "--domain", value, "1e4",
+                  "--x0", value, "--steps", "1")
+        assert got == (0, "i,x,y\n0,%.17g,%.17g\n1,%.17g,%.17g\n" % (x, x / 2, x / 2, x / 4),
+                       "terminated_by=step-budget\n")
+
+    @pytest.mark.parametrize("value", ["-inf", "-Infinity", "-nan"])
+    def test_non_finite_float_forms_are_values(self, capsys, value):
+        got = run(capsys, "simulate", "--f", "x/2", "--phi", "y", "--x0", value)
+        assert got == (3, "", f"numeric error: non-finite state x={float(value)!r} (step 0)\n")
+
+    def test_option_that_is_no_number_is_still_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", "--f", "x", "--phi", "y", "--x0", "-x"])
+        assert exc.value.code == 2
+        assert "argument --x0: expected one argument" in capsys.readouterr().err
 
     # The program's and every subcommand's --help, as argparse prints it at
     # 80 columns; tests/help holds the expected text.

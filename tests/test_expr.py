@@ -1,3 +1,4 @@
+import ast
 import builtins
 import math
 import operator
@@ -199,7 +200,7 @@ class TestEvaluate:
             assert {c for c in code.co_consts if isinstance(c, str)} <= _ORBIT_TAGS
             # So does the distance sweep, f's lines in dual mode.
             code = analysis._kernel(s).__code__
-            assert code.co_names == () and code.co_varnames[0] == "ys", src
+            assert code.co_names == () and code.co_varnames[:4] == ("y_lo", "w", "m", "n"), src
             for local in code.co_varnames:
                 assert re.fullmatch(r"f[vdk]\d+|phi[vk]\d+", local) \
                     or local in _COMPILER_HELPERS or local in _SWEEP_NAMES, local
@@ -211,6 +212,17 @@ class TestEvaluate:
                 assert re.fullmatch(r"(f|h|hf|gh)[vk]\d+", local) \
                     or local in _COMPILER_HELPERS or local in _RESIDUAL_NAMES, local
             assert not any(isinstance(c, str) for c in code.co_consts), src
+            # And the grid scans: the fixed-point scan of gamma and of e as a
+            # map, and the monotonicity scan.
+            kernels = [dynamics._scan(s, e, e), dynamics._scan(e, e), analysis._monotone(e)]
+            for kernel, names in zip(kernels, (_SCAN_NAMES, _SCAN_NAMES, _MONOTONE_NAMES)):
+                code = kernel.__code__
+                assert code.co_names in ((), ("append",)), src
+                assert code.co_varnames[:4] == ("lo", "w", "m", "n"), src
+                for local in code.co_varnames:
+                    assert re.fullmatch(r"(f|phi)[vk]\d+", local) \
+                        or local in _COMPILER_HELPERS or local in names, local
+                assert not any(isinstance(c, str) for c in code.co_consts), src
 
     def test_built_tree_with_int_constants(self):
         e = expr.Expression(BinOp("^", Var("x"), Num(2)), "x")
@@ -398,11 +410,15 @@ _COMPILER_HELPERS = {"sin", "cos", "tan", "exp", "log", "tanh", "sqrt", "abs", "
 _LOOP_NAMES = {"x", "y", "n", "streak", "window", "xs", "ys", "append_x", "append_y", "_", "p",
                "t", "range", "cutoff", "rtol"}
 _ORBIT_TAGS = {"divergence", "convergence", "step-budget"}
-_SWEEP_NAMES = {"ys", "lo", "hi", "flo", "fhi", "argmax", "f_max", "best", "nans", "inv", "y",
+_SWEEP_NAMES = {"y_lo", "w", "m", "n", "k", "lo", "hi", "flo", "fhi", "argmax", "f_max", "best",
+                "nans", "inv", "y",
                 "tol", "ntol", "ga", "a", "b", "x", "step", "step_old", "_", "v", "slope", "gx",
                 "mid", "nxt", "newton", "diff", "max", "range", "nextafter", "inf", "rtol", "cap"}
 _RESIDUAL_NAMES = {"lo", "w", "m", "n", "best", "argmax", "nan_x", "k", "x", "fx", "hx", "r",
                    "range"}
+_SCAN_NAMES = {"lo", "w", "m", "n", "tol", "near", "signs", "ntol", "prev", "k", "x", "y", "g",
+               "range"}
+_MONOTONE_NAMES = {"lo", "w", "m", "n", "prev", "sign", "k", "x", "v", "range"}
 
 
 def _outcome(fn):
@@ -660,3 +676,21 @@ class TestRecord:
         r = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                            env=dict(os.environ, PYTHONPATH=str(src)), check=True)
         assert r.stdout == "[]\n"
+
+    def test_runtime_imports_only_the_standard_library(self):
+        # Every import in the package names a standard-library module or the
+        # package itself (a relative import).
+        src = Path(__file__).resolve().parent.parent / "src" / "reflexivity"
+        files = sorted(src.glob("*.py"))
+        assert len(files) >= 6
+        for path in files:
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = ["reflexivity" if node.level else node.module]
+                else:
+                    continue
+                for name in names:
+                    top = name.split(".")[0]
+                    assert top in sys.stdlib_module_names or top == "reflexivity", (path.name, name)

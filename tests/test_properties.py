@@ -8,6 +8,7 @@ and h maps each fixed point of f to one of g.
 """
 
 import math
+import sys
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -95,3 +96,65 @@ def test_affine_conjugacy_is_consistent(family, s, p, q, samples):
                                        samples)
     assert report.verdict == "consistent" and report.violation_x is None, (f, g, h, report)
     assert report.fixed_point_images_checked == fixed_points, (f, report)
+
+
+# The fixed points of f and of g = h(f(h^-1(.))) are each found within
+# about 5e-12 of the true ones (|g - x| < 1e-12 where |multiplier - 1| >= 0.2
+# over these families), so h's image of one and the other lie within 2.5e-11
+# of each other in f's coordinate (p >= 0.25).  f'' is at most 14 here, so
+# the multipliers there differ by at most 3.5e-10.
+CONJUGATE_LOCATION_ATOL = 1e-10
+CONJUGATE_MULTIPLIER_ATOL = 1e-9
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["logistic", "tanh"]), parameter,
+       st.floats(min_value=0.25, max_value=4.0), st.floats(min_value=-2.0, max_value=2.0))
+def test_affine_conjugacy_keeps_fixed_points_and_multipliers(family, s, p, q):
+    f, g, count = conjugate_triple(family, s, p, q)
+    lo, hi = q, p * 1.0 + q  # h([0, 1])
+    of_f = dynamics.find_fixed_points(dynamics.make_system(f, "y", (0.0, 1.0), (0.0, 1.0)))
+    of_g = dynamics.find_fixed_points(dynamics.make_system(g, "y", (lo, hi), (lo, hi)))
+    assert len(of_f) == len(of_g) == count, (f, g, of_f, of_g)
+    for fp, image in zip(of_f, of_g):
+        assert abs(image.x_bar - (p * fp.x_bar + q)) <= CONJUGATE_LOCATION_ATOL, (fp, image)
+        assert math.isclose(image.multiplier, fp.multiplier, rel_tol=MULTIPLIER_RTOL,
+                            abs_tol=CONJUGATE_MULTIPLIER_ATOL), (fp, image)
+
+
+def inverse_pair(a, b):
+    """f = a*x + b and phi = (y - b)/a, its inverse in closed form, on
+    [-1, 1] and f's image."""
+    ys = (b - a, a + b)
+    return dynamics.make_system(f"{a!r}*x + {b!r}", f"(y - {b!r})/{a!r}", (-1.0, 1.0),
+                                (min(ys), max(ys)))
+
+
+slope = st.floats(min_value=0.5, max_value=3.0).flatmap(
+    lambda a: st.sampled_from([a, -a]))
+offset = st.floats(min_value=-2.0, max_value=2.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(slope, offset, st.sampled_from([2, 3, 256, 4096]))
+def test_inverse_pair_fixes_every_grid_point(a, b, n):
+    # phi(f(x)) - x is rounding, far below the root tolerance, at every grid
+    # point, so each is near 0 and no sign change is left to solve.
+    s = inverse_pair(a, b)
+    w, m = dynamics._grid_span(-1.0, 1.0, n)
+    assert dynamics._scan(s, s.f, s.phi)(-1.0, w, m, n, dynamics.ROOT_TOL) == (list(range(n)), [])
+
+
+@settings(max_examples=30, deadline=None)
+@given(slope, offset, st.sampled_from([2, 3, 256, 4096]))
+def test_inverse_pair_has_distance_zero(a, b, samples):
+    # The inversion stops within INVERT_RTOL*max(1, |y|) of y in f, so within
+    # that over |a| of f^-1(y); phi's own rounding adds a few ulps of
+    # |y| + |b|, over |a|.
+    s = inverse_pair(a, b)
+    y_max = max(map(abs, s.y_domain))
+    bound = (analysis.INVERT_RTOL * max(1.0, y_max)
+             + 4 * sys.float_info.epsilon * (y_max + abs(b))) / abs(a)
+    report = analysis.function_distance(s, samples)
+    assert 0.0 <= report.d <= bound, (a, b, report)
+    assert report.monotone_direction == ("increasing" if a > 0 else "decreasing")

@@ -5,12 +5,15 @@ function_distance runs its grid through the system's compiled sweep and
 falls back to the per-sample loop over _invert where the sweep hands a
 sample back; forcing the loop (by making _sweep return None) gives the
 reference.  find_map_fixed_points and _monotone_direction scan their grids
-with map/compress/max; the loops they replaced are kept here as references.
-verify_conjugacy computes and scans its residuals in one compiled loop
-(_RESIDUALS), which raises the error the first failing x meets; the grid
-passes and builtin scans it replaced, with the point-by-point evaluation
-that found that error before the loop raised it itself, and the loop over
-the residuals before them, are kept here as references.  Reports are
+in compiled kernels that make their own points; the grid lists and builtin
+scans those replaced, and the loops the builtin scans replaced before them,
+are kept here as references, and the kernels are also run with crafted
+columns in place of an expression's lines.  verify_conjugacy computes and
+scans its residuals in one compiled loop (_RESIDUALS), which raises the
+error the first failing x meets; the grid passes and builtin scans it
+replaced, with the point-by-point evaluation that found that error before
+the loop raised it itself, and the loop over the residuals before them, are
+kept here as references.  Reports are
 compared by repr, so -0.0 and NaN are told apart, warnings by message, and
 errors by type and message.
 """
@@ -20,8 +23,8 @@ import logging
 import math
 import pickle
 import random
-from itertools import compress, filterfalse
-from operator import sub
+from itertools import compress, filterfalse, repeat
+from operator import gt, lt, mul, sub
 
 import pytest
 
@@ -180,16 +183,22 @@ class TestNanDistance:
 
 class TestSweepCache:
     def test_compiled_once_on_first_call(self, monkeypatch):
+        # The first call compiles f's monotonicity scan, kept on f, and the
+        # sweep, kept on the system; later calls compile nothing.
         s = make_system("x + 0.2*sin(x)", "y", (0.0, 2.0), (0.0, 3.0))
-        assert s._sweep is None
+        assert s._sweep is None and s.f._monotone is None
         compiled = []
         real = expr.compile_loop
-        monkeypatch.setattr(expr, "compile_loop", lambda *a, **k: compiled.append(1) or real(*a, **k))
+        monkeypatch.setattr(expr, "compile_loop",
+                            lambda template, *a, **k: compiled.append(template) or real(
+                                template, *a, **k))
         first = function_distance(s, 500)
-        kernel = s._sweep
-        assert kernel is not None and compiled == [1]
+        kernel, scan = s._sweep, s.f._monotone
+        assert kernel is not None and scan is not None
+        assert compiled == [analysis._MONOTONE, analysis._SWEEP]
         assert function_distance(s, 500) == first and function_distance(s, 37).samples == 37
-        assert s._sweep is kernel and compiled == [1]
+        assert s._sweep is kernel and s.f._monotone is scan
+        assert compiled == [analysis._MONOTONE, analysis._SWEEP]
 
     def test_sweep_is_kept_on_its_system(self, caplog, monkeypatch):
         # A sweep cached by id() would be handed to a later system at the
@@ -204,18 +213,100 @@ class TestSweepCache:
                 gc.collect()
 
 
+class TestScanCache:
+    def test_gamma_scan_compiled_once_and_kept_on_its_system(self, monkeypatch):
+        s = make_system("2.5*x*(1 - x)", "y", (-0.5, 1.5), (-5.0, 5.0))
+        assert s._scan is None
+        compiled = []
+        real = expr.compile_loop
+        monkeypatch.setattr(expr, "compile_loop",
+                            lambda template, *a, **k: compiled.append(template) or real(
+                                template, *a, **k))
+        first = dynamics.find_fixed_points(s, 500)
+        scan = s._scan
+        assert len(first) == 2 and scan is not None and compiled == [dynamics._SCAN]
+        assert dynamics.find_fixed_points(s, 500) == first
+        assert len(dynamics.find_fixed_points(s, 37)) == 2
+        assert s._scan is scan and s.f._scan is None and compiled == [dynamics._SCAN]
+
+    def test_scan_is_kept_on_its_system(self):
+        # As the sweep is: a scan cached by id() could serve a later system.
+        for k in range(200):
+            c = 1.5 + k / 100
+            s = make_system(f"{c!r}*x*(1 - x)", "y", (0.0, 1.0), (0.0, 1.0))
+            _, fp = dynamics.find_fixed_points(s, 64)
+            assert fp.x_bar == pytest.approx(1.0 - 1.0 / c, abs=1e-12), c
+            del s
+            if k % 50 == 0:
+                gc.collect()
+
+
 # ---------------------------------------------------------------------------
 # The grid scans
 
-def reference_fixed_points(fn, lo, hi, grid_n=dynamics.DEFAULT_GRID, tol=dynamics.ROOT_TOL):
-    """find_map_fixed_points with its loops over (x, g) pairs: the reference
+def list_fixed_points(fn, many, lo, hi, grid_n=dynamics.DEFAULT_GRID, tol=dynamics.ROOT_TOL):
+    """find_map_fixed_points as it was before its compiled scan: the grid as
+    a list, the map's values from one many(xs) pass while no point fails and
+    from fn point by point otherwise, scanned with builtins.  The reference
     for the scan."""
+    if grid_n < 2:
+        raise dynamics.PreconditionError("grid_n must be >= 2")
+    dynamics._check_interval(lo, hi)
+    xs = dynamics._grid(lo, hi, grid_n)
+    skipped = 0
+    try:
+        gs = list(map(sub, many(xs), xs))
+    except expr.EvalDomainError:
+        gs = []
+        for x in xs:
+            try:
+                gs.append(fn(x) - x)
+            except expr.EvalDomainError:
+                gs.append(math.nan)
+                skipped += 1
+    if skipped == grid_n:
+        raise dynamics.DomainValidationError("map invalid over the entire domain")
+    if skipped:
+        dynamics.log.warning("fixed-point grid: skipped %d of %d points", skipped, grid_n)
+    g = lambda x: fn(x) - x  # noqa: E731
+    dg = lambda x: fn.derivative(x) - 1.0  # noqa: E731
+    roots = list(compress(xs, map(gt, repeat(tol), map(abs, gs))))
+    jumps = 0
+    for i in compress(range(grid_n - 1), map((0.0).__gt__, map(mul, gs, gs[1:]))):
+        ga, gb = gs[i], gs[i + 1]
+        if abs(ga) < tol or abs(gb) < tol:
+            continue
+        try:
+            x, status, _ = dynamics.bracket_solve(g, xs[i], xs[i + 1], ga, gb, tol, dg=dg)
+        except expr.EvalDomainError:
+            skipped += 1
+            continue
+        if status == "discontinuity":
+            jumps += 1
+        else:
+            roots.append(x)
+    if jumps:
+        dynamics.log.warning("fixed-point search: dropped %d sign changes that are jumps, "
+                             "not roots", jumps)
+    roots.sort()
+    merged = []
+    radius = dynamics.DEDUP_RADIUS_FACTOR * (hi - lo)
+    for r in roots:
+        if not merged or r - merged[-1] > radius:
+            merged.append(r)
+    return merged, skipped
+
+
+def reference_fixed_points(fn, many, lo, hi, grid_n=dynamics.DEFAULT_GRID,
+                           tol=dynamics.ROOT_TOL):
+    """find_map_fixed_points with its loops over (x, g) pairs: the reference
+    for the builtin scans of list_fixed_points."""
     if grid_n < 2:
         raise ValueError("grid_n must be >= 2")
     xs = dynamics._grid(lo, hi, grid_n)
     skipped = 0
     try:
-        vals = [(x, v - x) for x, v in zip(xs, fn.many(xs))]
+        vals = [(x, v - x) for x, v in zip(xs, many(xs))]
     except expr.EvalDomainError:
         vals = []
         for x in xs:
@@ -262,12 +353,128 @@ def reference_fixed_points(fn, lo, hi, grid_n=dynamics.DEFAULT_GRID, tol=dynamic
     return merged, skipped
 
 
+def list_direction(f, lo, hi):
+    """_monotone_direction as it was before its compiled scan: the grid as a
+    list, an Expression's values from one evaluate_many pass (else, or for
+    a plain callable, computed as the loop reaches them), neighbours
+    compared with builtins, and the loop over the differences only where
+    that decides nothing.  The reference for the scan."""
+    if isinstance(f, expr.Expression):
+        fn = lambda x: expr.evaluate(f, x)  # noqa: E731
+    else:
+        fn = f
+    prev_x, prev_v = lo, fn(lo)
+    xs = dynamics._grid(lo, hi, analysis.MONOTONE_DIFFS + 1)[1:]
+    if isinstance(f, expr.Expression):
+        try:
+            vs = expr.evaluate_many(f, xs)
+        except expr.EvalDomainError:
+            vs = (expr.evaluate(f, x) for x in xs)
+    else:
+        vs = map(f, xs)
+    if isinstance(vs, list):
+        us = [prev_v, *vs]
+        if all(map(lt, us, vs)):
+            return "increasing"
+        if all(map(gt, us, vs)):
+            return "decreasing"
+    direction = 0
+    for x, v in zip(xs, vs):
+        d = v - prev_v
+        sign = 1 if d > 0 else (-1 if d < 0 else 0)
+        if sign == 0 or (direction and sign != direction):
+            raise analysis.NonMonotoneError(
+                f"not strictly monotone between {prev_x!r} and {x!r}", x_pair=(prev_x, x))
+        direction = sign
+        prev_x, prev_v = x, v
+    return "increasing" if direction > 0 else "decreasing"
+
+
+FAIL = "fail"  # a crafted column's failing point
+
+
+class Column:
+    """A crafted column of a kernel's part: column[k, x] is values[k], or an
+    EvalDomainError where values[k] is FAIL, and records x in seen."""
+
+    def __init__(self, values, seen):
+        self.values, self.seen = values, seen
+
+    def __getitem__(self, key):
+        k, x = key
+        self.seen.append(x)
+        if self.values[k] is FAIL:
+            raise expr.EvalDomainError("crafted failure", 0)
+        return self.values[k]
+
+
+def looked_up(name, var="x"):
+    """A part of a crafted kernel whose one line `<name>v0 = column[k, var]`
+    stands for an expression's lines."""
+    em = expr._Emitter(False, prefix=name)
+    em.lines.append(f"{name}v0 = column[k, {var}]")
+    return em, f"{name}v0"
+
+
+def held(name, var):
+    """A part with no lines, which holds its variable var."""
+    return expr._Emitter(False, var=var, prefix=name), var
+
+
+def fixed_point_trials(rng):
+    """(values, failing indices, tol) of the map on the grid: the edge cases
+    first, then 3000 random draws."""
+    nan, inf = math.nan, math.inf
+    trials = [([1.0, -1.0], set(), dynamics.ROOT_TOL), ([1e-200, -1e-200], set(), 0.0),
+              ([0.0, -0.0, 0.0], set(), 0.0), ([0.0, -0.0], set(), dynamics.ROOT_TOL),
+              ([nan, 1.0, -1.0, nan], set(), dynamics.ROOT_TOL), ([inf, -inf, inf], set(), 0.0),
+              ([5e-324, 1e-200, -1e-200, -0.3], set(), 0.0), ([1.0, -1.0], {0}, 0.0),
+              ([1.0, -1.0], {1}, dynamics.ROOT_TOL), ([1.0, -1.0], {0, 1}, 0.0)]
+    for bad in ({0}, {3}, {6}, {0, 6}):
+        trials.append(([0.3, -1.0, 1.0, -2.5, 1e-13, -1.0, 1.0], bad, dynamics.ROOT_TOL))
+    for trial in range(3000):
+        n = rng.randint(2, 12)
+        vs = [rng.choice(SPECIAL) for _ in range(n)]
+        bad = {i for i in range(n) if rng.random() < 0.15 * (trial % 2)}
+        trials.append((vs, bad, rng.choice((dynamics.ROOT_TOL, 0.0))))
+    return trials
+
+
+def monotone_trials(rng):
+    """(differences, lo, column: f at lo and at each grid point after it):
+    the edge cases first, then 600 random draws at MONOTONE_DIFFS."""
+    nan, inf = math.nan, math.inf
+    n = analysis.MONOTONE_DIFFS
+    up = [float(k) for k in range(n + 1)]
+    trials = [(1, 0.0, [0.0, 1.0]), (1, 0.0, [1.0, 0.0]), (1, 0.0, [0.0, -0.0]),
+              (1, 0.0, [nan, 1.0]), (1, 0.0, [0.0, FAIL]), (2, 0.0, [0.0, 1.0, 0.5]),
+              (2, 0.0, [-inf, 0.0, inf]), (2, 0.0, [inf, 0.0, -inf]),
+              (2, 0.0, [0.0, 1.0, FAIL]), (2, 0.0, [0.0, FAIL, 1.0]),
+              (n, 1.0, up), (n, 1.0, up[::-1])]
+    for k in (1, n // 2, n):
+        for bad in (nan, FAIL, up[k - 1]):
+            trials.append((n, 0.0, up[:k] + [bad] + up[k + 1:]))
+    # A failure after a pair that is not monotone, and one before it.
+    trials.append((n, 0.0, up[:10] + [5.0] + up[11:20] + [FAIL] + up[21:]))
+    trials.append((n, 0.0, up[:10] + [FAIL] + up[11:20] + [5.0] + up[21:]))
+    for _ in range(600):
+        lo = rng.choice((0.0, -0.0, 1.0, -1e308, 1e-300))
+        sign = rng.choice((1, -1))
+        vs = sorted(lo + sign * rng.uniform(1e-3, 1e6) for _ in range(n))
+        vs = vs if sign > 0 else vs[::-1]
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            i = rng.randrange(n)
+            vs[i] = rng.choice(SPECIAL + (vs[i - 1], -vs[i], FAIL))
+        trials.append((n, lo, [lo, *vs]))
+    return trials
+
+
 def reference_fixed_point_images(f, g, h, lo, hi, fp_tol, verdict, violation_x):
     """verify_conjugacy's check that g fixes the images of f's fixed points:
     (images checked, verdict, violation_x)."""
-    f_map = dynamics.ScalarMap(lambda x: expr.evaluate(f, x), lambda x: expr.derivative(f, x),
-                               lambda xs: expr.evaluate_many(f, xs))
-    fixed_points, _ = dynamics.find_map_fixed_points(f_map, lo, hi, grid_n=1024)
+    f_map = dynamics.ScalarMap(lambda x: expr.evaluate(f, x), lambda x: expr.derivative(f, x))
+    fixed_points, _ = list_fixed_points(f_map, lambda xs: expr.evaluate_many(f, xs), lo, hi,
+                                        grid_n=1024)
     checked = 0
     for x_bar in fixed_points:
         hx = expr.evaluate(h, x_bar)
@@ -348,29 +555,14 @@ def reference_grid_passes(f, g, h, interval, samples=analysis.DEFAULT_SAMPLES,
     return analysis.ConjugacyReport(max_residual, checked, verdict, violation_x)
 
 
-def reference_direction(f, lo, hi):
-    """_monotone_direction of an Expression as the loop over its differences:
-    the reference for the neighbour comparisons."""
-    prev_x, prev_v = lo, expr.evaluate(f, lo)
-    xs = dynamics._grid(lo, hi, analysis.MONOTONE_DIFFS + 1)[1:]
-    direction = 0
-    for x, v in zip(xs, expr.evaluate_many(f, xs)):
-        d = v - prev_v
-        sign = 1 if d > 0 else (-1 if d < 0 else 0)
-        if sign == 0 or (direction and sign != direction):
-            raise analysis.NonMonotoneError(
-                f"not strictly monotone between {prev_x!r} and {x!r}", x_pair=(prev_x, x))
-        direction = sign
-        prev_x, prev_v = x, v
-    return "increasing" if direction > 0 else "decreasing"
-
-
 SPECIAL = (math.nan, math.inf, -math.inf, 0.0, -0.0, 1e-200, -1e-200, 1.0, -1.0, 0.3,
            -2.5, 1e-13, -5e-13, 1e308, -1e308, 5e-324)
 
 
 class TestScansMatchLoops:
     def test_fixed_point_scan(self, caplog, monkeypatch):
+        # The scan compiled with a crafted column for the map's value, looked
+        # up by grid index, in place of f's lines (phi is the identity).
         # Grid points within 1e-300 of 0, so g = v - x is v for every v drawn
         # here but the smallest; 1e-200 * -1e-200 underflows to -0.0.
         rng = random.Random(7)
@@ -383,33 +575,51 @@ class TestScansMatchLoops:
             return a + (b - a) / 3, ("discontinuity" if gb == 1.0 else "converged"), 1
 
         monkeypatch.setattr(dynamics, "bracket_solve", solve)
-        for trial in range(3000):
-            n = rng.randint(2, 12)
-            vs = [rng.choice(SPECIAL) for _ in range(n)]
-            bad = {i for i in range(n) if rng.random() < 0.15 * (trial % 2)}
+        for vs, bad, tol in fixed_point_trials(rng):
+            n = len(vs)
             xs = dynamics._grid(-1e-300, 1e-300, n)
-            table = dict(zip(xs, vs))
+            w, m = dynamics._grid_span(-1e-300, 1e-300, n)
+            col = [FAIL if i in bad else v for i, v in enumerate(vs)]
+            seen = []
+            kernel = expr._define(dynamics._SCAN, {"f": looked_up("f"), "phi": held("phi", "y")},
+                                  {"range": range, "column": Column(col, seen)})
 
             def value(x):
                 if xs.index(x) in bad:
                     raise expr.EvalDomainError("bad point", 0)
-                return table[x]
+                return vs[xs.index(x)]
 
             def many(ts):
+                assert ts == xs
                 if bad:
                     raise expr.EvalDomainError("bad point", 0)
                 return list(vs)
 
-            fn = dynamics.ScalarMap(value, lambda x: 0.0, many)
-            tol = rng.choice((dynamics.ROOT_TOL, 0.0))  # 0.0: no end is a root
+            if not bad:
+                # The kernel alone gives the indices the builtins pick from
+                # the list, less the sign changes with an end near 0, which
+                # the list's loop skips, and makes _grid's points.
+                gs = list(map(sub, vs, xs))
+                near = list(map(gt, repeat(tol), map(abs, gs)))
+                signs = compress(range(n - 1), map((0.0).__gt__, map(mul, gs, gs[1:])))
+                assert kernel(-1e-300, w, m, n, tol) == (
+                    list(compress(range(n), near)),
+                    [k for k in signs if not (near[k] or near[k + 1])]), vs
+                assert list(map(repr, seen)) == list(map(repr, xs))
+            fn = dynamics.ScalarMap(value, lambda x: 0.0, scan_fn=kernel)
+            point_only = dynamics.ScalarMap(value, lambda x: 0.0)
             results = []
-            for find in (dynamics.find_map_fixed_points, reference_fixed_points):
+            for find in (lambda: dynamics.find_map_fixed_points(fn, -1e-300, 1e-300, n, tol),
+                         lambda: dynamics.find_map_fixed_points(point_only, -1e-300, 1e-300, n,
+                                                                tol),
+                         lambda: list_fixed_points(fn, many, -1e-300, 1e-300, n, tol),
+                         lambda: reference_fixed_points(fn, many, -1e-300, 1e-300, n, tol)):
                 calls.clear()
                 caplog.clear()
                 with caplog.at_level(logging.WARNING):
-                    got = outcome(lambda: find(fn, -1e-300, 1e-300, n, tol))
+                    got = outcome(find)
                 results.append((got, list(calls), [r.getMessage() for r in caplog.records]))
-            assert results[0] == results[1], (vs, bad, tol)
+            assert results[0] == results[1] == results[2] == results[3], (vs, bad, tol)
 
     def test_residual_scan(self, monkeypatch):
         # The residual loop compiled with crafted columns for h(f(x)) and
@@ -454,23 +664,89 @@ class TestScansMatchLoops:
             assert got == want, cols
 
     def test_monotone_scan(self, monkeypatch):
+        # The scan compiled with a crafted column for f, looked up by grid
+        # index, in place of f's lines; evaluate and evaluate_many give the
+        # same column to the loop and to the list reference, point by point
+        # in grid order.
         rng = random.Random(13)
         f = expr.parse("x")
-        real = expr.evaluate_many
-        n = analysis.MONOTONE_DIFFS
-        for trial in range(600):
-            lo = rng.choice((0.0, -0.0, 1.0, -1e308, 1e-300))
-            sign = rng.choice((1, -1))
-            vs = sorted(lo + sign * rng.uniform(1e-3, 1e6) for _ in range(n))
-            vs = vs if sign > 0 else vs[::-1]
-            for _ in range(rng.choice((0, 0, 1, 2))):
-                i = rng.randrange(n)
-                vs[i] = rng.choice(SPECIAL + (vs[i - 1], -vs[i]))
-            monkeypatch.setattr(expr, "evaluate_many",
-                                lambda e, xs: list(vs) if e is f else real(e, xs))
-            got = outcome(lambda: analysis._monotone_direction(f, lo, lo + 1.0))
-            want = outcome(lambda: reference_direction(f, lo, lo + 1.0))
-            assert got == want, (lo, trial)
+        real = expr.evaluate
+        for diffs, lo, col in monotone_trials(rng):
+            grid = dynamics._grid(lo, lo + 1.0, diffs + 1)
+            points = []
+
+            def point(e, x):
+                if e is not f:
+                    return real(e, x)
+                k = len(points)
+                points.append(x)
+                assert repr(x) == repr(grid[k])
+                if col[k] is FAIL:
+                    raise expr.EvalDomainError("crafted failure", 0)
+                return col[k]
+
+            def many(e, xs):
+                assert e is f and xs == grid[1:]
+                if FAIL in col[1:]:
+                    raise expr.EvalDomainError("crafted failure", 0)
+                return col[1:]
+
+            seen = []
+            kernel = expr._define(analysis._MONOTONE, {"f": looked_up("f")},
+                                  {"range": range, "column": Column(col, seen)})
+            with monkeypatch.context() as m:
+                m.setattr(analysis, "MONOTONE_DIFFS", diffs)
+                m.setattr(expr, "evaluate", point)
+                m.setattr(analysis, "_monotone", lambda e: kernel)
+                got = outcome(lambda: analysis._monotone_direction(f, lo, lo + 1.0))
+                assert list(map(repr, seen)) == list(map(repr, grid[1:len(seen) + 1]))
+                points.clear()
+                m.setattr(expr, "evaluate_many", many)
+                want = outcome(lambda: list_direction(f, lo, lo + 1.0))
+            assert got == want, (lo, col[:3], diffs)
+
+    def test_kernel_points_are_grid_points(self):
+        # Each kernel makes the points of _grid(lo, hi, n), bit for bit, on
+        # wide and narrow grids: its crafted line records each point.
+        rng = random.Random(1701)
+        cases = [(-1e300, 1e300, 5), (5e-324, 1e-323, 7), (-3.0, -2.0, 2), (0.0, 1.0, 4096)]
+        for _ in range(300):
+            scale = rng.choice((1e-300, 1e-10, 1.0, 1e10, 1e300))
+            lo = rng.uniform(-1.0, 1.0) * scale
+            hi = lo + rng.uniform(0.0, 2.0) * rng.choice((scale, 1.0))
+            cases.append((lo, hi, rng.randint(2, 300)))
+        for lo, hi, n in cases:
+            if not lo < hi:
+                continue
+            grid = list(map(repr, dynamics._grid(lo, hi, n)))
+            w, m = dynamics._grid_span(lo, hi, n)
+            col = [float(k) for k in range(n)]
+            seen = []
+            env = {"range": range, "column": Column(col, seen)}
+            scan = expr._define(dynamics._SCAN, {"f": looked_up("f"), "phi": held("phi", "y")}, env)
+            scan(lo, w, m, n, 0.0)
+            assert list(map(repr, seen)) == grid, (lo, hi, n)
+            seen.clear()
+            assert expr._define(analysis._MONOTONE, {"f": looked_up("f")}, env)(
+                lo, w, m, n, -1.0) == 1
+            assert list(map(repr, seen)) == grid[1:], (lo, hi, n)
+            seen.clear()
+            expr._define(analysis._RESIDUALS, {"f": held("f", "x"), "h": held("h", "x"),
+                                               "hf": looked_up("hf"), "gh": held("gh", "hx")},
+                         env)(lo, w, m, n)
+            assert list(map(repr, seen)) == grid, (lo, hi, n)
+            # The sweep clamps each y to f's range, as the loop's grid is
+            # clamped, before phi's line records it.  f is the identity.
+            seen.clear()
+            em = expr._Emitter(True, prefix="f")
+            em.lines += ["fv0 = x", "fd0 = 1.0"]
+            ys = [min(max(y, lo), hi) for y in dynamics._grid(lo, hi, n)]
+            sweep = expr._define(analysis._SWEEP, {"f": (em, "fv0, fd0"),
+                                                   "phi": looked_up("phi", "y")}, {
+                **env, "max": max, "nextafter": math.nextafter, "inf": math.inf,
+                "rtol": analysis.INVERT_RTOL, "cap": dynamics.SOLVE_MAX_ITER})
+            assert sweep(lo, w, m, n, lo, hi, lo, hi) is not None, (lo, hi, n)
+            assert list(map(repr, seen)) == list(map(repr, ys)), (lo, hi, n)
 
 
 def conjugacy_triple(rng, family, violated):
@@ -598,20 +874,28 @@ class TestResidualCache:
     F, G, H = "4*x*(1 - x)", "4*y*(1 - y) + 1e-3*y", "x + 0.1*x^3"
 
     def test_compiled_once_per_f_and_g(self, monkeypatch):
+        # A check compiles h's monotonicity scan, kept on h, the residual
+        # loop, kept on h with f and g, and f's fixed-point scan, kept on f;
+        # later checks with the same objects compile nothing.
         f, g, h = expr.parse(self.F), expr.parse(self.G), expr.parse(self.H)
-        assert h._conjugacy is None
+        assert h._conjugacy is None and h._monotone is None and f._scan is None
         compiled = []
         real = expr.compile_loop
-        monkeypatch.setattr(expr, "compile_loop", lambda *a, **k: compiled.append(1) or real(*a, **k))
+        monkeypatch.setattr(expr, "compile_loop",
+                            lambda template, *a, **k: compiled.append(template) or real(
+                                template, *a, **k))
+        each = [analysis._MONOTONE, analysis._RESIDUALS, dynamics._SCAN]
         first = same_as_grid_passes(f, g, h, (0.0, 1.0), 500)
-        kept = h._conjugacy
-        assert kept[0] is f and kept[1] is g and compiled == [1]
+        kept, scans = h._conjugacy, (h._monotone, f._scan)
+        assert kept[0] is f and kept[1] is g and compiled == each
         assert same_as_grid_passes(f, g, h, (0.0, 1.0), 500) == first
         same_as_grid_passes(f, g, h, (0.25, 0.5), 37)
-        assert h._conjugacy is kept and compiled == [1]
+        assert h._conjugacy is kept and (h._monotone, f._scan) == scans and compiled == each
         # A kernel is reused only for the same f and g objects, not equal ones.
-        same_as_grid_passes(expr.parse(self.F), g, h, (0.0, 1.0), 500)
-        assert len(compiled) == 2 and h._conjugacy[0] is not f
+        other = expr.parse(self.F)
+        same_as_grid_passes(other, g, h, (0.0, 1.0), 500)
+        assert compiled == each + [analysis._RESIDUALS, dynamics._SCAN]
+        assert h._conjugacy[0] is other and h._monotone is scans[0] and f._scan is scans[1]
 
     def test_another_f_or_g_with_the_same_h(self):
         # Each of two f objects with each of two g objects, twice over.
