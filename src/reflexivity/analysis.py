@@ -387,7 +387,7 @@ def detect_period(map_fn, x0, max_period=DEFAULT_MAX_PERIOD, burn_in=0):
 
 def detect_recurrence(map_fn, p, radius, horizon):
     """Smallest n with 1 < n <= horizon and |map^n(p) - p| < radius, or None."""
-    if radius <= 0:
+    if not radius > 0:
         raise _dyn.PreconditionError("radius must be > 0")
     if horizon < 2:
         raise _dyn.PreconditionError("horizon must be >= 2")
@@ -495,6 +495,8 @@ def verify_conjugacy(f, g, h, interval, samples=DEFAULT_SAMPLES,
     """
     if samples < 2:
         raise _dyn.PreconditionError("samples must be >= 2")
+    if not (tol >= 0 and fp_tol >= 0):
+        raise _dyn.PreconditionError("tol and fp_tol must be >= 0")
     lo, hi = interval
     _dyn._check_interval(lo, hi)
     h_fn = lambda x: _expr.evaluate(h, x)

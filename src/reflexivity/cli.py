@@ -279,7 +279,9 @@ COMMANDS = {
 }
 
 
-def _is_float(text):
+def _is_value(text):
+    if text[1:2] != "-":
+        return True
     try:
         float(text)
     except ValueError:
@@ -287,11 +289,13 @@ def _is_float(text):
     return True
 
 
-# argparse reads a string that starts with '-' as a value when this matches
-# it, and as an option otherwise.  Its own matcher takes -1 and -.5 but not
-# -1e3 or -inf; this one takes every string float() takes.  No flag looks
-# like a number.
-_NUMBER = SimpleNamespace(match=_is_float)
+# argparse reads a word that starts with '-' and names no flag as a value
+# when this matches it, and as an unknown option otherwise.  Its own matcher
+# takes -1 and -.5 only; this one also takes -1e3, -inf and expressions such
+# as -y: every word whose second character is not '-', and every float.  -h
+# is added before the matcher is set, so no flag counts as a value; an
+# expression that begins with -h is taken for -h (give --f=-h...).
+_NUMBER = SimpleNamespace(match=_is_value)
 
 
 def build_parser():

@@ -96,23 +96,20 @@ def _check_interval(lo, hi, name="interval"):
 
 
 def _check_finite_on(fn, domain, label, n=_VALIDATION_GRID):
-    """fn's values at n evenly spaced points of domain, from one grid pass;
-    if it fails or a value is not finite, a point loop finds the first bad
-    point and raises with it."""
-    xs = _grid(*domain, n)
-    try:
-        vs = _expr.evaluate_many(fn, xs)
-        if all(map(math.isfinite, vs)):
-            return vs
-    except _expr.EvalDomainError:
-        pass
-    for v in xs:
+    """fn's values at n evenly spaced points of domain, from its point
+    function; DomainValidationError at the first point where fn fails or
+    its value is not finite."""
+    value = fn._value
+    vs = []
+    for v in _grid(*domain, n):
         try:
-            out = _expr.evaluate(fn, v)
+            out = value(v)
         except _expr.EvalDomainError as exc:
             raise DomainValidationError(f"{label} invalid at {v!r}: {exc}") from exc
         if not math.isfinite(out):
             raise DomainValidationError(f"{label} not finite at {v!r}")
+        vs.append(out)
+    return vs
 
 
 def make_system(f_source, phi_source, x_domain, y_domain):
@@ -170,7 +167,7 @@ class ScalarMap:
     compiled iteration: iterate_fn(t, n) is None or the n values map(t),
     map(map(t)), ..., cut after the first one that is not finite or beyond
     DIVERGENCE_CUTOFF; and a compiled fixed-point scan: scan_fn(lo, w, m, n,
-    tol) is _SCAN's result for the map."""
+    tol) is _SCAN's result (near, signs, skipped) for the map."""
 
     def __init__(self, value_fn, deriv_fn, *, iterate_fn=None, scan_fn=None):
         self._value = value_fn
@@ -372,9 +369,10 @@ def bracket_solve(g, a, b, ga, gb, tol, x0=None, dg=None):
 
 # find_map_fixed_points' scan of the map phi(f(x)): at each of the n points
 # x = lo + w*k/m of its grid (_grid's arithmetic), g = phi(f(x)) - x from the
-# lines of f on x and of phi on f's value.  It returns the indices k where
-# |g| < tol, and the indices k where g changes sign from k to k + 1 with
-# neither end near 0, the only ones there is a root to solve for.  A g near 0
+# lines of f on x and of phi on f's value, or NaN where a line fails.  It
+# returns the indices k where |g| < tol, the indices k where g changes sign
+# from k to k + 1 with neither end near 0 or NaN, the only ones there is a
+# root to solve for, and the number of NaN (skipped) points.  A g near 0
 # counts as 0.0 in the sign test, and so does the g before the first point:
 # 0.0 times any g is not < 0.  A product that underflows to 0 is no sign
 # change either.
@@ -382,21 +380,26 @@ _SCAN = """\
 def compiled(lo, w, m, n, tol{params}):
     near = []
     signs = []
+    skipped = 0
     ntol = -tol
     prev = 0.0
     for k in range(n):
         x = lo + w * k / m
-        @f
-        y = {f}
-        @phi
-        g = {phi} - x
+        try:
+            @f
+            y = {f}
+            @phi
+            g = {phi} - x
+        except numeric:
+            g = nan
+            skipped += 1
         if ntol < g < tol:
             near.append(k)
             g = 0.0
         elif 0.0 > prev * g:
             signs.append(k - 1)
         prev = g
-    return near, signs
+    return near, signs, skipped
 """
 
 
@@ -405,13 +408,13 @@ def _scan(owner, f, phi=None):
     compiled on first use and kept on owner: the system of compose_gamma's
     map, or f itself."""
     return owner._scan or _expr.kept_loop(owner, "_scan", _SCAN, {
-        "f": (f, "x"), "phi": (phi or _expr.parse("y"), "y")}, {"range": range})
+        "f": (f, "x"), "phi": (phi or _expr.parse("y"), "y")}, {
+        "range": range, "numeric": _expr._NUMERIC_ERRORS, "nan": math.nan})
 
 
 def _scan_points(fn, lo, w, m, n, tol):
-    """_SCAN's result for the ScalarMap fn, from fn point by point, and the
-    number of points skipped because fn fails there.  A skipped point is
-    NaN, which is neither near 0 nor the end of a sign change."""
+    """_SCAN's result for the ScalarMap fn, from fn point by point: a point
+    where fn fails is skipped as NaN."""
     gs = []
     skipped = 0
     for k in range(n):
@@ -421,10 +424,6 @@ def _scan_points(fn, lo, w, m, n, tol):
         except _expr.EvalDomainError:
             gs.append(math.nan)
             skipped += 1
-    if skipped == n:
-        raise DomainValidationError("map invalid over the entire domain")
-    if skipped:
-        log.warning("fixed-point grid: skipped %d of %d points", skipped, n)
     near = list(compress(range(n), map(gt, repeat(tol), map(abs, gs))))
     for k in near:
         gs[k] = 0.0
@@ -435,8 +434,8 @@ def _scan_points(fn, lo, w, m, n, tol):
 def find_map_fixed_points(fn, lo, hi, grid_n=DEFAULT_GRID, tol=ROOT_TOL):
     """Roots of the ScalarMap fn minus x on [lo, hi], lo < hi (else
     DomainValidationError), by uniform grid plus bracket_solve with fn's
-    derivative.  fn's compiled scan covers the grid while no point fails;
-    otherwise, or if fn has none, the grid goes point by point.
+    derivative.  fn's compiled scan covers the grid, or, if fn has none, fn
+    point by point.
 
     Returns (roots, skipped) where skipped counts grid points dropped for
     numeric domain errors.  A pair of grid values with a NaN end brackets
@@ -446,17 +445,18 @@ def find_map_fixed_points(fn, lo, hi, grid_n=DEFAULT_GRID, tol=ROOT_TOL):
     """
     if grid_n < 2:
         raise PreconditionError("grid_n must be >= 2")
+    if not tol >= 0:
+        raise PreconditionError("tol must be >= 0")
     _check_interval(lo, hi)
     w, m = _grid_span(lo, hi, grid_n)
-    near = None
-    if fn._scan is not None:
-        try:
-            near, signs = fn._scan(lo, w, m, grid_n, tol)
-            skipped = 0
-        except _expr.EvalDomainError:
-            pass
-    if near is None:
+    if fn._scan is None:
         near, signs, skipped = _scan_points(fn, lo, w, m, grid_n, tol)
+    else:
+        near, signs, skipped = fn._scan(lo, w, m, grid_n, tol)
+    if skipped == grid_n:
+        raise DomainValidationError("map invalid over the entire domain")
+    if skipped:
+        log.warning("fixed-point grid: skipped %d of %d points", skipped, grid_n)
 
     # The few points needed again are made and evaluated as the scan did.
     g = lambda x: fn(x) - x

@@ -4,15 +4,15 @@ forward-mode (dual number) differentiation.
 Expressions hold at most one free variable.  Trees are immutable after
 parsing, so evaluation and differentiation are pure and reentrant.  Values
 come from a straight-line float function compiled from the tree when the
-Expression is built; values over a grid from the same lines run in one
-loop, and derivatives from a straight-line value-plus-derivative function,
-both compiled on first use.  Each compiled function reports its own
+Expression is built, values over a list of points from that function
+mapped over it, and derivatives from a straight-line value-plus-derivative
+function compiled on first use.  Each compiled function reports its own
 failures: one handler raises the error of the line that failed, with its
 message and node offset, at no cost until something fails.  compile_loop
 puts the lines of several expressions, values only or values with
-derivatives, into one function from a template: the orbit loop of the
-dynamics layer, and the inversion sweep and conjugacy residual of the
-analysis layer.
+derivatives, into one function from a template: the orbit loop and the
+fixed-point scan of the dynamics layer, and the monotonicity scan,
+inversion sweep and conjugacy residual of the analysis layer.
 
 The module also holds the two helpers every layer uses: `record`, which
 makes the frozen result classes, and `LazyLogger`.
@@ -229,10 +229,8 @@ class Expression:
     variable_name: str | None
     source: str = field(compare=False, default="")
     _value: object = field(init=False, compare=False, repr=False)
-    # Compiled on the first derivative and evaluate_many call: most
-    # expressions never need them.
+    # Compiled on the first derivative call: most expressions never need it.
     _derivative: object = field(init=False, compare=False, repr=False, default=None)
-    _many: object = field(init=False, compare=False, repr=False, default=None)
     # analysis.verify_conjugacy's compiled residual loop with this as h, as
     # (f, g, loop), compiled on its first call (see analysis._residuals), and
     # the grid scans compiled on first use for this expression: the
@@ -425,17 +423,10 @@ def evaluate(e, v):
 
 
 def evaluate_many(e, xs):
-    """[evaluate(e, x) for x in xs] for a list of floats xs.
-
-    Runs e's compiled grid function, compiling it on the first call: the
-    point function's lines in one loop, so every value is the same bit for
-    bit, and the first failing x raises its EvalDomainError.
-    """
-    fn = e._many
-    if fn is None:
-        fn = _compile(e.root, many=True)
-        object.__setattr__(e, "_many", fn)
-    return fn(xs)
+    """[evaluate(e, x) for x in xs] for a list of floats xs: e's compiled
+    point function mapped over xs, so the first failing x raises its
+    EvalDomainError."""
+    return list(map(e._value, xs))
 
 
 def derivative(e, v):
@@ -456,8 +447,7 @@ def derivative(e, v):
 # ---------------------------------------------------------------------------
 # Compilation to straight-line float functions
 #
-# _compile(root) builds x -> value, and _compile(root, many=True) the same
-# lines in a loop over a list of x.  A constant whole-number exponent there
+# _compile(root) builds x -> value.  A constant whole-number exponent there
 # becomes `a ** n` with n a bound int, the operation _pow performs for it.
 # _compile(root, dual=True) builds x -> derivative by forward-mode source
 # transformation: one pair of locals v<k>, d<k> per operator node, each a
@@ -465,18 +455,21 @@ def derivative(e, v):
 # in tests/dual_walk.py is the reference both modes are tested against, bit
 # for bit, errors included.
 #
-# A line that fails raises ArithmeticError or ValueError.  _define puts the
-# body of every generated function in one try, whose handler `fail` finds
-# the failing line by the traceback's line number and raises its typed
-# error: EvalDomainError (NonDifferentiableError for the kinks of sqrt and
-# abs) with the message in _FAILURES and the node's offset.  A template's
-# own line re-raises its exception unchanged.  A try costs nothing until
-# something raises, so one function per mode is fast and reports too.
+# A line that fails raises ArithmeticError or ValueError (_NUMERIC_ERRORS).
+# _define puts the body of every generated function in one try, whose
+# handler `fail` finds the failing line by the traceback's line number and
+# raises its typed error: EvalDomainError (NonDifferentiableError for the
+# kinks of sqrt and abs) with the message in _FAILURES and the node's
+# offset.  A template's own line re-raises its exception unchanged.  A try
+# costs nothing until something raises, so one function per mode is fast
+# and reports too.  A template may catch _NUMERIC_ERRORS around its part
+# lines itself, as dynamics._SCAN does to skip a failing grid point; fail
+# then never runs.
 #
-# The generated source holds only names the compiler chooses: the parameters
-# x or xs, the locals, constants k<j>, the helpers in _HELPERS its lines
-# call, and fail, all bound as default arguments (a constant may be inf,
-# which has no literal), plus the literals in _RULES.  Node values and user
+# The generated source holds only names the compiler chooses: the parameter
+# x, the locals, constants k<j>, the helpers in _HELPERS its lines call, and
+# fail, all bound as default arguments (a constant may be inf, which has no
+# literal), plus the literals in _RULES.  Node values and user
 # identifiers never become source text; operators and function names are
 # written only after an exact match with _INFIX or FUNCTION_NAMES.  Every
 # constant is a float, so the arithmetic is float arithmetic, as evaluate's
@@ -539,6 +532,7 @@ _HELPERS = {
     "copysign": math.copysign, "pow": _pow, "dpow": _dual_pow, "kink": _kink,
 }
 _INFIX = ("+", "-", "*", "/")
+_NUMERIC_ERRORS = (ArithmeticError, ValueError)
 _CALL = re.compile(r"\b(\w+)\(")  # a helper's name where a line calls it
 
 # (value, derivative) templates per rule: a and b name the operands' values,
@@ -661,7 +655,7 @@ def _failure(table):
     by line number), and returns on any other, which the clause re-raises."""
     def fail():
         exc = sys.exc_info()[1]
-        if not isinstance(exc, (ArithmeticError, ValueError)):
+        if not isinstance(exc, _NUMERIC_ERRORS):
             return
         tb = exc.__traceback__
         entry = table.get(tb.tb_lineno)
@@ -685,28 +679,17 @@ def compiled(x{params}):
     @value
     return {value}
 """
-_MANY = """\
-def compiled(xs{params}):
-    out = []
-    append = out.append
-    for x in xs:
-        @value
-        append({value})
-    return out
-"""
 
 
-def _compile(root, dual=False, many=False):
+def _compile(root, dual=False):
     """Straight-line function x -> value of root (x -> derivative if dual).
 
-    With many=True the function takes a list xs instead and returns the
-    list of values, running the same lines once per x in one loop.  Nested
-    expressions would hit the compiler's parenthesis limit on long sums, so
-    every operator node gets its own statements.
+    Nested expressions would hit the compiler's parenthesis limit on long
+    sums, so every operator node gets its own statements.
     """
     em = _Emitter(dual)
     value, deriv = em.emit(root)
-    return _define(_MANY if many else _POINT, {"value": (em, deriv if dual else value)})
+    return _define(_POINT, {"value": (em, deriv if dual else value)})
 
 
 def compile_loop(template, parts, env, dual=()):

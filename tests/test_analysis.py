@@ -245,6 +245,9 @@ class TestDetectRecurrence:
     def test_validation(self):
         with pytest.raises(ValueError):
             detect_recurrence(logistic_map(2.5), 0.5, 0.0, 100)
+        # NaN fails every comparison, radius > 0 too.
+        with pytest.raises(dynamics.PreconditionError, match="^radius must be > 0$"):
+            detect_recurrence(logistic_map(2.5), 0.3, math.nan, 50)
         with pytest.raises(ValueError):
             detect_recurrence(logistic_map(2.5), 0.5, 1e-6, 1)
 
@@ -313,6 +316,15 @@ class TestVerifyConjugacy:
         assert rep.verdict == "violated"
         assert rep.max_residual == pytest.approx(1.0, abs=1e-12)
         assert rep.violation_x == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("tols", [{"tol": math.nan}, {"fp_tol": math.nan},
+                                      {"tol": -1e-9}, {"fp_tol": -1.0}])
+    def test_tolerance_below_0_or_nan_rejected(self, tols):
+        # A NaN tol made every residual pass: this pair is violated.
+        f = expr.parse("4*x*(1-x)")
+        with pytest.raises(dynamics.PreconditionError, match="^tol and fp_tol must be >= 0$"):
+            verify_conjugacy(f, expr.parse("x/3"), expr.parse("x"), (0.0, 1.0), samples=64,
+                             **tols)
 
     def test_non_monotone_h_rejected(self):
         with pytest.raises(analysis.NonMonotoneError):

@@ -1,6 +1,7 @@
 import argparse
 import errno
 import json
+import math
 import os
 import shlex
 from pathlib import Path
@@ -434,10 +435,38 @@ class TestFlagSurface:
         assert got == (3, "", f"numeric error: non-finite state x={float(value)!r} (step 0)\n")
 
     def test_option_that_is_no_number_is_still_an_option(self, capsys):
+        # -x is taken as --x0's value, which is no float.
         with pytest.raises(SystemExit) as exc:
             cli.main(["simulate", "--f", "x", "--phi", "y", "--x0", "-x"])
         assert exc.value.code == 2
-        assert "argument --x0: expected one argument" in capsys.readouterr().err
+        assert "argument --x0: invalid float value: '-x'" in capsys.readouterr().err
+
+    # An expression that begins with one '-' is a value: a sign-flipping phi
+    # makes the orbit oscillate.
+    @pytest.mark.parametrize("flag, value, out", [
+        ("--phi", "-y", "i,x,y\n0,1,0.5\n1,-0.5,-0.25\n2,0.25,0.125\n"),
+        ("--f", "-sin(x)", "i,x,y\n0,1,%.17g\n1,%.17g,%.17g\n" % (
+            -math.sin(1.0), -math.sin(1.0), -math.sin(-math.sin(1.0)))),
+    ], ids=["phi", "f"])
+    def test_expression_that_begins_with_a_minus_is_a_value(self, capsys, flag, value, out):
+        argv = {"--f": "x/2", "--phi": "y", "--x0": "1", "--steps": "2" if flag == "--phi" else "1"}
+        argv[flag] = value
+        got = run(capsys, "simulate", *(word for item in argv.items() for word in item))
+        assert got == (0, out, "terminated_by=step-budget\n")
+
+    def test_word_with_one_minus_is_no_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", "--f", "x/2", "--phi", "y", "--x0", "1", "-steps", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: -steps 3" in capsys.readouterr().err
+
+    def test_expression_that_begins_with_minus_h_needs_the_equals_form(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", "--f", "-hx", "--phi", "y", "--x0", "1"])
+        assert exc.value.code == 2
+        assert "argument --f: expected one argument" in capsys.readouterr().err
+        got = run(capsys, "simulate", "--f=-hx", "--phi", "y", "--x0", "1", "--steps", "1")
+        assert got == (0, "i,x,y\n0,1,-1\n1,-1,1\n", "terminated_by=step-budget\n")
 
     # The program's and every subcommand's --help, as argparse prints it at
     # 80 columns; tests/help holds the expected text.

@@ -276,6 +276,11 @@ class TestFindFixedPoints:
         s = make_system("x", "y", (0.0, 1.0), (0.0, 1.0))
         with pytest.raises(ValueError):
             find_fixed_points(s, grid_n=1)
+        # A NaN tol missed the fixed point at 0 of the logistic map.
+        gamma = compose_gamma(make_system("4*x*(1-x)", "y", (0.0, 1.0), (0.0, 1.0)))
+        for tol in (math.nan, -1e-12):
+            with pytest.raises(dynamics.PreconditionError, match="^tol must be >= 0$"):
+                dynamics.find_map_fixed_points(gamma, 0.0, 1.0, 64, tol=tol)
 
     def test_residual_bounds(self):
         s = make_system("2.5*x*(1-x)", "y", (-0.5, 1.5), (-5.0, 5.0))
@@ -292,7 +297,7 @@ class TestFindFixedPoints:
 
     def test_map_invalid_on_part_of_the_grid(self, caplog):
         # gamma(x) = sqrt(x - 1) + 2 fails at the 134 grid points below 1,
-        # so the grid pass falls back to the loop that skips them.
+        # which the scan skips, as the point-by-point loop does.
         s = make_system("x - 1", "sqrt(y) + 2", (-1.0, 5.0), (0.0, 4.0))
         with caplog.at_level(logging.WARNING, logger="reflexivity.dynamics"):
             (fp,) = find_fixed_points(s, 401)

@@ -416,8 +416,8 @@ _SWEEP_NAMES = {"y_lo", "w", "m", "n", "k", "lo", "hi", "flo", "fhi", "argmax", 
                 "mid", "nxt", "newton", "diff", "max", "range", "nextafter", "inf", "rtol", "cap"}
 _RESIDUAL_NAMES = {"lo", "w", "m", "n", "best", "argmax", "nan_x", "k", "x", "fx", "hx", "r",
                    "range"}
-_SCAN_NAMES = {"lo", "w", "m", "n", "tol", "near", "signs", "ntol", "prev", "k", "x", "y", "g",
-               "range"}
+_SCAN_NAMES = {"lo", "w", "m", "n", "tol", "near", "signs", "skipped", "ntol", "prev", "k", "x",
+               "y", "g", "range", "numeric", "nan"}
 _MONOTONE_NAMES = {"lo", "w", "m", "n", "prev", "sign", "k", "x", "v", "range"}
 
 
@@ -466,12 +466,10 @@ class TestCompiledMatchesTreeWalk:
             ref = _outcome(lambda: [expr.evaluate(e, v) for v in points])
             where = f"{e.source}: {got} vs {ref}"
             assert got == ref, where
-            # The grid function fails exactly where the point function
-            # fails, with its error.
-            assert _outcome(lambda: e._many(points)) == \
-                _outcome(lambda: [e._value(v) for v in points]), where
+            # It fails exactly where the point function fails, with its error.
             for v in points:
-                assert _outcome(lambda: e._many([v])) == _outcome(lambda: [e._value(v)]), where
+                assert _outcome(lambda: expr.evaluate_many(e, [v])) == \
+                    _outcome(lambda: [e._value(v)]), where
             counts["error" if isinstance(ref, tuple) else "value"] += 1
         assert counts["value"] > 100 and counts["error"] > 100, counts
 
@@ -501,19 +499,18 @@ class TestCompiledMatchesTreeWalk:
         for _ in range(1000):
             e = expr.parse(gen_source(rng, 5, wide=True))
             _outcome(lambda: expr.derivative(e, 0.0))  # compiles e._derivative
-            expr.evaluate_many(e, [])  # and e._many
             for v in points:
                 where = f"{e.source} at {v!r}"
                 want = _outcome(lambda: _value_walk(e.root, v))
                 assert _outcome(lambda: e._value(v)) == want, where
-                assert _outcome(lambda: e._many([v])) == \
+                assert _outcome(lambda: expr.evaluate_many(e, [v])) == \
                     _outcome(lambda: [_value_walk(e.root, v)]), where
                 failures["value"] += isinstance(want, tuple)
                 want = _outcome(lambda: eval_walk(e.root, DualValue(v, 1.0)).derivative)
                 assert _outcome(lambda: e._derivative(v)) == want, where
                 failures["derivative"] += isinstance(want, tuple)
             # Over the grid, the first failing point's error.
-            assert _outcome(lambda: e._many(points)) == \
+            assert _outcome(lambda: expr.evaluate_many(e, points)) == \
                 _outcome(lambda: [_value_walk(e.root, v) for v in points]), e.source
         assert min(failures.values()) > 1000 * len(points) // 20, failures
 
@@ -652,7 +649,7 @@ class TestRecord:
         assert render.PhasePortraitTrace(points=()) == render.PhasePortraitTrace((), True)
         assert dynamics.SystemState(index=2, y=1.0, x=0.5) == dynamics.SystemState(0.5, 1.0, 2)
         e = expr.Expression(variable_name="x", root=Var("x"))
-        assert e.source == "" and e._derivative is None and e._many is None
+        assert e.source == "" and e._derivative is None
         assert expr.evaluate(e, 3.0) == 3.0
 
     @pytest.mark.parametrize("call", [

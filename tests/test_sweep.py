@@ -13,9 +13,12 @@ scans its residuals in one compiled loop (_RESIDUALS), which raises the
 error the first failing x meets; the grid passes and builtin scans it
 replaced, with the point-by-point evaluation that found that error before
 the loop raised it itself, and the loop over the residuals before them, are
-kept here as references.  Reports are
-compared by repr, so -0.0 and NaN are told apart, warnings by message, and
-errors by type and message.
+kept here as references.  The fixed-point scan skips and counts a failing
+point itself; the point loop it ran again before is the reference.  The
+finiteness check of make_system runs one loop over its grid; the grid pass
+and point loop it replaced are the reference.  Reports are compared by
+repr, so -0.0 and NaN are told apart, warnings by message, and errors by
+type and message.
 """
 
 import gc
@@ -29,7 +32,7 @@ from operator import gt, lt, mul, sub
 import pytest
 
 from conftest import gen_source
-from reflexivity import analysis, dynamics, expr
+from reflexivity import analysis, cli, dynamics, expr, render
 from reflexivity.analysis import function_distance
 from reflexivity.dynamics import make_system
 
@@ -394,17 +397,20 @@ FAIL = "fail"  # a crafted column's failing point
 
 
 class Column:
-    """A crafted column of a kernel's part: column[k, x] is values[k], or an
-    EvalDomainError where values[k] is FAIL, and records x in seen."""
+    """A crafted column of a kernel's part: column[k, x] is values[k], or
+    raises an error of the class raises where values[k] is FAIL, and records
+    x in seen.  A kernel that reports a failing line meets the typed error
+    the line's handler raises; the fixed-point scan, which skips the point,
+    meets what the line itself raises, a ValueError or ArithmeticError."""
 
-    def __init__(self, values, seen):
-        self.values, self.seen = values, seen
+    def __init__(self, values, seen, raises=expr.EvalDomainError):
+        self.values, self.seen, self.raises = values, seen, raises
 
     def __getitem__(self, key):
         k, x = key
         self.seen.append(x)
         if self.values[k] is FAIL:
-            raise expr.EvalDomainError("crafted failure", 0)
+            raise self.raises("crafted failure")
         return self.values[k]
 
 
@@ -562,11 +568,17 @@ SPECIAL = (math.nan, math.inf, -math.inf, 0.0, -0.0, 1e-200, -1e-200, 1.0, -1.0,
 class TestScansMatchLoops:
     def test_fixed_point_scan(self, caplog, monkeypatch):
         # The scan compiled with a crafted column for the map's value, looked
-        # up by grid index, in place of f's lines (phi is the identity).
-        # Grid points within 1e-300 of 0, so g = v - x is v for every v drawn
-        # here but the smallest; 1e-200 * -1e-200 underflows to -0.0.
+        # up by grid index, in place of f's lines (phi is the identity); a
+        # failing entry raises as a failing line does, ValueError or
+        # ZeroDivisionError, which the scan skips.  Grid points within
+        # 1e-300 of 0, so g = v - x is v for every v drawn here but the
+        # smallest; 1e-200 * -1e-200 underflows to -0.0.
         rng = random.Random(7)
         calls = []
+        pointwise = []
+        scan_points = dynamics._scan_points
+        monkeypatch.setattr(dynamics, "_scan_points",
+                            lambda fn, *a: pointwise.append(fn) or scan_points(fn, *a))
 
         def solve(g, a, b, ga, gb, tol, x0=None, dg=None):
             calls.append((a, b, ga, gb))
@@ -581,8 +593,10 @@ class TestScansMatchLoops:
             w, m = dynamics._grid_span(-1e-300, 1e-300, n)
             col = [FAIL if i in bad else v for i, v in enumerate(vs)]
             seen = []
+            column = Column(col, seen, rng.choice((ValueError, ZeroDivisionError)))
             kernel = expr._define(dynamics._SCAN, {"f": looked_up("f"), "phi": held("phi", "y")},
-                                  {"range": range, "column": Column(col, seen)})
+                                  {"range": range, "column": column,
+                                   "numeric": expr._NUMERIC_ERRORS, "nan": math.nan})
 
             def value(x):
                 if xs.index(x) in bad:
@@ -595,17 +609,17 @@ class TestScansMatchLoops:
                     raise expr.EvalDomainError("bad point", 0)
                 return list(vs)
 
-            if not bad:
-                # The kernel alone gives the indices the builtins pick from
-                # the list, less the sign changes with an end near 0, which
-                # the list's loop skips, and makes _grid's points.
-                gs = list(map(sub, vs, xs))
-                near = list(map(gt, repeat(tol), map(abs, gs)))
-                signs = compress(range(n - 1), map((0.0).__gt__, map(mul, gs, gs[1:])))
-                assert kernel(-1e-300, w, m, n, tol) == (
-                    list(compress(range(n), near)),
-                    [k for k in signs if not (near[k] or near[k + 1])]), vs
-                assert list(map(repr, seen)) == list(map(repr, xs))
+            # The kernel alone gives the indices the builtins pick from the
+            # list, a failing point being NaN, less the sign changes with an
+            # end near 0, which the list's loop skips; it counts the failing
+            # points and makes _grid's points.
+            gs = [math.nan if i in bad else v - x for i, (v, x) in enumerate(zip(vs, xs))]
+            near = list(map(gt, repeat(tol), map(abs, gs)))
+            signs = compress(range(n - 1), map((0.0).__gt__, map(mul, gs, gs[1:])))
+            assert kernel(-1e-300, w, m, n, tol) == (
+                list(compress(range(n), near)),
+                [k for k in signs if not (near[k] or near[k + 1])], len(bad)), (vs, bad)
+            assert list(map(repr, seen)) == list(map(repr, xs))
             fn = dynamics.ScalarMap(value, lambda x: 0.0, scan_fn=kernel)
             point_only = dynamics.ScalarMap(value, lambda x: 0.0)
             results = []
@@ -620,6 +634,35 @@ class TestScansMatchLoops:
                     got = outcome(find)
                 results.append((got, list(calls), [r.getMessage() for r in caplog.records]))
             assert results[0] == results[1] == results[2] == results[3], (vs, bad, tol)
+            # Only the map without a scan went point by point.
+            assert pointwise == [point_only], (vs, bad, tol)
+            pointwise.clear()
+
+    def test_failure_heavy_grid_is_scanned_once(self, caplog, monkeypatch):
+        # sqrt and log fail on the 2,048 points of [-1, 0); the scan skips
+        # each itself, and the grid is not run again point by point.
+        e = expr.parse("sqrt(x) - 0.5*log(x)")
+        scanned = dynamics.ScalarMap(lambda x: expr.evaluate(e, x),
+                                     lambda x: expr.derivative(e, x),
+                                     scan_fn=lambda *grid: dynamics._scan(e, e)(*grid))
+        point_only = dynamics.ScalarMap(scanned._value, scanned._deriv)
+        pointwise = []
+        scan_points = dynamics._scan_points
+        monkeypatch.setattr(dynamics, "_scan_points",
+                            lambda fn, *a: pointwise.append(fn) or scan_points(fn, *a))
+        results = []
+        for fn in (scanned, point_only):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING):
+                got = dynamics.find_map_fixed_points(fn, -1.0, 1.0, 4096)
+            results.append((got, [r.getMessage() for r in caplog.records]))
+        assert results[0] == results[1] == (
+            ([1.0], 2048), ["fixed-point grid: skipped 2048 of 4096 points"])
+        assert pointwise == [point_only]
+        with pytest.raises(dynamics.DomainValidationError,
+                           match="^map invalid over the entire domain$"):
+            dynamics.find_map_fixed_points(scanned, -2.0, -1.0, 64)
+        assert pointwise == [point_only]
 
     def test_residual_scan(self, monkeypatch):
         # The residual loop compiled with crafted columns for h(f(x)) and
@@ -933,3 +976,82 @@ def test_grid_hoists_width_and_count():
             assert not math.isfinite((hi - lo) * (n - 1)), (lo, hi, n)
             with pytest.raises(dynamics.DomainValidationError, match="too wide"):
                 dynamics._grid(lo, hi, n)
+
+
+# ---------------------------------------------------------------------------
+# The finiteness check
+
+def two_pass_check_finite_on(fn, domain, label, n=dynamics._VALIDATION_GRID):
+    """_check_finite_on as it was before its one loop: a pass over the grid
+    list, then, where it fails or a value is not finite, a point loop that
+    finds the first bad point.  The reference for the loop."""
+    xs = dynamics._grid(*domain, n)
+    try:
+        vs = expr.evaluate_many(fn, xs)
+        if all(map(math.isfinite, vs)):
+            return vs
+    except expr.EvalDomainError:
+        pass
+    for v in xs:
+        try:
+            out = expr.evaluate(fn, v)
+        except expr.EvalDomainError as exc:
+            raise dynamics.DomainValidationError(f"{label} invalid at {v!r}: {exc}") from exc
+        if not math.isfinite(out):
+            raise dynamics.DomainValidationError(f"{label} not finite at {v!r}")
+
+
+class TestFiniteCheck:
+    # On 11 points of [0, 1], exp(40*x)*1e300 is inf from x = 0.5 on, and
+    # sqrt(c - x) fails from the first point past c.
+    @pytest.mark.parametrize("src, domain, n, message", [
+        ("exp(40*x)*1e300 + sqrt(0.9 - x)", (0.0, 1.0), 11, "f not finite at 0.5"),
+        ("exp(40*x)*1e300 + sqrt(0.3 - x)", (0.0, 1.0), 11,
+         "f invalid at 0.4: sqrt of negative value -0.10000000000000003 (node at offset 18)"),
+        ("x*1e300*1e300 + sqrt(0.5 - x)", (-1.0, 1.0), 1024, "f not finite at -1.0"),
+        ("x*1e300*1e300 + sqrt(x + 0.5)", (-1.0, 1.0), 1024,
+         "f invalid at -1.0: sqrt of negative value -0.5 (node at offset 16)"),
+        ("1/x", (-1.0, 1.0), 3, "f invalid at 0.0: division by zero (node at offset 1)"),
+        ("x*1e300*1e300 - x*1e300*1e300", (0.5, 1.0), 2, "f not finite at 0.5"),
+    ], ids=["inf-then-fail", "fail-then-inf", "inf-first", "fail-first", "pole", "nan"])
+    def test_first_bad_point(self, src, domain, n, message):
+        e = expr.parse(src)
+        want = ("DomainValidationError", message)
+        assert outcome(lambda: two_pass_check_finite_on(e, domain, "f", n)) == want
+        assert outcome(lambda: dynamics._check_finite_on(e, domain, "f", n)) == want
+
+    def test_random_expressions_and_domains(self):
+        rng = random.Random(20261019)
+        counts = {"values": 0, "invalid": 0, "not finite": 0}
+        for _ in range(1500):
+            e = expr.parse(gen_source(rng, 5, wide=True))
+            lo = rng.choice((-2.0, -1.0, -1e-300, 0.0, 0.5, rng.uniform(-3.0, 3.0)))
+            hi = lo + rng.choice((1e-300, 1e-9, 1.0, 3.0, 700.0))
+            n = rng.choice((2, 3, 17, 256, 1024))
+            got = outcome(lambda: dynamics._check_finite_on(e, (lo, hi), "phi", n))
+            assert got == outcome(lambda: two_pass_check_finite_on(e, (lo, hi), "phi", n)), \
+                (e.source, lo, hi, n)
+            kind = "values" if isinstance(got, str) else got[1].split(" at ")[0][4:]
+            counts[kind] += 1
+        assert min(counts.values()) > 50, counts
+
+    def test_grid_callers_compile_only_the_point_functions(self, monkeypatch):
+        # make_system, the CLI's derived y_domain and the staircase curves
+        # map the point functions over their grids: building a system
+        # compiles f's and phi's, and nothing else compiles anything.
+        compiled = []
+        real = expr._define
+        monkeypatch.setattr(expr, "_define", lambda template, *a: compiled.append(
+            template) or real(template, *a))
+        s = make_system("3.2*x*(1 - x)", "y + 0.1*sin(y)", (0.0, 1.0), (-1.0, 2.0))
+        assert compiled == [expr._POINT, expr._POINT]
+        f = expr.parse("3.2*x*(1 - x)")
+        compiled.clear()
+        y_domain = cli._derive_y_domain(f, (0.0, 1.0))
+        assert compiled == []
+        assert y_domain == (0.0, max(two_pass_check_finite_on(f, (0.0, 1.0), "f", 256)))
+        o = dynamics.orbit(s, 0.3, 50)
+        dynamics.find_fixed_points(s)  # compiles the scan and derivatives, kept
+        compiled.clear()
+        trace = render.staircase(s, o, 300)
+        assert compiled == [] and len(trace.curve_f) == len(trace.curve_phi) == 300
