@@ -279,23 +279,13 @@ COMMANDS = {
 }
 
 
-def _is_value(text):
-    if text[1:2] != "-":
-        return True
-    try:
-        float(text)
-    except ValueError:
-        return False
-    return True
-
-
 # argparse reads a word that starts with '-' and names no flag as a value
 # when this matches it, and as an unknown option otherwise.  Its own matcher
-# takes -1 and -.5 only; this one also takes -1e3, -inf and expressions such
-# as -y: every word whose second character is not '-', and every float.  -h
-# is added before the matcher is set, so no flag counts as a value; an
-# expression that begins with -h is taken for -h (give --f=-h...).
-_NUMBER = SimpleNamespace(match=_is_value)
+# takes -1 and -.5 only; this one takes every word whose second character is
+# not '-': every negative number float() reads (-1e3, -inf) and expressions
+# such as -y.  -h is added before the matcher is set, so no flag counts as a
+# value; an expression that begins with -h is taken for -h (give --f=-h...).
+_NUMBER = SimpleNamespace(match=lambda text: text[1:2] != "-")
 
 
 def build_parser():
