@@ -6,7 +6,7 @@ boom-then-bust detection, and sampled conjugacy verification.
 from __future__ import annotations
 
 import math
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from operator import ge, gt, lt, ne, sub
 
 from . import dynamics as _dyn
@@ -74,9 +74,10 @@ class ConjugacyReport:
 
 
 # _monotone_direction's scan: at the n - 1 points x = lo + w*k/m, k >= 1,
-# of its grid (dynamics._grid's arithmetic after lo), 1 if f's values rise
-# strictly from prev = f(lo) at every step, -1 if they fall strictly, and 0
-# otherwise: at the first step that is flat, NaN or against the direction.
+# of its grid (dynamics._grid's arithmetic after lo), from prev = f(lo),
+# (sign, k) at the first step k that is flat, NaN or against the sign of
+# the steps before it, and (sign, n) if f's values rise (sign 1) or fall
+# (-1) strictly at every step.  A failing line raises, in point order.
 _MONOTONE = """\
 def compiled(lo, w, m, n, prev{params}):
     sign = 0
@@ -86,14 +87,14 @@ def compiled(lo, w, m, n, prev{params}):
         v = {f}
         if prev < v:
             if sign < 0:
-                return 0
+                return sign, k
             sign = 1
         elif prev > v and sign <= 0:
             sign = -1
         else:
-            return 0
+            return sign, k
         prev = v
-    return sign
+    return sign, n
 """
 
 
@@ -104,40 +105,46 @@ def _monotone(f):
                                           {"range": range})
 
 
+def _monotone_points(fn, lo, w, m, n, prev):
+    """_MONOTONE's (sign, k) for the plain callable fn, called point by
+    point."""
+    sign = 0
+    for k in range(1, n):
+        v = fn(lo + w * k / m)
+        if prev < v:
+            if sign < 0:
+                return sign, k
+            sign = 1
+        elif prev > v and sign <= 0:
+            sign = -1
+        else:
+            return sign, k
+        prev = v
+    return sign, n
+
+
 def _monotone_direction(f, lo, hi):
     """Sign of MONOTONE_DIFFS consecutive differences of f (an Expression or
     a plain callable); raises on disagreement.
 
-    An Expression's compiled scan decides it: a difference v - u is positive
-    exactly when u < v, and negative exactly when u > v.  Where the scan
-    finds neither, or fails, and for a plain callable, the loop over the
-    differences runs, point by point, and raises at the first disagreement
-    or at the first point that fails, whichever comes first."""
+    An Expression's compiled scan, or a plain callable's point loop, stops
+    at the first pair that is not monotone (a difference v - u is positive
+    exactly when u < v, and negative exactly when u > v) or at the first
+    point that fails, whichever comes first."""
     fn, _ = _evaluator(f)
-    prev_x, prev_v = lo, fn(lo)
+    prev = fn(lo)
     n = MONOTONE_DIFFS + 1
     w, m = _dyn._grid_span(lo, hi, n)
     if isinstance(f, _expr.Expression):
-        try:
-            sign = _monotone(f)(lo, w, m, n, prev_v)
-        except _expr.EvalDomainError:
-            sign = 0
-        if sign:
-            return "increasing" if sign > 0 else "decreasing"
-    direction = 0
-    for k in range(1, n):
+        sign, k = _monotone(f)(lo, w, m, n, prev)
+    else:
+        sign, k = _monotone_points(fn, lo, w, m, n, prev)
+    if k < n:
+        prev_x = lo if k == 1 else lo + w * (k - 1) / m
         x = lo + w * k / m
-        v = fn(x)
-        d = v - prev_v
-        sign = 1 if d > 0 else (-1 if d < 0 else 0)
-        if sign == 0 or (direction and sign != direction):
-            raise NonMonotoneError(
-                f"not strictly monotone between {prev_x!r} and {x!r}",
-                x_pair=(prev_x, x),
-            )
-        direction = sign
-        prev_x, prev_v = x, v
-    return "increasing" if direction > 0 else "decreasing"
+        raise NonMonotoneError(f"not strictly monotone between {prev_x!r} and {x!r}",
+                               x_pair=(prev_x, x))
+    return "increasing" if sign > 0 else "decreasing"
 
 
 def _invert(fn, dfn, lo, hi, flo, fhi, y, rtol, x0=None):
@@ -193,9 +200,9 @@ def function_distance(s, samples=DEFAULT_SAMPLES):
     nothing, and the number of those is logged too; if every sample's is,
     d is NaN and argmax_y the lowest y.
 
-    s's compiled sweep (_SWEEP) does the work; where it hands a sample back
-    (see _sweep), the per-sample loop over _invert runs the whole grid
-    again, with the same arithmetic, and its statuses, warnings and errors.
+    s's compiled sweep (_SWEEP) runs the grid.  A sample it hands back is
+    inverted here by _invert, with its status, warning or error, and the
+    sweep resumes after it.
     """
     if samples < 2:
         raise _dyn.PreconditionError("samples must be >= 2")
@@ -208,28 +215,12 @@ def function_distance(s, samples=DEFAULT_SAMPLES):
     if not (y_lo < y_hi):
         raise OutOfRangeError("image of f does not overlap y_domain")
     w, m = _dyn._grid_span(y_lo, y_hi, samples)
-    swept = _sweep(s, y_lo, w, m, samples, lo, hi, flo, fhi)
-    if swept is None:
-        # The top grid point can round one ulp past f's attained range.
-        ys = [min(max(y, f_min), f_max) for y in _dyn._grid(y_lo, y_hi, samples)]
-        swept = _sweep_by_sample(s, ys, lo, hi, flo, fhi, y_lo)
-    best, argmax, nans = swept
-    if nans:
-        log.warning("function_distance: %d of %d samples have no finite distance",
-                    nans, samples)
-        if nans == samples:
-            best = math.nan
-    return DistanceReport(best, argmax, samples, direction)
-
-
-def _sweep_by_sample(s, ys, lo, hi, flo, fhi, argmax):
-    """(largest distance, its y, NaN distances) by _invert at each y, from
-    argmax and the start value -1.0."""
+    sweep, grid = _kernel(s), (y_lo, w, m, samples, lo, hi, flo, fhi)
     fn, dfn = _evaluator(s.f)
-    best = -1.0
-    inv = None
-    jumps = nans = 0
-    for y in ys:
+    jumps = 0
+    k, best, argmax, nans, inv = sweep(*grid, 0, -1.0, y_lo, 0, None)
+    while k < samples:
+        y = min(y_lo + w * k / m, f_max)
         inv, status = _invert(fn, dfn, lo, hi, flo, fhi, y, INVERT_RTOL, inv)
         jumps += status == "discontinuity"
         diff = abs(_expr.evaluate(s.phi, y) - inv)
@@ -238,74 +229,81 @@ def _sweep_by_sample(s, ys, lo, hi, flo, fhi, argmax):
             argmax = y
         elif diff != diff:
             nans += 1
+        k, best, argmax, nans, inv = sweep(*grid, k + 1, best, argmax, nans, inv)
     if jumps:
         log.warning("function_distance: %d of %d samples lie in a jump of f; "
-                    "each is inverted to where f jumps", jumps, len(ys))
-    return best, argmax, nans
+                    "each is inverted to where f jumps", jumps, samples)
+    if nans:
+        log.warning("function_distance: %d of %d samples have no finite distance",
+                    nans, samples)
+        if nans == samples:
+            best = math.nan
+    return DistanceReport(best, argmax, samples, direction)
 
 
-# function_distance's sweep: _sweep_by_sample over the n points
-# y = y_lo + w*k/m of its grid (dynamics._grid's arithmetic), each clamped as
-# the caller clamps the loop's grid, in one function, with _invert's range
-# check and tolerance and bracket_solve's step rule inlined, and f's value
-# and derivative from one pass of its dual lines.  It returns None, and the
-# caller runs the per-sample loop, which reports what it meets, where
-# bracket_solve would end other than by |g| < tol (the bracket down to two
-# adjacent floats, where it tells a steep root from a jump, or the iteration
-# cap).  Its grid points are finite and none lies below y_lo, which is not
-# below f_min.  Comparisons stand in for calls with the same result:
-# -t < g < t for abs(g) < t, a conditional for max(1.0, abs(y)), and
-# 0.0 - d for abs(d) when d is not > 0 (-0.0 included).
+# function_distance's sweep: _invert at the n points y = y_lo + w*k/m of
+# its grid (dynamics._grid's arithmetic) from k = start, each clamped to f's
+# range, with _invert's range check and tolerance and bracket_solve's step
+# rule inlined, and f's value and derivative from one pass of its dual
+# lines; best, argmax, nans and inv are the largest distance, its y, the
+# count of NaN distances and the last inversion so far.  It returns them
+# after k = n, or, with k, as they were before the first sample k it hands
+# back: where bracket_solve would end other than by |g| < tol (the bracket
+# down to two adjacent floats, where it tells a steep root from a jump, or
+# the iteration cap) or a line of f or phi fails (inv is set after phi's).
+# Its grid points are finite and none lies below y_lo, which is not below
+# f_min.  Comparisons stand in for calls with the same result: -t < g < t
+# for abs(g) < t, a conditional for max(1.0, abs(y)), and 0.0 - d for
+# abs(d) when d is not > 0 (-0.0 included).
 _SWEEP = """\
-def compiled(y_lo, w, m, n, lo, hi, flo, fhi{params}):
+def compiled(y_lo, w, m, n, lo, hi, flo, fhi, start, best, argmax, nans, inv{params}):
     f_max = max(flo, fhi)
-    best = -1.0
-    argmax = y_lo
-    nans = 0
-    inv = None
-    for k in range(n):
+    for k in range(start, n):
         y = y_lo + w * k / m
         if f_max < y:
             y = f_max
         tol = nextafter(rtol * (y if y > 1.0 else -y if y < -1.0 else 1.0), inf)
         ntol = -tol
         ga = flo - y
-        if ntol < ga < tol:
-            inv = lo
-        elif ntol < fhi - y < tol:
-            inv = hi
-        else:
-            a = lo
-            b = hi
-            x = inv if inv is not None and a < inv < b else 0.5 * (a + b)
-            step = step_old = b - a
-            for _ in range(cap):
-                @f
-                v, slope = {f}
-                gx = v - y
-                if ntol < gx < tol:
-                    break
-                if (gx > 0) == (ga > 0):
-                    a = x
-                    ga = gx
-                else:
-                    b = x
-                mid = 0.5 * (a + b)
-                if not a < mid < b:
-                    return None
-                nxt = mid
-                if slope != 0.0:
-                    newton = x - gx / slope
-                    if a < newton < b and -step_old <= 2.0 * (newton - x) <= step_old:
-                        nxt = newton
-                step_old = step
-                step = nxt - x if nxt >= x else x - nxt
-                x = nxt
+        try:
+            if ntol < ga < tol:
+                x = lo
+            elif ntol < fhi - y < tol:
+                x = hi
             else:
-                return None
-            inv = x
-        @phi
-        diff = {phi} - inv
+                a = lo
+                b = hi
+                x = inv if inv is not None and a < inv < b else 0.5 * (a + b)
+                step = step_old = b - a
+                for _ in range(cap):
+                    @f
+                    v, slope = {f}
+                    gx = v - y
+                    if ntol < gx < tol:
+                        break
+                    if (gx > 0) == (ga > 0):
+                        a = x
+                        ga = gx
+                    else:
+                        b = x
+                    mid = 0.5 * (a + b)
+                    if not a < mid < b:
+                        return k, best, argmax, nans, inv
+                    nxt = mid
+                    if slope != 0.0:
+                        newton = x - gx / slope
+                        if a < newton < b and -step_old <= 2.0 * (newton - x) <= step_old:
+                            nxt = newton
+                    step_old = step
+                    step = nxt - x if nxt >= x else x - nxt
+                    x = nxt
+                else:
+                    return k, best, argmax, nans, inv
+            @phi
+            diff = {phi} - x
+        except numeric:
+            return k, best, argmax, nans, inv
+        inv = x
         if not diff > 0.0:
             diff = 0.0 - diff
         if diff > best:
@@ -313,18 +311,8 @@ def compiled(y_lo, w, m, n, lo, hi, flo, fhi{params}):
             argmax = y
         elif diff != diff:
             nans += 1
-    return best, argmax, nans
+    return n, best, argmax, nans, inv
 """
-
-
-def _sweep(s, y_lo, w, m, n, lo, hi, flo, fhi):
-    """_sweep_by_sample's result over the n-point y-grid from y_lo, from s's
-    compiled sweep, or None where the sweep hands a sample back or one of
-    its lines fails."""
-    try:
-        return _kernel(s)(y_lo, w, m, n, lo, hi, flo, fhi)
-    except _expr.EvalDomainError:
-        return None
 
 
 def _kernel(s):
@@ -332,7 +320,8 @@ def _kernel(s):
     return s._sweep or _expr.kept_loop(s, "_sweep", _SWEEP, {
         "f": (s.f, "x"), "phi": (s.phi, "y")}, {
         "max": max, "range": range, "nextafter": math.nextafter, "inf": math.inf,
-        "rtol": INVERT_RTOL, "cap": _dyn.SOLVE_MAX_ITER}, dual=("f",))
+        "rtol": INVERT_RTOL, "cap": _dyn.SOLVE_MAX_ITER, "numeric": _expr._NUMERIC_ERRORS},
+        dual=("f",))
 
 
 def _diverged(x):
@@ -344,15 +333,17 @@ def _iterates(map_fn, x, n):
     diverged one.
 
     A compose_gamma map gives the list from its system's compiled loop.  Any
-    other map, or a loop that fails, gives an iterator that steps the map as
-    it advances, so an error comes at the step that meets it and a caller
-    that stops early meets none after.
+    other map gives an iterator that steps the map as it advances, so an
+    error comes at the step that meets it and a caller that stops early
+    meets none after; so does a loop that fails, from the last iterate it
+    made.
     """
-    if isinstance(map_fn, _dyn.ScalarMap) and map_fn._iterate is not None:
-        xs = map_fn._iterate(x, n)
-        if xs is not None:
-            return xs
-    return _stepped(map_fn, x, n)
+    if not (isinstance(map_fn, _dyn.ScalarMap) and map_fn._iterate is not None):
+        return _stepped(map_fn, x, n)
+    xs = map_fn._iterate(x, n)
+    if len(xs) == n or xs and _diverged(xs[-1]):
+        return xs
+    return chain(xs, _stepped(map_fn, xs[-1] if xs else x, n - len(xs)))
 
 
 def _stepped(map_fn, x, n):

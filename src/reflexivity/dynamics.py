@@ -164,10 +164,11 @@ class Prop1Report:
 
 class ScalarMap:
     """A one-dimensional map with a pointwise derivative and, optionally, a
-    compiled iteration: iterate_fn(t, n) is None or the n values map(t),
+    compiled iteration: iterate_fn(t, n) is the n values map(t),
     map(map(t)), ..., cut after the first one that is not finite or beyond
-    DIVERGENCE_CUTOFF; and a compiled fixed-point scan: scan_fn(lo, w, m, n,
-    tol) is _SCAN's result (near, signs, skipped) for the map."""
+    DIVERGENCE_CUTOFF, or cut before the first step that fails; and a
+    compiled fixed-point scan: scan_fn(lo, w, m, n, tol) is _SCAN's result
+    (near, signs, skipped) for the map."""
 
     def __init__(self, value_fn, deriv_fn, *, iterate_fn=None, scan_fn=None):
         self._value = value_fn
@@ -272,13 +273,13 @@ def orbit(s, x0, max_steps):
 
 def _gamma_iterates(s, x, n):
     """The iterate_fn of compose_gamma(s): from s's loop with the convergence
-    stop off, orbit's xs after x.  None where the loop fails; the caller then
-    steps the map and meets the error itself."""
+    stop off, orbit's xs after x, up to the step where the loop fails; the
+    caller steps the map from there and meets the error itself."""
     xs = []
     try:
         _loop(s)(x, _expr.evaluate(s.f, x), n, 0, 0, xs, [])
     except _expr.EvalDomainError:
-        return None
+        pass
     return xs
 
 

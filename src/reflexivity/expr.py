@@ -463,8 +463,8 @@ def derivative(e, v):
 # offset.  A template's own line re-raises its exception unchanged.  A try
 # costs nothing until something raises, so one function per mode is fast
 # and reports too.  A template may catch _NUMERIC_ERRORS around its part
-# lines itself, as dynamics._SCAN does to skip a failing grid point; fail
-# then never runs.
+# lines itself, as dynamics._SCAN does to skip a failing grid point and
+# analysis._SWEEP to hand one back; fail then never runs.
 #
 # The generated source holds only names the compiler chooses: the parameter
 # x, the locals, constants k<j>, the helpers in _HELPERS its lines call, and
@@ -543,7 +543,7 @@ _RULES = {
     "+": ("{a} + {b}", "{da} + {db}"),
     "-": ("{a} - {b}", "{da} - {db}"),
     "*": ("{a} * {b}", "{a} * {db} + {da} * {b}"),
-    "/": ("{a} / {b}", "({da} * {b} - {a} * {db}) / ({b} * {b})"),
+    "/": ("{a} / {b}", "({da} - {v} * {db}) / {b}"),
     "^": ("pow({a}, {b})", "dpow({a}, {da}, {b}, {db})"),
     "ipow": ("{a} ** {b}", None),  # value mode only; b is a bound int
     "sin": ("sin({a})", "cos({a}) * {da}"),

@@ -51,11 +51,8 @@ class DualValue:
         other = _as_dual(other)
         if other.value == 0.0:
             raise ZeroDivisionError("division by zero")
-        return DualValue(
-            self.value / other.value,
-            (self.derivative * other.value - self.value * other.derivative)
-            / (other.value * other.value),
-        )
+        value = self.value / other.value
+        return DualValue(value, (self.derivative - value * other.derivative) / other.value)
 
     def __rtruediv__(self, other):
         return _as_dual(other) / self

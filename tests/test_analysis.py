@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from conftest import hand_back_every_sample
 from reflexivity import analysis, cli, dynamics, expr
 from reflexivity.analysis import (
     detect_boom_bust,
@@ -143,9 +144,9 @@ class TestFunctionDistance:
         # Machine-independent cost guard: warm-started Newton steps, and
         # f(lo), f(hi) evaluated once, not once per sample.  Points f gets
         # through its compiled monotonicity scan count too.  The compiled
-        # sweep evaluates f without evaluate, so the per-sample loop it falls
-        # back to is forced here.
-        monkeypatch.setattr(analysis, "_sweep", lambda *args: None)
+        # sweep evaluates f without evaluate, so a stand-in that hands every
+        # sample back to function_distance's own inversion is used here.
+        monkeypatch.setattr(analysis, "_kernel", lambda s: hand_back_every_sample)
         sc = cli.load_scenario("case1")
         s = make_system(sc["f"], sc["phi"], sc["x_domain"], sc["y_domain"])
         calls = [0]

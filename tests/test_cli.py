@@ -174,6 +174,17 @@ class TestFixedPoints:
             ("1", "nan", "undetermined"), ("2", "0.5", "attracting")]
 
 
+    @pytest.mark.parametrize("f", ["x/1e200*1e200", "x/1e-200*1e-200"])
+    def test_quotient_with_a_tiny_or_huge_divisor(self, capsys, f):
+        # The quotient rule's derivative, (da - v*db)/b, has no b*b that
+        # underflows to 0 (multiplier 0) or overflows (division by zero).
+        code, out, _ = run(capsys, "fixed-points", "--f", f, "--phi", "1.5*y",
+                           "--domain", "-1", "1", "--y-domain", "-2", "2")
+        assert code == 0
+        rows = [ln.split() for ln in out.splitlines() if not ln.startswith("#")]
+        assert [(r[0], r[2], r[3]) for r in rows] == [("0", "1.5", "repelling")]
+
+
 class TestAnalysisCommands:
     def test_distance_exact_inverse(self, capsys):
         code, out, _ = run(capsys, "distance", "--f", "2*x", "--phi", "y/2",

@@ -118,36 +118,47 @@ class TestEvaluate:
     def test_negative_base_integer_power(self):
         assert expr.evaluate(expr.parse("x^3"), -2.0) == -8.0
 
-    @pytest.mark.parametrize("src, v, value", [
-        # w*w underflows in the quotient rule's derivative
-        ("x/1e-200", 1.0, 1e200),
+    @pytest.mark.parametrize("src, v, value, slope", [
+        # the quotient rule's derivative (da - v*db)/b needs no b*b, which
+        # underflows here, so the derivative is found too
+        pytest.param("x/1e-200", 1.0, 1e200, 1e200, id="x/1e-200-1.0-1e+200"),
         # the exponent's derivative is NaN (inf*0), so it looked non-integer
-        ("(0-2)^tanh(1e999*x)", 1.0, -2.0),
+        pytest.param("(0-2)^tanh(1e999*x)", 1.0, -2.0, None, id="(0-2)^tanh(1e999*x)-1.0--2.0"),
         # v**(n-1) overflows in the integer power rule
-        ("x^-1", 1e-200, 1e200),
+        pytest.param("x^-1", 1e-200, 1e200, None, id="x^-1-1e-200-1e+200"),
     ])
-    def test_value_survives_failing_derivative_bookkeeping(self, src, v, value):
+    def test_value_survives_failing_derivative_bookkeeping(self, src, v, value, slope):
         e = expr.parse(src)
         assert expr.evaluate(e, v) == value
-        with pytest.raises(expr.EvalDomainError):
-            expr.derivative(e, v)
+        if slope is None:
+            with pytest.raises(expr.EvalDomainError):
+                expr.derivative(e, v)
+        else:
+            assert expr.derivative(e, v) == slope
 
     @pytest.mark.parametrize("run", [lambda e: expr.evaluate(e, 1e-200),
                                      lambda e: expr.evaluate_many(e, [1e-200])],
                              ids=["evaluate", "evaluate_many"])
     def test_error_comes_from_the_failing_node(self, run):
-        # 1/x is 1e200 here; only the quotient rule's derivative part
-        # (b*b underflows) fails, and no value needs it.
+        # 1/x is 1e200 here, and only log(-x) fails.
         with pytest.raises(expr.EvalDomainError) as ei:
             run(expr.parse("1/x + log(-x)"))
         assert ei.value.offset == 6
         assert str(ei.value) == "log of non-positive value -1e-200 (node at offset 6)"
 
     def test_derivative_reports_its_own_failing_node(self):
+        # sqrt's value at 0 is fine and its derivative is not; only the
+        # derivative fails there, before log(-x) fails in both modes.
+        with pytest.raises(expr.NonDifferentiableError) as ei:
+            expr.derivative(expr.parse("sqrt(x) + log(-x)"), 0.0)
+        assert ei.value.offset == 0
+        assert str(ei.value) == "sqrt not differentiable at 0 (node at offset 0)"
+        # The quotient rule's derivative has no b*b to underflow at 1e-200:
+        # the derivative of 1/x is found, and log(-x) fails as its value does.
         with pytest.raises(expr.EvalDomainError) as ei:
             expr.derivative(expr.parse("1/x + log(-x)"), 1e-200)
-        assert ei.value.offset == 1
-        assert str(ei.value) == "float division by zero (node at offset 1)"
+        assert ei.value.offset == 6
+        assert str(ei.value) == "log of non-positive value -1e-200 (node at offset 6)"
 
     @pytest.mark.parametrize("src, offset", [("sin(x)", 0), ("2 + cos(x)", 4), ("tan(x)", 0)])
     def test_math_domain_error_at_infinity_is_typed(self, src, offset):
@@ -410,8 +421,8 @@ _COMPILER_HELPERS = {"sin", "cos", "tan", "exp", "log", "tanh", "sqrt", "abs", "
 _LOOP_NAMES = {"x", "y", "n", "streak", "window", "xs", "ys", "append_x", "append_y", "_", "p",
                "t", "range", "cutoff", "rtol"}
 _ORBIT_TAGS = {"divergence", "convergence", "step-budget"}
-_SWEEP_NAMES = {"y_lo", "w", "m", "n", "k", "lo", "hi", "flo", "fhi", "argmax", "f_max", "best",
-                "nans", "inv", "y",
+_SWEEP_NAMES = {"y_lo", "w", "m", "n", "k", "lo", "hi", "flo", "fhi", "start", "argmax", "f_max",
+                "best", "nans", "inv", "y", "numeric",
                 "tol", "ntol", "ga", "a", "b", "x", "step", "step_old", "_", "v", "slope", "gx",
                 "mid", "nxt", "newton", "diff", "max", "range", "nextafter", "inf", "rtol", "cap"}
 _RESIDUAL_NAMES = {"lo", "w", "m", "n", "best", "argmax", "nan_x", "k", "x", "fx", "hx", "r",

@@ -2,7 +2,8 @@
 
 orbit runs its first step through step and the rest in the system's
 compiled loop, and step again only to raise the loop's error;
-detect_period and detect_recurrence run the loop for a compose_gamma map.
+detect_period and detect_recurrence run the loop for a compose_gamma map,
+and step the map from the loop's last iterate where the loop fails.
 The references here are the per-step orbit as it was before the loop, and
 the same analyses given a plain callable, which steps the map one value at
 a time.  Every state is compared by repr, so -0.0 and NaN are told apart;
@@ -312,6 +313,33 @@ class TestPeriodMatchesPlainCallable:
         for radius in (0.3, 1e-9):
             assert outcome(lambda: analysis.detect_recurrence(gamma, 1.0, radius, 50)) == \
                 outcome(lambda: analysis.detect_recurrence(plain, 1.0, radius, 50))
+
+
+    def test_failing_loop_is_stepped_from_its_last_iterate(self):
+        # From 1.0, sqrt(x) - 0.3 makes x1..x9 > 0 and x10 < 0, where f
+        # fails: the loop keeps x1..x9, and the map is called from step 10
+        # on, from x9, with the results and errors of stepping it from 1.0.
+        s = dynamics.make_system("sqrt(x)", "y - 0.3", (0.0, 2.0), (-1.0, 2.0))
+        gamma = dynamics.compose_gamma(s)
+        xs = gamma._iterate(1.0, 50)
+        assert len(xs) == 9 and xs[-1] > 0.0 > gamma(xs[-1])
+        value = gamma._value
+        plain = lambda x: value(x)  # noqa: E731
+        calls = []
+        gamma._value = lambda x: calls.append(x) or value(x)
+        runs = [lambda m, p=p, b=b: analysis.detect_period(m, 1.0, p, b)
+                for p, b in ((4, 0), (5, 0), (6, 0), (32, 0), (1, 8), (1, 9))]
+        runs += [lambda m, r=r, h=h: analysis.detect_recurrence(m, 1.0, r, h)
+                 for r, h in ((0.5, 50), (1e-9, 9), (1e-9, 10), (1e-9, 11), (1e-9, 50))]
+        seen = set()
+        for run in runs:
+            calls.clear()
+            want = outcome(lambda: run(plain))
+            assert outcome(lambda: run(gamma)) == want
+            assert calls == [] or repr(calls[0]) == repr(xs[-1]) and len(calls) <= 2, calls
+            seen.add((len(calls), want[0] if isinstance(want, tuple) else "result"))
+        # Callers that stop before step 10, at it, and after it.
+        assert seen == {(0, "result"), (1, "result"), (2, "EvalDomainError")}, seen
 
 
 class TestMonotoneRuns:

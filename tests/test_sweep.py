@@ -1,14 +1,18 @@
 """The compiled distance sweep and the grid scans against the loops they
 replace.
 
-function_distance runs its grid through the system's compiled sweep and
-falls back to the per-sample loop over _invert where the sweep hands a
-sample back; forcing the loop (by making _sweep return None) gives the
-reference.  find_map_fixed_points and _monotone_direction scan their grids
-in compiled kernels that make their own points; the grid lists and builtin
-scans those replaced, and the loops the builtin scans replaced before them,
-are kept here as references, and the kernels are also run with crafted
-columns in place of an expression's lines.  verify_conjugacy computes and
+function_distance runs its grid through the system's compiled sweep,
+inverts each sample the sweep hands back with _invert, and resumes the
+sweep after it; the per-sample loop over _invert over the whole grid, which
+ran where the sweep handed back any sample before, is the reference, for
+the sweep and for a stand-in that hands back every sample.
+find_map_fixed_points and _monotone_direction scan their grids in compiled
+kernels that make their own points; the grid lists and builtin scans those
+replaced, and the loops the builtin scans replaced before them, are kept
+here as references, and the kernels are also run with crafted columns in
+place of an expression's lines.  The monotonicity scan reports where it
+stops, and _monotone_direction raises from there; the point loop it ran
+again before is the reference.  verify_conjugacy computes and
 scans its residuals in one compiled loop (_RESIDUALS), which raises the
 error the first failing x meets; the grid passes and builtin scans it
 replaced, with the point-by-point evaluation that found that error before
@@ -31,42 +35,109 @@ from operator import gt, lt, mul, sub
 
 import pytest
 
-from conftest import gen_source
+from conftest import gen_source, hand_back_every_sample
 from reflexivity import analysis, cli, dynamics, expr, render
 from reflexivity.analysis import function_distance
 from reflexivity.dynamics import make_system
 
 
 def outcome(run):
-    """repr of the result, or the error's type and message."""
+    """repr of the result, or the error's type and message, and a
+    NonMonotoneError's x_pair too."""
     try:
         return repr(run())
+    except analysis.NonMonotoneError as exc:
+        return type(exc).__name__, str(exc), repr(exc.x_pair)
     except Exception as exc:  # noqa: BLE001 - every error is compared
         return type(exc).__name__, str(exc)
 
 
-def swept(caplog, monkeypatch, s, samples, force_loop):
-    """function_distance's outcome and warnings, with the sweep or with the
-    per-sample loop forced, and whether the loop ran."""
-    ran = []
-    loop = analysis._sweep_by_sample
+def per_sample_distance(s, samples=analysis.DEFAULT_SAMPLES):
+    """function_distance as it ran wherever its sweep handed back a sample
+    or a line of it failed: the loop over _invert over the whole clamped
+    grid.  The reference for the sweep and for the samples it hands back."""
+    if samples < 2:
+        raise dynamics.PreconditionError("samples must be >= 2")
+    lo, hi = s.x_domain
+    direction = analysis._monotone_direction(s.f, lo, hi)
+    flo, fhi = expr.evaluate(s.f, lo), expr.evaluate(s.f, hi)
+    f_min, f_max = min(flo, fhi), max(flo, fhi)
+    y_lo = max(f_min, s.y_domain[0])
+    y_hi = min(f_max, s.y_domain[1])
+    if not (y_lo < y_hi):
+        raise analysis.OutOfRangeError("image of f does not overlap y_domain")
+    # The top grid point can round one ulp past f's attained range.
+    ys = [min(max(y, f_min), f_max) for y in dynamics._grid(y_lo, y_hi, samples)]
+    fn, dfn = analysis._evaluator(s.f)
+    best, argmax, inv = -1.0, y_lo, None
+    jumps = nans = 0
+    for y in ys:
+        inv, status = analysis._invert(fn, dfn, lo, hi, flo, fhi, y, analysis.INVERT_RTOL, inv)
+        jumps += status == "discontinuity"
+        diff = abs(expr.evaluate(s.phi, y) - inv)
+        if diff > best:
+            best = diff
+            argmax = y
+        elif diff != diff:
+            nans += 1
+    if jumps:
+        analysis.log.warning("function_distance: %d of %d samples lie in a jump of f; "
+                             "each is inverted to where f jumps", jumps, len(ys))
+    if nans:
+        analysis.log.warning("function_distance: %d of %d samples have no finite distance",
+                             nans, samples)
+        if nans == samples:
+            best = math.nan
+    return analysis.DistanceReport(best, argmax, samples, direction)
+
+
+def warned(caplog, run):
+    """run's outcome and the warnings it logged."""
+    caplog.clear()
+    with caplog.at_level(logging.WARNING):
+        got = outcome(run)
+    return got, [r.getMessage() for r in caplog.records]
+
+
+def swept(caplog, monkeypatch, s, samples, kernel=None):
+    """function_distance's outcome and warnings, with s's sweep or the given
+    stand-in for it, and the samples the sweep handed back.  Asserts that
+    each run of the sweep starts after the sample the run before handed
+    back, and that _invert ran at the handed-back samples only."""
+    runs, handed, inverted = [], [], []
+    real_kernel, real_invert = analysis._kernel, analysis._invert
+
+    def spy(system):
+        sweep = kernel or real_kernel(system)
+
+        def run(*args):
+            got = sweep(*args)
+            y_lo, w, m, n, _, _, flo, fhi, start = args[:9]
+            runs.append((start, got[0]))
+            if got[0] < n:
+                handed.append((got[0], repr(min(y_lo + w * got[0] / m, max(flo, fhi)))))
+            return got
+        return run
+
     with monkeypatch.context() as m:
-        m.setattr(analysis, "_sweep_by_sample", lambda *a: ran.append(1) or loop(*a))
-        if force_loop:
-            m.setattr(analysis, "_sweep", lambda *a: None)
-        caplog.clear()
-        with caplog.at_level(logging.WARNING):
-            got = outcome(lambda: function_distance(s, samples))
-    return got, [r.getMessage() for r in caplog.records], bool(ran)
+        m.setattr(analysis, "_kernel", spy)
+        m.setattr(analysis, "_invert", lambda *a: inverted.append(repr(a[6])) or real_invert(*a))
+        got, said = warned(caplog, lambda: function_distance(s, samples))
+    assert [start for start, _ in runs] == [0, *(k + 1 for _, k in runs[:-1])][:len(runs)]
+    assert inverted == [y for _, y in handed], (inverted, handed)
+    return got, said, [k for k, _ in handed]
 
 
 def same_as_loop(caplog, monkeypatch, s, samples):
-    """Assert the sweep and the loop agree; return (outcome, messages, loop
-    ran under the sweep)."""
-    got, said, fell_back = swept(caplog, monkeypatch, s, samples, False)
-    want, want_said, _ = swept(caplog, monkeypatch, s, samples, True)
-    assert (got, said) == (want, want_said), (s.f.source, s.phi.source, samples)
-    return got, said, fell_back
+    """Assert the sweep, and a stand-in that hands back every sample, agree
+    with the per-sample reference; return (outcome, messages, the samples
+    the sweep handed back)."""
+    want = warned(caplog, lambda: per_sample_distance(s, samples))
+    got, said, handed = swept(caplog, monkeypatch, s, samples)
+    assert (got, said) == want, (s.f.source, s.phi.source, samples)
+    stub = swept(caplog, monkeypatch, s, samples, hand_back_every_sample)
+    assert stub[:2] == want, (s.f.source, s.phi.source, samples)
+    return got, said, handed
 
 
 class TestSweepMatchesLoop:
@@ -84,28 +155,41 @@ class TestSweepMatchesLoop:
             "flat", "two-samples", "signed-zero"])
     def test_smooth(self, caplog, monkeypatch, f, phi, x_domain, y_domain, samples):
         s = make_system(f, phi, x_domain, y_domain)
-        got, said, fell_back = same_as_loop(caplog, monkeypatch, s, samples)
-        assert got.startswith("DistanceReport") and not said and not fell_back
+        got, said, handed = same_as_loop(caplog, monkeypatch, s, samples)
+        assert got.startswith("DistanceReport") and not said and not handed
 
     def test_jump_is_handed_to_the_loop(self, caplog, monkeypatch):
+        # The samples in the jump, y in (0.2, 0.4), lie mid-grid; the sweep
+        # resumes after each.
         s = make_system("x + 0.1*tanh(1e300*(x-0.3))", "y", (0.0, 1.0), (-1.0, 2.0))
-        got, said, fell_back = same_as_loop(caplog, monkeypatch, s, 1201)
-        assert fell_back and "lie in a jump of f" in said[0], got
+        got, said, handed = same_as_loop(caplog, monkeypatch, s, 1201)
+        assert "lie in a jump of f" in said[0], got
+        assert handed and 0 < handed[0] and handed[-1] < 1200, handed
+
+    def test_one_sample_handed_back_mid_grid(self, caplog, monkeypatch):
+        # f jumps by 2e-4 at x = 0.49995; of the 1001 samples only y = 0.5
+        # lies in the jump, and the sweep resumes after it to the end.
+        s = make_system("x + 1e-4*tanh(1e300*(x - 0.49995))", "y", (0.0, 1.0), (0.0, 1.0))
+        got, said, handed = same_as_loop(caplog, monkeypatch, s, 1001)
+        assert handed == [500] and got.startswith("DistanceReport"), (handed, got)
+        assert said == ["function_distance: 1 of 1001 samples lie in a jump of f; "
+                        "each is inverted to where f jumps"]
 
     def test_top_grid_point_rounding_past_range(self, caplog, monkeypatch):
         s = make_system("1.2754*x + 1.4597", "(y - 1.4597)/1.2754",
                         (-3.303485, 0.367968), (-4.0, 3.0))
         f_max = expr.evaluate(s.f, 0.367968)
         assert dynamics._grid(expr.evaluate(s.f, -3.303485), f_max, 256)[-1] > f_max
-        got, _, fell_back = same_as_loop(caplog, monkeypatch, s, 256)
-        assert got.startswith("DistanceReport") and not fell_back
+        got, _, handed = same_as_loop(caplog, monkeypatch, s, 256)
+        assert got.startswith("DistanceReport") and not handed
 
     def test_iteration_cap_is_handed_to_the_loop(self, caplog, monkeypatch):
         # A sweep compiled under the lowered cap stops where bracket_solve does.
         monkeypatch.setattr(dynamics, "SOLVE_MAX_ITER", 2)
         s = make_system("x^3 + x", "y", (0.0, 1.0), (0.0, 2.0))
-        got, said, fell_back = same_as_loop(caplog, monkeypatch, s, 50)
-        assert fell_back and said and all("no convergence in 2 iterations" in m for m in said)
+        got, said, handed = same_as_loop(caplog, monkeypatch, s, 50)
+        assert handed and len(said) == len(handed), (said, handed)
+        assert all("no convergence in 2 iterations" in m for m in said)
 
     def test_y_out_of_range(self, caplog, monkeypatch):
         # A y-grid whose points would leave float range is refused before
@@ -113,8 +197,8 @@ class TestSweepMatchesLoop:
         # phi's validation grid but not 4096 samples.  A y_domain 3.4e308
         # wide is refused when the system is built.
         s = make_system("1e305*x", "1", (-1.5, 1.5), (-8e304, 8e304))
-        got, _, fell_back = same_as_loop(caplog, monkeypatch, s, 4096)
-        assert not fell_back and got == (
+        got, _, handed = same_as_loop(caplog, monkeypatch, s, 4096)
+        assert not handed and got == (
             "DomainValidationError", "[-8e+304, 8e+304] is too wide for a grid of 4096 points")
         with pytest.raises(dynamics.DomainValidationError, match="too wide for a grid of 1024"):
             make_system("1e308*x", "1", (-1.5, 1.5), (-1.7e308, 1.7e308))
@@ -130,15 +214,17 @@ class TestSweepMatchesLoop:
     def test_failure_mid_sweep(self, caplog, monkeypatch, f, phi, y_domain, samples, error):
         x_domain = (0.03, 0.62) if phi == "y" else (0.0, 1.0)
         s = make_system(f, phi, x_domain, y_domain)
-        got, _, _ = same_as_loop(caplog, monkeypatch, s, samples)
+        got, _, handed = same_as_loop(caplog, monkeypatch, s, samples)
         assert got[0] == "EvalDomainError" and got[1].startswith(error), got
+        # The failing sample is handed back, and _invert or phi raises there.
+        assert len(handed) == 1, handed
 
     def test_derivative_failure_is_handed_to_the_loop(self, caplog, monkeypatch):
-        # abs has no derivative at 0.325, where the value is fine: the loop
+        # abs has no derivative at 0.325, where the value is fine: _invert
         # bisects there instead of taking a Newton step.
         s = make_system("x + 0.1*abs(x - 0.325)", "y", (0.03, 0.62), (0.0, 3.0))
-        got, said, fell_back = same_as_loop(caplog, monkeypatch, s, 64)
-        assert fell_back and got.startswith("DistanceReport") and not said
+        got, said, handed = same_as_loop(caplog, monkeypatch, s, 64)
+        assert handed == [1] and got.startswith("DistanceReport") and not said
 
     def test_random_monotone_pairs(self, caplog, monkeypatch):
         rng = random.Random(20261018)
@@ -152,10 +238,10 @@ class TestSweepMatchesLoop:
             s = make_system(f"{a!r}*x + {b!r} + {eps!r}*sin(x)",
                             f"(y - {b!r})/{a!r} + {delta!r}*cos(y)",
                             (lo, hi), (-1e3, 1e3))
-            got, _, fell_back = same_as_loop(caplog, monkeypatch, s,
-                                             rng.choice((2, 3, 97, 1000, 4096)))
+            got, _, handed = same_as_loop(caplog, monkeypatch, s,
+                                          rng.choice((2, 3, 97, 1000, 4096)))
             assert got.startswith("DistanceReport"), got
-            handed_back += fell_back
+            handed_back += bool(handed)
         assert handed_back <= 2
 
 
@@ -164,9 +250,9 @@ class TestNanDistance:
         # phi is NaN only at y = 0.5, which the 1025-point grid holds and
         # the 1024-point validation grid does not.
         s = make_system("x", "y + 0.1*tanh((y - 0.5)*(1e300*1e300))", (0, 1), (0, 1))
-        got, said, fell_back = same_as_loop(caplog, monkeypatch, s, 1025)
+        got, said, handed = same_as_loop(caplog, monkeypatch, s, 1025)
         rep = function_distance(s, 1025)
-        assert not fell_back and rep.d == pytest.approx(0.1) and got == repr(rep)
+        assert not handed and rep.d == pytest.approx(0.1) and got == repr(rep)
         assert said == ["function_distance: 1 of 1025 samples have no finite distance"]
 
     def test_no_finite_sample_gives_nan(self, caplog, monkeypatch):
@@ -209,8 +295,8 @@ class TestSweepCache:
         for k in range(200):
             c = 1.0 + k / 100
             s = make_system(f"{c!r}*x + 0.1*sin(x)", "y", (0.0, 1.0), (-1.0, 4.0))
-            got, _, fell_back = same_as_loop(caplog, monkeypatch, s, 64)
-            assert got.startswith("DistanceReport") and not fell_back, c
+            got, _, handed = same_as_loop(caplog, monkeypatch, s, 64)
+            assert got.startswith("DistanceReport") and not handed, c
             del s
             if k % 50 == 0:
                 gc.collect()
@@ -383,6 +469,29 @@ def list_direction(f, lo, hi):
             return "decreasing"
     direction = 0
     for x, v in zip(xs, vs):
+        d = v - prev_v
+        sign = 1 if d > 0 else (-1 if d < 0 else 0)
+        if sign == 0 or (direction and sign != direction):
+            raise analysis.NonMonotoneError(
+                f"not strictly monotone between {prev_x!r} and {x!r}", x_pair=(prev_x, x))
+        direction = sign
+        prev_x, prev_v = x, v
+    return "increasing" if direction > 0 else "decreasing"
+
+
+def point_loop_direction(f, lo, hi):
+    """_monotone_direction's loop over the differences, point by point, as
+    it ran for a plain callable and, for an Expression, wherever the
+    compiled scan found no direction or failed.  The reference for the
+    scan's (sign, k) and the error raised from it."""
+    fn = (lambda x: expr.evaluate(f, x)) if isinstance(f, expr.Expression) else f
+    prev_x, prev_v = lo, fn(lo)
+    n = analysis.MONOTONE_DIFFS + 1
+    w, m = dynamics._grid_span(lo, hi, n)
+    direction = 0
+    for k in range(1, n):
+        x = lo + w * k / m
+        v = fn(x)
         d = v - prev_v
         sign = 1 if d > 0 else (-1 if d < 0 else 0)
         if sign == 0 or (direction and sign != direction):
@@ -771,7 +880,7 @@ class TestScansMatchLoops:
             assert list(map(repr, seen)) == grid, (lo, hi, n)
             seen.clear()
             assert expr._define(analysis._MONOTONE, {"f": looked_up("f")}, env)(
-                lo, w, m, n, -1.0) == 1
+                lo, w, m, n, -1.0) == (1, n)
             assert list(map(repr, seen)) == grid[1:], (lo, hi, n)
             seen.clear()
             expr._define(analysis._RESIDUALS, {"f": held("f", "x"), "h": held("h", "x"),
@@ -787,9 +896,53 @@ class TestScansMatchLoops:
             sweep = expr._define(analysis._SWEEP, {"f": (em, "fv0, fd0"),
                                                    "phi": looked_up("phi", "y")}, {
                 **env, "max": max, "nextafter": math.nextafter, "inf": math.inf,
-                "rtol": analysis.INVERT_RTOL, "cap": dynamics.SOLVE_MAX_ITER})
-            assert sweep(lo, w, m, n, lo, hi, lo, hi) is not None, (lo, hi, n)
+                "rtol": analysis.INVERT_RTOL, "cap": dynamics.SOLVE_MAX_ITER,
+                "numeric": expr._NUMERIC_ERRORS})
+            assert sweep(lo, w, m, n, lo, hi, lo, hi, 0, -1.0, lo, 0, None)[0] == n, (lo, hi, n)
             assert list(map(repr, seen)) == list(map(repr, ys)), (lo, hi, n)
+
+
+class TestMonotoneMatchesPointLoop:
+    # The 1025-point grids of [0, 1] and [0, 3] hold 0.5 (k = 512), 0.75
+    # (k = 256) and 2.25 (k = 768); sin turns at pi/2.
+    @pytest.mark.parametrize("f, lo, hi", [
+        ("x^3 + x", -1.0, 1.0),
+        ("-exp(x)", 0.0, 3.0),
+        ("x - abs(x - 0.5)", 0.0, 1.0),
+        ("x + 0*tanh((x - 0.5)*(1e300*1e300))", 0.0, 1.0),
+        ("sin(x)", 0.0, 3.0),
+        ("sin(x) + 0*log(abs(x - 0.75))", 0.0, 3.0),
+        ("sin(x) + 0*log(abs(x - 2.25))", 0.0, 3.0),
+        ("0*x", -0.0, 1.0),
+        ("-x", -0.0, 1.0),
+        ("x*1e300*1e300 - x*1e300*1e300", 0.0, 1.0),
+        ("x + 0*sqrt(x - 0.5)", 0.0, 1.0),
+    ], ids=["increasing", "decreasing", "flat-step", "nan", "reversal", "fails-before-reversal",
+            "fails-after-reversal", "flat-from-signed-zero", "decreasing-from-signed-zero",
+            "nan-at-lo", "fails-at-lo"])
+    def test_expression_and_callable(self, f, lo, hi):
+        e = expr.parse(f)
+        want = outcome(lambda: point_loop_direction(e, lo, hi))
+        assert outcome(lambda: analysis._monotone_direction(e, lo, hi)) == want
+        plain = lambda x: expr.evaluate(e, x)  # noqa: E731
+        assert outcome(lambda: analysis._monotone_direction(plain, lo, hi)) == want
+        assert outcome(lambda: point_loop_direction(plain, lo, hi)) == want
+        if repr(lo) == "-0.0" and want[0] == "NonMonotoneError":
+            assert want[2].startswith("(-0.0, "), want
+
+    def test_random_expressions(self):
+        rng = random.Random(20261020)
+        kinds = set()
+        for _ in range(400):
+            e = expr.parse(gen_source(rng, 4, wide=True))
+            lo = rng.choice((-2.0, -0.0, 0.0, 0.5, rng.uniform(-3.0, 3.0)))
+            hi = lo + rng.choice((1e-9, 1.0, 3.0))
+            want = outcome(lambda: point_loop_direction(e, lo, hi))
+            assert outcome(lambda: analysis._monotone_direction(e, lo, hi)) == want, (
+                e.source, lo, hi)
+            kinds.add(want if isinstance(want, str) else want[0])
+        assert kinds >= {"'increasing'", "'decreasing'", "NonMonotoneError",
+                         "EvalDomainError"}, kinds
 
 
 def conjugacy_triple(rng, family, violated):
