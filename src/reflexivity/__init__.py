@@ -15,7 +15,6 @@ from .expr import (
     evaluate,
     evaluate_many,
     parse,
-    serialize,
 )
 from .dynamics import (
     FixedPoint,
@@ -23,12 +22,10 @@ from .dynamics import (
     OrbitNumericError,
     PreconditionError,
     ReflexiveSystem,
-    ScalarMap,
     SystemState,
     check_proposition_1,
     classify_stability,
     compose_gamma,
-    compose_phi_map,
     find_fixed_points,
     make_system,
     orbit,
@@ -43,16 +40,13 @@ from .analysis import (
     PeriodReport,
     detect_boom_bust,
     detect_period,
-    detect_recurrence,
     function_distance,
-    invert_numeric,
     verify_conjugacy,
 )
 from .render import (
     PhasePortraitTrace,
     RenderOptions,
     StaircaseTrace,
-    orbit_states_from_csv,
     phase_portrait,
     staircase,
     to_csv,

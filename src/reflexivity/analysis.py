@@ -1,12 +1,12 @@
-"""Diagnostics on top of the engine: numerical inversion, the distance
-between phi and the inverse of f, periodic/recurrent orbit detection,
-boom-then-bust detection, and sampled conjugacy verification.
+"""Diagnostics on top of the engine: the distance between phi and the
+inverse of f, periodic orbit detection, boom-then-bust detection, and
+sampled conjugacy verification.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import chain, compress, repeat
+from itertools import compress, repeat
 from operator import ge, gt, lt, ne, sub
 
 from . import dynamics as _dyn
@@ -105,40 +105,17 @@ def _monotone(f):
                                           {"range": range})
 
 
-def _monotone_points(fn, lo, w, m, n, prev):
-    """_MONOTONE's (sign, k) for the plain callable fn, called point by
-    point."""
-    sign = 0
-    for k in range(1, n):
-        v = fn(lo + w * k / m)
-        if prev < v:
-            if sign < 0:
-                return sign, k
-            sign = 1
-        elif prev > v and sign <= 0:
-            sign = -1
-        else:
-            return sign, k
-        prev = v
-    return sign, n
-
-
 def _monotone_direction(f, lo, hi):
-    """Sign of MONOTONE_DIFFS consecutive differences of f (an Expression or
-    a plain callable); raises on disagreement.
+    """Sign of MONOTONE_DIFFS consecutive differences of the Expression f;
+    raises on disagreement.
 
-    An Expression's compiled scan, or a plain callable's point loop, stops
-    at the first pair that is not monotone (a difference v - u is positive
-    exactly when u < v, and negative exactly when u > v) or at the first
-    point that fails, whichever comes first."""
-    fn, _ = _evaluator(f)
-    prev = fn(lo)
+    f's compiled scan stops at the first pair that is not monotone (a
+    difference v - u is positive exactly when u < v, and negative exactly
+    when u > v) or at the first point that fails, whichever comes first."""
+    prev = _expr.evaluate(f, lo)
     n = MONOTONE_DIFFS + 1
     w, m = _dyn._grid_span(lo, hi, n)
-    if isinstance(f, _expr.Expression):
-        sign, k = _monotone(f)(lo, w, m, n, prev)
-    else:
-        sign, k = _monotone_points(fn, lo, w, m, n, prev)
+    sign, k = _monotone(f)(lo, w, m, n, prev)
     if k < n:
         prev_x = lo if k == 1 else lo + w * (k - 1) / m
         x = lo + w * k / m
@@ -147,46 +124,19 @@ def _monotone_direction(f, lo, hi):
     return "increasing" if sign > 0 else "decreasing"
 
 
-def _invert(fn, dfn, lo, hi, flo, fhi, y, rtol, x0=None):
-    """(x, status) with x in [lo, hi] and |fn(x) - y| <= rtol*max(1, |y|),
-    for monotone fn with fn(lo) = flo and fn(hi) = fhi; Newton steps use dfn
-    unless None.  status is bracket_solve's; on "discontinuity" y lies in a
-    jump of fn and x is where fn jumps."""
+def _invert(fn, dfn, lo, hi, flo, fhi, y, x0=None):
+    """(x, status) with x in [lo, hi] and |fn(x) - y| <= INVERT_RTOL*max(1, |y|),
+    for monotone fn with fn(lo) = flo and fn(hi) = fhi; Newton steps use
+    its derivative dfn.  status is bracket_solve's; on "discontinuity" y
+    lies in a jump of fn and x is where fn jumps."""
     if not (min(flo, fhi) <= y <= max(flo, fhi)):
         raise OutOfRangeError(
             f"y={y!r} outside attained range [{min(flo, fhi)!r}, {max(flo, fhi)!r}]")
-    # bracket_solve accepts |g| < tol; the next float up makes that <= rtol*...
-    tol = math.nextafter(rtol * max(1.0, abs(y)), math.inf)
+    # bracket_solve accepts |g| < tol; the next float up makes that <= INVERT_RTOL*...
+    tol = math.nextafter(INVERT_RTOL * max(1.0, abs(y)), math.inf)
     x, status, _ = _dyn.bracket_solve(lambda t: fn(t) - y, lo, hi, flo - y, fhi - y,
-                                      tol, x0, dfn)
+                                      tol, x0, dg=dfn)
     return x, status
-
-
-def _evaluator(f):
-    """(value, derivative) callables for an Expression or a plain callable."""
-    if isinstance(f, _expr.Expression):
-        return (lambda x: _expr.evaluate(f, x)), (lambda x: _expr.derivative(f, x))
-    return f, None
-
-
-def invert_numeric(f, interval, y, rtol=INVERT_RTOL):
-    """Solve f(x) = y on the interval (f strictly monotone).
-
-    Safeguarded Newton steps on an Expression's exact derivative, plain
-    bisection for any other callable; see dynamics.bracket_solve.  Raises
-    DomainValidationError unless lo < hi, and OutOfRangeError when y lies
-    outside f's range on the interval.  For y inside a jump of an
-    Expression f, returns where f jumps and logs a warning; a plain callable
-    gives the same x without the warning.
-    """
-    lo, hi = interval
-    _dyn._check_interval(lo, hi)
-    fn, dfn = _evaluator(f)
-    _monotone_direction(f, lo, hi)
-    x, status = _invert(fn, dfn, lo, hi, fn(lo), fn(hi), y, rtol)
-    if status == "discontinuity":
-        log.warning("inversion: y=%r is not attained, f jumps across it at x=%r", y, x)
-    return x
 
 
 def function_distance(s, samples=DEFAULT_SAMPLES):
@@ -216,12 +166,13 @@ def function_distance(s, samples=DEFAULT_SAMPLES):
         raise OutOfRangeError("image of f does not overlap y_domain")
     w, m = _dyn._grid_span(y_lo, y_hi, samples)
     sweep, grid = _kernel(s), (y_lo, w, m, samples, lo, hi, flo, fhi)
-    fn, dfn = _evaluator(s.f)
+    f = s.f
+    fn, dfn = (lambda x: _expr.evaluate(f, x)), (lambda x: _expr.derivative(f, x))
     jumps = 0
     k, best, argmax, nans, inv = sweep(*grid, 0, -1.0, y_lo, 0, None)
     while k < samples:
         y = min(y_lo + w * k / m, f_max)
-        inv, status = _invert(fn, dfn, lo, hi, flo, fhi, y, INVERT_RTOL, inv)
+        inv, status = _invert(fn, dfn, lo, hi, flo, fhi, y, inv)
         jumps += status == "discontinuity"
         diff = abs(_expr.evaluate(s.phi, y) - inv)
         if diff > best:
@@ -330,20 +281,14 @@ def _diverged(x):
 
 def _iterates(map_fn, x, n):
     """map_fn(x), map_fn(map_fn(x)), ... (n values), ending after the first
-    diverged one.
-
-    A compose_gamma map gives the list from its system's compiled loop.  Any
-    other map gives an iterator that steps the map as it advances, so an
-    error comes at the step that meets it and a caller that stops early
-    meets none after; so does a loop that fails, from the last iterate it
-    made.
+    diverged one, for a compose_gamma map: the list from its system's
+    compiled loop.  Where the loop fails, the map is stepped on from the
+    last iterate the loop made, and the step that fails raises its error.
     """
-    if not (isinstance(map_fn, _dyn.ScalarMap) and map_fn._iterate is not None):
-        return _stepped(map_fn, x, n)
     xs = map_fn._iterate(x, n)
-    if len(xs) == n or xs and _diverged(xs[-1]):
-        return xs
-    return chain(xs, _stepped(map_fn, xs[-1] if xs else x, n - len(xs)))
+    if len(xs) < n and not (xs and _diverged(xs[-1])):
+        xs += _stepped(map_fn, xs[-1] if xs else x, n - len(xs))
+    return xs
 
 
 def _stepped(map_fn, x, n):
@@ -355,7 +300,8 @@ def _stepped(map_fn, x, n):
 
 
 def detect_period(map_fn, x0, max_period=DEFAULT_MAX_PERIOD, burn_in=0):
-    """Minimal period of the orbit tail of map_fn from x0, or None."""
+    """Minimal period of the orbit tail of the compose_gamma map map_fn
+    from x0, or None."""
     if max_period < 1:
         raise _dyn.PreconditionError("max_period must be >= 1")
     if burn_in < 0:
@@ -376,24 +322,10 @@ def detect_period(map_fn, x0, max_period=DEFAULT_MAX_PERIOD, burn_in=0):
     return None
 
 
-def detect_recurrence(map_fn, p, radius, horizon):
-    """Smallest n with 1 < n <= horizon and |map^n(p) - p| < radius, or None."""
-    if not radius > 0:
-        raise _dyn.PreconditionError("radius must be > 0")
-    if horizon < 2:
-        raise _dyn.PreconditionError("horizon must be >= 2")
-    for n, x in enumerate(_iterates(map_fn, float(p), horizon), 1):
-        if _diverged(x):
-            return None
-        if n > 1 and abs(x - p) < radius:
-            return n
-    return None
-
-
 def detect_boom_bust(o, min_run=DEFAULT_MIN_RUN, retrace_threshold=DEFAULT_RETRACE_THRESHOLD):
-    """Monotone run of >= min_run steps followed by a retrace of at least
-    retrace_threshold times the run amplitude.  Falling-then-rising events
-    are reported with negated amplitude.
+    """Monotone run of >= min_run steps of the Orbit o's x column followed
+    by a retrace of at least retrace_threshold times the run amplitude.
+    Falling-then-rising events are reported with negated amplitude.
 
     A step whose difference is not positive or negative (flat, NaN) is in
     no run, and a run is maximal: the run after it starts where it ends.
@@ -402,7 +334,7 @@ def detect_boom_bust(o, min_run=DEFAULT_MIN_RUN, retrace_threshold=DEFAULT_RETRA
         raise _dyn.PreconditionError("min_run must be >= 2")
     if not (0 < retrace_threshold <= 1):
         raise _dyn.PreconditionError("retrace_threshold must be in (0, 1]")
-    xs = o.xs() if hasattr(o, "xs") else list(o)
+    xs = o.xs()
     nxt = xs[1:]
     # The sign of each step's difference b - a, which is > 0 exactly when
     # a < b and < 0 exactly when a > b: 0 for a flat or NaN step.

@@ -5,8 +5,8 @@ composite maps, fixed-point location, and stability classification.
 from __future__ import annotations
 
 import math
-from itertools import compress, repeat
-from operator import attrgetter, gt, mul
+from itertools import repeat
+from operator import attrgetter
 
 from . import expr as _expr
 
@@ -163,14 +163,14 @@ class Prop1Report:
 
 
 class ScalarMap:
-    """A one-dimensional map with a pointwise derivative and, optionally, a
-    compiled iteration: iterate_fn(t, n) is the n values map(t),
-    map(map(t)), ..., cut after the first one that is not finite or beyond
-    DIVERGENCE_CUTOFF, or cut before the first step that fails; and a
-    compiled fixed-point scan: scan_fn(lo, w, m, n, tol) is _SCAN's result
-    (near, signs, skipped) for the map."""
+    """A one-dimensional map with a pointwise derivative and a compiled
+    fixed-point scan: scan_fn(lo, w, m, n, tol) is _SCAN's result (near,
+    signs, skipped) for the map.  compose_gamma's map also has a compiled
+    iteration: iterate_fn(t, n) is the n values map(t), map(map(t)), ...,
+    cut after the first one that is not finite or beyond DIVERGENCE_CUTOFF,
+    or cut before the first step that fails."""
 
-    def __init__(self, value_fn, deriv_fn, *, iterate_fn=None, scan_fn=None):
+    def __init__(self, value_fn, deriv_fn, *, scan_fn, iterate_fn=None):
         self._value = value_fn
         self._deriv = deriv_fn
         self._iterate = iterate_fn
@@ -294,47 +294,35 @@ def compose_gamma(s):
     )
 
 
-def compose_phi_map(s):
-    """The composite map y -> f(phi(y)) with chain-rule derivative."""
-    f, phi = s.f, s.phi
-    return ScalarMap(
-        lambda y: _expr.evaluate(f, _expr.evaluate(phi, y)),
-        lambda y: _expr.derivative(f, _expr.evaluate(phi, y)) * _expr.derivative(phi, y),
-    )
-
-
 def _slope(dg, x):
-    """dg(x), or 0.0 (no Newton step) when dg is None or fails at x."""
-    if dg is None:
-        return 0.0
+    """dg(x), or 0.0 (no Newton step) when dg fails at x."""
     try:
         return dg(x)
     except _expr.EvalDomainError:
         return 0.0
 
 
-def bracket_solve(g, a, b, ga, gb, tol, x0=None, dg=None):
+def bracket_solve(g, a, b, ga, gb, tol, x0=None, *, dg):
     """Root of g on [a, b], where ga = g(a) and gb = g(b) differ in sign.
 
     Safeguarded Newton (Numerical Recipes' rtsafe): from x0, or the midpoint,
     take Newton steps with the derivative dg, and a bisection step whenever
     the Newton step leaves the bracket, is not at least half as long as the
-    step before last, or dg fails.  With dg=None every step bisects.
+    step before last, or dg fails or is 0.
 
     Returns (x, status, iters).  status is "converged" when |g(x)| < tol, or
-    when the bracket has shrunk to two adjacent floats and nothing shows a
-    jump between them: the root then lies below float resolution and x is
-    the end with the smaller |g|.  It is "discontinuity" when dg is given and
-    the step in g between those two floats is larger than dg on either side
-    accounts for (g jumps across zero there; x is again the better end), and
-    "iteration-cap" (logged) after SOLVE_MAX_ITER evaluations of g.  Without
-    dg a jump cannot be told from a steep root, so it counts as converged.
+    when the bracket has shrunk to two adjacent floats and the slope dg on
+    either side accounts for the step in g between them: the root then lies
+    below float resolution and x is the end with the smaller |g|.  It is
+    "discontinuity" when that step is larger (g jumps across zero there; x
+    is again the better end), and "iteration-cap" (logged) after
+    SOLVE_MAX_ITER evaluations of g.
     """
     if abs(ga) < tol:
         return a, "converged", 0
     if abs(gb) < tol:
         return b, "converged", 0
-    x = x0 if dg is not None and x0 is not None and a < x0 < b else 0.5 * (a + b)
+    x = x0 if x0 is not None and a < x0 < b else 0.5 * (a + b)
     step = step_old = b - a
     for it in range(1, SOLVE_MAX_ITER + 1):
         gx = g(x)
@@ -349,8 +337,6 @@ def bracket_solve(g, a, b, ga, gb, tol, x0=None, dg=None):
             # A root below float resolution if the slope on both sides
             # accounts for the step in g between the ends, a jump if not.
             x = a if abs(ga) <= abs(gb) else b
-            if dg is None:
-                return x, "converged", it
             slope = min(abs(_slope(dg, a)), abs(_slope(dg, b)))
             if abs(gb - ga) <= 2.0 * slope * (b - a):
                 return x, "converged", it
@@ -413,30 +399,10 @@ def _scan(owner, f, phi=None):
         "range": range, "numeric": _expr._NUMERIC_ERRORS, "nan": math.nan})
 
 
-def _scan_points(fn, lo, w, m, n, tol):
-    """_SCAN's result for the ScalarMap fn, from fn point by point: a point
-    where fn fails is skipped as NaN."""
-    gs = []
-    skipped = 0
-    for k in range(n):
-        x = lo + w * k / m
-        try:
-            gs.append(fn(x) - x)
-        except _expr.EvalDomainError:
-            gs.append(math.nan)
-            skipped += 1
-    near = list(compress(range(n), map(gt, repeat(tol), map(abs, gs))))
-    for k in near:
-        gs[k] = 0.0
-    signs = list(compress(range(n - 1), map((0.0).__gt__, map(mul, gs, gs[1:]))))
-    return near, signs, skipped
-
-
 def find_map_fixed_points(fn, lo, hi, grid_n=DEFAULT_GRID, tol=ROOT_TOL):
     """Roots of the ScalarMap fn minus x on [lo, hi], lo < hi (else
     DomainValidationError), by uniform grid plus bracket_solve with fn's
-    derivative.  fn's compiled scan covers the grid, or, if fn has none, fn
-    point by point.
+    derivative.  fn's compiled scan covers the grid.
 
     Returns (roots, skipped) where skipped counts grid points dropped for
     numeric domain errors.  A pair of grid values with a NaN end brackets
@@ -450,10 +416,7 @@ def find_map_fixed_points(fn, lo, hi, grid_n=DEFAULT_GRID, tol=ROOT_TOL):
         raise PreconditionError("tol must be >= 0")
     _check_interval(lo, hi)
     w, m = _grid_span(lo, hi, grid_n)
-    if fn._scan is None:
-        near, signs, skipped = _scan_points(fn, lo, w, m, grid_n, tol)
-    else:
-        near, signs, skipped = fn._scan(lo, w, m, grid_n, tol)
+    near, signs, skipped = fn._scan(lo, w, m, grid_n, tol)
     if skipped == grid_n:
         raise DomainValidationError("map invalid over the entire domain")
     if skipped:
@@ -528,5 +491,5 @@ def check_proposition_1(s, fp, tol=1e-9):
     if abs(_expr.evaluate(s.phi, fp.y_bar) - fp.x_bar) > tol:
         raise PreconditionError("fixed point violates x_bar = phi(y_bar)")
     residual_gamma = abs(compose_gamma(s)(fp.x_bar) - fp.x_bar)
-    residual_phi_map = abs(compose_phi_map(s)(fp.y_bar) - fp.y_bar)
+    residual_phi_map = abs(_expr.evaluate(s.f, _expr.evaluate(s.phi, fp.y_bar)) - fp.y_bar)
     return Prop1Report(residual_gamma, residual_phi_map)

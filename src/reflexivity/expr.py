@@ -183,7 +183,8 @@ class LazyLogger:
 
 # ---------------------------------------------------------------------------
 # AST nodes.  Offsets are byte positions into the source, excluded from
-# structural equality so that parse(serialize(parse(s))) == parse(s).
+# structural equality so that sources that differ only in spacing or
+# parentheses parse to equal trees.
 
 @record
 class Num:
@@ -390,27 +391,6 @@ def parse(source):
 
 
 # ---------------------------------------------------------------------------
-# Serialization (fully parenthesized; reparses to the same tree)
-
-def serialize(e):
-    return _serialize(e.root if isinstance(e, Expression) else e)
-
-
-def _serialize(node):
-    if isinstance(node, Num):
-        return repr(node.value)
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Neg):
-        return f"(-{_serialize(node.operand)})"
-    if isinstance(node, BinOp):
-        return f"({_serialize(node.left)} {node.op} {_serialize(node.right)})"
-    if isinstance(node, Call):
-        return f"{node.func}({_serialize(node.arg)})"
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-# ---------------------------------------------------------------------------
 # Evaluation / differentiation
 
 def evaluate(e, v):
@@ -560,7 +540,9 @@ _RULES = {
 # line): an error class and its message, where %r stands for the value of
 # the line's first operand.  A line given None, and a line whose exception is
 # an OverflowError (of the lines named here, only ipow's can overflow),
-# raise EvalDomainError with the exception's own message.
+# raise EvalDomainError with the exception's own message: for an
+# OverflowError its last argument, the text without the errno that float
+# ** puts before it.
 _FAILURES = {
     "/": ((EvalDomainError, "division by zero"), None),
     "ipow": ((EvalDomainError, "zero raised to a negative power"), None),
@@ -662,7 +644,9 @@ def _failure(table):
         if entry is None:
             return
         failure, operand, at = entry
-        if failure is None or isinstance(exc, OverflowError):
+        if isinstance(exc, OverflowError):
+            raise EvalDomainError(exc.args[-1], at) from None
+        if failure is None:
             raise EvalDomainError(exc, at) from None
         cls, message = failure
         if "%r" in message:

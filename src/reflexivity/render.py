@@ -79,18 +79,6 @@ def to_csv(o):
     return "i,x,y\n" + "".join(map("%d,%.17g,%.17g\n".__mod__, rows))
 
 
-def orbit_states_from_csv(text):
-    """Parse to_csv output back into a list of SystemState."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "i,x,y":
-        raise ValueError("missing i,x,y header")
-    states = []
-    for ln in lines[1:]:
-        i, x, y = ln.split(",")
-        states.append(_dyn.SystemState(float(x), float(y), int(i)))
-    return states
-
-
 # ---------------------------------------------------------------------------
 # SVG
 

@@ -1,11 +1,12 @@
 """Shared helpers: a seeded random-expression generator used by both the
-derivative property test and the acceptance suite, and a stand-in for the
-distance sweep that hands back every sample.
+derivative property test and the acceptance suite, a stand-in for the
+distance sweep that hands back every sample, and hand-built orbits.
 """
 
 import math
 
 from reflexivity import expr
+from reflexivity.dynamics import Orbit, SystemState
 
 # abs/tan/log/sqrt are left out on purpose: kinks and domain edges make
 # central finite differences ill-conditioned near randomly drawn points.
@@ -81,3 +82,8 @@ def hand_back_every_sample(y_lo, w, m, n, lo, hi, flo, fhi, k, *state):
     is given, unchanged state and all: function_distance then inverts every
     sample itself, with _invert."""
     return (k, *state)
+
+
+def as_orbit(xs):
+    """A hand-built Orbit whose x column is xs."""
+    return Orbit(tuple(SystemState(x, 0.0, i) for i, x in enumerate(xs)), "step-budget")

@@ -124,6 +124,13 @@ def apply_function(name, arg, offset):
     raise EvalDomainError(f"unknown function {name!r}", offset)
 
 
+def message(exc):
+    """The text an EvalDomainError carries for a numeric exception: an
+    OverflowError's last argument, without the errno that float ** puts
+    before it, and any other exception's own text."""
+    return exc.args[-1] if isinstance(exc, OverflowError) else str(exc)
+
+
 def eval_walk(node, x):
     if isinstance(node, Num):
         return DualValue(node.value, 0.0)
@@ -148,7 +155,7 @@ def eval_walk(node, x):
         except ZeroDivisionError as exc:
             raise EvalDomainError(str(exc), node.offset) from None
         except (ValueError, OverflowError) as exc:
-            raise EvalDomainError(str(exc), node.offset) from None
+            raise EvalDomainError(message(exc), node.offset) from None
         raise EvalDomainError(f"unknown operator {node.op!r}", node.offset)
     if isinstance(node, Call):
         arg = eval_walk(node.arg, x)
@@ -156,5 +163,5 @@ def eval_walk(node, x):
             return apply_function(node.func, arg, node.offset)
         except (ValueError, OverflowError) as exc:
             # math.sin/cos/tan raise ValueError at +-inf, math.exp overflows.
-            raise EvalDomainError(str(exc), node.offset) from None
+            raise EvalDomainError(message(exc), node.offset) from None
     raise TypeError(f"not an expression node: {node!r}")

@@ -1,0 +1,40 @@
+"""The fixed-point scan point by point: the reference that the compiled
+scan of reflexivity.dynamics.find_map_fixed_points (dynamics._SCAN) is
+tested against.
+
+scan_points calls the map at each grid point and scans the values with
+builtins, as the dynamics layer did for a map without a compiled scan;
+point_map gives find_map_fixed_points a map that scans that way.
+"""
+
+import math
+from itertools import compress, repeat
+from operator import gt, mul
+
+from reflexivity import dynamics, expr
+
+
+def scan_points(fn, lo, w, m, n, tol):
+    """_SCAN's result (near, signs, skipped) for the map fn, from fn point
+    by point: a point where fn fails is skipped as NaN."""
+    gs = []
+    skipped = 0
+    for k in range(n):
+        x = lo + w * k / m
+        try:
+            gs.append(fn(x) - x)
+        except expr.EvalDomainError:
+            gs.append(math.nan)
+            skipped += 1
+    near = list(compress(range(n), map(gt, repeat(tol), map(abs, gs))))
+    for k in near:
+        gs[k] = 0.0
+    signs = list(compress(range(n - 1), map((0.0).__gt__, map(mul, gs, gs[1:]))))
+    return near, signs, skipped
+
+
+def point_map(value, derivative):
+    """A dynamics.ScalarMap of value and derivative whose fixed-point scan
+    is scan_points over value."""
+    return dynamics.ScalarMap(value, derivative,
+                              scan_fn=lambda *grid: scan_points(value, *grid))

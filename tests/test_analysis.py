@@ -3,43 +3,54 @@ import math
 
 import pytest
 
-from conftest import hand_back_every_sample
+from conftest import as_orbit, hand_back_every_sample
 from reflexivity import analysis, cli, dynamics, expr
 from reflexivity.analysis import (
     detect_boom_bust,
     detect_period,
-    detect_recurrence,
     function_distance,
-    invert_numeric,
     verify_conjugacy,
 )
 from reflexivity.dynamics import compose_gamma, make_system, orbit
 
 
 def logistic_map(r):
-    return lambda x: r * x * (1.0 - x)
+    return compose_gamma(make_system(f"{r!r}*x*(1-x)", "y", (0.0, 1.0), (0.0, 1.0)))
+
+
+def invert(f, interval, y):
+    """(x, status) for f(x) = y on interval, as function_distance inverts a
+    sample its sweep hands back: f's monotonicity check, then _invert with
+    f's value and derivative."""
+    lo, hi = interval
+    analysis._monotone_direction(f, lo, hi)
+    fn, dfn = (lambda x: expr.evaluate(f, x)), (lambda x: expr.derivative(f, x))
+    return analysis._invert(fn, dfn, lo, hi, fn(lo), fn(hi), y)
 
 
 class TestInvertNumeric:
+    """The inversion function_distance runs where its sweep hands a sample
+    back."""
+
     def test_linear(self):
-        got = invert_numeric(expr.parse("2*x+1"), (0.0, 10.0), 5.0)
+        got, _ = invert(expr.parse("2*x+1"), (0.0, 10.0), 5.0)
         assert abs(2.0 * got + 1.0 - 5.0) <= 1e-12 * 5.0
         assert got == pytest.approx(2.0, abs=1e-11)
 
     def test_sin_not_monotone(self):
         with pytest.raises(analysis.NonMonotoneError):
-            invert_numeric(expr.parse("sin(x)"), (0.0, 6.28), 0.5)
+            invert(expr.parse("sin(x)"), (0.0, 6.28), 0.5)
 
     def test_exp(self):
-        got = invert_numeric(expr.parse("exp(x)"), (0.0, 3.0), math.e)
+        got, _ = invert(expr.parse("exp(x)"), (0.0, 3.0), math.e)
         assert got == pytest.approx(1.0, abs=1e-12)
 
     def test_out_of_range(self):
         with pytest.raises(analysis.OutOfRangeError):
-            invert_numeric(expr.parse("2*x"), (0.0, 1.0), 5.0)
+            invert(expr.parse("2*x"), (0.0, 1.0), 5.0)
 
     def test_decreasing_function(self):
-        got = invert_numeric(expr.parse("1 - x"), (0.0, 1.0), 0.25)
+        got, _ = invert(expr.parse("1 - x"), (0.0, 1.0), 0.25)
         assert got == pytest.approx(0.75, abs=1e-12)
 
     def test_right_inverse_property(self):
@@ -48,34 +59,22 @@ class TestInvertNumeric:
         y_lo, y_hi = expr.evaluate(f, lo), expr.evaluate(f, hi)
         for k in range(25):
             y = y_lo + (y_hi - y_lo) * k / 24.0
-            x = invert_numeric(f, (lo, hi), y)
+            x, _ = invert(f, (lo, hi), y)
             assert abs(expr.evaluate(f, x) - y) <= 1e-12 * max(1.0, abs(y))
 
-    def test_value_in_a_jump_gives_the_jump_location(self, caplog):
+    def test_value_in_a_jump_gives_the_jump_location(self):
         # f jumps from 0.3 to about 0.4 between 0.3 and the next float
         f = expr.parse("x + 0.1*tanh(1e300*(x-0.3))")
-        with caplog.at_level(logging.WARNING, logger="reflexivity.analysis"):
-            assert invert_numeric(f, (0.0, 1.0), 0.35) in (0.3, math.nextafter(0.3, 1.0))
-        assert "y=0.35 is not attained" in caplog.text
+        x, status = invert(f, (0.0, 1.0), 0.35)
+        assert x in (0.3, math.nextafter(0.3, 1.0)) and status == "discontinuity"
 
     def test_non_monotone_pair_comes_before_a_later_domain_error(self):
         # sqrt fails above x = 5, but sin turns at pi/2 first.
         xs = dynamics._grid(0.0, 6.28, analysis.MONOTONE_DIFFS + 1)
         k = next(k for k in range(1, len(xs)) if math.sin(xs[k + 1]) <= math.sin(xs[k]))
-        for f in (expr.parse("sin(x) + 0*sqrt(5 - x)"), math.sin):
-            with pytest.raises(analysis.NonMonotoneError) as exc:
-                invert_numeric(f, (0.0, 6.28), 0.5)
-            assert exc.value.x_pair == (xs[k], xs[k + 1]) == (1.57, 1.5761328125)
-
-    def test_plain_callable_bisects(self):
-        got = invert_numeric(lambda x: x ** 3, (0.0, 2.0), 2.0)
-        assert abs(got ** 3 - 2.0) <= 1e-12 * 2.0
-
-    def test_steep_plain_callable_is_inverted(self):
-        # Adjacent floats near the root differ by about 1.1e-11 in f, past
-        # the 1e-12 tolerance; without a derivative that is still a root.
-        got = invert_numeric(lambda x: 1e5 * (x - 0.5), (0.0, 1.0), 0.123456789)
-        assert got == pytest.approx(0.5 + 0.123456789 / 1e5, abs=2.3e-16)
+        with pytest.raises(analysis.NonMonotoneError) as exc:
+            invert(expr.parse("sin(x) + 0*sqrt(5 - x)"), (0.0, 6.28), 0.5)
+        assert exc.value.x_pair == (xs[k], xs[k + 1]) == (1.57, 1.5761328125)
 
 
 class TestDegenerateInterval:
@@ -83,13 +82,6 @@ class TestDegenerateInterval:
     reversed, it used to give a backward grid and wrong answers."""
 
     BAD = [(1.0, 0.0), (0.5, 0.5), (0.0, math.nan), (math.nan, 1.0)]
-
-    @pytest.mark.parametrize("lo, hi", BAD)
-    def test_invert_numeric(self, caplog, lo, hi):
-        with pytest.raises(dynamics.DomainValidationError) as info:
-            invert_numeric(expr.parse("2*x"), (lo, hi), 0.5)
-        assert str(info.value) == f"interval is degenerate: [{lo}, {hi}]"
-        assert not caplog.records
 
     @pytest.mark.parametrize("lo, hi", BAD)
     def test_verify_conjugacy(self, caplog, lo, hi):
@@ -103,7 +95,7 @@ class TestDegenerateInterval:
         f = expr.parse("4*x*(1-x)")
         rep = verify_conjugacy(f, f, expr.parse("x"), (0.0, 1.0), samples=64)
         assert (rep.verdict, rep.fixed_point_images_checked) == ("consistent", 2)
-        assert invert_numeric(expr.parse("2*x"), (0.0, 1.0), 0.5) == 0.25
+        assert invert(expr.parse("2*x"), (0.0, 1.0), 0.5) == (0.25, "converged")
 
 
 class TestFunctionDistance:
@@ -204,10 +196,12 @@ class TestDetectPeriod:
         assert rep.cycle[0] == pytest.approx(0.6, abs=1e-6)
 
     def test_unbounded_orbit_gives_none(self):
-        assert detect_period(lambda x: x + 1.0, 0.0, max_period=8, burn_in=0) is None
+        gamma = compose_gamma(make_system("x + 1", "y", (0.0, 1.0), (1.0, 2.0)))
+        assert detect_period(gamma, 0.0, max_period=8, burn_in=0) is None
 
     def test_divergence_during_burn_in(self):
-        assert detect_period(lambda x: 2.0 * x, 1.0, max_period=4, burn_in=100) is None
+        gamma = compose_gamma(make_system("2*x", "y", (0.0, 1.0), (0.0, 2.0)))
+        assert detect_period(gamma, 1.0, max_period=4, burn_in=100) is None
 
     def test_minimality_rejects_divisors(self):
         rep = detect_period(logistic_map(3.5), 0.3, max_period=32, burn_in=4000)
@@ -226,36 +220,9 @@ class TestDetectPeriod:
         assert rep.residual <= 1e-8
 
 
-class TestDetectRecurrence:
-    def test_two_cycle_point_returns_in_two(self):
-        rep = detect_period(logistic_map(3.2), 0.3, max_period=32, burn_in=1000)
-        assert detect_recurrence(logistic_map(3.2), rep.cycle[0], 1e-6, 100) == 2
-
-    def test_fixed_point_is_recurrent(self):
-        assert detect_recurrence(logistic_map(2.5), 0.6, 1e-6, 100) == 2
-
-    def test_escaping_orbit(self):
-        assert detect_recurrence(lambda x: x + 1.0, 0.0, 0.5, 100) is None
-
-    def test_cycle_points_recurrent_within_period(self):
-        rep = detect_period(logistic_map(3.2), 0.3, max_period=32, burn_in=2000)
-        for p in rep.cycle:
-            n = detect_recurrence(logistic_map(3.2), p, 1e-6, 100)
-            assert n is not None and n <= rep.period
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            detect_recurrence(logistic_map(2.5), 0.5, 0.0, 100)
-        # NaN fails every comparison, radius > 0 too.
-        with pytest.raises(dynamics.PreconditionError, match="^radius must be > 0$"):
-            detect_recurrence(logistic_map(2.5), 0.3, math.nan, 50)
-        with pytest.raises(ValueError):
-            detect_recurrence(logistic_map(2.5), 0.5, 1e-6, 1)
-
-
 class TestDetectBoomBust:
     def test_hand_checked_sequence(self):
-        events = detect_boom_bust([0.0, 1.0, 2.0, 3.0, 2.9, 1.0], min_run=3,
+        events = detect_boom_bust(as_orbit([0.0, 1.0, 2.0, 3.0, 2.9, 1.0]), min_run=3,
                                   retrace_threshold=0.5)
         assert len(events) == 1
         ev = events[0]
@@ -271,24 +238,24 @@ class TestDetectBoomBust:
         assert detect_boom_bust(o) == []
 
     def test_small_retrace_ignored(self):
-        xs = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 4.9]
-        assert detect_boom_bust(xs, min_run=3, retrace_threshold=0.5) == []
+        o = as_orbit([0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 4.9])
+        assert detect_boom_bust(o, min_run=3, retrace_threshold=0.5) == []
 
     def test_falling_then_rising_reported_negated(self):
-        xs = [5.0, 4.0, 3.0, 2.0, 1.0, 0.0, 4.5]
-        events = detect_boom_bust(xs, min_run=3, retrace_threshold=0.5)
+        o = as_orbit([5.0, 4.0, 3.0, 2.0, 1.0, 0.0, 4.5])
+        events = detect_boom_bust(o, min_run=3, retrace_threshold=0.5)
         assert len(events) == 1
         assert events[0].amplitude == -5.0
         assert events[0].retrace_fraction == pytest.approx(0.9)
 
     def test_empty_orbit(self):
-        assert detect_boom_bust([]) == []
+        assert detect_boom_bust(as_orbit([])) == []
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            detect_boom_bust([1.0, 2.0], min_run=1)
+            detect_boom_bust(as_orbit([1.0, 2.0]), min_run=1)
         with pytest.raises(ValueError):
-            detect_boom_bust([1.0, 2.0], retrace_threshold=0.0)
+            detect_boom_bust(as_orbit([1.0, 2.0]), retrace_threshold=0.0)
 
 
 class TestVerifyConjugacy:

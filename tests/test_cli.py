@@ -33,6 +33,11 @@ class TestSimulate:
         assert code == 3
         assert "numeric error" in err
 
+    def test_overflow_message_exit_3(self, capsys):
+        got = run(capsys, "simulate", "--f", "x^3", "--phi", "y", "--x0", "1e120")
+        assert got == (3, "", "numeric error: Numerical result out of range "
+                              "(node at offset 1) (step 0)\n")
+
     def test_syntax_error_exit_2(self, capsys):
         code, _, err = run(capsys, "simulate", "--f", "x +* 2", "--phi", "y",
                            "--x0", "1")

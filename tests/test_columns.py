@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import boom_bust_runs
 import render_points
+from conftest import as_orbit
 from reflexivity import analysis, dynamics, render
 from reflexivity.dynamics import Orbit, SystemState, make_system, orbit
 
@@ -47,10 +48,6 @@ def piecewise_monotone(rng):
     return xs[:n]
 
 
-def as_orbit(xs):
-    return Orbit(tuple(SystemState(x, 0.0, i) for i, x in enumerate(xs)), "step-budget")
-
-
 class TestBoomBustScan:
     def test_random_lists(self):
         rng = random.Random(12)
@@ -59,9 +56,8 @@ class TestBoomBustScan:
             xs = piecewise_monotone(rng)
             for min_run, threshold in RULES:
                 want = repr(boom_bust_runs.detect_boom_bust(xs, min_run, threshold))
-                assert repr(analysis.detect_boom_bust(xs, min_run, threshold)) == want, \
-                    (xs, min_run, threshold)
-                assert repr(analysis.detect_boom_bust(as_orbit(xs), min_run, threshold)) == want
+                assert repr(analysis.detect_boom_bust(as_orbit(xs), min_run, threshold)) == \
+                    want, (xs, min_run, threshold)
                 events += want != "[]"
         assert events > 800, events
 
@@ -70,7 +66,7 @@ class TestBoomBustScan:
         for _ in range(3000):
             xs = [rng.choice(EDGES) for _ in range(rng.randrange(0, 12))]
             for min_run, threshold in RULES:
-                assert repr(analysis.detect_boom_bust(xs, min_run, threshold)) == \
+                assert repr(analysis.detect_boom_bust(as_orbit(xs), min_run, threshold)) == \
                     repr(boom_bust_runs.detect_boom_bust(xs, min_run, threshold)), xs
 
     @pytest.mark.parametrize("f, phi, x0, n", [
@@ -103,7 +99,7 @@ class TestBoomBustScan:
     ])
     def test_preconditions(self, min_run, threshold, message):
         with pytest.raises(dynamics.PreconditionError, match=message.replace("(", r"\(")):
-            analysis.detect_boom_bust([0.0, 1.0], min_run, threshold)
+            analysis.detect_boom_bust(as_orbit([0.0, 1.0]), min_run, threshold)
 
 
 def _column_cases():

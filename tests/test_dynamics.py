@@ -13,12 +13,12 @@ from reflexivity.dynamics import (
     check_proposition_1,
     classify_stability,
     compose_gamma,
-    compose_phi_map,
     find_fixed_points,
     make_system,
     orbit,
     step,
 )
+from scan_points import point_map
 
 
 def linear_system(a, b, lo=-1.0, hi=1.0):
@@ -178,18 +178,18 @@ class TestOrbit:
             orbit(s, 0.5, 0)
 
     def test_projections_match_composite_iteration(self):
-        # orbit x-projection is the gamma orbit, y-projection the phi-map orbit
+        # orbit x-projection is the gamma orbit, y-projection the orbit of
+        # the map y -> f(phi(y))
         s = make_system("cos(x)", "y/2 + 0.1", (-10.0, 10.0), (-2.0, 2.0))
         o = orbit(s, 1.0, 30)
         gamma = compose_gamma(s)
-        phimap = compose_phi_map(s)
         x = 1.0
         y = expr.evaluate(s.f, 1.0)
         for st in o.states:
             assert abs(st.x - x) <= 1e-12 * max(1.0, abs(x))
             assert abs(st.y - y) <= 1e-12 * max(1.0, abs(y))
             x = gamma(x)
-            y = phimap(y)
+            y = expr.evaluate(s.f, expr.evaluate(s.phi, y))
 
 
 class TestCompositeMaps:
@@ -206,18 +206,6 @@ class TestCompositeMaps:
         g = compose_gamma(s)
         assert g.derivative(0.123) == pytest.approx(0.8, rel=1e-15)
         assert g.derivative(-5.0) == pytest.approx(0.8, rel=1e-15)
-
-    def test_phi_map_inverse_pair(self):
-        s = make_system("2*x", "y/2", (0.0, 10.0), (0.0, 20.0))
-        assert compose_phi_map(s)(7.0) == 7.0
-
-    def test_phi_map_cos(self):
-        s = make_system("cos(x)", "y", (-10.0, 10.0), (-2.0, 2.0))
-        assert compose_phi_map(s)(1.0) == pytest.approx(math.cos(1.0), rel=1e-15)
-
-    def test_phi_map_linear_derivative(self):
-        s = make_system("2*x", "0.4*y", (-1.0, 1.0), (-2.0, 2.0))
-        assert compose_phi_map(s).derivative(0.7) == pytest.approx(0.8, rel=1e-15)
 
 
 class TestFindFixedPoints:
@@ -304,7 +292,7 @@ class TestFindFixedPoints:
         assert "skipped 134 of 401 points" in caplog.text
         assert fp.x_bar == pytest.approx((5.0 + math.sqrt(5.0)) / 2.0, abs=1e-12)
         gamma = compose_gamma(s)
-        point_only = dynamics.ScalarMap(gamma, gamma.derivative)
+        point_only = point_map(gamma, gamma.derivative)
         expected = dynamics.find_map_fixed_points(point_only, -1.0, 5.0, 401)
         assert dynamics.find_map_fixed_points(gamma, -1.0, 5.0, 401) == expected
         assert expected[1] == 134
@@ -324,7 +312,9 @@ class TestBracketSolve:
         x, status, newton_iters = dynamics.bracket_solve(g, 0.0, 2.0, -2.0, 2.0, 1e-15, dg=dg)
         assert status == "converged" and abs(g(x)) <= 1e-15
         assert x == pytest.approx(math.sqrt(2.0), abs=1e-15)
-        _, status, bisect_iters = dynamics.bracket_solve(g, 0.0, 2.0, -2.0, 2.0, 1e-15)
+        # A zero slope takes no Newton step: every step bisects.
+        _, status, bisect_iters = dynamics.bracket_solve(g, 0.0, 2.0, -2.0, 2.0, 1e-15,
+                                                         dg=lambda x: 0.0)
         assert status == "converged"
         assert newton_iters <= 6 < bisect_iters
 
@@ -337,8 +327,8 @@ class TestBracketSolve:
         assert status == "converged" and x == pytest.approx(1.0, abs=1e-13)
 
     def test_endpoint_within_tolerance(self):
-        assert dynamics.bracket_solve(lambda x: x, 0.0, 1.0, 0.0, 1.0, 1e-12) == (
-            0.0, "converged", 0)
+        assert dynamics.bracket_solve(lambda x: x, 0.0, 1.0, 0.0, 1.0, 1e-12,
+                                      dg=lambda x: 1.0) == (0.0, "converged", 0)
 
     def test_jump_is_discontinuity(self):
         g = lambda x: 1.0 if x > 0.3 else -1.0
@@ -348,26 +338,20 @@ class TestBracketSolve:
         assert x in (0.3, math.nextafter(0.3, 1.0))
         assert iters < dynamics.SOLVE_MAX_ITER
 
-    def test_without_derivative_a_collapsed_bracket_converges(self):
-        # Without dg a jump cannot be told from a steep root: the bracket
-        # end with the smaller |g| is the answer.
-        g = lambda x: 1.0 if x > 0.3 else -1.0
-        x, status, iters = dynamics.bracket_solve(g, 0.0, 1.0, -1.0, 1.0, 1e-12)
-        assert status == "converged"
-        assert x in (0.3, math.nextafter(0.3, 1.0))
-        assert iters < dynamics.SOLVE_MAX_ITER
-
     def test_tolerance_is_exclusive(self):
         # |g| < tol, as the fixed-point grid tests it: neither a = 0 nor the
         # midpoint 0.5, where |g| = tol, is taken for a root.
-        got = dynamics.bracket_solve(lambda x: x - 0.25, 0.0, 1.0, -0.25, 0.75, 0.25)
+        got = dynamics.bracket_solve(lambda x: x - 0.25, 0.0, 1.0, -0.25, 0.75, 0.25,
+                                     dg=lambda x: 1.0)
         assert got == (0.25, "converged", 2)
 
     def test_iteration_cap_is_logged(self, caplog):
-        # Bisection from [-1, 1] needs about 1000 halvings to reach 1e-300.
+        # Bisection from [-1, 1] needs about 1000 halvings to reach 1e-300;
+        # a zero slope makes every step bisect.
         g = lambda x: x - 1e-300
         with caplog.at_level(logging.WARNING, logger="reflexivity.dynamics"):
-            x, status, iters = dynamics.bracket_solve(g, -1.0, 1.0, g(-1.0), g(1.0), 0.0)
+            x, status, iters = dynamics.bracket_solve(g, -1.0, 1.0, g(-1.0), g(1.0), 0.0,
+                                                      dg=lambda x: 0.0)
         assert (status, iters) == ("iteration-cap", dynamics.SOLVE_MAX_ITER)
         assert 0.0 <= x <= 2.0 ** -199
         assert "no convergence in 200 iterations" in caplog.text

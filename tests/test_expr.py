@@ -16,7 +16,8 @@ from reflexivity import analysis, dynamics, expr, render
 from reflexivity.expr import BinOp, Call, Neg, Num, Var
 
 from conftest import central_difference, gen_source, sample_safe_expression
-from dual_walk import DualValue, apply_function, eval_walk
+from dual_walk import DualValue, apply_function, eval_walk, message
+from round_trips import serialize
 
 
 class TestParse:
@@ -117,6 +118,20 @@ class TestEvaluate:
 
     def test_negative_base_integer_power(self):
         assert expr.evaluate(expr.parse("x^3"), -2.0) == -8.0
+
+    @pytest.mark.parametrize("run, message", [
+        (lambda: expr.evaluate(expr.parse("x^3"), 1e120),
+         "Numerical result out of range (node at offset 1)"),
+        (lambda: expr.derivative(expr.parse("x^-1"), 1e-200),
+         "Numerical result out of range (node at offset 1)"),
+        (lambda: expr.evaluate(expr.parse("exp(x)"), 1000.0), "math range error (node at offset 0)"),
+    ], ids=["power", "power-rule", "exp"])
+    def test_overflow_message(self, run, message):
+        # float ** raises OverflowError((34, 'Numerical result out of range')):
+        # the message is its text, without the errno.
+        with pytest.raises(expr.EvalDomainError) as ei:
+            run()
+        assert str(ei.value) == message
 
     @pytest.mark.parametrize("src, v, value, slope", [
         # the quotient rule's derivative (da - v*db)/b needs no b*b, which
@@ -310,7 +325,7 @@ class TestDerivative:
             e, v = sample_safe_expression(rng)
             d = expr.derivative(e, v)
             fd = central_difference(e, v)
-            assert abs(fd - d) <= max(1e-6 * abs(d), 1e-8), expr.serialize(e)
+            assert abs(fd - d) <= max(1e-6 * abs(d), 1e-8), e.source
 
 
 class TestDualValue:
@@ -353,7 +368,7 @@ class TestRoundTrip:
     @pytest.mark.parametrize("src", CASES)
     def test_parse_serialize_parse(self, src):
         e1 = expr.parse(src)
-        e2 = expr.parse(expr.serialize(e1))
+        e2 = expr.parse(serialize(e1))
         assert e1.root == e2.root
 
     def test_random_round_trip(self):
@@ -361,7 +376,7 @@ class TestRoundTrip:
         for _ in range(100):
             src = gen_source(rng, 5)
             e1 = expr.parse(src)
-            e2 = expr.parse(expr.serialize(e1))
+            e2 = expr.parse(serialize(e1))
             assert e1.root == e2.root, src
 
 
@@ -382,7 +397,7 @@ def _value_walk(node, x):
         try:
             return apply_function(node.func, arg, node.offset).value
         except (ValueError, OverflowError) as exc:
-            raise expr.EvalDomainError(str(exc), node.offset) from None
+            raise expr.EvalDomainError(message(exc), node.offset) from None
     a, b = _value_walk(node.left, x), _value_walk(node.right, x)
     try:
         if node.op != "^":
@@ -397,7 +412,7 @@ def _value_walk(node, x):
             raise ValueError("non-integer power of a non-positive base")
         return a ** b
     except (ArithmeticError, ValueError) as exc:
-        raise expr.EvalDomainError(str(exc), node.offset) from None
+        raise expr.EvalDomainError(message(exc), node.offset) from None
 
 
 def _renamed(node, name):
@@ -590,7 +605,7 @@ class TestRecord:
     @pytest.mark.parametrize("src", ["x^2 + 1", "-sin(x)^2/3", "2*x*(1-x)", "exp(-x) / (1 + x)"])
     def test_equality_and_hash_ignore_offsets(self, src):
         e = expr.parse(src)
-        again = expr.parse(expr.serialize(e))
+        again = expr.parse(serialize(e))
         assert again.source != e.source
         assert again == e and hash(again) == hash(e)
         assert Num(1.0, 0) == Num(1.0, 7) and hash(Num(1.0, 0)) == hash(Num(1.0, 7))

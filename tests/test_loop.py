@@ -2,11 +2,11 @@
 
 orbit runs its first step through step and the rest in the system's
 compiled loop, and step again only to raise the loop's error;
-detect_period and detect_recurrence run the loop for a compose_gamma map,
-and step the map from the loop's last iterate where the loop fails.
-The references here are the per-step orbit as it was before the loop, and
-the same analyses given a plain callable, which steps the map one value at
-a time.  Every state is compared by repr, so -0.0 and NaN are told apart;
+detect_period runs the loop for a compose_gamma map, and steps the map
+from the loop's last iterate where the loop fails.  The references here
+are the per-step orbit as it was before the loop, and detect_period with
+the map stepped one value at a time from x0, as it ran for a plain
+callable.  Every state is compared by repr, so -0.0 and NaN are told apart;
 every error by type, message and step index.
 """
 
@@ -51,6 +51,14 @@ def per_step_orbit(s, x0, max_steps):
         else:
             streak = 0
     return Orbit(tuple(states), tag)
+
+
+def stepped_period(gamma, x0, max_period, burn_in):
+    """detect_period with gamma stepped one value at a time from x0
+    (_stepped), as a plain callable was: the reference for the loop."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(analysis, "_iterates", analysis._stepped)
+        return analysis.detect_period(gamma, x0, max_period, burn_in)
 
 
 def reference_runs(xs):
@@ -244,8 +252,8 @@ class TestOnePathOrbit:
 
 
 class TestPeriodMatchesPlainCallable:
-    """A compose_gamma map runs the compiled loop; a plain callable wrapping
-    the same map steps it, as every map did before the loop."""
+    """A compose_gamma map runs the compiled loop; stepped_period steps the
+    same map, as every map was stepped before the loop."""
 
     @pytest.mark.parametrize("wide", [False, True], ids=["narrow", "wide"])
     def test_random_systems(self, wide):
@@ -253,18 +261,13 @@ class TestPeriodMatchesPlainCallable:
         found = errors = 0
         for s in systems:
             gamma = dynamics.compose_gamma(s)
-            plain = lambda x: gamma(x)  # noqa: E731
             for x0 in rng.sample(STARTS, 2) + [rng.uniform(*s.x_domain)]:
                 max_period, burn_in = rng.choice((1, 4, 32)), rng.choice((0, 3, 200))
-                want = outcome(lambda: analysis.detect_period(plain, x0, max_period, burn_in))
+                want = outcome(lambda: stepped_period(gamma, x0, max_period, burn_in))
                 got = outcome(lambda: analysis.detect_period(gamma, x0, max_period, burn_in))
                 assert got == want, (s.f.source, s.phi.source, x0, max_period, burn_in)
                 found += want.startswith("PeriodReport") if isinstance(want, str) else 0
                 errors += isinstance(want, tuple)
-                radius, horizon = rng.choice((1e-9, 1e-3, 0.5)), rng.choice((2, 10, 300))
-                want = outcome(lambda: analysis.detect_recurrence(plain, x0, radius, horizon))
-                got = outcome(lambda: analysis.detect_recurrence(gamma, x0, radius, horizon))
-                assert got == want, (s.f.source, s.phi.source, x0, radius, horizon)
         assert found > 20 and errors > 5, (found, errors)
 
     @pytest.mark.parametrize("f, phi, y_domain, x0, burn_in", [
@@ -283,37 +286,21 @@ class TestPeriodMatchesPlainCallable:
     ])
     def test_hand_picked_periods(self, f, phi, y_domain, x0, burn_in):
         gamma = dynamics.compose_gamma(dynamics.make_system(f, phi, (-1.0, 1.0), y_domain))
-        plain = lambda x: gamma(x)  # noqa: E731
         for max_period in (1, 4, 32):
             assert outcome(lambda: analysis.detect_period(gamma, x0, max_period, burn_in)) == \
-                outcome(lambda: analysis.detect_period(plain, x0, max_period, burn_in))
+                outcome(lambda: stepped_period(gamma, x0, max_period, burn_in))
 
     def test_stepping_ends_at_the_first_diverged_value(self):
         def doubling(x):
             assert not analysis._diverged(x), "stepped past a diverged value"
             return 2.0 * x
-        for burn_in in (0, 30, 60):  # divergence at step 41
-            assert analysis.detect_period(doubling, 0.5, 32, burn_in) is None
-        assert analysis.detect_recurrence(doubling, 0.5, 1e-9, 300) is None
+        xs = list(analysis._stepped(doubling, 0.5, 300))  # divergence at step 41
+        assert len(xs) == 41 and analysis._diverged(xs[-1])
 
     def test_iterates_are_the_orbit_xs(self):
         s = dynamics.make_system("3.7*x*(1-x)", "y + 0.01*sin(y)", (0.0, 1.0), (0.0, 1.0))
         xs = dynamics.compose_gamma(s)._iterate(0.2, 300)
         assert repr(xs) == repr(orbit(s, 0.2, 300).xs()[1:])
-
-    def test_recurrence_stops_before_a_later_error(self):
-        # The loop meets the error at step 3; the recurrence at step 2 comes
-        # first, as it does when the map is stepped.
-        s = dynamics.make_system("x", "y", (-1.0, 1.0), (-1.0, 1.0))
-        gamma = dynamics.compose_gamma(s)
-        assert analysis.detect_recurrence(gamma, 0.5, 0.1, 1000) == 2
-        s = dynamics.make_system("sqrt(x)", "y - 0.3", (0.0, 2.0), (-1.0, 2.0))
-        gamma = dynamics.compose_gamma(s)
-        plain = lambda x: gamma(x)  # noqa: E731
-        for radius in (0.3, 1e-9):
-            assert outcome(lambda: analysis.detect_recurrence(gamma, 1.0, radius, 50)) == \
-                outcome(lambda: analysis.detect_recurrence(plain, 1.0, radius, 50))
-
 
     def test_failing_loop_is_stepped_from_its_last_iterate(self):
         # From 1.0, sqrt(x) - 0.3 makes x1..x9 > 0 and x10 < 0, where f
@@ -324,18 +311,13 @@ class TestPeriodMatchesPlainCallable:
         xs = gamma._iterate(1.0, 50)
         assert len(xs) == 9 and xs[-1] > 0.0 > gamma(xs[-1])
         value = gamma._value
-        plain = lambda x: value(x)  # noqa: E731
         calls = []
         gamma._value = lambda x: calls.append(x) or value(x)
-        runs = [lambda m, p=p, b=b: analysis.detect_period(m, 1.0, p, b)
-                for p, b in ((4, 0), (5, 0), (6, 0), (32, 0), (1, 8), (1, 9))]
-        runs += [lambda m, r=r, h=h: analysis.detect_recurrence(m, 1.0, r, h)
-                 for r, h in ((0.5, 50), (1e-9, 9), (1e-9, 10), (1e-9, 11), (1e-9, 50))]
         seen = set()
-        for run in runs:
+        for p, b in ((4, 0), (5, 0), (6, 0), (32, 0), (1, 8), (1, 9)):
+            want = outcome(lambda: stepped_period(gamma, 1.0, p, b))
             calls.clear()
-            want = outcome(lambda: run(plain))
-            assert outcome(lambda: run(gamma)) == want
+            assert outcome(lambda: analysis.detect_period(gamma, 1.0, p, b)) == want
             assert calls == [] or repr(calls[0]) == repr(xs[-1]) and len(calls) <= 2, calls
             seen.add((len(calls), want[0] if isinstance(want, tuple) else "result"))
         # Callers that stop before step 10, at it, and after it.

@@ -9,12 +9,12 @@ from reflexivity.render import (
     PhasePortraitTrace,
     RenderOptions,
     StaircaseTrace,
-    orbit_states_from_csv,
     phase_portrait,
     staircase,
     to_csv,
     to_svg,
 )
+from round_trips import read_csv
 
 
 @pytest.fixture
@@ -114,16 +114,12 @@ class TestCsv:
 
     def test_round_trip_bit_exact(self, cos_orbit):
         _, o = cos_orbit
-        states = orbit_states_from_csv(to_csv(o))
-        assert len(states) == len(o.states)
-        for got, want in zip(states, o.states):
-            assert got.x == want.x  # bit-exact via 17 significant digits
-            assert got.y == want.y
-            assert got.index == want.index
-
-    def test_bad_header_rejected(self):
-        with pytest.raises(ValueError):
-            orbit_states_from_csv("a,b,c\n1,2,3\n")
+        rows = read_csv(to_csv(o))
+        assert len(rows) == len(o.states)
+        for (x, y, index), want in zip(rows, o.states):
+            assert x == want.x  # bit-exact via 17 significant digits
+            assert y == want.y
+            assert index == want.index
 
 
 class TestSvg:

@@ -18,11 +18,11 @@ error the first failing x meets; the grid passes and builtin scans it
 replaced, with the point-by-point evaluation that found that error before
 the loop raised it itself, and the loop over the residuals before them, are
 kept here as references.  The fixed-point scan skips and counts a failing
-point itself; the point loop it ran again before is the reference.  The
-finiteness check of make_system runs one loop over its grid; the grid pass
-and point loop it replaced are the reference.  Reports are compared by
-repr, so -0.0 and NaN are told apart, warnings by message, and errors by
-type and message.
+point itself; the point loop it ran again before, in scan_points.py, is
+the reference.  The finiteness check of make_system runs one loop over its
+grid; the grid pass and point loop it replaced are the reference.  Reports
+are compared by repr, so -0.0 and NaN are told apart, warnings by message,
+and errors by type and message.
 """
 
 import gc
@@ -39,6 +39,7 @@ from conftest import gen_source, hand_back_every_sample
 from reflexivity import analysis, cli, dynamics, expr, render
 from reflexivity.analysis import function_distance
 from reflexivity.dynamics import make_system
+from scan_points import point_map
 
 
 def outcome(run):
@@ -68,11 +69,11 @@ def per_sample_distance(s, samples=analysis.DEFAULT_SAMPLES):
         raise analysis.OutOfRangeError("image of f does not overlap y_domain")
     # The top grid point can round one ulp past f's attained range.
     ys = [min(max(y, f_min), f_max) for y in dynamics._grid(y_lo, y_hi, samples)]
-    fn, dfn = analysis._evaluator(s.f)
+    fn, dfn = (lambda x: expr.evaluate(s.f, x)), (lambda x: expr.derivative(s.f, x))
     best, argmax, inv = -1.0, y_lo, None
     jumps = nans = 0
     for y in ys:
-        inv, status = analysis._invert(fn, dfn, lo, hi, flo, fhi, y, analysis.INVERT_RTOL, inv)
+        inv, status = analysis._invert(fn, dfn, lo, hi, flo, fhi, y, inv)
         jumps += status == "discontinuity"
         diff = abs(expr.evaluate(s.phi, y) - inv)
         if diff > best:
@@ -444,23 +445,16 @@ def reference_fixed_points(fn, many, lo, hi, grid_n=dynamics.DEFAULT_GRID,
 
 def list_direction(f, lo, hi):
     """_monotone_direction as it was before its compiled scan: the grid as a
-    list, an Expression's values from one evaluate_many pass (else, or for
-    a plain callable, computed as the loop reaches them), neighbours
-    compared with builtins, and the loop over the differences only where
-    that decides nothing.  The reference for the scan."""
-    if isinstance(f, expr.Expression):
-        fn = lambda x: expr.evaluate(f, x)  # noqa: E731
-    else:
-        fn = f
-    prev_x, prev_v = lo, fn(lo)
+    list, f's values from one evaluate_many pass (else computed as the loop
+    reaches them), neighbours compared with builtins, and the loop over the
+    differences only where that decides nothing.  The reference for the
+    scan."""
+    prev_x, prev_v = lo, expr.evaluate(f, lo)
     xs = dynamics._grid(lo, hi, analysis.MONOTONE_DIFFS + 1)[1:]
-    if isinstance(f, expr.Expression):
-        try:
-            vs = expr.evaluate_many(f, xs)
-        except expr.EvalDomainError:
-            vs = (expr.evaluate(f, x) for x in xs)
-    else:
-        vs = map(f, xs)
+    try:
+        vs = expr.evaluate_many(f, xs)
+    except expr.EvalDomainError:
+        vs = (expr.evaluate(f, x) for x in xs)
     if isinstance(vs, list):
         us = [prev_v, *vs]
         if all(map(lt, us, vs)):
@@ -479,12 +473,11 @@ def list_direction(f, lo, hi):
     return "increasing" if direction > 0 else "decreasing"
 
 
-def point_loop_direction(f, lo, hi):
-    """_monotone_direction's loop over the differences, point by point, as
-    it ran for a plain callable and, for an Expression, wherever the
-    compiled scan found no direction or failed.  The reference for the
-    scan's (sign, k) and the error raised from it."""
-    fn = (lambda x: expr.evaluate(f, x)) if isinstance(f, expr.Expression) else f
+def point_loop_direction(fn, lo, hi):
+    """_monotone_direction's loop over the differences, with the callable
+    fn called point by point, as it ran for a plain callable and, for an
+    Expression, wherever the compiled scan found no direction or failed.
+    The reference for the scan's (sign, k) and the error raised from it."""
     prev_x, prev_v = lo, fn(lo)
     n = analysis.MONOTONE_DIFFS + 1
     w, m = dynamics._grid_span(lo, hi, n)
@@ -587,7 +580,7 @@ def monotone_trials(rng):
 def reference_fixed_point_images(f, g, h, lo, hi, fp_tol, verdict, violation_x):
     """verify_conjugacy's check that g fixes the images of f's fixed points:
     (images checked, verdict, violation_x)."""
-    f_map = dynamics.ScalarMap(lambda x: expr.evaluate(f, x), lambda x: expr.derivative(f, x))
+    f_map = point_map(lambda x: expr.evaluate(f, x), lambda x: expr.derivative(f, x))
     fixed_points, _ = list_fixed_points(f_map, lambda xs: expr.evaluate_many(f, xs), lo, hi,
                                         grid_n=1024)
     checked = 0
@@ -684,10 +677,6 @@ class TestScansMatchLoops:
         # smallest; 1e-200 * -1e-200 underflows to -0.0.
         rng = random.Random(7)
         calls = []
-        pointwise = []
-        scan_points = dynamics._scan_points
-        monkeypatch.setattr(dynamics, "_scan_points",
-                            lambda fn, *a: pointwise.append(fn) or scan_points(fn, *a))
 
         def solve(g, a, b, ga, gb, tol, x0=None, dg=None):
             calls.append((a, b, ga, gb))
@@ -730,7 +719,7 @@ class TestScansMatchLoops:
                 [k for k in signs if not (near[k] or near[k + 1])], len(bad)), (vs, bad)
             assert list(map(repr, seen)) == list(map(repr, xs))
             fn = dynamics.ScalarMap(value, lambda x: 0.0, scan_fn=kernel)
-            point_only = dynamics.ScalarMap(value, lambda x: 0.0)
+            point_only = point_map(value, lambda x: 0.0)
             results = []
             for find in (lambda: dynamics.find_map_fixed_points(fn, -1e-300, 1e-300, n, tol),
                          lambda: dynamics.find_map_fixed_points(point_only, -1e-300, 1e-300, n,
@@ -743,22 +732,17 @@ class TestScansMatchLoops:
                     got = outcome(find)
                 results.append((got, list(calls), [r.getMessage() for r in caplog.records]))
             assert results[0] == results[1] == results[2] == results[3], (vs, bad, tol)
-            # Only the map without a scan went point by point.
-            assert pointwise == [point_only], (vs, bad, tol)
-            pointwise.clear()
 
-    def test_failure_heavy_grid_is_scanned_once(self, caplog, monkeypatch):
+    def test_failure_heavy_grid_is_scanned_once(self, caplog):
         # sqrt and log fail on the 2,048 points of [-1, 0); the scan skips
-        # each itself, and the grid is not run again point by point.
+        # each itself, in one pass, as the point-by-point scan does.
         e = expr.parse("sqrt(x) - 0.5*log(x)")
+        scans = []
+        kernel = dynamics._scan(e, e)
         scanned = dynamics.ScalarMap(lambda x: expr.evaluate(e, x),
                                      lambda x: expr.derivative(e, x),
-                                     scan_fn=lambda *grid: dynamics._scan(e, e)(*grid))
-        point_only = dynamics.ScalarMap(scanned._value, scanned._deriv)
-        pointwise = []
-        scan_points = dynamics._scan_points
-        monkeypatch.setattr(dynamics, "_scan_points",
-                            lambda fn, *a: pointwise.append(fn) or scan_points(fn, *a))
+                                     scan_fn=lambda *grid: scans.append(grid) or kernel(*grid))
+        point_only = point_map(scanned._value, scanned._deriv)
         results = []
         for fn in (scanned, point_only):
             caplog.clear()
@@ -767,11 +751,10 @@ class TestScansMatchLoops:
             results.append((got, [r.getMessage() for r in caplog.records]))
         assert results[0] == results[1] == (
             ([1.0], 2048), ["fixed-point grid: skipped 2048 of 4096 points"])
-        assert pointwise == [point_only]
         with pytest.raises(dynamics.DomainValidationError,
                            match="^map invalid over the entire domain$"):
             dynamics.find_map_fixed_points(scanned, -2.0, -1.0, 64)
-        assert pointwise == [point_only]
+        assert len(scans) == 2
 
     def test_residual_scan(self, monkeypatch):
         # The residual loop compiled with crafted columns for h(f(x)) and
@@ -921,12 +904,10 @@ class TestMonotoneMatchesPointLoop:
             "fails-after-reversal", "flat-from-signed-zero", "decreasing-from-signed-zero",
             "nan-at-lo", "fails-at-lo"])
     def test_expression_and_callable(self, f, lo, hi):
+        # The Expression's scan against its values called point by point.
         e = expr.parse(f)
-        want = outcome(lambda: point_loop_direction(e, lo, hi))
+        want = outcome(lambda: point_loop_direction(lambda x: expr.evaluate(e, x), lo, hi))
         assert outcome(lambda: analysis._monotone_direction(e, lo, hi)) == want
-        plain = lambda x: expr.evaluate(e, x)  # noqa: E731
-        assert outcome(lambda: analysis._monotone_direction(plain, lo, hi)) == want
-        assert outcome(lambda: point_loop_direction(plain, lo, hi)) == want
         if repr(lo) == "-0.0" and want[0] == "NonMonotoneError":
             assert want[2].startswith("(-0.0, "), want
 
@@ -937,7 +918,7 @@ class TestMonotoneMatchesPointLoop:
             e = expr.parse(gen_source(rng, 4, wide=True))
             lo = rng.choice((-2.0, -0.0, 0.0, 0.5, rng.uniform(-3.0, 3.0)))
             hi = lo + rng.choice((1e-9, 1.0, 3.0))
-            want = outcome(lambda: point_loop_direction(e, lo, hi))
+            want = outcome(lambda: point_loop_direction(lambda x: expr.evaluate(e, x), lo, hi))
             assert outcome(lambda: analysis._monotone_direction(e, lo, hi)) == want, (
                 e.source, lo, hi)
             kinds.add(want if isinstance(want, str) else want[0])
