@@ -23,6 +23,9 @@ DEFAULT_SAMPLES = 4096
 DEFAULT_MIN_RUN = 5
 DEFAULT_RETRACE_THRESHOLD = 0.5
 DEFAULT_MAX_PERIOD = 32
+# The phi with which verify_conjugacy searches f's own fixed points.  One
+# object, so that f's fixed-point scan is compiled once (see expr.kernel).
+_IDENTITY = _expr.parse("y")
 
 
 class AnalysisError(Exception):
@@ -99,10 +102,8 @@ def compiled(lo, w, m, n, prev{params}):
 
 
 def _monotone(f):
-    """f's compiled monotonicity scan (_MONOTONE), compiled on first use and
-    kept on f."""
-    return f._monotone or _expr.kept_loop(f, "_monotone", _MONOTONE, {"f": (f, "x")},
-                                          {"range": range})
+    """f's compiled monotonicity scan (_MONOTONE), kept by expr.kernel."""
+    return _expr.kernel(_MONOTONE, {"f": (f, "x")}, {"range": range})
 
 
 def _monotone_direction(f, lo, hi):
@@ -124,18 +125,19 @@ def _monotone_direction(f, lo, hi):
     return "increasing" if sign > 0 else "decreasing"
 
 
-def _invert(fn, dfn, lo, hi, flo, fhi, y, x0=None):
-    """(x, status) with x in [lo, hi] and |fn(x) - y| <= INVERT_RTOL*max(1, |y|),
-    for monotone fn with fn(lo) = flo and fn(hi) = fhi; Newton steps use
-    its derivative dfn.  status is bracket_solve's; on "discontinuity" y
-    lies in a jump of fn and x is where fn jumps."""
+def _invert(f, lo, hi, flo, fhi, y, x0=None):
+    """(x, status) with x in [lo, hi] and |f(x) - y| <= INVERT_RTOL*max(1, |y|),
+    for the Expression f, monotone with f(lo) = flo and f(hi) = fhi; Newton
+    steps use its derivative.  status is bracket_solve's; on "discontinuity"
+    y lies in a jump of f and x is where f jumps."""
     if not (min(flo, fhi) <= y <= max(flo, fhi)):
         raise OutOfRangeError(
             f"y={y!r} outside attained range [{min(flo, fhi)!r}, {max(flo, fhi)!r}]")
     # bracket_solve accepts |g| < tol; the next float up makes that <= INVERT_RTOL*...
     tol = math.nextafter(INVERT_RTOL * max(1.0, abs(y)), math.inf)
-    x, status, _ = _dyn.bracket_solve(lambda t: fn(t) - y, lo, hi, flo - y, fhi - y,
-                                      tol, x0, dg=dfn)
+    x, status, _ = _dyn.bracket_solve(lambda t: _expr.evaluate(f, t) - y, lo, hi,
+                                      flo - y, fhi - y, tol, x0,
+                                      dg=lambda t: _expr.derivative(f, t))
     return x, status
 
 
@@ -166,13 +168,11 @@ def function_distance(s, samples=DEFAULT_SAMPLES):
         raise OutOfRangeError("image of f does not overlap y_domain")
     w, m = _dyn._grid_span(y_lo, y_hi, samples)
     sweep, grid = _kernel(s), (y_lo, w, m, samples, lo, hi, flo, fhi)
-    f = s.f
-    fn, dfn = (lambda x: _expr.evaluate(f, x)), (lambda x: _expr.derivative(f, x))
     jumps = 0
     k, best, argmax, nans, inv = sweep(*grid, 0, -1.0, y_lo, 0, None)
     while k < samples:
         y = min(y_lo + w * k / m, f_max)
-        inv, status = _invert(fn, dfn, lo, hi, flo, fhi, y, inv)
+        inv, status = _invert(s.f, lo, hi, flo, fhi, y, inv)
         jumps += status == "discontinuity"
         diff = abs(_expr.evaluate(s.phi, y) - inv)
         if diff > best:
@@ -267,9 +267,8 @@ def compiled(y_lo, w, m, n, lo, hi, flo, fhi, start, best, argmax, nans, inv{par
 
 
 def _kernel(s):
-    """s's compiled sweep (_SWEEP), compiled on first use and kept on s."""
-    return s._sweep or _expr.kept_loop(s, "_sweep", _SWEEP, {
-        "f": (s.f, "x"), "phi": (s.phi, "y")}, {
+    """s's compiled sweep (_SWEEP), kept by expr.kernel."""
+    return _expr.kernel(_SWEEP, {"f": (s.f, "x"), "phi": (s.phi, "y")}, {
         "max": max, "range": range, "nextafter": math.nextafter, "inf": math.inf,
         "rtol": INVERT_RTOL, "cap": _dyn.SOLVE_MAX_ITER, "numeric": _expr._NUMERIC_ERRORS},
         dual=("f",))
@@ -279,36 +278,47 @@ def _diverged(x):
     return x != x or abs(x) > _dyn.DIVERGENCE_CUTOFF
 
 
-def _iterates(map_fn, x, n):
-    """map_fn(x), map_fn(map_fn(x)), ... (n values), ending after the first
-    diverged one, for a compose_gamma map: the list from its system's
-    compiled loop.  Where the loop fails, the map is stepped on from the
-    last iterate the loop made, and the step that fails raises its error.
+def _iterates(gamma, x, n):
+    """gamma(x), gamma(gamma(x)), ... (n values), ending after the first
+    diverged one: orbit's xs after x, from the compiled loop of gamma's
+    system with the convergence stop off.  Where the loop fails, gamma is
+    stepped on from the last iterate the loop made, and the step that fails
+    raises its error.
     """
-    xs = map_fn._iterate(x, n)
+    s = gamma.system
+    xs = []
+    try:
+        _dyn._loop(s)(x, _expr.evaluate(s.f, x), n, 0, 0, xs, [])
+    except _expr.EvalDomainError:
+        pass
     if len(xs) < n and not (xs and _diverged(xs[-1])):
-        xs += _stepped(map_fn, xs[-1] if xs else x, n - len(xs))
+        xs += _stepped(gamma, xs[-1] if xs else x, n - len(xs))
     return xs
 
 
-def _stepped(map_fn, x, n):
+def _stepped(gamma, x, n):
     for _ in range(n):
-        x = map_fn(x)
+        x = gamma(x)
         yield x
         if _diverged(x):
             return
 
 
-def detect_period(map_fn, x0, max_period=DEFAULT_MAX_PERIOD, burn_in=0):
-    """Minimal period of the orbit tail of the compose_gamma map map_fn
-    from x0, or None."""
+def detect_period(gamma, x0, max_period=DEFAULT_MAX_PERIOD, burn_in=0):
+    """Minimal period of the orbit tail of gamma = compose_gamma(s) from
+    x0, or None.  The iterates come from s's compiled orbit loop; a
+    non-finite x0 raises OrbitNumericError at step 0, as orbit does."""
+    if not isinstance(gamma, _dyn.Gamma):
+        raise TypeError(f"detect_period takes compose_gamma(s), not {type(gamma).__name__}")
     if max_period < 1:
         raise _dyn.PreconditionError("max_period must be >= 1")
     if burn_in < 0:
         raise _dyn.PreconditionError("burn_in must be >= 0")
     iterates = [float(x0)]
+    if not math.isfinite(iterates[0]):
+        raise _dyn.OrbitNumericError(f"non-finite state x={iterates[0]!r}", 0)
     # n >= 2 values follow x0, and only the last can have diverged.
-    iterates += _iterates(map_fn, iterates[0], burn_in + 2 * max_period)
+    iterates += _iterates(gamma, iterates[0], burn_in + 2 * max_period)
     if _diverged(iterates[-1]):
         return None
     iterates = iterates[burn_in:]
@@ -330,6 +340,8 @@ def detect_boom_bust(o, min_run=DEFAULT_MIN_RUN, retrace_threshold=DEFAULT_RETRA
     A step whose difference is not positive or negative (flat, NaN) is in
     no run, and a run is maximal: the run after it starts where it ends.
     """
+    if not isinstance(o, _dyn.Orbit):
+        raise TypeError(f"detect_boom_bust takes an Orbit, not {type(o).__name__}")
     if not min_run >= 2:
         raise _dyn.PreconditionError("min_run must be >= 2")
     if not (0 < retrace_threshold <= 1):
@@ -392,15 +404,10 @@ def compiled(lo, w, m, n{params}):
 
 
 def _residuals(f, g, h):
-    """The compiled residual loop (_RESIDUALS) of f and g under h, kept on h
-    with the f and g it was compiled for and reused for those same objects."""
-    kept = h._conjugacy
-    if kept is not None and kept[0] is f and kept[1] is g:
-        return kept[2]
-    fn = _expr.compile_loop(_RESIDUALS, {
+    """The compiled residual loop (_RESIDUALS) of f and g under h, kept by
+    expr.kernel."""
+    return _expr.kernel(_RESIDUALS, {
         "f": (f, "x"), "h": (h, "x"), "hf": (h, "fx"), "gh": (g, "hx")}, {"range": range})
-    object.__setattr__(h, "_conjugacy", (f, g, fn))
-    return fn
 
 
 def verify_conjugacy(f, g, h, interval, samples=DEFAULT_SAMPLES,
@@ -422,8 +429,6 @@ def verify_conjugacy(f, g, h, interval, samples=DEFAULT_SAMPLES,
         raise _dyn.PreconditionError("tol and fp_tol must be >= 0")
     lo, hi = interval
     _dyn._check_interval(lo, hi)
-    h_fn = lambda x: _expr.evaluate(h, x)
-    g_fn = lambda x: _expr.evaluate(g, x)
     _monotone_direction(h, lo, hi)  # homeomorphism proxy check
 
     w, m = _dyn._grid_span(lo, hi, samples)
@@ -432,13 +437,11 @@ def verify_conjugacy(f, g, h, interval, samples=DEFAULT_SAMPLES,
     violation_x = argmax if max_residual > tol else nan_x
     verdict = "consistent" if violation_x is None else "violated"
 
-    f_map = _dyn.ScalarMap(lambda x: _expr.evaluate(f, x), lambda x: _expr.derivative(f, x),
-                           scan_fn=lambda *grid: _dyn._scan(f, f)(*grid))
-    fixed_points, _ = _dyn.find_map_fixed_points(f_map, lo, hi, grid_n=1024)
+    fixed_points, _ = _dyn.find_map_fixed_points(f, _IDENTITY, lo, hi, grid_n=1024)
     checked = 0
     for x_bar in fixed_points:
-        hx = h_fn(x_bar)
-        if not abs(g_fn(hx) - hx) <= fp_tol:
+        hx = _expr.evaluate(h, x_bar)
+        if not abs(_expr.evaluate(g, hx) - hx) <= fp_tol:
             verdict = "violated"
             if violation_x is None:
                 violation_x = x_bar

@@ -71,13 +71,6 @@ class ReflexiveSystem:
     phi: _expr.Expression
     x_domain: tuple
     y_domain: tuple
-    # The compiled loop of orbit and of gamma's iterates, compiled on first
-    # use (see _loop), the fixed-point scan of gamma, on the first search
-    # (see _scan), and analysis.function_distance's compiled sweep, on its
-    # first call (see analysis._kernel).
-    _loop: object = _expr.field(init=False, compare=False, repr=False, default=None)
-    _scan: object = _expr.field(init=False, compare=False, repr=False, default=None)
-    _sweep: object = _expr.field(init=False, compare=False, repr=False, default=None)
 
     def __post_init__(self):
         _check_interval(*self.x_domain, "x_domain")
@@ -162,25 +155,20 @@ class Prop1Report:
     residual_phi_map: float
 
 
-class ScalarMap:
-    """A one-dimensional map with a pointwise derivative and a compiled
-    fixed-point scan: scan_fn(lo, w, m, n, tol) is _SCAN's result (near,
-    signs, skipped) for the map.  compose_gamma's map also has a compiled
-    iteration: iterate_fn(t, n) is the n values map(t), map(map(t)), ...,
-    cut after the first one that is not finite or beyond DIVERGENCE_CUTOFF,
-    or cut before the first step that fails."""
+@_expr.record
+class Gamma:
+    """The composite map x -> phi(f(x)) of system, with chain-rule
+    derivative."""
 
-    def __init__(self, value_fn, deriv_fn, *, scan_fn, iterate_fn=None):
-        self._value = value_fn
-        self._deriv = deriv_fn
-        self._iterate = iterate_fn
-        self._scan = scan_fn
+    system: ReflexiveSystem
 
-    def __call__(self, t):
-        return self._value(t)
+    def __call__(self, x):
+        s = self.system
+        return _expr.evaluate(s.phi, _expr.evaluate(s.f, x))
 
-    def derivative(self, t):
-        return self._deriv(t)
+    def derivative(self, x):
+        s = self.system
+        return _expr.derivative(s.phi, _expr.evaluate(s.f, x)) * _expr.derivative(s.f, x)
 
 
 def step(s, st):
@@ -196,12 +184,12 @@ def step(s, st):
     return SystemState(x_next, y_next, st.index + 1)
 
 
-# The loop of orbit and of gamma's iterates: from the state (x, y), up to
-# n steps of x' = phi(y), y' = f(x'), appended to the caller's lists xs and
-# ys, with orbit's divergence and convergence stops, streak counting the
-# converging steps before (x, y).  It returns the tag; window=0 turns the
-# convergence stop off.  Comparisons stand in for orbit's calls with the
-# same result: `not -cutoff <= x <= cutoff` for its divergence test
+# The loop of orbit and of analysis.detect_period's iterates: from the state
+# (x, y), up to n steps of x' = phi(y), y' = f(x'), appended to the caller's
+# lists xs and ys, with orbit's divergence and convergence stops, streak
+# counting the converging steps before (x, y).  It returns the tag; window=0
+# turns the convergence stop off.  Comparisons stand in for orbit's calls
+# with the same result: `not -cutoff <= x <= cutoff` for its divergence test
 # (`not isfinite(x) or abs(x) > DIVERGENCE_CUTOFF`), a conditional for
 # max(1.0, abs(p)), and -t < x - p < t for abs(x - p) < t.
 _LOOP = """\
@@ -232,8 +220,9 @@ def compiled(x, y, n, streak, window, xs, ys{params}):
 
 
 def _loop(s):
-    """s's compiled loop (_LOOP), compiled on first use and kept on s."""
-    return s._loop or _expr.kept_loop(s, "_loop", _LOOP, {"phi": (s.phi, "y"), "f": (s.f, "x")}, {
+    """s's compiled loop (_LOOP), kept by expr.kernel on s.f, as every
+    kernel of s is: s.phi then holds no reference back to s.f."""
+    return _expr.kernel(_LOOP, {"f": (s.f, "x"), "phi": (s.phi, "y")}, {
         "range": range, "cutoff": DIVERGENCE_CUTOFF, "rtol": CONVERGENCE_RTOL})
 
 
@@ -271,27 +260,11 @@ def orbit(s, x0, max_steps):
     return o
 
 
-def _gamma_iterates(s, x, n):
-    """The iterate_fn of compose_gamma(s): from s's loop with the convergence
-    stop off, orbit's xs after x, up to the step where the loop fails; the
-    caller steps the map from there and meets the error itself."""
-    xs = []
-    try:
-        _loop(s)(x, _expr.evaluate(s.f, x), n, 0, 0, xs, [])
-    except _expr.EvalDomainError:
-        pass
-    return xs
-
-
 def compose_gamma(s):
-    """The composite map x -> phi(f(x)) with chain-rule derivative."""
-    f, phi = s.f, s.phi
-    return ScalarMap(
-        lambda x: _expr.evaluate(phi, _expr.evaluate(f, x)),
-        lambda x: _expr.derivative(phi, _expr.evaluate(f, x)) * _expr.derivative(f, x),
-        iterate_fn=lambda x, n: _gamma_iterates(s, x, n),
-        scan_fn=lambda *grid: _scan(s, f, phi)(*grid),
-    )
+    """The composite map x -> phi(f(x)) of the system s, with chain-rule
+    derivative: a Gamma, which analysis.detect_period iterates in s's
+    compiled loop."""
+    return Gamma(s)
 
 
 def _slope(dg, x):
@@ -390,19 +363,18 @@ def compiled(lo, w, m, n, tol{params}):
 """
 
 
-def _scan(owner, f, phi=None):
-    """The fixed-point scan (_SCAN) of phi(f(x)), or of f(x) if phi is None,
-    compiled on first use and kept on owner: the system of compose_gamma's
-    map, or f itself."""
-    return owner._scan or _expr.kept_loop(owner, "_scan", _SCAN, {
-        "f": (f, "x"), "phi": (phi or _expr.parse("y"), "y")}, {
+def _scan(f, phi):
+    """The fixed-point scan (_SCAN) of phi(f(x)), kept by expr.kernel."""
+    return _expr.kernel(_SCAN, {"f": (f, "x"), "phi": (phi, "y")}, {
         "range": range, "numeric": _expr._NUMERIC_ERRORS, "nan": math.nan})
 
 
-def find_map_fixed_points(fn, lo, hi, grid_n=DEFAULT_GRID, tol=ROOT_TOL):
-    """Roots of the ScalarMap fn minus x on [lo, hi], lo < hi (else
-    DomainValidationError), by uniform grid plus bracket_solve with fn's
-    derivative.  fn's compiled scan covers the grid.
+def find_map_fixed_points(f, phi, lo, hi, grid_n=DEFAULT_GRID, tol=ROOT_TOL):
+    """Roots of phi(f(x)) - x on [lo, hi], lo < hi (else
+    DomainValidationError), for the Expressions f and phi, by uniform grid
+    plus bracket_solve with the chain-rule derivative.  The compiled scan of
+    phi(f(x)) covers the grid; a caller searching f alone passes the
+    identity as phi.
 
     Returns (roots, skipped) where skipped counts grid points dropped for
     numeric domain errors.  A pair of grid values with a NaN end brackets
@@ -416,15 +388,15 @@ def find_map_fixed_points(fn, lo, hi, grid_n=DEFAULT_GRID, tol=ROOT_TOL):
         raise PreconditionError("tol must be >= 0")
     _check_interval(lo, hi)
     w, m = _grid_span(lo, hi, grid_n)
-    near, signs, skipped = fn._scan(lo, w, m, grid_n, tol)
+    near, signs, skipped = _scan(f, phi)(lo, w, m, grid_n, tol)
     if skipped == grid_n:
         raise DomainValidationError("map invalid over the entire domain")
     if skipped:
         log.warning("fixed-point grid: skipped %d of %d points", skipped, grid_n)
 
     # The few points needed again are made and evaluated as the scan did.
-    g = lambda x: fn(x) - x
-    dg = lambda x: fn.derivative(x) - 1.0
+    g = lambda x: _expr.evaluate(phi, _expr.evaluate(f, x)) - x
+    dg = lambda x: _expr.derivative(phi, _expr.evaluate(f, x)) * _expr.derivative(f, x) - 1.0
     roots = [lo + w * k / m for k in near]
     jumps = 0
     for k in signs:
@@ -452,9 +424,8 @@ def find_map_fixed_points(fn, lo, hi, grid_n=DEFAULT_GRID, tol=ROOT_TOL):
 
 def find_fixed_points(s, grid_n=DEFAULT_GRID):
     """Locate and classify all fixed points of the system on x_domain."""
-    gamma = compose_gamma(s)
     lo, hi = s.x_domain
-    roots, _ = find_map_fixed_points(gamma, lo, hi, grid_n)
+    roots, _ = find_map_fixed_points(s.f, s.phi, lo, hi, grid_n)
     out = []
     for x_bar in roots:
         y_bar = _expr.evaluate(s.f, x_bar)

@@ -12,7 +12,9 @@ message and node offset, at no cost until something fails.  compile_loop
 puts the lines of several expressions, values only or values with
 derivatives, into one function from a template: the orbit loop and the
 fixed-point scan of the dynamics layer, and the monotonicity scan,
-inversion sweep and conjugacy residual of the analysis layer.
+inversion sweep and conjugacy residual of the analysis layer.  kernel
+keeps each such function on the first Expression it holds, and compiles
+it again only for other Expression objects.
 
 The module also holds the two helpers every layer uses: `record`, which
 makes the frozen result classes, and `LazyLogger`.
@@ -23,7 +25,7 @@ from __future__ import annotations
 import math
 import re
 import sys
-from operator import itemgetter
+from operator import is_, itemgetter
 
 
 class ExpressionError(Exception):
@@ -232,17 +234,12 @@ class Expression:
     _value: object = field(init=False, compare=False, repr=False)
     # Compiled on the first derivative call: most expressions never need it.
     _derivative: object = field(init=False, compare=False, repr=False, default=None)
-    # analysis.verify_conjugacy's compiled residual loop with this as h, as
-    # (f, g, loop), compiled on its first call (see analysis._residuals), and
-    # the grid scans compiled on first use for this expression: the
-    # fixed-point scan of it as a map (dynamics._scan) and the monotonicity
-    # scan (analysis._monotone).
-    _conjugacy: object = field(init=False, compare=False, repr=False, default=None)
-    _scan: object = field(init=False, compare=False, repr=False, default=None)
-    _monotone: object = field(init=False, compare=False, repr=False, default=None)
+    # The compiled kernels whose first part this is, by template (see kernel).
+    _kernels: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_value", _compile(self.root))
+        object.__setattr__(self, "_kernels", {})
 
 
 # ---------------------------------------------------------------------------
@@ -682,11 +679,9 @@ def compile_loop(template, parts, env, dual=()):
     variable so named and its locals and constants prefixed by name, and
     {name} the name holding its value.  A part named in dual gets its value
     and derivative lines instead, and {name} is "value, derivative", the
-    two names holding them.  env binds the template's own helpers.  The
-    loop of dynamics.orbit, the fixed-point and monotonicity scans, the
-    sweep of analysis.function_distance and the residual of
-    analysis.verify_conjugacy are compiled this way; a failing part line
-    raises its typed error, as in _compile's functions."""
+    two names holding them.  env binds the template's own helpers.  A
+    failing part line raises its typed error, as in _compile's functions.
+    Callers reach it through kernel, which keeps what it compiles."""
     emitted = {}
     for name, (e, var) in parts.items():
         em = _Emitter(name in dual, var=var, prefix=name)
@@ -695,11 +690,19 @@ def compile_loop(template, parts, env, dual=()):
     return _define(template, emitted, env)
 
 
-def kept_loop(owner, name, template, parts, env, dual=()):
-    """compile_loop's function, kept on owner as its attribute name: a
-    record field left None until the first use compiles it."""
+def kernel(template, parts, env, dual=()):
+    """compile_loop's function, kept in the _kernels of the first part's
+    Expression under template, with the other parts' Expressions.  It is
+    compiled on first use, and again only when a part is not the same
+    object as the kept one was compiled for: equal Expressions parsed apart
+    do not share a kernel.  A kernel, and the other parts it holds, live as
+    long as its first part, or until another compile replaces it."""
+    owner, *others = [e for e, _ in parts.values()]
+    kept = owner._kernels.get(template)
+    if kept is not None and all(map(is_, kept[0], others)):
+        return kept[1]
     fn = compile_loop(template, parts, env, dual)
-    object.__setattr__(owner, name, fn)
+    owner._kernels[template] = others, fn
     return fn
 
 

@@ -4,14 +4,15 @@ tested against.
 
 scan_points calls the map at each grid point and scans the values with
 builtins, as the dynamics layer did for a map without a compiled scan;
-point_map gives find_map_fixed_points a map that scans that way.
+point_scan, in place of dynamics._scan, makes find_map_fixed_points scan
+that way.  point_map is a map as the list references call one.
 """
 
 import math
 from itertools import compress, repeat
 from operator import gt, mul
 
-from reflexivity import dynamics, expr
+from reflexivity import expr
 
 
 def scan_points(fn, lo, w, m, n, tol):
@@ -33,8 +34,15 @@ def scan_points(fn, lo, w, m, n, tol):
     return near, signs, skipped
 
 
+def point_scan(f, phi):
+    """A stand-in for dynamics._scan(f, phi): scan_points over phi(f(x)),
+    each value from expr.evaluate."""
+    return lambda *grid: scan_points(lambda x: expr.evaluate(phi, expr.evaluate(f, x)), *grid)
+
+
 def point_map(value, derivative):
-    """A dynamics.ScalarMap of value and derivative whose fixed-point scan
-    is scan_points over value."""
-    return dynamics.ScalarMap(value, derivative,
-                              scan_fn=lambda *grid: scan_points(value, *grid))
+    """value as a map with its derivative: fn(x) and fn.derivative(x)."""
+    def fn(x):
+        return value(x)
+    fn.derivative = derivative
+    return fn

@@ -20,12 +20,10 @@ def logistic_map(r):
 
 def invert(f, interval, y):
     """(x, status) for f(x) = y on interval, as function_distance inverts a
-    sample its sweep hands back: f's monotonicity check, then _invert with
-    f's value and derivative."""
+    sample its sweep hands back: f's monotonicity check, then _invert."""
     lo, hi = interval
     analysis._monotone_direction(f, lo, hi)
-    fn, dfn = (lambda x: expr.evaluate(f, x)), (lambda x: expr.derivative(f, x))
-    return analysis._invert(fn, dfn, lo, hi, fn(lo), fn(hi), y)
+    return analysis._invert(f, lo, hi, expr.evaluate(f, lo), expr.evaluate(f, hi), y)
 
 
 class TestInvertNumeric:
@@ -219,8 +217,24 @@ class TestDetectPeriod:
         rep = detect_period(logistic_map(3.2), 0.3, max_period=32, burn_in=2000)
         assert rep.residual <= 1e-8
 
+    def test_takes_only_a_composite_map(self):
+        with pytest.raises(TypeError, match=r"^detect_period takes compose_gamma\(s\), "
+                                            r"not function$"):
+            detect_period(lambda x: x / 2, 0.5)
+
+    @pytest.mark.parametrize("x0", [math.inf, -math.inf, math.nan])
+    def test_non_finite_start_raises_at_step_0(self, x0):
+        with pytest.raises(dynamics.OrbitNumericError,
+                           match=rf"^non-finite state x={x0!r} \(step 0\)$") as info:
+            detect_period(logistic_map(3.2), x0)
+        assert info.value.step == 0
+
 
 class TestDetectBoomBust:
+    def test_takes_only_an_orbit(self):
+        with pytest.raises(TypeError, match="^detect_boom_bust takes an Orbit, not list$"):
+            detect_boom_bust([0.0, 1.0, 0.5])
+
     def test_hand_checked_sequence(self):
         events = detect_boom_bust(as_orbit([0.0, 1.0, 2.0, 3.0, 2.9, 1.0]), min_run=3,
                                   retrace_threshold=0.5)

@@ -18,7 +18,7 @@ from reflexivity.dynamics import (
     orbit,
     step,
 )
-from scan_points import point_map
+from scan_points import point_scan
 
 
 def linear_system(a, b, lo=-1.0, hi=1.0):
@@ -211,18 +211,18 @@ class TestCompositeMaps:
 class TestFindFixedPoints:
     @pytest.mark.parametrize("lo, hi", [(1.0, 0.0), (0.5, 0.5), (0.0, math.nan)])
     def test_degenerate_interval_rejected(self, lo, hi):
-        m = dynamics.compose_gamma(make_system("4*x*(1-x)", "y", (0.0, 1.0), (0.0, 1.0)))
-        assert dynamics.find_map_fixed_points(m, 0.0, 1.0) == ([0.0, 0.75], 0)
+        s = make_system("4*x*(1-x)", "y", (0.0, 1.0), (0.0, 1.0))
+        assert dynamics.find_map_fixed_points(s.f, s.phi, 0.0, 1.0) == ([0.0, 0.75], 0)
         with pytest.raises(dynamics.DomainValidationError) as info:
-            dynamics.find_map_fixed_points(m, lo, hi)
+            dynamics.find_map_fixed_points(s.f, s.phi, lo, hi)
         assert str(info.value) == f"interval is degenerate: [{lo}, {hi}]"
 
     @pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (-math.inf, 0.0),
                                         (-math.inf, math.inf)])
     def test_unbounded_interval_rejected(self, lo, hi):
-        m = dynamics.compose_gamma(make_system("x/2", "y", (0.0, 1.0), (0.0, 1.0)))
+        s = make_system("x/2", "y", (0.0, 1.0), (0.0, 1.0))
         with pytest.raises(dynamics.DomainValidationError) as info:
-            dynamics.find_map_fixed_points(m, lo, hi)
+            dynamics.find_map_fixed_points(s.f, s.phi, lo, hi)
         assert str(info.value) == f"interval is not finite: [{lo}, {hi}]"
 
     @pytest.mark.parametrize("lo, hi, n", [(0.0, 1e308, 4096), (-1e308, 1e308, 2),
@@ -230,12 +230,12 @@ class TestFindFixedPoints:
     def test_interval_too_wide_for_the_grid_rejected(self, lo, hi, n):
         # Its width times n - 1 overflows; where its width alone does not,
         # the same interval with 2 points is searched.
-        m = dynamics.compose_gamma(make_system("x/2", "y", (0.0, 1.0), (0.0, 1.0)))
+        s = make_system("x/2", "y", (0.0, 1.0), (0.0, 1.0))
         with pytest.raises(dynamics.DomainValidationError) as info:
-            dynamics.find_map_fixed_points(m, lo, hi, n)
+            dynamics.find_map_fixed_points(s.f, s.phi, lo, hi, n)
         assert str(info.value) == f"[{lo}, {hi}] is too wide for a grid of {n} points"
         if hi - lo < math.inf:
-            assert dynamics.find_map_fixed_points(m, lo, hi, 2) == ([0.0], 0)
+            assert dynamics.find_map_fixed_points(s.f, s.phi, lo, hi, 2) == ([0.0], 0)
 
     def test_logistic_two_fixed_points(self):
         s = make_system("2.5*x*(1-x)", "y", (-0.5, 1.5), (-5.0, 5.0))
@@ -265,10 +265,10 @@ class TestFindFixedPoints:
         with pytest.raises(ValueError):
             find_fixed_points(s, grid_n=1)
         # A NaN tol missed the fixed point at 0 of the logistic map.
-        gamma = compose_gamma(make_system("4*x*(1-x)", "y", (0.0, 1.0), (0.0, 1.0)))
+        s = make_system("4*x*(1-x)", "y", (0.0, 1.0), (0.0, 1.0))
         for tol in (math.nan, -1e-12):
             with pytest.raises(dynamics.PreconditionError, match="^tol must be >= 0$"):
-                dynamics.find_map_fixed_points(gamma, 0.0, 1.0, 64, tol=tol)
+                dynamics.find_map_fixed_points(s.f, s.phi, 0.0, 1.0, 64, tol=tol)
 
     def test_residual_bounds(self):
         s = make_system("2.5*x*(1-x)", "y", (-0.5, 1.5), (-5.0, 5.0))
@@ -283,7 +283,7 @@ class TestFindFixedPoints:
             assert find_fixed_points(s) == []
         assert "dropped 1 sign changes that are jumps" in caplog.text
 
-    def test_map_invalid_on_part_of_the_grid(self, caplog):
+    def test_map_invalid_on_part_of_the_grid(self, caplog, monkeypatch):
         # gamma(x) = sqrt(x - 1) + 2 fails at the 134 grid points below 1,
         # which the scan skips, as the point-by-point loop does.
         s = make_system("x - 1", "sqrt(y) + 2", (-1.0, 5.0), (0.0, 4.0))
@@ -291,11 +291,10 @@ class TestFindFixedPoints:
             (fp,) = find_fixed_points(s, 401)
         assert "skipped 134 of 401 points" in caplog.text
         assert fp.x_bar == pytest.approx((5.0 + math.sqrt(5.0)) / 2.0, abs=1e-12)
-        gamma = compose_gamma(s)
-        point_only = point_map(gamma, gamma.derivative)
-        expected = dynamics.find_map_fixed_points(point_only, -1.0, 5.0, 401)
-        assert dynamics.find_map_fixed_points(gamma, -1.0, 5.0, 401) == expected
-        assert expected[1] == 134
+        got = dynamics.find_map_fixed_points(s.f, s.phi, -1.0, 5.0, 401)
+        monkeypatch.setattr(dynamics, "_scan", point_scan)
+        assert dynamics.find_map_fixed_points(s.f, s.phi, -1.0, 5.0, 401) == got
+        assert got[1] == 134
 
     def test_steep_root_below_float_resolution_is_kept(self):
         # |gamma - x| is about 3e-11 > ROOT_TOL at the floats next to the

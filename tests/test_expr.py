@@ -238,9 +238,10 @@ class TestEvaluate:
                 assert re.fullmatch(r"(f|h|hf|gh)[vk]\d+", local) \
                     or local in _COMPILER_HELPERS or local in _RESIDUAL_NAMES, local
             assert not any(isinstance(c, str) for c in code.co_consts), src
-            # And the grid scans: the fixed-point scan of gamma and of e as a
-            # map, and the monotonicity scan.
-            kernels = [dynamics._scan(s, e, e), dynamics._scan(e, e), analysis._monotone(e)]
+            # And the grid scans: the fixed-point scan of e(e(x)) and of e
+            # alone, and the monotonicity scan.
+            kernels = [dynamics._scan(e, e), dynamics._scan(e, analysis._IDENTITY),
+                       analysis._monotone(e)]
             for kernel, names in zip(kernels, (_SCAN_NAMES, _SCAN_NAMES, _MONOTONE_NAMES)):
                 code = kernel.__code__
                 assert code.co_names in ((), ("append",)), src
@@ -569,7 +570,7 @@ def _one_of_every_record():
     o = dynamics.Orbit((st, dynamics.SystemState(0.5, 0.25, 4)), "step-budget")
     return [
         Num(2.0, 8), Var("x", 5), Neg(Var("x"), 0), BinOp("^", Num(1.0), Num(2.0), 3),
-        Call("sin", Var("x"), 1), e, s, st, o,
+        Call("sin", Var("x"), 1), e, s, st, o, dynamics.Gamma(s),
         dynamics.FixedPoint(0.0, 0.0, 0.0, 0.0, 0.5, "attracting"),
         dynamics.Prop1Report(0.0, 1e-17),
         analysis.DistanceReport(0.1, 2.0, 64, "increasing"),
@@ -615,7 +616,7 @@ class TestRecord:
         records = _one_of_every_record()
         every = {cls for mod in (expr, dynamics, analysis, render) for cls in vars(mod).values()
                  if isinstance(cls, type) and cls.__setattr__ is expr._frozen}
-        assert {type(r) for r in records} == every and len(every) == 18
+        assert {type(r) for r in records} == every and len(every) == 19
         for r in records:
             back = pickle.loads(pickle.dumps(r))
             assert type(back) is type(r) and repr(back) == repr(r)
@@ -636,7 +637,7 @@ class TestRecord:
         # Every record whose fields are all init and compared is a tuple.
         records = [r for r in _one_of_every_record() if isinstance(r, tuple)]
         assert sorted(type(r).__name__ for r in records) == [
-            "BoomBustEvent", "ConjugacyReport", "DistanceReport", "FixedPoint",
+            "BoomBustEvent", "ConjugacyReport", "DistanceReport", "FixedPoint", "Gamma",
             "PeriodReport", "PhasePortraitTrace", "Prop1Report", "RenderOptions",
             "StaircaseTrace", "SystemState"]
         for r in records:

@@ -2,8 +2,8 @@
 
 orbit runs its first step through step and the rest in the system's
 compiled loop, and step again only to raise the loop's error;
-detect_period runs the loop for a compose_gamma map, and steps the map
-from the loop's last iterate where the loop fails.  The references here
+detect_period runs the loop of a compose_gamma map's system, and steps the
+map from the loop's last iterate where the loop fails.  The references here
 are the per-step orbit as it was before the loop, and detect_period with
 the map stepped one value at a time from x0, as it ran for a plain
 callable.  Every state is compared by repr, so -0.0 and NaN are told apart;
@@ -170,11 +170,11 @@ class TestOrbitMatchesPerStep:
         monkeypatch.setattr(dynamics, "step", lambda *a: calls.append(a) or real(*a))
         o = orbit(s, 0.3, 500)
         assert len(o.states) == 501 and len(calls) == 1
-        assert s._loop is not None
+        assert dynamics._LOOP in s.f._kernels
 
     def test_loop_is_kept_on_its_system(self):
         # A loop cached by id() would be handed to a later system at the same
-        # address; kept on the system it dies with it.
+        # address; kept on the system's f it dies with it.
         for k in range(300):
             r = 2.5 + k / 200
             s = dynamics.make_system(f"{r!r}*x*(1-x)", "y", (0.0, 1.0), (0.0, 1.0))
@@ -185,13 +185,12 @@ class TestOrbitMatchesPerStep:
 
     def test_loop_is_compiled_on_first_use(self):
         s = dynamics.make_system("cos(x)", "y", (-1.0, 1.0), (-1.0, 1.0))
-        assert s._loop is None
         orbit(s, 1.0, 1)
-        assert s._loop is None  # one step needs no loop
+        assert s.f._kernels == {}  # one step needs no loop
         orbit(s, 1.0, 5)
-        loop = s._loop
+        loop = dynamics._loop(s)
         analysis.detect_period(dynamics.compose_gamma(s), 0.5)
-        assert s._loop is loop
+        assert s.f._kernels == {dynamics._LOOP: ([s.phi], loop)} and s.phi._kernels == {}
 
 
 def _fails_at(k, part):
@@ -299,20 +298,23 @@ class TestPeriodMatchesPlainCallable:
 
     def test_iterates_are_the_orbit_xs(self):
         s = dynamics.make_system("3.7*x*(1-x)", "y + 0.01*sin(y)", (0.0, 1.0), (0.0, 1.0))
-        xs = dynamics.compose_gamma(s)._iterate(0.2, 300)
+        xs = analysis._iterates(dynamics.compose_gamma(s), 0.2, 300)
         assert repr(xs) == repr(orbit(s, 0.2, 300).xs()[1:])
 
-    def test_failing_loop_is_stepped_from_its_last_iterate(self):
+    def test_failing_loop_is_stepped_from_its_last_iterate(self, monkeypatch):
         # From 1.0, sqrt(x) - 0.3 makes x1..x9 > 0 and x10 < 0, where f
         # fails: the loop keeps x1..x9, and the map is called from step 10
         # on, from x9, with the results and errors of stepping it from 1.0.
         s = dynamics.make_system("sqrt(x)", "y - 0.3", (0.0, 2.0), (-1.0, 2.0))
         gamma = dynamics.compose_gamma(s)
-        xs = gamma._iterate(1.0, 50)
+        xs = []
+        with pytest.raises(expr.EvalDomainError):
+            dynamics._loop(s)(1.0, expr.evaluate(s.f, 1.0), 50, 0, 0, xs, [])
         assert len(xs) == 9 and xs[-1] > 0.0 > gamma(xs[-1])
-        value = gamma._value
+        value = dynamics.Gamma.__call__
         calls = []
-        gamma._value = lambda x: calls.append(x) or value(x)
+        monkeypatch.setattr(dynamics.Gamma, "__call__",
+                            lambda g, x: calls.append(x) or value(g, x))
         seen = set()
         for p, b in ((4, 0), (5, 0), (6, 0), (32, 0), (1, 8), (1, 9)):
             want = outcome(lambda: stepped_period(gamma, 1.0, p, b))

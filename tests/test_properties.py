@@ -144,7 +144,7 @@ def test_inverse_pair_fixes_every_grid_point(a, b, n):
     # point, so each is near 0 and no sign change is left to solve.
     s = inverse_pair(a, b)
     w, m = dynamics._grid_span(-1.0, 1.0, n)
-    assert dynamics._scan(s, s.f, s.phi)(-1.0, w, m, n, dynamics.ROOT_TOL) == \
+    assert dynamics._scan(s.f, s.phi)(-1.0, w, m, n, dynamics.ROOT_TOL) == \
         (list(range(n)), [], 0)
 
 

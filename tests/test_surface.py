@@ -1,6 +1,7 @@
 """The package's surface, read from its source with ast: no module imports a
-name it never uses, and reflexivity exports exactly the names below, so
-that adding public surface back is a deliberate edit here.
+name it never uses, no module defines a name nothing else uses, and
+reflexivity exports exactly the names below, so that adding public surface
+back is a deliberate edit here.
 """
 
 import ast
@@ -61,3 +62,44 @@ def test_exports_are_pinned():
                 for t in node.targets}
     assert imported(module) == EXPORTS
     assert assigned == {"__version__"}
+
+
+def defined(node):
+    """The names a top-level def, class or assignment statement binds."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return {node.name}
+    if isinstance(node, ast.Assign):
+        return {t.id for t in node.targets if isinstance(t, ast.Name)}
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return {node.target.id}
+    return set()
+
+
+def read(node):
+    """The names node reads, as a name or as an attribute of anything."""
+    return {n.attr if isinstance(n, ast.Attribute) else n.id for n in ast.walk(node)
+            if isinstance(n, ast.Attribute)
+            or isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+
+
+def unused(modules):
+    """The names defined at the top of modules (name -> body) but
+    __init__.py's, that are not exported and that no statement other than
+    their own reads."""
+    reads = [(node, read(node)) for body in modules.values() for node in body]
+    return {(name, n) for name, body in modules.items() if name != "__init__.py"
+            for node in body
+            for n in defined(node) - EXPORTS
+            if not any(n in r for other, r in reads if other is not node)}
+
+
+def test_every_defined_name_is_used():
+    # A kernel keeper or template that loses its last caller shows up here.
+    assert unused({name: tree(name).body for name in MODULES + ["__init__.py"]}) == set()
+
+
+def test_unused_names_are_found():
+    modules = {"m.py": ast.parse("def kept(): pass\n_T = 1\ndef _f(): return _f()\n"
+                                 "def g(): return kept\n").body,
+               "n.py": ast.parse("import m\nm.g()\n").body}
+    assert unused(modules) == {("m.py", "_T"), ("m.py", "_f")}

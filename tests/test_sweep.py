@@ -39,7 +39,7 @@ from conftest import gen_source, hand_back_every_sample
 from reflexivity import analysis, cli, dynamics, expr, render
 from reflexivity.analysis import function_distance
 from reflexivity.dynamics import make_system
-from scan_points import point_map
+from scan_points import point_map, point_scan
 
 
 def outcome(run):
@@ -69,11 +69,10 @@ def per_sample_distance(s, samples=analysis.DEFAULT_SAMPLES):
         raise analysis.OutOfRangeError("image of f does not overlap y_domain")
     # The top grid point can round one ulp past f's attained range.
     ys = [min(max(y, f_min), f_max) for y in dynamics._grid(y_lo, y_hi, samples)]
-    fn, dfn = (lambda x: expr.evaluate(s.f, x)), (lambda x: expr.derivative(s.f, x))
     best, argmax, inv = -1.0, y_lo, None
     jumps = nans = 0
     for y in ys:
-        inv, status = analysis._invert(fn, dfn, lo, hi, flo, fhi, y, inv)
+        inv, status = analysis._invert(s.f, lo, hi, flo, fhi, y, inv)
         jumps += status == "discontinuity"
         diff = abs(expr.evaluate(s.phi, y) - inv)
         if diff > best:
@@ -122,7 +121,7 @@ def swept(caplog, monkeypatch, s, samples, kernel=None):
 
     with monkeypatch.context() as m:
         m.setattr(analysis, "_kernel", spy)
-        m.setattr(analysis, "_invert", lambda *a: inverted.append(repr(a[6])) or real_invert(*a))
+        m.setattr(analysis, "_invert", lambda *a: inverted.append(repr(a[5])) or real_invert(*a))
         got, said = warned(caplog, lambda: function_distance(s, samples))
     assert [start for start, _ in runs] == [0, *(k + 1 for _, k in runs[:-1])][:len(runs)]
     assert inverted == [y for _, y in handed], (inverted, handed)
@@ -271,28 +270,47 @@ class TestNanDistance:
         assert not caplog.records
 
 
+def spy_compile_loop(monkeypatch):
+    """The list of the templates expr.compile_loop compiles from now on."""
+    compiled = []
+    real = expr.compile_loop
+    monkeypatch.setattr(expr, "compile_loop", lambda template, *a, **k: compiled.append(
+        template) or real(template, *a, **k))
+    return compiled
+
+
+class TestKernelCache:
+    def test_one_system_compiles_each_kernel_once(self, monkeypatch):
+        # Every kernel is kept on f, each under its own template, so no
+        # call makes another compile again, and phi keeps none.
+        s = make_system("x + 0.2*sin(x)", "y/2 + 0.1", (0.0, 2.0), (0.0, 3.0))
+        compiled = spy_compile_loop(monkeypatch)
+        for _ in range(3):
+            dynamics.orbit(s, 0.3, 50)
+            analysis.detect_period(dynamics.compose_gamma(s), 0.3, 8, 20)
+            dynamics.find_fixed_points(s, 256)
+            function_distance(s, 128)
+        assert compiled == [dynamics._LOOP, dynamics._SCAN, analysis._MONOTONE, analysis._SWEEP]
+        assert list(s.f._kernels) == compiled and s.phi._kernels == {}
+
+
 class TestSweepCache:
     def test_compiled_once_on_first_call(self, monkeypatch):
-        # The first call compiles f's monotonicity scan, kept on f, and the
-        # sweep, kept on the system; later calls compile nothing.
+        # The first call compiles f's monotonicity scan and the sweep, both
+        # kept on f; later calls compile nothing.
         s = make_system("x + 0.2*sin(x)", "y", (0.0, 2.0), (0.0, 3.0))
-        assert s._sweep is None and s.f._monotone is None
-        compiled = []
-        real = expr.compile_loop
-        monkeypatch.setattr(expr, "compile_loop",
-                            lambda template, *a, **k: compiled.append(template) or real(
-                                template, *a, **k))
+        assert s.f._kernels == {}
+        compiled = spy_compile_loop(monkeypatch)
         first = function_distance(s, 500)
-        kernel, scan = s._sweep, s.f._monotone
-        assert kernel is not None and scan is not None
-        assert compiled == [analysis._MONOTONE, analysis._SWEEP]
+        kept = dict(s.f._kernels)
+        assert compiled == [analysis._MONOTONE, analysis._SWEEP] == list(kept)
         assert function_distance(s, 500) == first and function_distance(s, 37).samples == 37
-        assert s._sweep is kernel and s.f._monotone is scan
+        assert s.f._kernels == kept and s.phi._kernels == {}
         assert compiled == [analysis._MONOTONE, analysis._SWEEP]
 
     def test_sweep_is_kept_on_its_system(self, caplog, monkeypatch):
         # A sweep cached by id() would be handed to a later system at the
-        # same address; kept on the system it dies with it.
+        # same address; kept on the system's f it dies with it.
         for k in range(200):
             c = 1.0 + k / 100
             s = make_system(f"{c!r}*x + 0.1*sin(x)", "y", (0.0, 1.0), (-1.0, 4.0))
@@ -306,18 +324,14 @@ class TestSweepCache:
 class TestScanCache:
     def test_gamma_scan_compiled_once_and_kept_on_its_system(self, monkeypatch):
         s = make_system("2.5*x*(1 - x)", "y", (-0.5, 1.5), (-5.0, 5.0))
-        assert s._scan is None
-        compiled = []
-        real = expr.compile_loop
-        monkeypatch.setattr(expr, "compile_loop",
-                            lambda template, *a, **k: compiled.append(template) or real(
-                                template, *a, **k))
+        compiled = spy_compile_loop(monkeypatch)
         first = dynamics.find_fixed_points(s, 500)
-        scan = s._scan
-        assert len(first) == 2 and scan is not None and compiled == [dynamics._SCAN]
+        scan = dynamics._scan(s.f, s.phi)
+        assert len(first) == 2 and compiled == [dynamics._SCAN]
         assert dynamics.find_fixed_points(s, 500) == first
         assert len(dynamics.find_fixed_points(s, 37)) == 2
-        assert s._scan is scan and s.f._scan is None and compiled == [dynamics._SCAN]
+        assert s.f._kernels == {dynamics._SCAN: ([s.phi], scan)} and s.phi._kernels == {}
+        assert compiled == [dynamics._SCAN]
 
     def test_scan_is_kept_on_its_system(self):
         # As the sweep is: a scan cached by id() could serve a later system.
@@ -672,11 +686,14 @@ class TestScansMatchLoops:
         # The scan compiled with a crafted column for the map's value, looked
         # up by grid index, in place of f's lines (phi is the identity); a
         # failing entry raises as a failing line does, ValueError or
-        # ZeroDivisionError, which the scan skips.  Grid points within
-        # 1e-300 of 0, so g = v - x is v for every v drawn here but the
-        # smallest; 1e-200 * -1e-200 underflows to -0.0.
+        # ZeroDivisionError, which the scan skips.  evaluate gives f the
+        # same column point by point.  Grid points within 1e-300 of 0, so
+        # g = v - x is v for every v drawn here but the smallest;
+        # 1e-200 * -1e-200 underflows to -0.0.
         rng = random.Random(7)
         calls = []
+        f, phi = expr.parse("x"), expr.parse("y")
+        real = expr.evaluate
 
         def solve(g, a, b, ga, gb, tol, x0=None, dg=None):
             calls.append((a, b, ga, gb))
@@ -718,42 +735,51 @@ class TestScansMatchLoops:
                 list(compress(range(n), near)),
                 [k for k in signs if not (near[k] or near[k + 1])], len(bad)), (vs, bad)
             assert list(map(repr, seen)) == list(map(repr, xs))
-            fn = dynamics.ScalarMap(value, lambda x: 0.0, scan_fn=kernel)
-            point_only = point_map(value, lambda x: 0.0)
+            fn = point_map(value, lambda x: 0.0)
+
+            def find():
+                return dynamics.find_map_fixed_points(f, phi, -1e-300, 1e-300, n, tol)
+
             results = []
-            for find in (lambda: dynamics.find_map_fixed_points(fn, -1e-300, 1e-300, n, tol),
-                         lambda: dynamics.find_map_fixed_points(point_only, -1e-300, 1e-300, n,
-                                                                tol),
-                         lambda: list_fixed_points(fn, many, -1e-300, 1e-300, n, tol),
-                         lambda: reference_fixed_points(fn, many, -1e-300, 1e-300, n, tol)):
+            for run, scan in ((find, lambda *_: kernel), (find, point_scan),
+                              (lambda: list_fixed_points(fn, many, -1e-300, 1e-300, n, tol),
+                               None),
+                              (lambda: reference_fixed_points(fn, many, -1e-300, 1e-300, n, tol),
+                               None)):
                 calls.clear()
                 caplog.clear()
-                with caplog.at_level(logging.WARNING):
-                    got = outcome(find)
+                with monkeypatch.context() as m, caplog.at_level(logging.WARNING):
+                    m.setattr(expr, "evaluate", lambda e, x: value(x) if e is f else real(e, x))
+                    if scan is not None:
+                        m.setattr(dynamics, "_scan", scan)
+                    got = outcome(run)
                 results.append((got, list(calls), [r.getMessage() for r in caplog.records]))
             assert results[0] == results[1] == results[2] == results[3], (vs, bad, tol)
 
-    def test_failure_heavy_grid_is_scanned_once(self, caplog):
+    def test_failure_heavy_grid_is_scanned_once(self, caplog, monkeypatch):
         # sqrt and log fail on the 2,048 points of [-1, 0); the scan skips
         # each itself, in one pass, as the point-by-point scan does.
-        e = expr.parse("sqrt(x) - 0.5*log(x)")
+        e, identity = expr.parse("sqrt(x) - 0.5*log(x)"), expr.parse("y")
         scans = []
-        kernel = dynamics._scan(e, e)
-        scanned = dynamics.ScalarMap(lambda x: expr.evaluate(e, x),
-                                     lambda x: expr.derivative(e, x),
-                                     scan_fn=lambda *grid: scans.append(grid) or kernel(*grid))
-        point_only = point_map(scanned._value, scanned._deriv)
+        real = dynamics._scan
+
+        def counted(f, phi):
+            kernel = real(f, phi)
+            return lambda *grid: scans.append(grid) or kernel(*grid)
+
         results = []
-        for fn in (scanned, point_only):
+        for scan in (counted, point_scan):
+            monkeypatch.setattr(dynamics, "_scan", scan)
             caplog.clear()
             with caplog.at_level(logging.WARNING):
-                got = dynamics.find_map_fixed_points(fn, -1.0, 1.0, 4096)
+                got = dynamics.find_map_fixed_points(e, identity, -1.0, 1.0, 4096)
             results.append((got, [r.getMessage() for r in caplog.records]))
         assert results[0] == results[1] == (
             ([1.0], 2048), ["fixed-point grid: skipped 2048 of 4096 points"])
+        monkeypatch.setattr(dynamics, "_scan", counted)
         with pytest.raises(dynamics.DomainValidationError,
                            match="^map invalid over the entire domain$"):
-            dynamics.find_map_fixed_points(scanned, -2.0, -1.0, 64)
+            dynamics.find_map_fixed_points(e, identity, -2.0, -1.0, 64)
         assert len(scans) == 2
 
     def test_residual_scan(self, monkeypatch):
@@ -1051,28 +1077,28 @@ class TestResidualCache:
     F, G, H = "4*x*(1 - x)", "4*y*(1 - y) + 1e-3*y", "x + 0.1*x^3"
 
     def test_compiled_once_per_f_and_g(self, monkeypatch):
-        # A check compiles h's monotonicity scan, kept on h, the residual
-        # loop, kept on h with f and g, and f's fixed-point scan, kept on f;
-        # later checks with the same objects compile nothing.
+        # A check compiles h's monotonicity scan, kept on h, and the residual
+        # loop and f's fixed-point scan, kept on f; later checks with the
+        # same objects compile nothing, so the identity the scan takes as
+        # phi is one object.  A new g compiles the residual loop again; a
+        # new f, equal to the old one, the residual loop and f's scan.
         f, g, h = expr.parse(self.F), expr.parse(self.G), expr.parse(self.H)
-        assert h._conjugacy is None and h._monotone is None and f._scan is None
-        compiled = []
-        real = expr.compile_loop
-        monkeypatch.setattr(expr, "compile_loop",
-                            lambda template, *a, **k: compiled.append(template) or real(
-                                template, *a, **k))
+        compiled = spy_compile_loop(monkeypatch)
         each = [analysis._MONOTONE, analysis._RESIDUALS, dynamics._SCAN]
         first = same_as_grid_passes(f, g, h, (0.0, 1.0), 500)
-        kept, scans = h._conjugacy, (h._monotone, f._scan)
-        assert kept[0] is f and kept[1] is g and compiled == each
+        kept = dict(f._kernels), dict(h._kernels)
+        assert list(kept[0]) == each[1:] and list(kept[1]) == each[:1] and compiled == each
         assert same_as_grid_passes(f, g, h, (0.0, 1.0), 500) == first
         same_as_grid_passes(f, g, h, (0.25, 0.5), 37)
-        assert h._conjugacy is kept and (h._monotone, f._scan) == scans and compiled == each
-        # A kernel is reused only for the same f and g objects, not equal ones.
+        assert (f._kernels, h._kernels) == kept and compiled == each
+        # A kernel is reused only for the same objects, not equal ones.
+        same_as_grid_passes(f, expr.parse(self.G), h, (0.0, 1.0), 500)
+        assert compiled == each + [analysis._RESIDUALS]
+        assert f._kernels[dynamics._SCAN] is kept[0][dynamics._SCAN]
         other = expr.parse(self.F)
         same_as_grid_passes(other, g, h, (0.0, 1.0), 500)
-        assert compiled == each + [analysis._RESIDUALS, dynamics._SCAN]
-        assert h._conjugacy[0] is other and h._monotone is scans[0] and f._scan is scans[1]
+        assert compiled == each + [analysis._RESIDUALS] * 2 + [dynamics._SCAN]
+        assert h._kernels == kept[1] and list(other._kernels) == each[1:]
 
     def test_another_f_or_g_with_the_same_h(self):
         # Each of two f objects with each of two g objects, twice over.
@@ -1082,15 +1108,17 @@ class TestResidualCache:
         for _ in range(2):
             for f, g in ((fs[0], gs[0]), (fs[0], gs[1]), (fs[1], gs[1]), (fs[1], gs[0])):
                 got = same_as_grid_passes(f, g, h, (0.0, 1.0), 257)
-                assert h._conjugacy[:2] == (f, g), got
+                others, _ = f._kernels[analysis._RESIDUALS]
+                assert others[0] is h and others[2] is g, got
 
     def test_pickled_h(self):
         f, g, h = expr.parse(self.F), expr.parse(self.G), expr.parse(self.H)
         want = same_as_grid_passes(f, g, h, (0.0, 1.0), 300)
         copy = pickle.loads(pickle.dumps(h))
-        assert copy == h and copy._conjugacy is None and h._conjugacy is not None
+        assert copy == h and copy._kernels == {} and h._kernels != {}
         assert same_as_grid_passes(f, g, copy, (0.0, 1.0), 300) == want
-        assert copy._conjugacy[2] is not h._conjugacy[2]
+        assert f._kernels[analysis._RESIDUALS][0][0] is copy
+        assert copy._kernels[analysis._MONOTONE][1] is not h._kernels[analysis._MONOTONE][1]
 
 
 def test_grid_hoists_width_and_count():
