@@ -152,35 +152,26 @@ def function_distance(s, samples=DEFAULT_SAMPLES):
     nothing, and the number of those is logged too; if every sample's is,
     d is NaN and argmax_y the lowest y.
 
-    s's compiled sweep (_SWEEP) runs the grid.  A sample it hands back is
-    inverted here by _invert, with its status, warning or error, and the
-    sweep resumes after it.
+    s's compiled sweep (_SWEEP) runs the whole grid in one call; a sample
+    its inlined solve gives up on it inverts with _invert, which reports
+    its status, warning or error.
     """
     if samples < 2:
         raise _dyn.PreconditionError("samples must be >= 2")
     lo, hi = s.x_domain
     direction = _monotone_direction(s.f, lo, hi)
     flo, fhi = _expr.evaluate(s.f, lo), _expr.evaluate(s.f, hi)
-    f_min, f_max = min(flo, fhi), max(flo, fhi)
-    y_lo = max(f_min, s.y_domain[0])
-    y_hi = min(f_max, s.y_domain[1])
+    y_lo = max(min(flo, fhi), s.y_domain[0])
+    y_hi = min(max(flo, fhi), s.y_domain[1])
     if not (y_lo < y_hi):
         raise OutOfRangeError("image of f does not overlap y_domain")
     w, m = _dyn._grid_span(y_lo, y_hi, samples)
-    sweep, grid = _kernel(s), (y_lo, w, m, samples, lo, hi, flo, fhi)
-    jumps = 0
-    k, best, argmax, nans, inv = sweep(*grid, 0, -1.0, y_lo, 0, None)
-    while k < samples:
-        y = min(y_lo + w * k / m, f_max)
-        inv, status = _invert(s.f, lo, hi, flo, fhi, y, inv)
-        jumps += status == "discontinuity"
-        diff = abs(_expr.evaluate(s.phi, y) - inv)
-        if diff > best:
-            best = diff
-            argmax = y
-        elif diff != diff:
-            nans += 1
-        k, best, argmax, nans, inv = sweep(*grid, k + 1, best, argmax, nans, inv)
+
+    def invert(y, inv):
+        x, status = _invert(s.f, lo, hi, flo, fhi, y, inv)
+        return x, status == "discontinuity"
+
+    best, argmax, nans, jumps = _kernel(s)(y_lo, w, m, samples, lo, hi, flo, fhi, invert)
     if jumps:
         log.warning("function_distance: %d of %d samples lie in a jump of f; "
                     "each is inverted to where f jumps", jumps, samples)
@@ -193,23 +184,29 @@ def function_distance(s, samples=DEFAULT_SAMPLES):
 
 
 # function_distance's sweep: _invert at the n points y = y_lo + w*k/m of
-# its grid (dynamics._grid's arithmetic) from k = start, each clamped to f's
-# range, with _invert's range check and tolerance and bracket_solve's step
-# rule inlined, and f's value and derivative from one pass of its dual
-# lines; best, argmax, nans and inv are the largest distance, its y, the
-# count of NaN distances and the last inversion so far.  It returns them
-# after k = n, or, with k, as they were before the first sample k it hands
-# back: where bracket_solve would end other than by |g| < tol (the bracket
-# down to two adjacent floats, where it tells a steep root from a jump, or
-# the iteration cap) or a line of f or phi fails (inv is set after phi's).
-# Its grid points are finite and none lies below y_lo, which is not below
-# f_min.  Comparisons stand in for calls with the same result: -t < g < t
-# for abs(g) < t, a conditional for max(1.0, abs(y)), and 0.0 - d for
-# abs(d) when d is not > 0 (-0.0 included).
+# its grid (dynamics._grid's arithmetic), each clamped to f's range, with
+# _invert's range check and tolerance and bracket_solve's step rule inlined,
+# and f's value and derivative from one pass of its dual lines.  Where that
+# solve would end other than by |g| < tol (the bracket down to two adjacent
+# floats, where bracket_solve tells a steep root from a jump, or the
+# iteration cap), or a line of f fails, x is None and the sample goes to
+# invert(y, inv), which returns _invert's x and whether y lies in a jump of
+# f; it is called after the try, so its error carries none of the sweep's.
+# It returns the largest distance, its y, the count of NaN distances and
+# the count of samples in a jump; a failing line of phi raises.  Its grid
+# points are finite and none lies below y_lo, which is not below f_min.
+# Comparisons stand in for calls with the same result: -t < g < t for
+# abs(g) < t, a conditional for max(1.0, abs(y)), and 0.0 - d for abs(d)
+# when d is not > 0 (-0.0 included).
 _SWEEP = """\
-def compiled(y_lo, w, m, n, lo, hi, flo, fhi, start, best, argmax, nans, inv{params}):
+def compiled(y_lo, w, m, n, lo, hi, flo, fhi, invert{params}):
     f_max = max(flo, fhi)
-    for k in range(start, n):
+    best = -1.0
+    argmax = y_lo
+    nans = 0
+    jumps = 0
+    inv = None
+    for k in range(n):
         y = y_lo + w * k / m
         if f_max < y:
             y = f_max
@@ -239,7 +236,8 @@ def compiled(y_lo, w, m, n, lo, hi, flo, fhi, start, best, argmax, nans, inv{par
                         b = x
                     mid = 0.5 * (a + b)
                     if not a < mid < b:
-                        return k, best, argmax, nans, inv
+                        x = None
+                        break
                     nxt = mid
                     if slope != 0.0:
                         newton = x - gx / slope
@@ -249,12 +247,15 @@ def compiled(y_lo, w, m, n, lo, hi, flo, fhi, start, best, argmax, nans, inv{par
                     step = nxt - x if nxt >= x else x - nxt
                     x = nxt
                 else:
-                    return k, best, argmax, nans, inv
-            @phi
-            diff = {phi} - x
+                    x = None
         except numeric:
-            return k, best, argmax, nans, inv
+            x = None
+        if x is None:
+            x, jumped = invert(y, inv)
+            jumps += jumped
         inv = x
+        @phi
+        diff = {phi} - x
         if not diff > 0.0:
             diff = 0.0 - diff
         if diff > best:
@@ -262,7 +263,7 @@ def compiled(y_lo, w, m, n, lo, hi, flo, fhi, start, best, argmax, nans, inv{par
             argmax = y
         elif diff != diff:
             nans += 1
-    return n, best, argmax, nans, inv
+    return best, argmax, nans, jumps
 """
 
 
@@ -281,27 +282,18 @@ def _diverged(x):
 def _iterates(gamma, x, n):
     """gamma(x), gamma(gamma(x)), ... (n values), ending after the first
     diverged one: orbit's xs after x, from the compiled loop of gamma's
-    system with the convergence stop off.  Where the loop fails, gamma is
-    stepped on from the last iterate the loop made, and the step that fails
-    raises its error.
+    system with the convergence stop off.  The loop keeps each value before
+    f runs on it, so where it fails short of n values and of divergence,
+    its error is the one gamma meets at the next value.
     """
     s = gamma.system
     xs = []
     try:
         _dyn._loop(s)(x, _expr.evaluate(s.f, x), n, 0, 0, xs, [])
     except _expr.EvalDomainError:
-        pass
-    if len(xs) < n and not (xs and _diverged(xs[-1])):
-        xs += _stepped(gamma, xs[-1] if xs else x, n - len(xs))
+        if len(xs) < n and not (xs and _diverged(xs[-1])):
+            raise
     return xs
-
-
-def _stepped(gamma, x, n):
-    for _ in range(n):
-        x = gamma(x)
-        yield x
-        if _diverged(x):
-            return
 
 
 def detect_period(gamma, x0, max_period=DEFAULT_MAX_PERIOD, burn_in=0):

@@ -157,18 +157,13 @@ class Prop1Report:
 
 @_expr.record
 class Gamma:
-    """The composite map x -> phi(f(x)) of system, with chain-rule
-    derivative."""
+    """The composite map x -> phi(f(x)) of system."""
 
     system: ReflexiveSystem
 
     def __call__(self, x):
         s = self.system
         return _expr.evaluate(s.phi, _expr.evaluate(s.f, x))
-
-    def derivative(self, x):
-        s = self.system
-        return _expr.derivative(s.phi, _expr.evaluate(s.f, x)) * _expr.derivative(s.f, x)
 
 
 def step(s, st):
@@ -188,7 +183,9 @@ def step(s, st):
 # (x, y), up to n steps of x' = phi(y), y' = f(x'), appended to the caller's
 # lists xs and ys, with orbit's divergence and convergence stops, streak
 # counting the converging steps before (x, y).  It returns the tag; window=0
-# turns the convergence stop off.  Comparisons stand in for orbit's calls
+# turns the convergence stop off.  Each x' is kept before f's lines run, so
+# where a line fails, len(ys) is the failing step's index, and xs ends in
+# that step's x' if the line is f's.  Comparisons stand in for orbit's calls
 # with the same result: `not -cutoff <= x <= cutoff` for its divergence test
 # (`not isfinite(x) or abs(x) > DIVERGENCE_CUTOFF`), a conditional for
 # max(1.0, abs(p)), and -t < x - p < t for abs(x - p) < t.
@@ -200,9 +197,9 @@ def compiled(x, y, n, streak, window, xs, ys{params}):
         p = x
         @phi
         x = {phi}
+        append_x(x)
         @f
         y = {f}
-        append_x(x)
         append_y(y)
         if not -cutoff <= x <= cutoff:
             return "divergence"
@@ -229,21 +226,20 @@ def _loop(s):
 def orbit(s, x0, max_steps):
     """Iterate from (x0, f(x0)); stops early on divergence or convergence.
 
-    The first step is step's, which checks x0; s's compiled loop takes the
-    rest, with the same arithmetic.  The orbit keeps its x and y columns.
-    The loop raises a failing step's error before it keeps the step, so
-    len(xs) is that step's index.
+    A non-finite x0 raises at step 0, as step does, before f runs.  The
+    first step is step's; s's compiled loop takes the rest, with the same
+    arithmetic.  The orbit keeps its x and y columns.  A failing step
+    raises with len(ys), that step's index.
     """
     if max_steps < 1:
         raise PreconditionError("max_steps must be >= 1")
     x = float(x0)
+    if not math.isfinite(x):
+        raise OrbitNumericError(f"non-finite state x={x!r}", 0)
+    xs, ys = [x], []
     try:
-        y = _expr.evaluate(s.f, x)
-    except _expr.EvalDomainError as exc:
-        raise OrbitNumericError(str(exc), 0) from exc
-    xs, ys = [x], [y]
-    try:
-        first = step(s, SystemState(x, y, 0))
+        ys.append(_expr.evaluate(s.f, x))
+        first = step(s, SystemState(x, ys[0], 0))
         xs.append(first.x)
         ys.append(first.y)
         tag = "step-budget" if -DIVERGENCE_CUTOFF <= first.x <= DIVERGENCE_CUTOFF else "divergence"
@@ -252,7 +248,7 @@ def orbit(s, x0, max_steps):
             tag = _loop(s)(first.x, first.y, max_steps - 1, streak, CONVERGENCE_WINDOW,
                            xs, ys)
     except _expr.EvalDomainError as exc:
-        raise OrbitNumericError(str(exc), len(xs)) from exc
+        raise OrbitNumericError(str(exc), len(ys)) from exc
     # Built in C: tuple.__new__ fills each state from zip's triple.
     o = Orbit(tuple(map(tuple.__new__, repeat(SystemState), zip(xs, ys, range(len(xs))))), tag)
     object.__setattr__(o, "_xs", xs)
@@ -261,9 +257,8 @@ def orbit(s, x0, max_steps):
 
 
 def compose_gamma(s):
-    """The composite map x -> phi(f(x)) of the system s, with chain-rule
-    derivative: a Gamma, which analysis.detect_period iterates in s's
-    compiled loop."""
+    """The composite map x -> phi(f(x)) of the system s: a Gamma, which
+    analysis.detect_period iterates in s's compiled loop."""
     return Gamma(s)
 
 
@@ -330,12 +325,12 @@ def bracket_solve(g, a, b, ga, gb, tol, x0=None, *, dg):
 # find_map_fixed_points' scan of the map phi(f(x)): at each of the n points
 # x = lo + w*k/m of its grid (_grid's arithmetic), g = phi(f(x)) - x from the
 # lines of f on x and of phi on f's value, or NaN where a line fails.  It
-# returns the indices k where |g| < tol, the indices k where g changes sign
-# from k to k + 1 with neither end near 0 or NaN, the only ones there is a
-# root to solve for, and the number of NaN (skipped) points.  A g near 0
-# counts as 0.0 in the sign test, and so does the g before the first point:
-# 0.0 times any g is not < 0.  A product that underflows to 0 is no sign
-# change either.
+# returns the indices k where |g| < tol, a triple (k, g at k, g at k + 1)
+# for each k where g changes sign from k to k + 1 with neither end near 0 or
+# NaN, the only ones there is a root to solve for, and the number of NaN
+# (skipped) points.  A g near 0 counts as 0.0 in the sign test, and so does
+# the g before the first point: 0.0 times any g is not < 0.  A product that
+# underflows to 0 is no sign change either.
 _SCAN = """\
 def compiled(lo, w, m, n, tol{params}):
     near = []
@@ -357,7 +352,7 @@ def compiled(lo, w, m, n, tol{params}):
             near.append(k)
             g = 0.0
         elif 0.0 > prev * g:
-            signs.append(k - 1)
+            signs.append((k - 1, prev, g))
         prev = g
     return near, signs, skipped
 """
@@ -394,15 +389,15 @@ def find_map_fixed_points(f, phi, lo, hi, grid_n=DEFAULT_GRID, tol=ROOT_TOL):
     if skipped:
         log.warning("fixed-point grid: skipped %d of %d points", skipped, grid_n)
 
-    # The few points needed again are made and evaluated as the scan did.
+    # The bracket ends are made as the scan made them, with its values there.
     g = lambda x: _expr.evaluate(phi, _expr.evaluate(f, x)) - x
     dg = lambda x: _expr.derivative(phi, _expr.evaluate(f, x)) * _expr.derivative(f, x) - 1.0
     roots = [lo + w * k / m for k in near]
     jumps = 0
-    for k in signs:
+    for k, ga, gb in signs:
         a, b = lo + w * k / m, lo + w * (k + 1) / m
         try:
-            x, status, _ = bracket_solve(g, a, b, g(a), g(b), tol, dg=dg)
+            x, status, _ = bracket_solve(g, a, b, ga, gb, tol, dg=dg)
         except _expr.EvalDomainError:
             skipped += 1
             continue

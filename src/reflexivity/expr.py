@@ -441,7 +441,7 @@ def derivative(e, v):
 # costs nothing until something raises, so one function per mode is fast
 # and reports too.  A template may catch _NUMERIC_ERRORS around its part
 # lines itself, as dynamics._SCAN does to skip a failing grid point and
-# analysis._SWEEP to hand one back; fail then never runs.
+# analysis._SWEEP to invert one by other means; fail then never runs.
 #
 # The generated source holds only names the compiler chooses: the parameter
 # x, the locals, constants k<j>, the helpers in _HELPERS its lines call, and
@@ -490,12 +490,6 @@ def _pow(v, e):
     return v ** e
 
 
-def _tan(v):
-    if math.cos(v) == 0.0:
-        raise ValueError("tan undefined here")
-    return math.tan(v)
-
-
 def _kink(d):
     """Derivative of abs at 0, which exists only for a constant argument."""
     if d != 0.0:
@@ -504,7 +498,7 @@ def _kink(d):
 
 
 _HELPERS = {
-    "sin": math.sin, "cos": math.cos, "tan": _tan, "exp": math.exp,
+    "sin": math.sin, "cos": math.cos, "tan": math.tan, "exp": math.exp,
     "log": math.log, "tanh": math.tanh, "sqrt": math.sqrt, "abs": abs,
     "copysign": math.copysign, "pow": _pow, "dpow": _dual_pow, "kink": _kink,
 }

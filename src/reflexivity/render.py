@@ -37,7 +37,6 @@ class StaircaseTrace:
 @_expr.record
 class PhasePortraitTrace:
     points: tuple  # (x_i, y_i) in orbit order
-    connect: bool = True
 
 
 def staircase(s, o, curve_samples=DEFAULT_CURVE_SAMPLES):
@@ -64,10 +63,10 @@ def staircase(s, o, curve_samples=DEFAULT_CURVE_SAMPLES):
 
 
 def phase_portrait(o):
-    """The orbit (x_i, y_i) as a connected path."""
+    """The orbit (x_i, y_i) as one path through its points."""
     if not o.states:
         raise _dyn.PreconditionError("orbit is empty")
-    return PhasePortraitTrace(tuple(zip(o.xs(), o.ys())), connect=True)
+    return PhasePortraitTrace(tuple(zip(o.xs(), o.ys())))
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +190,7 @@ def to_svg(trace, options=None):
         out += map(_FIXED_POINT.__mod__, fixed_points)
     else:
         (points,) = pixels
-        if trace.connect and len(points) > 1:
+        if len(points) > 1:
             out.append(_polyline(points, "orbit", "#d62728"))
         out += map(_ORBIT_POINT.__mod__, points)
     out.append("</svg>")

@@ -1,11 +1,13 @@
 """Shared helpers: a seeded random-expression generator used by both the
-derivative property test and the acceptance suite, a stand-in for the
-distance sweep that hands back every sample, and hand-built orbits.
+derivative property test and the acceptance suite, a distance sweep that
+gives every sample to _invert, and hand-built orbits.
 """
 
 import math
 
-from reflexivity import expr
+import pytest
+
+from reflexivity import analysis, dynamics, expr
 from reflexivity.dynamics import Orbit, SystemState
 
 # abs/tan/log/sqrt are left out on purpose: kinks and domain edges make
@@ -77,11 +79,15 @@ def central_difference(e, v, h=FD_STEP):
     return (expr.evaluate(e, v + h) - expr.evaluate(e, v - h)) / (2.0 * h)
 
 
-def hand_back_every_sample(y_lo, w, m, n, lo, hi, flo, fhi, k, *state):
-    """A stand-in for analysis._SWEEP's kernel that hands back each sample it
-    is given, unchanged state and all: function_distance then inverts every
-    sample itself, with _invert."""
-    return (k, *state)
+def sweep_giving_up_everywhere(s, _kernel=analysis._kernel):
+    """s's distance sweep compiled with no solve steps, and not kept: it
+    gives every sample but those at f's ends, where no solve step is
+    needed, to _invert, whose solve runs with dynamics.SOLVE_MAX_ITER as
+    ever."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(dynamics, "SOLVE_MAX_ITER", 0)
+        m.setattr(expr, "kernel", expr.compile_loop)
+        return _kernel(s)
 
 
 def as_orbit(xs):

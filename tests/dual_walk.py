@@ -97,8 +97,6 @@ def apply_function(name, arg, offset):
         return DualValue(math.cos(v), -math.sin(v) * d)
     if name == "tan":
         c = math.cos(v)
-        if c == 0.0:
-            raise EvalDomainError("tan undefined here", offset)
         return DualValue(math.tan(v), d / (c * c))
     if name == "exp":
         ev = math.exp(v)

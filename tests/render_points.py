@@ -128,7 +128,7 @@ def to_svg(trace, options=None):
                 'r="4" fill="black"/>'
             )
     else:
-        if trace.connect and len(trace.points) > 1:
+        if len(trace.points) > 1:
             out.append(polyline(trace.points, "orbit", "#d62728"))
         for x, y in trace.points:
             out.append(

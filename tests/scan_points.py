@@ -30,7 +30,8 @@ def scan_points(fn, lo, w, m, n, tol):
     near = list(compress(range(n), map(gt, repeat(tol), map(abs, gs))))
     for k in near:
         gs[k] = 0.0
-    signs = list(compress(range(n - 1), map((0.0).__gt__, map(mul, gs, gs[1:]))))
+    signs = [(k, gs[k], gs[k + 1])
+             for k in compress(range(n - 1), map((0.0).__gt__, map(mul, gs, gs[1:])))]
     return near, signs, skipped
 
 

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from conftest import as_orbit, hand_back_every_sample
+from conftest import as_orbit, sweep_giving_up_everywhere
 from reflexivity import analysis, cli, dynamics, expr
 from reflexivity.analysis import (
     detect_boom_bust,
@@ -20,15 +20,15 @@ def logistic_map(r):
 
 def invert(f, interval, y):
     """(x, status) for f(x) = y on interval, as function_distance inverts a
-    sample its sweep hands back: f's monotonicity check, then _invert."""
+    sample its sweep gives up on: f's monotonicity check, then _invert."""
     lo, hi = interval
     analysis._monotone_direction(f, lo, hi)
     return analysis._invert(f, lo, hi, expr.evaluate(f, lo), expr.evaluate(f, hi), y)
 
 
 class TestInvertNumeric:
-    """The inversion function_distance runs where its sweep hands a sample
-    back."""
+    """The inversion function_distance runs where its sweep gives up on a
+    sample."""
 
     def test_linear(self):
         got, _ = invert(expr.parse("2*x+1"), (0.0, 10.0), 5.0)
@@ -134,9 +134,9 @@ class TestFunctionDistance:
         # Machine-independent cost guard: warm-started Newton steps, and
         # f(lo), f(hi) evaluated once, not once per sample.  Points f gets
         # through its compiled monotonicity scan count too.  The compiled
-        # sweep evaluates f without evaluate, so a stand-in that hands every
-        # sample back to function_distance's own inversion is used here.
-        monkeypatch.setattr(analysis, "_kernel", lambda s: hand_back_every_sample)
+        # sweep evaluates f without evaluate, so a sweep that gives every
+        # sample to _invert is used here.
+        monkeypatch.setattr(analysis, "_kernel", sweep_giving_up_everywhere)
         sc = cli.load_scenario("case1")
         s = make_system(sc["f"], sc["phi"], sc["x_domain"], sc["y_domain"])
         calls = [0]

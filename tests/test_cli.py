@@ -340,12 +340,14 @@ class TestExitCodeScheme:
         kind = "degenerate" if not lo < hi else "not finite"
         assert got == (3, "", f"numeric error: x_domain is {kind}: [{lo}, {hi}]\n")
 
-    # period and simulate stop at a non-finite x0 alike, sin(inf) or not.
+    # period and the four subcommands that run an orbit stop at a
+    # non-finite x0 alike, before f runs, sin(inf) or not.
     @pytest.mark.parametrize("f", ["x/2", "sin(x)"])
     @pytest.mark.parametrize("x0", ["inf", "nan"])
     def test_period_of_a_non_finite_x0_exits_3(self, capsys, f, x0):
-        got = run(capsys, "period", "--f", f, "--phi", "y", "--x0", x0)
-        assert got == (3, "", f"numeric error: non-finite state x={x0} (step 0)\n")
+        for command in ("period", "simulate", "boom-bust", "staircase", "portrait"):
+            got = run(capsys, command, "--f", f, "--phi", "y", "--x0", x0)
+            assert got == (3, "", f"numeric error: non-finite state x={x0} (step 0)\n"), command
 
     def test_too_deep_expression_exit_2(self, capsys):
         code, _, err = run(capsys, "simulate", "--f", "+".join(["x"] * 1200),

@@ -200,11 +200,11 @@ def _render_orbits():
 def _edge_traces():
     rng = random.Random(14)
     traces = [render.StaircaseTrace((), (), (), ()), render.PhasePortraitTrace(())]
-    for k in range(300):
+    for _ in range(300):
         pts = tuple((rng.choice(EDGES) if rng.random() < 0.3 else rng.uniform(-3.0, 3.0),
                      rng.choice(EDGES) if rng.random() < 0.3 else rng.uniform(-3.0, 3.0))
                     for _ in range(rng.randrange(0, 9)))
-        traces.append(render.PhasePortraitTrace(pts, connect=bool(k % 3)))
+        traces.append(render.PhasePortraitTrace(pts))
         traces.append(render.StaircaseTrace(tuple(zip(pts, pts[1:])), pts[:3], pts[3:5],
                                             pts[5:7]))
     return traces

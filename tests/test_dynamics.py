@@ -202,10 +202,10 @@ class TestCompositeMaps:
         assert compose_gamma(s)(0.0) == 1.0
 
     def test_gamma_linear_chain_rule(self):
+        # gamma's slope at a fixed point is the multiplier f'(x) * phi'(y).
         s = make_system("2*x", "0.4*y", (-1.0, 1.0), (-2.0, 2.0))
-        g = compose_gamma(s)
-        assert g.derivative(0.123) == pytest.approx(0.8, rel=1e-15)
-        assert g.derivative(-5.0) == pytest.approx(0.8, rel=1e-15)
+        assert compose_gamma(s)(0.123) == 0.4 * (2 * 0.123)
+        assert classify_stability(s, 0.0, 0.0).multiplier == pytest.approx(0.8, rel=1e-15)
 
 
 class TestFindFixedPoints:

@@ -437,8 +437,8 @@ _COMPILER_HELPERS = {"sin", "cos", "tan", "exp", "log", "tanh", "sqrt", "abs", "
 _LOOP_NAMES = {"x", "y", "n", "streak", "window", "xs", "ys", "append_x", "append_y", "_", "p",
                "t", "range", "cutoff", "rtol"}
 _ORBIT_TAGS = {"divergence", "convergence", "step-budget"}
-_SWEEP_NAMES = {"y_lo", "w", "m", "n", "k", "lo", "hi", "flo", "fhi", "start", "argmax", "f_max",
-                "best", "nans", "inv", "y", "numeric",
+_SWEEP_NAMES = {"y_lo", "w", "m", "n", "k", "lo", "hi", "flo", "fhi", "invert", "argmax", "f_max",
+                "best", "nans", "jumps", "jumped", "inv", "y", "numeric",
                 "tol", "ntol", "ga", "a", "b", "x", "step", "step_old", "_", "v", "slope", "gx",
                 "mid", "nxt", "newton", "diff", "max", "range", "nextafter", "inf", "rtol", "cap"}
 _RESIDUAL_NAMES = {"lo", "w", "m", "n", "best", "argmax", "nan_x", "k", "x", "fx", "hx", "r",
@@ -655,8 +655,8 @@ class TestRecord:
                 with pytest.raises(AttributeError):
                     setattr(r, name, 0)
         # Equal values in another record class are not equal.
-        assert dynamics.Prop1Report(1.0, True) != render.PhasePortraitTrace(1.0, True)
-        assert not dynamics.Prop1Report(1.0, True) == render.PhasePortraitTrace(1.0, True)
+        assert dynamics.Gamma(1.0) != render.PhasePortraitTrace(1.0)
+        assert not dynamics.Gamma(1.0) == render.PhasePortraitTrace(1.0)
 
     @pytest.mark.parametrize("op", [operator.lt, operator.le, operator.gt, operator.ge])
     def test_tuple_backed_records_are_not_ordered(self, op):
@@ -673,7 +673,7 @@ class TestRecord:
         assert Num(value=2.0).offset == 0
         assert render.RenderOptions(height=10) == render.RenderOptions(800, 10, 60)
         assert analysis.ConjugacyReport(0.5, 0, verdict="violated").violation_x is None
-        assert render.PhasePortraitTrace(points=()) == render.PhasePortraitTrace((), True)
+        assert render.PhasePortraitTrace(points=()) == render.PhasePortraitTrace(())
         assert dynamics.SystemState(index=2, y=1.0, x=0.5) == dynamics.SystemState(0.5, 1.0, 2)
         e = expr.Expression(variable_name="x", root=Var("x"))
         assert e.source == "" and e._derivative is None

@@ -1,11 +1,11 @@
 """The compiled orbit loop against the per-step path it replaces.
 
 orbit runs its first step through step and the rest in the system's
-compiled loop, and step again only to raise the loop's error;
-detect_period runs the loop of a compose_gamma map's system, and steps the
-map from the loop's last iterate where the loop fails.  The references here
-are the per-step orbit as it was before the loop, and detect_period with
-the map stepped one value at a time from x0, as it ran for a plain
+compiled loop, which raises a failing step's error itself; detect_period
+runs the loop of a compose_gamma map's system, and raises the loop's error
+where it fails short of the values needed.  The references here are the
+per-step orbit as it was before the loop, and detect_period with the map
+stepped one value at a time from x0 (_stepped), as it ran for a plain
 callable.  Every state is compared by repr, so -0.0 and NaN are told apart;
 every error by type, message and step index.
 """
@@ -23,9 +23,12 @@ from reflexivity.dynamics import Orbit, OrbitNumericError, SystemState, orbit, s
 
 
 def per_step_orbit(s, x0, max_steps):
-    """orbit as a loop over step: the reference for the compiled loop."""
+    """orbit as a loop over step: the reference for the compiled loop.  A
+    non-finite x0 raises as step raises it, before f runs."""
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
+    if not math.isfinite(x0):
+        raise OrbitNumericError(f"non-finite state x={float(x0)!r}", 0)
     try:
         y0 = expr.evaluate(s.f, float(x0))
     except expr.EvalDomainError as exc:
@@ -53,11 +56,21 @@ def per_step_orbit(s, x0, max_steps):
     return Orbit(tuple(states), tag)
 
 
+def _stepped(gamma, x, n):
+    """gamma(x), gamma(gamma(x)), ... (n values), ending after the first
+    diverged one: a failing step raises its error."""
+    for _ in range(n):
+        x = gamma(x)
+        yield x
+        if analysis._diverged(x):
+            return
+
+
 def stepped_period(gamma, x0, max_period, burn_in):
     """detect_period with gamma stepped one value at a time from x0
     (_stepped), as a plain callable was: the reference for the loop."""
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(analysis, "_iterates", analysis._stepped)
+        m.setattr(analysis, "_iterates", _stepped)
         return analysis.detect_period(gamma, x0, max_period, burn_in)
 
 
@@ -217,6 +230,12 @@ class TestOnePathOrbit:
             if n >= k:
                 assert want[0] == "OrbitNumericError" and want[2] == k, want
                 assert want[1].startswith({"f": "log", "phi": "sqrt"}[part]), want
+        # The index is that of the state step fails to make.
+        st = SystemState(x0, expr.evaluate(s.f, x0), 0)
+        with pytest.raises(expr.EvalDomainError):
+            while True:
+                st = step(s, st)
+        assert st.index + 1 == k
 
     @pytest.mark.parametrize("k", [2, 3, 7])
     def test_failure_runs_step_once(self, monkeypatch, k):
@@ -293,7 +312,7 @@ class TestPeriodMatchesPlainCallable:
         def doubling(x):
             assert not analysis._diverged(x), "stepped past a diverged value"
             return 2.0 * x
-        xs = list(analysis._stepped(doubling, 0.5, 300))  # divergence at step 41
+        xs = list(_stepped(doubling, 0.5, 300))  # divergence at step 41
         assert len(xs) == 41 and analysis._diverged(xs[-1])
 
     def test_iterates_are_the_orbit_xs(self):
@@ -303,14 +322,19 @@ class TestPeriodMatchesPlainCallable:
 
     def test_failing_loop_is_stepped_from_its_last_iterate(self, monkeypatch):
         # From 1.0, sqrt(x) - 0.3 makes x1..x9 > 0 and x10 < 0, where f
-        # fails: the loop keeps x1..x9, and the map is called from step 10
-        # on, from x9, with the results and errors of stepping it from 1.0.
+        # fails: the loop keeps x1..x10 and raises the error that stepping
+        # the map from x10 raises, so detect_period gives the results and
+        # errors of stepping it from 1.0 without calling the map.
         s = dynamics.make_system("sqrt(x)", "y - 0.3", (0.0, 2.0), (-1.0, 2.0))
         gamma = dynamics.compose_gamma(s)
         xs = []
-        with pytest.raises(expr.EvalDomainError):
+        with pytest.raises(expr.EvalDomainError) as raised:
             dynamics._loop(s)(1.0, expr.evaluate(s.f, 1.0), 50, 0, 0, xs, [])
-        assert len(xs) == 9 and xs[-1] > 0.0 > gamma(xs[-1])
+        assert len(xs) == 10 and xs[-2] > 0.0 > xs[-1] == gamma(xs[-2])
+        with pytest.raises(expr.EvalDomainError) as stepped:
+            gamma(xs[-1])
+        assert (type(stepped.value), str(stepped.value), stepped.value.offset) == \
+            (type(raised.value), str(raised.value), raised.value.offset)
         value = dynamics.Gamma.__call__
         calls = []
         monkeypatch.setattr(dynamics.Gamma, "__call__",
@@ -320,10 +344,24 @@ class TestPeriodMatchesPlainCallable:
             want = outcome(lambda: stepped_period(gamma, 1.0, p, b))
             calls.clear()
             assert outcome(lambda: analysis.detect_period(gamma, 1.0, p, b)) == want
-            assert calls == [] or repr(calls[0]) == repr(xs[-1]) and len(calls) <= 2, calls
-            seen.add((len(calls), want[0] if isinstance(want, tuple) else "result"))
-        # Callers that stop before step 10, at it, and after it.
-        assert seen == {(0, "result"), (1, "result"), (2, "EvalDomainError")}, seen
+            assert calls == [], calls
+            seen.add(want[0] if isinstance(want, tuple) else "result")
+        # Callers that need fewer than 11 values, and more.
+        assert seen == {"result", "EvalDomainError"}, seen
+
+    @pytest.mark.parametrize("part", ["f", "phi"])
+    @pytest.mark.parametrize("k", [3, 4, 7])
+    def test_failure_at_step_k(self, k, part):
+        # The orbit from x0 fails at step k: in phi's lines the map's k-th
+        # value fails, in f's its (k + 1)-th.  Callers need k - 1, k and
+        # k + 1 values (max_period 1 and burn_in n - 2 need n).
+        s, x0 = _fails_at(k, part)
+        gamma = dynamics.compose_gamma(s)
+        fails = k if part == "phi" else k + 1
+        for n in (k - 1, k, k + 1):
+            want = outcome(lambda: stepped_period(gamma, x0, 1, n - 2))
+            assert outcome(lambda: analysis.detect_period(gamma, x0, 1, n - 2)) == want, n
+            assert isinstance(want, tuple) == (n >= fails), (n, want)
 
 
 class TestMonotoneRuns:

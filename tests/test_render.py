@@ -86,7 +86,6 @@ class TestPhasePortrait:
         trace = phase_portrait(o)
         assert len(trace.points) == len(o.states)
         assert set(trace.points) == {(0.3, 0.3)}
-        assert trace.connect
 
     def test_point_count(self, cos_orbit):
         _, o = cos_orbit

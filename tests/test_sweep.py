@@ -1,11 +1,11 @@
 """The compiled distance sweep and the grid scans against the loops they
 replace.
 
-function_distance runs its grid through the system's compiled sweep,
-inverts each sample the sweep hands back with _invert, and resumes the
-sweep after it; the per-sample loop over _invert over the whole grid, which
-ran where the sweep handed back any sample before, is the reference, for
-the sweep and for a stand-in that hands back every sample.
+function_distance runs its grid through the system's compiled sweep in one
+call, which gives each sample its inlined solve gives up on to _invert; the
+per-sample loop over _invert over the whole grid, which ran where the sweep
+gave up on any sample before, is the reference, for the sweep and for the
+sweep compiled with no solve steps, which gives every sample to _invert.
 find_map_fixed_points and _monotone_direction scan their grids in compiled
 kernels that make their own points; the grid lists and builtin scans those
 replaced, and the loops the builtin scans replaced before them, are kept
@@ -35,7 +35,7 @@ from operator import gt, lt, mul, sub
 
 import pytest
 
-from conftest import gen_source, hand_back_every_sample
+from conftest import gen_source, sweep_giving_up_everywhere
 from reflexivity import analysis, cli, dynamics, expr, render
 from reflexivity.analysis import function_distance
 from reflexivity.dynamics import make_system
@@ -54,9 +54,9 @@ def outcome(run):
 
 
 def per_sample_distance(s, samples=analysis.DEFAULT_SAMPLES):
-    """function_distance as it ran wherever its sweep handed back a sample
-    or a line of it failed: the loop over _invert over the whole clamped
-    grid.  The reference for the sweep and for the samples it hands back."""
+    """function_distance as it ran wherever its sweep gave up on a sample or
+    a line of it failed: the loop over _invert over the whole clamped grid.
+    The reference for the sweep and for the samples it gives to _invert."""
     if samples < 2:
         raise dynamics.PreconditionError("samples must be >= 2")
     lo, hi = s.x_domain
@@ -99,43 +99,41 @@ def warned(caplog, run):
     return got, [r.getMessage() for r in caplog.records]
 
 
-def swept(caplog, monkeypatch, s, samples, kernel=None):
-    """function_distance's outcome and warnings, with s's sweep or the given
-    stand-in for it, and the samples the sweep handed back.  Asserts that
-    each run of the sweep starts after the sample the run before handed
-    back, and that _invert ran at the handed-back samples only."""
-    runs, handed, inverted = [], [], []
+def swept(caplog, monkeypatch, s, samples, make_sweep=None):
+    """function_distance's outcome and warnings, with s's sweep or the one
+    make_sweep(s) compiles, and the indices of the samples _invert ran at.
+    Asserts that function_distance runs the sweep at most once, and that
+    _invert runs at grid samples, in grid order, each at most once."""
+    runs, inverted = [], []
     real_kernel, real_invert = analysis._kernel, analysis._invert
 
     def spy(system):
-        sweep = kernel or real_kernel(system)
-
-        def run(*args):
-            got = sweep(*args)
-            y_lo, w, m, n, _, _, flo, fhi, start = args[:9]
-            runs.append((start, got[0]))
-            if got[0] < n:
-                handed.append((got[0], repr(min(y_lo + w * got[0] / m, max(flo, fhi)))))
-            return got
-        return run
+        sweep = (make_sweep or real_kernel)(system)
+        return lambda *args: runs.append(args) or sweep(*args)
 
     with monkeypatch.context() as m:
         m.setattr(analysis, "_kernel", spy)
-        m.setattr(analysis, "_invert", lambda *a: inverted.append(repr(a[5])) or real_invert(*a))
+        m.setattr(analysis, "_invert", lambda *a: inverted.append(a[5]) or real_invert(*a))
         got, said = warned(caplog, lambda: function_distance(s, samples))
-    assert [start for start, _ in runs] == [0, *(k + 1 for _, k in runs[:-1])][:len(runs)]
-    assert inverted == [y for _, y in handed], (inverted, handed)
-    return got, said, [k for k, _ in handed]
+    # One sweep, unless function_distance refused its input before it.
+    assert len(runs) == 1 or not (runs or inverted) and isinstance(got, tuple), runs
+    handed = []
+    if runs:
+        y_lo, w, m, n, _, _, flo, fhi = runs[0][:8]
+        ys = [min(y_lo + w * k / m, max(flo, fhi)) for k in range(n)]
+        for y in inverted:
+            handed.append(ys.index(y, handed[-1] + 1 if handed else 0))
+    return got, said, handed
 
 
 def same_as_loop(caplog, monkeypatch, s, samples):
-    """Assert the sweep, and a stand-in that hands back every sample, agree
-    with the per-sample reference; return (outcome, messages, the samples
-    the sweep handed back)."""
+    """Assert the sweep, and the sweep that gives every sample to _invert,
+    agree with the per-sample reference; return (outcome, messages, the
+    samples _invert ran at under the sweep)."""
     want = warned(caplog, lambda: per_sample_distance(s, samples))
     got, said, handed = swept(caplog, monkeypatch, s, samples)
     assert (got, said) == want, (s.f.source, s.phi.source, samples)
-    stub = swept(caplog, monkeypatch, s, samples, hand_back_every_sample)
+    stub = swept(caplog, monkeypatch, s, samples, sweep_giving_up_everywhere)
     assert stub[:2] == want, (s.f.source, s.phi.source, samples)
     return got, said, handed
 
@@ -160,7 +158,7 @@ class TestSweepMatchesLoop:
 
     def test_jump_is_handed_to_the_loop(self, caplog, monkeypatch):
         # The samples in the jump, y in (0.2, 0.4), lie mid-grid; the sweep
-        # resumes after each.
+        # gives each to _invert and goes on.
         s = make_system("x + 0.1*tanh(1e300*(x-0.3))", "y", (0.0, 1.0), (-1.0, 2.0))
         got, said, handed = same_as_loop(caplog, monkeypatch, s, 1201)
         assert "lie in a jump of f" in said[0], got
@@ -168,7 +166,7 @@ class TestSweepMatchesLoop:
 
     def test_one_sample_handed_back_mid_grid(self, caplog, monkeypatch):
         # f jumps by 2e-4 at x = 0.49995; of the 1001 samples only y = 0.5
-        # lies in the jump, and the sweep resumes after it to the end.
+        # lies in the jump, and the sweep goes on after it to the end.
         s = make_system("x + 1e-4*tanh(1e300*(x - 0.49995))", "y", (0.0, 1.0), (0.0, 1.0))
         got, said, handed = same_as_loop(caplog, monkeypatch, s, 1001)
         assert handed == [500] and got.startswith("DistanceReport"), (handed, got)
@@ -216,8 +214,20 @@ class TestSweepMatchesLoop:
         s = make_system(f, phi, x_domain, y_domain)
         got, _, handed = same_as_loop(caplog, monkeypatch, s, samples)
         assert got[0] == "EvalDomainError" and got[1].startswith(error), got
-        # The failing sample is handed back, and _invert or phi raises there.
-        assert len(handed) == 1, handed
+        # A failing line of f gives its sample to _invert, which raises
+        # there; one of phi raises in the sweep itself.
+        assert len(handed) == (phi == "y"), handed
+        # Each error carries only the exception of its own line.
+        chains = []
+        for run in (function_distance, per_sample_distance):
+            with pytest.raises(expr.EvalDomainError) as raised:
+                run(s, samples)
+            exc, chain = raised.value, []
+            while exc is not None:
+                chain.append(type(exc))
+                exc = exc.__context__
+            chains.append(chain)
+        assert chains[0] == chains[1] and len(chains[0]) == 2, chains
 
     def test_derivative_failure_is_handed_to_the_loop(self, caplog, monkeypatch):
         # abs has no derivative at 0.325, where the value is fine: _invert
@@ -726,14 +736,16 @@ class TestScansMatchLoops:
 
             # The kernel alone gives the indices the builtins pick from the
             # list, a failing point being NaN, less the sign changes with an
-            # end near 0, which the list's loop skips; it counts the failing
-            # points and makes _grid's points.
+            # end near 0, which the list's loop skips, each sign change with
+            # the values at its ends; it counts the failing points and makes
+            # _grid's points.
             gs = [math.nan if i in bad else v - x for i, (v, x) in enumerate(zip(vs, xs))]
             near = list(map(gt, repeat(tol), map(abs, gs)))
             signs = compress(range(n - 1), map((0.0).__gt__, map(mul, gs, gs[1:])))
             assert kernel(-1e-300, w, m, n, tol) == (
                 list(compress(range(n), near)),
-                [k for k in signs if not (near[k] or near[k + 1])], len(bad)), (vs, bad)
+                [(k, gs[k], gs[k + 1]) for k in signs if not (near[k] or near[k + 1])],
+                len(bad)), (vs, bad)
             assert list(map(repr, seen)) == list(map(repr, xs))
             fn = point_map(value, lambda x: 0.0)
 
@@ -907,8 +919,9 @@ class TestScansMatchLoops:
                 **env, "max": max, "nextafter": math.nextafter, "inf": math.inf,
                 "rtol": analysis.INVERT_RTOL, "cap": dynamics.SOLVE_MAX_ITER,
                 "numeric": expr._NUMERIC_ERRORS})
-            assert sweep(lo, w, m, n, lo, hi, lo, hi, 0, -1.0, lo, 0, None)[0] == n, (lo, hi, n)
-            assert list(map(repr, seen)) == list(map(repr, ys)), (lo, hi, n)
+            given_up = []
+            sweep(lo, w, m, n, lo, hi, lo, hi, lambda y, inv: given_up.append(y) or (y, False))
+            assert not given_up and list(map(repr, seen)) == list(map(repr, ys)), (lo, hi, n)
 
 
 class TestMonotoneMatchesPointLoop:
