@@ -83,7 +83,8 @@ def sweep_giving_up_everywhere(s, _kernel=analysis._kernel):
     """s's distance sweep compiled with no solve steps, and not kept: it
     gives every sample but those at f's ends, where no solve step is
     needed, to _invert, whose solve runs with dynamics.SOLVE_MAX_ITER as
-    ever."""
+    ever.  _kernel is bound at import, so a test may put this function in
+    analysis._kernel's place."""
     with pytest.MonkeyPatch.context() as m:
         m.setattr(dynamics, "SOLVE_MAX_ITER", 0)
         m.setattr(expr, "kernel", expr.compile_loop)
