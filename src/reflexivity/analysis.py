@@ -125,22 +125,6 @@ def _monotone_direction(f, lo, hi):
     return "increasing" if sign > 0 else "decreasing"
 
 
-def _invert(f, lo, hi, flo, fhi, y, x0=None):
-    """(x, status) with x in [lo, hi] and |f(x) - y| <= INVERT_RTOL*max(1, |y|),
-    for the Expression f, monotone with f(lo) = flo and f(hi) = fhi; Newton
-    steps use its derivative.  status is bracket_solve's; on "discontinuity"
-    y lies in a jump of f and x is where f jumps."""
-    if not (min(flo, fhi) <= y <= max(flo, fhi)):
-        raise OutOfRangeError(
-            f"y={y!r} outside attained range [{min(flo, fhi)!r}, {max(flo, fhi)!r}]")
-    # bracket_solve accepts |g| < tol; the next float up makes that <= INVERT_RTOL*...
-    tol = math.nextafter(INVERT_RTOL * max(1.0, abs(y)), math.inf)
-    x, status, _ = _dyn.bracket_solve(lambda t: _expr.evaluate(f, t) - y, lo, hi,
-                                      flo - y, fhi - y, tol, x0,
-                                      dg=lambda t: _expr.derivative(f, t))
-    return x, status
-
-
 def function_distance(s, samples=DEFAULT_SAMPLES):
     """max over a y-grid of |phi(y) - f^{-1}(y)|.
 
@@ -152,9 +136,9 @@ def function_distance(s, samples=DEFAULT_SAMPLES):
     nothing, and the number of those is logged too; if every sample's is,
     d is NaN and argmax_y the lowest y.
 
-    s's compiled sweep (_SWEEP) runs the whole grid in one call; a sample
-    its inlined solve gives up on it inverts with _invert, which reports
-    its status, warning or error.
+    s's compiled sweep (_SWEEP) runs the whole grid in one call, and solves
+    every sample itself with the safeguarded Newton solve of
+    dynamics._SOLVE; a failing line of f or phi raises its error.
     """
     if samples < 2:
         raise _dyn.PreconditionError("samples must be >= 2")
@@ -166,12 +150,7 @@ def function_distance(s, samples=DEFAULT_SAMPLES):
     if not (y_lo < y_hi):
         raise OutOfRangeError("image of f does not overlap y_domain")
     w, m = _dyn._grid_span(y_lo, y_hi, samples)
-
-    def invert(y, inv):
-        x, status = _invert(s.f, lo, hi, flo, fhi, y, inv)
-        return x, status == "discontinuity"
-
-    best, argmax, nans, jumps = _kernel(s)(y_lo, w, m, samples, lo, hi, flo, fhi, invert)
+    best, argmax, nans, jumps = _kernel(s)(y_lo, w, m, samples, lo, hi, flo, fhi)
     if jumps:
         log.warning("function_distance: %d of %d samples lie in a jump of f; "
                     "each is inverted to where f jumps", jumps, samples)
@@ -183,77 +162,36 @@ def function_distance(s, samples=DEFAULT_SAMPLES):
     return DistanceReport(best, argmax, samples, direction)
 
 
-# function_distance's sweep: _invert at the n points y = y_lo + w*k/m of
-# its grid (dynamics._grid's arithmetic), each clamped to f's range, with
-# _invert's range check and tolerance and bracket_solve's step rule inlined,
-# and f's value and derivative from one pass of its dual lines.  Where that
-# solve would end other than by |g| < tol (the bracket down to two adjacent
-# floats, where bracket_solve tells a steep root from a jump, or the
-# iteration cap), or a line of f fails, x is None and the sample goes to
-# invert(y, inv), which returns _invert's x and whether y lies in a jump of
-# f; it is called after the try, so its error carries none of the sweep's.
-# It returns the largest distance, its y, the count of NaN distances and
-# the count of samples in a jump; a failing line of phi raises.  Its grid
-# points are finite and none lies below y_lo, which is not below f_min.
-# Comparisons stand in for calls with the same result: -t < g < t for
-# abs(g) < t, a conditional for max(1.0, abs(y)), and 0.0 - d for abs(d)
-# when d is not > 0 (-0.0 included).
-_SWEEP = """\
-def compiled(y_lo, w, m, n, lo, hi, flo, fhi, invert{params}):
+# function_distance's sweep: at each of the n points y = y_lo + w*k/m of its
+# grid (dynamics._grid's arithmetic), clamped to f's range, the root x of
+# f(x) - y on [lo, hi] by dynamics._SOLVE, from the previous sample's x, with
+# f's dual lines for a Newton step and its value lines (fv) where one fails;
+# then |phi(y) - x|.  tol is the float above INVERT_RTOL*max(1, |y|), so that
+# |g| < tol is |f(x) - y| <= INVERT_RTOL*max(1, |y|).  It returns the largest
+# distance, its y, the count of NaN distances and the count of samples in a
+# jump of f (status 1); a failing line of f or phi raises.  Comparisons stand
+# in for calls with the same result: a conditional for max(1.0, abs(y)), and
+# 0.0 - d for abs(d) when d is not > 0 (-0.0 included).
+_SWEEP = _dyn._solver("""\
+def compiled(y_lo, w, m, n, lo, hi, flo, fhi{params}):
     f_max = max(flo, fhi)
     best = -1.0
     argmax = y_lo
     nans = 0
     jumps = 0
-    inv = None
+    x = lo
     for k in range(n):
         y = y_lo + w * k / m
         if f_max < y:
             y = f_max
         tol = nextafter(rtol * (y if y > 1.0 else -y if y < -1.0 else 1.0), inf)
         ntol = -tol
-        ga = flo - y
-        try:
-            if ntol < ga < tol:
-                x = lo
-            elif ntol < fhi - y < tol:
-                x = hi
-            else:
-                a = lo
-                b = hi
-                x = inv if inv is not None and a < inv < b else 0.5 * (a + b)
-                step = step_old = b - a
-                for _ in range(cap):
-                    @f
-                    v, slope = {f}
-                    gx = v - y
-                    if ntol < gx < tol:
-                        break
-                    if (gx > 0) == (ga > 0):
-                        a = x
-                        ga = gx
-                    else:
-                        b = x
-                    mid = 0.5 * (a + b)
-                    if not a < mid < b:
-                        x = None
-                        break
-                    nxt = mid
-                    if slope != 0.0:
-                        newton = x - gx / slope
-                        if a < newton < b and -step_old <= 2.0 * (newton - x) <= step_old:
-                            nxt = newton
-                    step_old = step
-                    step = nxt - x if nxt >= x else x - nxt
-                    x = nxt
-                else:
-                    x = None
-        except numeric:
-            x = None
-        if x is None:
-            x, jumped = invert(y, inv)
-            jumps += jumped
-        inv = x
+        a, b = lo, hi
+        ga, gb = flo - y, fhi - y
+        x0 = x
+        @SOLVE
+        if status == 1:
+            jumps += 1
         @phi
         diff = {phi} - x
         if not diff > 0.0:
@@ -264,15 +202,21 @@ def compiled(y_lo, w, m, n, lo, hi, flo, fhi, invert{params}):
         elif diff != diff:
             nans += 1
     return best, argmax, nans, jumps
-"""
+""", d="""\
+@f
+v, slope = {f}
+gx = v - y
+""", v="""\
+@fv
+gx = {fv} - y
+""")
 
 
 def _kernel(s):
     """s's compiled sweep (_SWEEP), kept by expr.kernel."""
-    return _expr.kernel(_SWEEP, {"f": (s.f, "x"), "phi": (s.phi, "y")}, {
-        "max": max, "range": range, "nextafter": math.nextafter, "inf": math.inf,
-        "rtol": INVERT_RTOL, "cap": _dyn.SOLVE_MAX_ITER, "numeric": _expr._NUMERIC_ERRORS},
-        dual=("f",))
+    return _expr.kernel(_SWEEP, {"f": (s.f, "x"), "fv": (s.f, "x"), "phi": (s.phi, "y")}, {
+        **_dyn._solve_env(), "max": max, "nextafter": math.nextafter, "inf": math.inf,
+        "rtol": INVERT_RTOL}, dual=("f",))
 
 
 def _diverged(x):

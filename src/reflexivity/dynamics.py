@@ -5,6 +5,7 @@ composite maps, fixed-point location, and stability classification.
 from __future__ import annotations
 
 import math
+import re
 from itertools import repeat
 from operator import attrgetter
 
@@ -145,7 +146,7 @@ class FixedPoint:
     y_bar: float
     residual_f: float
     residual_phi: float
-    multiplier: float  # NaN where f or phi has no derivative
+    multiplier: float  # NaN where f' or phi' fails (no derivative, or out of range)
     stability: str  # "attracting" | "repelling" | "marginal" | "undetermined" (NaN)
 
 
@@ -262,64 +263,121 @@ def compose_gamma(s):
     return Gamma(s)
 
 
-def _slope(dg, x):
-    """dg(x), or 0.0 (no Newton step) when dg fails at x."""
-    try:
-        return dg(x)
-    except _expr.EvalDomainError:
-        return 0.0
-
-
-def bracket_solve(g, a, b, ga, gb, tol, x0=None, *, dg):
-    """Root of g on [a, b], where ga = g(a) and gb = g(b) differ in sign.
-
-    Safeguarded Newton (Numerical Recipes' rtsafe): from x0, or the midpoint,
-    take Newton steps with the derivative dg, and a bisection step whenever
-    the Newton step leaves the bracket, is not at least half as long as the
-    step before last, or dg fails or is 0.
-
-    Returns (x, status, iters).  status is "converged" when |g(x)| < tol, or
-    when the bracket has shrunk to two adjacent floats and the slope dg on
-    either side accounts for the step in g between them: the root then lies
-    below float resolution and x is the end with the smaller |g|.  It is
-    "discontinuity" when that step is larger (g jumps across zero there; x
-    is again the better end), and "iteration-cap" (logged) after
-    SOLVE_MAX_ITER evaluations of g.
-    """
-    if abs(ga) < tol:
-        return a, "converged", 0
-    if abs(gb) < tol:
-        return b, "converged", 0
-    x = x0 if x0 is not None and a < x0 < b else 0.5 * (a + b)
+# The one bracketing root solver: the safeguarded Newton solve of Numerical
+# Recipes' rtsafe, as lines that _solver splices into the fixed-point solve
+# (_ROOT) and analysis' distance sweep.  On [a, b], where g's values ga and
+# gb differ in sign, from x0 (the midpoint if x0 is not inside), each step is
+# a Newton step, or a bisection where that leaves the bracket, is not at
+# least half as long as the step before last, or the slope is 0.  It sets x
+# and status: 0 when ntol < g(x) < tol (ntol = -tol), or when the bracket is
+# down to two adjacent floats and the slope at either end accounts for the
+# step in g between them (a root below float resolution: x is the end with
+# the smaller |g|); 1 when that step is larger (g jumps across 0: x is again
+# the better end); and 2 after cap steps, logged by capped.  The caller's
+# lines "@D" set gx = g(x) and slope = g'(x) from dual lines, "@V" gx alone
+# from value lines: where a line of @D fails, @V runs after the try, so a
+# failing value line raises its own error, and the slope is 0.0, as it is at
+# a collapsed bracket's end where @D fails.  Comparisons stand in for abs
+# where a step calls it, with the same result.
+_SOLVE = """\
+status = 0
+if ntol < ga < tol:
+    x = a
+elif ntol < gb < tol:
+    x = b
+else:
+    x = x0 if a < x0 < b else 0.5 * (a + b)
     step = step_old = b - a
-    for it in range(1, SOLVE_MAX_ITER + 1):
-        gx = g(x)
-        if abs(gx) < tol:
-            return x, "converged", it
+    for _ in range(cap):
+        try:
+            @D
+        except numeric:
+            gx = None
+        if gx is None:
+            @V
+            slope = 0.0
+        if ntol < gx < tol:
+            break
         if (gx > 0) == (ga > 0):
             a, ga = x, gx
         else:
             b, gb = x, gx
         mid = 0.5 * (a + b)
         if not a < mid < b:
-            # A root below float resolution if the slope on both sides
-            # accounts for the step in g between the ends, a jump if not.
+            least = None
+            for x in a, b:
+                try:
+                    @D
+                except numeric:
+                    slope = 0.0
+                least = abs(slope) if least is None else min(least, abs(slope))
+            status = 0 if abs(gb - ga) <= 2.0 * least * (b - a) else 1
             x = a if abs(ga) <= abs(gb) else b
-            slope = min(abs(_slope(dg, a)), abs(_slope(dg, b)))
-            if abs(gb - ga) <= 2.0 * slope * (b - a):
-                return x, "converged", it
-            return x, "discontinuity", it
+            break
         nxt = mid
-        slope = _slope(dg, x)
         if slope != 0.0:
             newton = x - gx / slope
-            if a < newton < b and 2.0 * abs(newton - x) <= step_old:
+            if a < newton < b and -step_old <= 2.0 * (newton - x) <= step_old:
                 nxt = newton
-        step_old, step = step, abs(nxt - x)
+        step_old, step = step, (nxt - x if nxt >= x else x - nxt)
         x = nxt
-    log.warning("root solve: no convergence in %d iterations on [%r, %r]",
-                SOLVE_MAX_ITER, a, b)
-    return (a if abs(ga) <= abs(gb) else b), "iteration-cap", SOLVE_MAX_ITER
+    else:
+        status = 2
+        x = capped(cap, a, b, ga, gb)
+"""
+_MARKER = re.compile(r"^( *)@(SOLVE|D|V)\n", re.M)
+
+
+def _solver(template, d, v):
+    """template with its "@SOLVE" line replaced by _SOLVE's lines, and their
+    "@D" and "@V" lines by the lines d and v, each at its marker's indent."""
+    parts = {"SOLVE": _SOLVE, "D": d, "V": v}
+
+    def spliced(m):
+        return "".join(m[1] + line + "\n" for line in parts[m[2]].splitlines())
+    return _MARKER.sub(spliced, _MARKER.sub(spliced, template))
+
+
+def _capped(cap, a, b, ga, gb):
+    """The end of [a, b] with the smaller |g|, logged: a solve's last."""
+    log.warning("root solve: no convergence in %d iterations on [%r, %r]", cap, a, b)
+    return a if abs(ga) <= abs(gb) else b
+
+
+def _solve_env():
+    """The names _SOLVE's lines need, with the cap as it is at compile time."""
+    return {"range": range, "min": min, "abs": abs, "cap": SOLVE_MAX_ITER,
+            "capped": _capped, "numeric": _expr._NUMERIC_ERRORS}
+
+
+# find_map_fixed_points' solve of g(x) = phi(f(x)) - x on a bracket of its
+# scan, from the midpoint, with slope phi'(f(x)) * f'(x) - 1.0 from f's and
+# phi's dual lines, and g from their value lines (fv, phiv) where one fails.
+_ROOT = _solver("""\
+def compiled(a, b, ga, gb, tol{params}):
+    ntol = -tol
+    x0 = a
+    @SOLVE
+    return x, status
+""", d="""\
+@f
+y, fd = {f}
+@phi
+v, d = {phi}
+gx = v - x
+slope = d * fd - 1.0
+""", v="""\
+@fv
+y = {fv}
+@phiv
+gx = {phiv} - x
+""")
+
+
+def _root(f, phi):
+    """The fixed-point solve (_ROOT) of phi(f(x)), kept by expr.kernel."""
+    return _expr.kernel(_ROOT, {"f": (f, "x"), "phi": (phi, "y"), "fv": (f, "x"),
+                                "phiv": (phi, "y")}, _solve_env(), dual=("f", "phi"))
 
 
 # find_map_fixed_points' scan of the map phi(f(x)): at each of the n points
@@ -367,15 +425,16 @@ def _scan(f, phi):
 def find_map_fixed_points(f, phi, lo, hi, grid_n=DEFAULT_GRID, tol=ROOT_TOL):
     """Roots of phi(f(x)) - x on [lo, hi], lo < hi (else
     DomainValidationError), for the Expressions f and phi, by uniform grid
-    plus bracket_solve with the chain-rule derivative.  The compiled scan of
-    phi(f(x)) covers the grid; a caller searching f alone passes the
-    identity as phi.
+    plus the safeguarded Newton solve (_SOLVE) with the chain-rule
+    derivative.  The compiled scan of phi(f(x)) covers the grid, and the
+    compiled solve (_ROOT) takes each sign change from the scan's values; a
+    caller searching f alone passes the identity as phi.
 
     Returns (roots, skipped) where skipped counts grid points dropped for
-    numeric domain errors.  A pair of grid values with a NaN end brackets
-    nothing.  Sign changes that are jumps, not roots, are dropped with a
-    warning.  Tangential roots are only caught when a grid point lands
-    within tol of zero.
+    numeric domain errors, and brackets whose solve meets one.  A pair of
+    grid values with a NaN end brackets nothing.  Sign changes that are
+    jumps, not roots, are dropped with a warning.  Tangential roots are only
+    caught when a grid point lands within tol of zero.
     """
     if grid_n < 2:
         raise PreconditionError("grid_n must be >= 2")
@@ -390,18 +449,15 @@ def find_map_fixed_points(f, phi, lo, hi, grid_n=DEFAULT_GRID, tol=ROOT_TOL):
         log.warning("fixed-point grid: skipped %d of %d points", skipped, grid_n)
 
     # The bracket ends are made as the scan made them, with its values there.
-    g = lambda x: _expr.evaluate(phi, _expr.evaluate(f, x)) - x
-    dg = lambda x: _expr.derivative(phi, _expr.evaluate(f, x)) * _expr.derivative(f, x) - 1.0
     roots = [lo + w * k / m for k in near]
     jumps = 0
     for k, ga, gb in signs:
-        a, b = lo + w * k / m, lo + w * (k + 1) / m
         try:
-            x, status, _ = bracket_solve(g, a, b, ga, gb, tol, dg=dg)
+            x, status = _root(f, phi)(lo + w * k / m, lo + w * (k + 1) / m, ga, gb, tol)
         except _expr.EvalDomainError:
             skipped += 1
             continue
-        if status == "discontinuity":
+        if status == 1:
             jumps += 1
         else:
             roots.append(x)
@@ -430,13 +486,13 @@ def find_fixed_points(s, grid_n=DEFAULT_GRID):
 
 def classify_stability(s, x_bar, y_bar):
     """Build a FixedPoint with multiplier f'(x_bar) * phi'(y_bar).  Where
-    either has no derivative, or the product is NaN, the multiplier is NaN
-    and the stability "undetermined"."""
+    either derivative fails (none there, or an overflow), or the product is
+    NaN, the multiplier is NaN and the stability "undetermined"."""
     residual_f = abs(_expr.evaluate(s.f, x_bar) - y_bar)
     residual_phi = abs(_expr.evaluate(s.phi, y_bar) - x_bar)
     try:
         multiplier = _expr.derivative(s.f, x_bar) * _expr.derivative(s.phi, y_bar)
-    except _expr.NonDifferentiableError:
+    except _expr.EvalDomainError:
         multiplier = math.nan
     mag = abs(multiplier)
     if math.isnan(mag):

@@ -11,7 +11,7 @@ failures: one handler raises the error of the line that failed, with its
 message and node offset, at no cost until something fails.  compile_loop
 puts the lines of several expressions, values only or values with
 derivatives, into one function from a template: the orbit loop and the
-fixed-point scan of the dynamics layer, and the monotonicity scan,
+fixed-point scan and solve of the dynamics layer, and the monotonicity scan,
 inversion sweep and conjugacy residual of the analysis layer.  kernel
 keeps each such function on the first Expression it holds, and compiles
 it again only for other Expression objects.
@@ -441,7 +441,7 @@ def derivative(e, v):
 # costs nothing until something raises, so one function per mode is fast
 # and reports too.  A template may catch _NUMERIC_ERRORS around its part
 # lines itself, as dynamics._SCAN does to skip a failing grid point and
-# analysis._SWEEP to invert one by other means; fail then never runs.
+# dynamics._SOLVE to fall back from dual to value lines; fail then never runs.
 #
 # The generated source holds only names the compiler chooses: the parameter
 # x, the locals, constants k<j>, the helpers in _HELPERS its lines call, and

@@ -1,13 +1,10 @@
 """Shared helpers: a seeded random-expression generator used by both the
-derivative property test and the acceptance suite, a distance sweep that
-gives every sample to _invert, and hand-built orbits.
+derivative property test and the acceptance suite, and hand-built orbits.
 """
 
 import math
 
-import pytest
-
-from reflexivity import analysis, dynamics, expr
+from reflexivity import expr
 from reflexivity.dynamics import Orbit, SystemState
 
 # abs/tan/log/sqrt are left out on purpose: kinks and domain edges make
@@ -77,18 +74,6 @@ def sample_safe_expression(rng, depth=6, max_tries=500):
 
 def central_difference(e, v, h=FD_STEP):
     return (expr.evaluate(e, v + h) - expr.evaluate(e, v - h)) / (2.0 * h)
-
-
-def sweep_giving_up_everywhere(s, _kernel=analysis._kernel):
-    """s's distance sweep compiled with no solve steps, and not kept: it
-    gives every sample but those at f's ends, where no solve step is
-    needed, to _invert, whose solve runs with dynamics.SOLVE_MAX_ITER as
-    ever.  _kernel is bound at import, so a test may put this function in
-    analysis._kernel's place."""
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(dynamics, "SOLVE_MAX_ITER", 0)
-        m.setattr(expr, "kernel", expr.compile_loop)
-        return _kernel(s)
 
 
 def as_orbit(xs):

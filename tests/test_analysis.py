@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from conftest import as_orbit, sweep_giving_up_everywhere
+import solve_points
+from conftest import as_orbit
 from reflexivity import analysis, cli, dynamics, expr
 from reflexivity.analysis import (
     detect_boom_bust,
@@ -19,16 +20,16 @@ def logistic_map(r):
 
 
 def invert(f, interval, y):
-    """(x, status) for f(x) = y on interval, as function_distance inverts a
-    sample its sweep gives up on: f's monotonicity check, then _invert."""
+    """(x, status) for f(x) = y on interval: f's monotonicity check, then
+    the per-sample inversion of tests/solve_points.py."""
     lo, hi = interval
     analysis._monotone_direction(f, lo, hi)
-    return analysis._invert(f, lo, hi, expr.evaluate(f, lo), expr.evaluate(f, hi), y)
+    return solve_points.invert(f, lo, hi, expr.evaluate(f, lo), expr.evaluate(f, hi), y)
 
 
 class TestInvertNumeric:
-    """The inversion function_distance runs where its sweep gives up on a
-    sample."""
+    """The per-sample inversion, the reference the distance sweep's solve is
+    tested against in tests/test_solve.py."""
 
     def test_linear(self):
         got, _ = invert(expr.parse("2*x+1"), (0.0, 10.0), 5.0)
@@ -132,30 +133,32 @@ class TestFunctionDistance:
 
     def test_case1_evaluations_per_sample(self, monkeypatch):
         # Machine-independent cost guard: warm-started Newton steps, and
-        # f(lo), f(hi) evaluated once, not once per sample.  Points f gets
-        # through its compiled monotonicity scan count too.  The compiled
-        # sweep evaluates f without evaluate, so a sweep that gives every
-        # sample to _invert is used here.
-        monkeypatch.setattr(analysis, "_kernel", sweep_giving_up_everywhere)
+        # f(lo), f(hi) evaluated once, not once per sample.  The compiled
+        # kernels run f's lines once per step of a range other than the
+        # sweep's loop over its samples: the monotonicity scan's points and
+        # the solve's steps, counted here with evaluate's calls.
         sc = cli.load_scenario("case1")
         s = make_system(sc["f"], sc["phi"], sc["x_domain"], sc["y_domain"])
         calls = [0]
-        real, real_scan = expr.evaluate, analysis._monotone
+        real = expr.evaluate
 
         def counting(e, v):
             calls[0] += e is s.f
             return real(e, v)
 
-        def counting_scan(e):
-            kernel = real_scan(e)
+        def counted(*args):
+            if args == (4096,):  # the sweep's samples
+                yield from range(*args)
+                return
+            for k in range(*args):
+                calls[0] += 1
+                yield k
 
-            def scan(lo, w, m, n, prev):
-                calls[0] += n - 1 if e is s.f else 0
-                return kernel(lo, w, m, n, prev)
-            return scan
+        def counting_kernel(template, parts, env, dual=()):
+            return expr.compile_loop(template, parts, {**env, "range": counted}, dual)
 
         monkeypatch.setattr(expr, "evaluate", counting)
-        monkeypatch.setattr(analysis, "_monotone", counting_scan)
+        monkeypatch.setattr(expr, "kernel", counting_kernel)
         rep = function_distance(s, 4096)
         assert calls[0] <= 6 * 4096
         assert rep.d == pytest.approx(0.05, abs=1e-6)
@@ -353,13 +356,13 @@ class TestVerifyConjugacy:
 
     def test_nan_grid_value_brackets_no_root(self, monkeypatch, caplog):
         ends = []
-        solve = dynamics.bracket_solve
+        real = dynamics._root
 
-        def recording(g, a, b, ga, gb, *args, **kwargs):
-            ends.append((ga, gb))
-            return solve(g, a, b, ga, gb, *args, **kwargs)
+        def recording(f, phi):
+            solve = real(f, phi)
+            return lambda a, b, ga, gb, tol: ends.append((ga, gb)) or solve(a, b, ga, gb, tol)
 
-        monkeypatch.setattr(dynamics, "bracket_solve", recording)
+        monkeypatch.setattr(dynamics, "_root", recording)
         with caplog.at_level(logging.WARNING, logger="reflexivity.dynamics"):
             verify_conjugacy(expr.parse(self.NAN_RIGHT), expr.parse("x/2"),
                              expr.parse("x"), (-1.0, 1.0), samples=101)

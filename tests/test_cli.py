@@ -178,6 +178,18 @@ class TestFixedPoints:
         assert [(r[0], r[2], r[3]) for r in rows] == [
             ("1", "nan", "undetermined"), ("2", "0.5", "attracting")]
 
+    @pytest.mark.parametrize("command", ["fixed-points", "staircase"])
+    def test_overflowing_multiplier_is_undetermined(self, capsys, command):
+        # x^-1's derivative overflows at the root 1e-200: the multiplier is
+        # NaN, and neither command fails.
+        start = ("--x0", "0.5") if command == "staircase" else ()
+        code, out, err = run(capsys, command, "--f", "2*x + 0*x^-1", "--phi", "y",
+                             "--domain", "1e-200", "1", "--y-domain", "0", "3", *start)
+        assert code == 0 and "error" not in err, err
+        if command == "fixed-points":
+            rows = [ln.split() for ln in out.splitlines() if not ln.startswith("#")]
+            assert [(r[2], r[3]) for r in rows] == [("nan", "undetermined")]
+            assert err == "fixed_points=1\n"
 
     @pytest.mark.parametrize("f", ["x/1e200*1e200", "x/1e-200*1e-200"])
     def test_quotient_with_a_tiny_or_huge_divisor(self, capsys, f):

@@ -19,6 +19,7 @@ from reflexivity.dynamics import (
     step,
 )
 from scan_points import point_scan
+from solve_points import bracket_solve
 
 
 def linear_system(a, b, lo=-1.0, hi=1.0):
@@ -306,14 +307,17 @@ class TestFindFixedPoints:
 
 
 class TestBracketSolve:
+    """The reference solver in tests/solve_points.py; tests/test_solve.py
+    runs the compiled solve against it, these cases among others."""
+
     def test_newton_converges_in_fewer_steps_than_bisection(self):
         g, dg = (lambda x: x * x - 2.0), (lambda x: 2.0 * x)
-        x, status, newton_iters = dynamics.bracket_solve(g, 0.0, 2.0, -2.0, 2.0, 1e-15, dg=dg)
+        x, status, newton_iters = bracket_solve(g, 0.0, 2.0, -2.0, 2.0, 1e-15, dg=dg)
         assert status == "converged" and abs(g(x)) <= 1e-15
         assert x == pytest.approx(math.sqrt(2.0), abs=1e-15)
         # A zero slope takes no Newton step: every step bisects.
-        _, status, bisect_iters = dynamics.bracket_solve(g, 0.0, 2.0, -2.0, 2.0, 1e-15,
-                                                         dg=lambda x: 0.0)
+        _, status, bisect_iters = bracket_solve(g, 0.0, 2.0, -2.0, 2.0, 1e-15,
+                                                dg=lambda x: 0.0)
         assert status == "converged"
         assert newton_iters <= 6 < bisect_iters
 
@@ -321,18 +325,18 @@ class TestBracketSolve:
         # From x0 = -1.9 the Newton step for atan lands near 9.75, past b = 3.
         g = lambda x: math.atan(x - 1.0)
         dg = lambda x: 1.0 / (1.0 + (x - 1.0) ** 2)
-        x, status, _ = dynamics.bracket_solve(g, -2.0, 3.0, g(-2.0), g(3.0), 1e-14,
-                                              x0=-1.9, dg=dg)
+        x, status, _ = bracket_solve(g, -2.0, 3.0, g(-2.0), g(3.0), 1e-14,
+                                     x0=-1.9, dg=dg)
         assert status == "converged" and x == pytest.approx(1.0, abs=1e-13)
 
     def test_endpoint_within_tolerance(self):
-        assert dynamics.bracket_solve(lambda x: x, 0.0, 1.0, 0.0, 1.0, 1e-12,
-                                      dg=lambda x: 1.0) == (0.0, "converged", 0)
+        assert bracket_solve(lambda x: x, 0.0, 1.0, 0.0, 1.0, 1e-12,
+                             dg=lambda x: 1.0) == (0.0, "converged", 0)
 
     def test_jump_is_discontinuity(self):
         g = lambda x: 1.0 if x > 0.3 else -1.0
-        x, status, iters = dynamics.bracket_solve(g, 0.0, 1.0, -1.0, 1.0, 1e-12,
-                                                  dg=lambda x: 0.0)
+        x, status, iters = bracket_solve(g, 0.0, 1.0, -1.0, 1.0, 1e-12,
+                                         dg=lambda x: 0.0)
         assert status == "discontinuity"
         assert x in (0.3, math.nextafter(0.3, 1.0))
         assert iters < dynamics.SOLVE_MAX_ITER
@@ -340,8 +344,8 @@ class TestBracketSolve:
     def test_tolerance_is_exclusive(self):
         # |g| < tol, as the fixed-point grid tests it: neither a = 0 nor the
         # midpoint 0.5, where |g| = tol, is taken for a root.
-        got = dynamics.bracket_solve(lambda x: x - 0.25, 0.0, 1.0, -0.25, 0.75, 0.25,
-                                     dg=lambda x: 1.0)
+        got = bracket_solve(lambda x: x - 0.25, 0.0, 1.0, -0.25, 0.75, 0.25,
+                            dg=lambda x: 1.0)
         assert got == (0.25, "converged", 2)
 
     def test_iteration_cap_is_logged(self, caplog):
@@ -349,8 +353,8 @@ class TestBracketSolve:
         # a zero slope makes every step bisect.
         g = lambda x: x - 1e-300
         with caplog.at_level(logging.WARNING, logger="reflexivity.dynamics"):
-            x, status, iters = dynamics.bracket_solve(g, -1.0, 1.0, g(-1.0), g(1.0), 0.0,
-                                                      dg=lambda x: 0.0)
+            x, status, iters = bracket_solve(g, -1.0, 1.0, g(-1.0), g(1.0), 0.0,
+                                             dg=lambda x: 0.0)
         assert (status, iters) == ("iteration-cap", dynamics.SOLVE_MAX_ITER)
         assert 0.0 <= x <= 2.0 ** -199
         assert "no convergence in 200 iterations" in caplog.text
@@ -387,6 +391,19 @@ class TestClassifyStability:
         assert math.isnan(fp.multiplier)
         assert fp.stability == "undetermined"
         assert (fp.residual_f, fp.residual_phi) == (0.0, 0.0)
+
+    def test_overflowing_multiplier_is_undetermined(self):
+        # The root 1e-200 is found; x^-1's derivative overflows there, which
+        # makes the multiplier NaN, not the whole search fail.  A failing
+        # residual evaluation still raises.
+        s = make_system("2*x + 0*x^-1", "y", (1e-200, 1.0), (0.0, 3.0))
+        with pytest.raises(expr.EvalDomainError, match="out of range"):
+            expr.derivative(s.f, 1e-200)
+        (fp,) = find_fixed_points(s)
+        assert (fp.x_bar, fp.y_bar, fp.stability) == (1e-200, 2e-200, "undetermined")
+        assert math.isnan(fp.multiplier) and (fp.residual_f, fp.residual_phi) == (0.0, 1e-200)
+        with pytest.raises(expr.EvalDomainError, match="division by zero"):
+            classify_stability(make_system("x + 0/x", "y", (1.0, 2.0), (1.0, 2.0)), 0.0, 0.0)
 
     def test_other_roots_survive_one_without_derivative(self):
         s = make_system("x - 1", "sqrt(y) + 1", (-1.0, 3.0), (0.0, 2.0))

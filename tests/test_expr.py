@@ -224,13 +224,22 @@ class TestEvaluate:
                 assert re.fullmatch(r"(phi|f)[vk]\d+", local) or local in _COMPILER_HELPERS \
                     or local in _LOOP_NAMES, local
             assert {c for c in code.co_consts if isinstance(c, str)} <= _ORBIT_TAGS
-            # So does the distance sweep, f's lines in dual mode.
+            # So does the distance sweep, f's lines in dual and in value mode.
             code = analysis._kernel(s).__code__
             assert code.co_names == () and code.co_varnames[:4] == ("y_lo", "w", "m", "n"), src
             for local in code.co_varnames:
-                assert re.fullmatch(r"f[vdk]\d+|phi[vk]\d+", local) \
+                assert re.fullmatch(r"f[vdk]\d+|(fv|phi)[vk]\d+", local) \
                     or local in _COMPILER_HELPERS or local in _SWEEP_NAMES, local
             assert not any(isinstance(c, str) for c in code.co_consts), src
+            # And the fixed-point solve of e(e(x)) and of e alone, f and phi
+            # in both modes.
+            for kernel in (dynamics._root(e, e), dynamics._root(e, analysis._IDENTITY)):
+                code = kernel.__code__
+                assert code.co_names == () and code.co_varnames[:4] == ("a", "b", "ga", "gb")
+                for local in code.co_varnames:
+                    assert re.fullmatch(r"(f|phi)[vdk]\d+|(fv|phiv)[vk]\d+", local) \
+                        or local in _COMPILER_HELPERS or local in _ROOT_NAMES, local
+                assert not any(isinstance(c, str) for c in code.co_consts), src
             # And the conjugacy residual, e as f, g and h in four parts.
             code = analysis._residuals(e, e, e).__code__
             assert code.co_names == () and code.co_varnames[:4] == ("lo", "w", "m", "n"), src
@@ -437,10 +446,15 @@ _COMPILER_HELPERS = {"sin", "cos", "tan", "exp", "log", "tanh", "sqrt", "abs", "
 _LOOP_NAMES = {"x", "y", "n", "streak", "window", "xs", "ys", "append_x", "append_y", "_", "p",
                "t", "range", "cutoff", "rtol"}
 _ORBIT_TAGS = {"divergence", "convergence", "step-budget"}
-_SWEEP_NAMES = {"y_lo", "w", "m", "n", "k", "lo", "hi", "flo", "fhi", "invert", "argmax", "f_max",
-                "best", "nans", "jumps", "jumped", "inv", "y", "numeric",
-                "tol", "ntol", "ga", "a", "b", "x", "step", "step_old", "_", "v", "slope", "gx",
-                "mid", "nxt", "newton", "diff", "max", "range", "nextafter", "inf", "rtol", "cap"}
+# The names of the solve lines (dynamics._SOLVE), in the sweep and the
+# fixed-point solve.
+_SOLVE_NAMES = {"a", "b", "ga", "gb", "tol", "ntol", "x0", "x", "status", "step", "step_old", "_",
+                "gx", "slope", "mid", "least", "nxt", "newton", "range", "cap", "capped", "min",
+                "numeric"}
+_SWEEP_NAMES = _SOLVE_NAMES | {"y_lo", "w", "m", "n", "k", "lo", "hi", "flo", "fhi", "argmax",
+                               "f_max", "best", "nans", "jumps", "y", "v", "diff", "max",
+                               "nextafter", "inf", "rtol"}
+_ROOT_NAMES = _SOLVE_NAMES | {"y", "fd", "v", "d"}
 _RESIDUAL_NAMES = {"lo", "w", "m", "n", "best", "argmax", "nan_x", "k", "x", "fx", "hx", "r",
                    "range"}
 _SCAN_NAMES = {"lo", "w", "m", "n", "tol", "near", "signs", "skipped", "ntol", "prev", "k", "x",

@@ -103,3 +103,14 @@ def test_unused_names_are_found():
                                  "def g(): return kept\n").body,
                "n.py": ast.parse("import m\nm.g()\n").body}
     assert unused(modules) == {("m.py", "_T"), ("m.py", "_f")}
+
+
+def test_the_solver_step_rule_is_written_once():
+    # The Newton acceptance line of dynamics._SOLVE, the one bracketing root
+    # solver: a second copy of the solver, in Python or inlined in another
+    # kernel's template, holds a Newton acceptance test too.
+    from reflexivity import dynamics
+    (line,) = [ln.strip() for ln in dynamics._SOLVE.splitlines() if "< newton <" in ln]
+    lines = [ln.strip() for p in sorted(SRC.glob("*.py")) for ln in p.read_text().splitlines()]
+    assert lines.count(line) == 1
+    assert [ln for ln in lines if "newton <" in ln or "< newton" in ln] == [line]

@@ -2,27 +2,27 @@
 replace.
 
 function_distance runs its grid through the system's compiled sweep in one
-call, which gives each sample its inlined solve gives up on to _invert; the
-per-sample loop over _invert over the whole grid, which ran where the sweep
-gave up on any sample before, is the reference, for the sweep and for the
-sweep compiled with no solve steps, which gives every sample to _invert.
-find_map_fixed_points and _monotone_direction scan their grids in compiled
-kernels that make their own points; the grid lists and builtin scans those
-replaced, and the loops the builtin scans replaced before them, are kept
-here as references, and the kernels are also run with crafted columns in
-place of an expression's lines.  The monotonicity scan reports where it
-stops, and _monotone_direction raises from there; the point loop it ran
-again before is the reference.  verify_conjugacy computes and
-scans its residuals in one compiled loop (_RESIDUALS), which raises the
-error the first failing x meets; the grid passes and builtin scans it
-replaced, with the point-by-point evaluation that found that error before
-the loop raised it itself, and the loop over the residuals before them, are
-kept here as references.  The fixed-point scan skips and counts a failing
-point itself; the point loop it ran again before, in scan_points.py, is
-the reference.  The finiteness check of make_system runs one loop over its
-grid; the grid pass and point loop it replaced are the reference.  Reports
-are compared by repr, so -0.0 and NaN are told apart, warnings by message,
-and errors by type and message.
+call, which solves every sample itself with the solve lines of
+dynamics._SOLVE; the per-sample loop over the Python solver, in
+solve_points.py, is the reference (tests/test_solve.py runs the solve
+against that solver on its own too).  find_map_fixed_points and
+_monotone_direction scan their grids in compiled kernels that make their
+own points; the grid lists and builtin scans those replaced, and the loops
+the builtin scans replaced before them, are kept here as references, and
+the kernels are also run with crafted columns in place of an expression's
+lines.  The monotonicity scan reports where it stops, and
+_monotone_direction raises from there; the point loop it ran again before
+is the reference.  verify_conjugacy computes and scans its residuals in one
+compiled loop (_RESIDUALS), which raises the error the first failing x
+meets; the grid passes and builtin scans it replaced, with the
+point-by-point evaluation that found that error before the loop raised it
+itself, and the loop over the residuals before them, are kept here as
+references.  The fixed-point scan skips and counts a failing point itself;
+the point loop it ran again before, in scan_points.py, is the reference.
+The finiteness check of make_system runs one loop over its grid; the grid
+pass and point loop it replaced are the reference.  Reports are compared by
+repr, so -0.0 and NaN are told apart, warnings by message, and errors by
+type and message.
 """
 
 import gc
@@ -35,11 +35,13 @@ from operator import gt, lt, mul, sub
 
 import pytest
 
-from conftest import gen_source, sweep_giving_up_everywhere
+import solve_points
+from conftest import gen_source
 from reflexivity import analysis, cli, dynamics, expr, render
 from reflexivity.analysis import function_distance
 from reflexivity.dynamics import make_system
 from scan_points import point_map, point_scan
+from solve_points import per_sample_distance
 
 
 def outcome(run):
@@ -53,44 +55,6 @@ def outcome(run):
         return type(exc).__name__, str(exc)
 
 
-def per_sample_distance(s, samples=analysis.DEFAULT_SAMPLES):
-    """function_distance as it ran wherever its sweep gave up on a sample or
-    a line of it failed: the loop over _invert over the whole clamped grid.
-    The reference for the sweep and for the samples it gives to _invert."""
-    if samples < 2:
-        raise dynamics.PreconditionError("samples must be >= 2")
-    lo, hi = s.x_domain
-    direction = analysis._monotone_direction(s.f, lo, hi)
-    flo, fhi = expr.evaluate(s.f, lo), expr.evaluate(s.f, hi)
-    f_min, f_max = min(flo, fhi), max(flo, fhi)
-    y_lo = max(f_min, s.y_domain[0])
-    y_hi = min(f_max, s.y_domain[1])
-    if not (y_lo < y_hi):
-        raise analysis.OutOfRangeError("image of f does not overlap y_domain")
-    # The top grid point can round one ulp past f's attained range.
-    ys = [min(max(y, f_min), f_max) for y in dynamics._grid(y_lo, y_hi, samples)]
-    best, argmax, inv = -1.0, y_lo, None
-    jumps = nans = 0
-    for y in ys:
-        inv, status = analysis._invert(s.f, lo, hi, flo, fhi, y, inv)
-        jumps += status == "discontinuity"
-        diff = abs(expr.evaluate(s.phi, y) - inv)
-        if diff > best:
-            best = diff
-            argmax = y
-        elif diff != diff:
-            nans += 1
-    if jumps:
-        analysis.log.warning("function_distance: %d of %d samples lie in a jump of f; "
-                             "each is inverted to where f jumps", jumps, len(ys))
-    if nans:
-        analysis.log.warning("function_distance: %d of %d samples have no finite distance",
-                             nans, samples)
-        if nans == samples:
-            best = math.nan
-    return analysis.DistanceReport(best, argmax, samples, direction)
-
-
 def warned(caplog, run):
     """run's outcome and the warnings it logged."""
     caplog.clear()
@@ -99,43 +63,24 @@ def warned(caplog, run):
     return got, [r.getMessage() for r in caplog.records]
 
 
-def swept(caplog, monkeypatch, s, samples, make_sweep=None):
-    """function_distance's outcome and warnings, with s's sweep or the one
-    make_sweep(s) compiles, and the indices of the samples _invert ran at.
-    Asserts that function_distance runs the sweep at most once, and that
-    _invert runs at grid samples, in grid order, each at most once."""
-    runs, inverted = [], []
-    real_kernel, real_invert = analysis._kernel, analysis._invert
+def same_as_loop(caplog, monkeypatch, s, samples):
+    """Assert function_distance agrees with the per-sample reference, in its
+    outcome and warnings, and runs s's sweep at most once (not at all if it
+    refuses its input first); return (outcome, messages)."""
+    want = warned(caplog, lambda: per_sample_distance(s, samples))
+    runs = []
+    real = analysis._kernel
 
     def spy(system):
-        sweep = (make_sweep or real_kernel)(system)
+        sweep = real(system)
         return lambda *args: runs.append(args) or sweep(*args)
 
     with monkeypatch.context() as m:
         m.setattr(analysis, "_kernel", spy)
-        m.setattr(analysis, "_invert", lambda *a: inverted.append(a[5]) or real_invert(*a))
-        got, said = warned(caplog, lambda: function_distance(s, samples))
-    # One sweep, unless function_distance refused its input before it.
-    assert len(runs) == 1 or not (runs or inverted) and isinstance(got, tuple), runs
-    handed = []
-    if runs:
-        y_lo, w, m, n, _, _, flo, fhi = runs[0][:8]
-        ys = [min(y_lo + w * k / m, max(flo, fhi)) for k in range(n)]
-        for y in inverted:
-            handed.append(ys.index(y, handed[-1] + 1 if handed else 0))
-    return got, said, handed
-
-
-def same_as_loop(caplog, monkeypatch, s, samples):
-    """Assert the sweep, and the sweep that gives every sample to _invert,
-    agree with the per-sample reference; return (outcome, messages, the
-    samples _invert ran at under the sweep)."""
-    want = warned(caplog, lambda: per_sample_distance(s, samples))
-    got, said, handed = swept(caplog, monkeypatch, s, samples)
-    assert (got, said) == want, (s.f.source, s.phi.source, samples)
-    stub = swept(caplog, monkeypatch, s, samples, sweep_giving_up_everywhere)
-    assert stub[:2] == want, (s.f.source, s.phi.source, samples)
-    return got, said, handed
+        got = warned(caplog, lambda: function_distance(s, samples))
+    assert got == want, (s.f.source, s.phi.source, samples)
+    assert len(runs) == 1 or not runs and isinstance(got[0], tuple), runs
+    return got
 
 
 class TestSweepMatchesLoop:
@@ -153,23 +98,23 @@ class TestSweepMatchesLoop:
             "flat", "two-samples", "signed-zero"])
     def test_smooth(self, caplog, monkeypatch, f, phi, x_domain, y_domain, samples):
         s = make_system(f, phi, x_domain, y_domain)
-        got, said, handed = same_as_loop(caplog, monkeypatch, s, samples)
-        assert got.startswith("DistanceReport") and not said and not handed
+        got, said = same_as_loop(caplog, monkeypatch, s, samples)
+        assert got.startswith("DistanceReport") and not said
 
-    def test_jump_is_handed_to_the_loop(self, caplog, monkeypatch):
+    def test_jump_mid_grid(self, caplog, monkeypatch):
         # The samples in the jump, y in (0.2, 0.4), lie mid-grid; the sweep
-        # gives each to _invert and goes on.
+        # inverts each to where f jumps and goes on.
         s = make_system("x + 0.1*tanh(1e300*(x-0.3))", "y", (0.0, 1.0), (-1.0, 2.0))
-        got, said, handed = same_as_loop(caplog, monkeypatch, s, 1201)
-        assert "lie in a jump of f" in said[0], got
-        assert handed and 0 < handed[0] and handed[-1] < 1200, handed
+        got, said = same_as_loop(caplog, monkeypatch, s, 1201)
+        assert said == ["function_distance: 198 of 1201 samples lie in a jump of f; "
+                        "each is inverted to where f jumps"], got
 
-    def test_one_sample_handed_back_mid_grid(self, caplog, monkeypatch):
+    def test_one_sample_in_a_jump_mid_grid(self, caplog, monkeypatch):
         # f jumps by 2e-4 at x = 0.49995; of the 1001 samples only y = 0.5
         # lies in the jump, and the sweep goes on after it to the end.
         s = make_system("x + 1e-4*tanh(1e300*(x - 0.49995))", "y", (0.0, 1.0), (0.0, 1.0))
-        got, said, handed = same_as_loop(caplog, monkeypatch, s, 1001)
-        assert handed == [500] and got.startswith("DistanceReport"), (handed, got)
+        got, said = same_as_loop(caplog, monkeypatch, s, 1001)
+        assert got.startswith("DistanceReport"), got
         assert said == ["function_distance: 1 of 1001 samples lie in a jump of f; "
                         "each is inverted to where f jumps"]
 
@@ -178,15 +123,16 @@ class TestSweepMatchesLoop:
                         (-3.303485, 0.367968), (-4.0, 3.0))
         f_max = expr.evaluate(s.f, 0.367968)
         assert dynamics._grid(expr.evaluate(s.f, -3.303485), f_max, 256)[-1] > f_max
-        got, _, handed = same_as_loop(caplog, monkeypatch, s, 256)
-        assert got.startswith("DistanceReport") and not handed
+        got, said = same_as_loop(caplog, monkeypatch, s, 256)
+        assert got.startswith("DistanceReport") and not said
 
-    def test_iteration_cap_is_handed_to_the_loop(self, caplog, monkeypatch):
-        # A sweep compiled under the lowered cap stops where bracket_solve does.
+    def test_iteration_cap_in_the_sweep(self, caplog, monkeypatch):
+        # A sweep compiled under the lowered cap stops where the reference
+        # solver does, logs as it does and goes on with the same end.
         monkeypatch.setattr(dynamics, "SOLVE_MAX_ITER", 2)
         s = make_system("x^3 + x", "y", (0.0, 1.0), (0.0, 2.0))
-        got, said, handed = same_as_loop(caplog, monkeypatch, s, 50)
-        assert handed and len(said) == len(handed), (said, handed)
+        got, said = same_as_loop(caplog, monkeypatch, s, 50)
+        assert got.startswith("DistanceReport") and said, got
         assert all("no convergence in 2 iterations" in m for m in said)
 
     def test_y_out_of_range(self, caplog, monkeypatch):
@@ -195,8 +141,8 @@ class TestSweepMatchesLoop:
         # phi's validation grid but not 4096 samples.  A y_domain 3.4e308
         # wide is refused when the system is built.
         s = make_system("1e305*x", "1", (-1.5, 1.5), (-8e304, 8e304))
-        got, _, handed = same_as_loop(caplog, monkeypatch, s, 4096)
-        assert not handed and got == (
+        got, _ = same_as_loop(caplog, monkeypatch, s, 4096)
+        assert got == (
             "DomainValidationError", "[-8e+304, 8e+304] is too wide for a grid of 4096 points")
         with pytest.raises(dynamics.DomainValidationError, match="too wide for a grid of 1024"):
             make_system("1e308*x", "1", (-1.5, 1.5), (-1.7e308, 1.7e308))
@@ -212,12 +158,10 @@ class TestSweepMatchesLoop:
     def test_failure_mid_sweep(self, caplog, monkeypatch, f, phi, y_domain, samples, error):
         x_domain = (0.03, 0.62) if phi == "y" else (0.0, 1.0)
         s = make_system(f, phi, x_domain, y_domain)
-        got, _, handed = same_as_loop(caplog, monkeypatch, s, samples)
+        got, _ = same_as_loop(caplog, monkeypatch, s, samples)
         assert got[0] == "EvalDomainError" and got[1].startswith(error), got
-        # A failing line of f gives its sample to _invert, which raises
-        # there; one of phi raises in the sweep itself.
-        assert len(handed) == (phi == "y"), handed
-        # Each error carries only the exception of its own line.
+        # Each error carries only the exception of its own line: a failing
+        # value line of f raises after the dual lines' failure is handled.
         chains = []
         for run in (function_distance, per_sample_distance):
             with pytest.raises(expr.EvalDomainError) as raised:
@@ -229,16 +173,15 @@ class TestSweepMatchesLoop:
             chains.append(chain)
         assert chains[0] == chains[1] and len(chains[0]) == 2, chains
 
-    def test_derivative_failure_is_handed_to_the_loop(self, caplog, monkeypatch):
-        # abs has no derivative at 0.325, where the value is fine: _invert
-        # bisects there instead of taking a Newton step.
+    def test_derivative_failure_in_the_sweep(self, caplog, monkeypatch):
+        # abs has no derivative at 0.325, where the value is fine: the
+        # second sample's solve bisects there instead of taking a Newton step.
         s = make_system("x + 0.1*abs(x - 0.325)", "y", (0.03, 0.62), (0.0, 3.0))
-        got, said, handed = same_as_loop(caplog, monkeypatch, s, 64)
-        assert handed == [1] and got.startswith("DistanceReport") and not said
+        got, said = same_as_loop(caplog, monkeypatch, s, 64)
+        assert got.startswith("DistanceReport") and not said
 
     def test_random_monotone_pairs(self, caplog, monkeypatch):
         rng = random.Random(20261018)
-        handed_back = 0
         for _ in range(120):
             a = rng.choice((-1, 1)) * rng.uniform(0.05, 20.0)
             eps = rng.uniform(-0.9, 0.9) * abs(a)
@@ -248,11 +191,8 @@ class TestSweepMatchesLoop:
             s = make_system(f"{a!r}*x + {b!r} + {eps!r}*sin(x)",
                             f"(y - {b!r})/{a!r} + {delta!r}*cos(y)",
                             (lo, hi), (-1e3, 1e3))
-            got, _, handed = same_as_loop(caplog, monkeypatch, s,
-                                          rng.choice((2, 3, 97, 1000, 4096)))
+            got, _ = same_as_loop(caplog, monkeypatch, s, rng.choice((2, 3, 97, 1000, 4096)))
             assert got.startswith("DistanceReport"), got
-            handed_back += bool(handed)
-        assert handed_back <= 2
 
 
 class TestNanDistance:
@@ -260,15 +200,15 @@ class TestNanDistance:
         # phi is NaN only at y = 0.5, which the 1025-point grid holds and
         # the 1024-point validation grid does not.
         s = make_system("x", "y + 0.1*tanh((y - 0.5)*(1e300*1e300))", (0, 1), (0, 1))
-        got, said, handed = same_as_loop(caplog, monkeypatch, s, 1025)
+        got, said = same_as_loop(caplog, monkeypatch, s, 1025)
         rep = function_distance(s, 1025)
-        assert not handed and rep.d == pytest.approx(0.1) and got == repr(rep)
+        assert rep.d == pytest.approx(0.1) and got == repr(rep)
         assert said == ["function_distance: 1 of 1025 samples have no finite distance"]
 
     def test_no_finite_sample_gives_nan(self, caplog, monkeypatch):
         s = make_system("x", "y + tanh(y*(1e300*1e300)) - tanh((y - 1)*(1e300*1e300))",
                         (0, 1), (-0.3, 1.7))
-        got, said, _ = same_as_loop(caplog, monkeypatch, s, 2)
+        got, said = same_as_loop(caplog, monkeypatch, s, 2)
         assert got == ("DistanceReport(d=nan, argmax_y=0.0, samples=2, "
                        "monotone_direction='increasing')")
         assert said == ["function_distance: 2 of 2 samples have no finite distance"]
@@ -292,7 +232,8 @@ def spy_compile_loop(monkeypatch):
 class TestKernelCache:
     def test_one_system_compiles_each_kernel_once(self, monkeypatch):
         # Every kernel is kept on f, each under its own template, so no
-        # call makes another compile again, and phi keeps none.
+        # call makes another compile again, and phi keeps none.  The one
+        # fixed point lies between two grid points, so its bracket is solved.
         s = make_system("x + 0.2*sin(x)", "y/2 + 0.1", (0.0, 2.0), (0.0, 3.0))
         compiled = spy_compile_loop(monkeypatch)
         for _ in range(3):
@@ -300,7 +241,8 @@ class TestKernelCache:
             analysis.detect_period(dynamics.compose_gamma(s), 0.3, 8, 20)
             dynamics.find_fixed_points(s, 256)
             function_distance(s, 128)
-        assert compiled == [dynamics._LOOP, dynamics._SCAN, analysis._MONOTONE, analysis._SWEEP]
+        assert compiled == [dynamics._LOOP, dynamics._SCAN, dynamics._ROOT, analysis._MONOTONE,
+                            analysis._SWEEP]
         assert list(s.f._kernels) == compiled and s.phi._kernels == {}
 
 
@@ -324,8 +266,8 @@ class TestSweepCache:
         for k in range(200):
             c = 1.0 + k / 100
             s = make_system(f"{c!r}*x + 0.1*sin(x)", "y", (0.0, 1.0), (-1.0, 4.0))
-            got, _, handed = same_as_loop(caplog, monkeypatch, s, 64)
-            assert got.startswith("DistanceReport") and not handed, c
+            got, said = same_as_loop(caplog, monkeypatch, s, 64)
+            assert got.startswith("DistanceReport") and not said, c
             del s
             if k % 50 == 0:
                 gc.collect()
@@ -333,15 +275,17 @@ class TestSweepCache:
 
 class TestScanCache:
     def test_gamma_scan_compiled_once_and_kept_on_its_system(self, monkeypatch):
+        # The scan and the solve of its brackets, both kept on f.
         s = make_system("2.5*x*(1 - x)", "y", (-0.5, 1.5), (-5.0, 5.0))
         compiled = spy_compile_loop(monkeypatch)
         first = dynamics.find_fixed_points(s, 500)
-        scan = dynamics._scan(s.f, s.phi)
-        assert len(first) == 2 and compiled == [dynamics._SCAN]
+        scan, root = dynamics._scan(s.f, s.phi), dynamics._root(s.f, s.phi)
+        assert len(first) == 2 and compiled == [dynamics._SCAN, dynamics._ROOT]
         assert dynamics.find_fixed_points(s, 500) == first
         assert len(dynamics.find_fixed_points(s, 37)) == 2
-        assert s.f._kernels == {dynamics._SCAN: ([s.phi], scan)} and s.phi._kernels == {}
-        assert compiled == [dynamics._SCAN]
+        assert s.f._kernels == {dynamics._SCAN: ([s.phi], scan),
+                                dynamics._ROOT: ([s.phi, s.f, s.phi], root)}
+        assert s.phi._kernels == {} and compiled == [dynamics._SCAN, dynamics._ROOT]
 
     def test_scan_is_kept_on_its_system(self):
         # As the sweep is: a scan cached by id() could serve a later system.
@@ -391,7 +335,7 @@ def list_fixed_points(fn, many, lo, hi, grid_n=dynamics.DEFAULT_GRID, tol=dynami
         if abs(ga) < tol or abs(gb) < tol:
             continue
         try:
-            x, status, _ = dynamics.bracket_solve(g, xs[i], xs[i + 1], ga, gb, tol, dg=dg)
+            x, status, _ = solve_points.bracket_solve(g, xs[i], xs[i + 1], ga, gb, tol, dg=dg)
         except expr.EvalDomainError:
             skipped += 1
             continue
@@ -447,7 +391,7 @@ def reference_fixed_points(fn, many, lo, hi, grid_n=dynamics.DEFAULT_GRID,
         if abs(ga) < tol or abs(gb) < tol or not ga * gb < 0:
             continue
         try:
-            x, status, _ = dynamics.bracket_solve(g, xa, xb, ga, gb, tol, dg=dg)
+            x, status, _ = solve_points.bracket_solve(g, xa, xb, ga, gb, tol, dg=dg)
         except expr.EvalDomainError:
             skipped += 1
             continue
@@ -711,7 +655,9 @@ class TestScansMatchLoops:
                 raise expr.EvalDomainError("fails", 0)
             return a + (b - a) / 3, ("discontinuity" if gb == 1.0 else "converged"), 1
 
-        monkeypatch.setattr(dynamics, "bracket_solve", solve)
+        # The library solves through point_root, and so through solve too.
+        monkeypatch.setattr(solve_points, "bracket_solve", solve)
+        monkeypatch.setattr(dynamics, "_root", solve_points.point_root)
         for vs, bad, tol in fixed_point_trials(rng):
             n = len(vs)
             xs = dynamics._grid(-1e-300, 1e-300, n)
@@ -914,14 +860,12 @@ class TestScansMatchLoops:
             em = expr._Emitter(True, prefix="f")
             em.lines += ["fv0 = x", "fd0 = 1.0"]
             ys = [min(max(y, lo), hi) for y in dynamics._grid(lo, hi, n)]
-            sweep = expr._define(analysis._SWEEP, {"f": (em, "fv0, fd0"),
+            sweep = expr._define(analysis._SWEEP, {"f": (em, "fv0, fd0"), "fv": held("fv", "x"),
                                                    "phi": looked_up("phi", "y")}, {
-                **env, "max": max, "nextafter": math.nextafter, "inf": math.inf,
-                "rtol": analysis.INVERT_RTOL, "cap": dynamics.SOLVE_MAX_ITER,
-                "numeric": expr._NUMERIC_ERRORS})
-            given_up = []
-            sweep(lo, w, m, n, lo, hi, lo, hi, lambda y, inv: given_up.append(y) or (y, False))
-            assert not given_up and list(map(repr, seen)) == list(map(repr, ys)), (lo, hi, n)
+                **dynamics._solve_env(), **env, "max": max, "nextafter": math.nextafter,
+                "inf": math.inf, "rtol": analysis.INVERT_RTOL})
+            assert sweep(lo, w, m, n, lo, hi, lo, hi)[3] == 0, (lo, hi, n)
+            assert list(map(repr, seen)) == list(map(repr, ys)), (lo, hi, n)
 
 
 class TestMonotoneMatchesPointLoop:
@@ -1091,13 +1035,14 @@ class TestResidualCache:
 
     def test_compiled_once_per_f_and_g(self, monkeypatch):
         # A check compiles h's monotonicity scan, kept on h, and the residual
-        # loop and f's fixed-point scan, kept on f; later checks with the
-        # same objects compile nothing, so the identity the scan takes as
-        # phi is one object.  A new g compiles the residual loop again; a
-        # new f, equal to the old one, the residual loop and f's scan.
+        # loop and f's fixed-point scan and solve, kept on f; later checks
+        # with the same objects compile nothing, so the identity the scan
+        # and solve take as phi is one object.  A new g compiles the
+        # residual loop again; a new f, equal to the old one, the residual
+        # loop and f's scan and solve.
         f, g, h = expr.parse(self.F), expr.parse(self.G), expr.parse(self.H)
         compiled = spy_compile_loop(monkeypatch)
-        each = [analysis._MONOTONE, analysis._RESIDUALS, dynamics._SCAN]
+        each = [analysis._MONOTONE, analysis._RESIDUALS, dynamics._SCAN, dynamics._ROOT]
         first = same_as_grid_passes(f, g, h, (0.0, 1.0), 500)
         kept = dict(f._kernels), dict(h._kernels)
         assert list(kept[0]) == each[1:] and list(kept[1]) == each[:1] and compiled == each
@@ -1110,7 +1055,7 @@ class TestResidualCache:
         assert f._kernels[dynamics._SCAN] is kept[0][dynamics._SCAN]
         other = expr.parse(self.F)
         same_as_grid_passes(other, g, h, (0.0, 1.0), 500)
-        assert compiled == each + [analysis._RESIDUALS] * 2 + [dynamics._SCAN]
+        assert compiled == each + [analysis._RESIDUALS] * 2 + [dynamics._SCAN, dynamics._ROOT]
         assert h._kernels == kept[1] and list(other._kernels) == each[1:]
 
     def test_another_f_or_g_with_the_same_h(self):
