@@ -6,8 +6,8 @@ sampled conjugacy verification.
 from __future__ import annotations
 
 import math
-from itertools import compress, repeat
-from operator import ge, gt, lt, ne, sub
+from itertools import islice
+from operator import gt, lt
 
 from . import dynamics as _dyn
 from . import expr as _expr
@@ -268,6 +268,25 @@ def detect_period(gamma, x0, max_period=DEFAULT_MAX_PERIOD, burn_in=0):
     return None
 
 
+def _falls(xs, a, b):
+    """1 where step k of xs falls (xs[k] > xs[k + 1]), else 0, for the steps
+    k = a, ..., b - 1."""
+    return bytes(map(gt, xs[a:b], xs[a + 1:b + 1]))
+
+
+def _runs(column, v, n):
+    """(start, end) of each maximal run of n or more bytes v (0 or 1) in the
+    0/1 column that ends before the column does, found with bytes.find."""
+    run = bytes((v,)) * n
+    i = column.find(run)
+    while i >= 0:
+        j = column.find(1 - v, i + n)
+        if j < 0:
+            return
+        yield i, j
+        i = column.find(run, j)
+
+
 def detect_boom_bust(o, min_run=DEFAULT_MIN_RUN, retrace_threshold=DEFAULT_RETRACE_THRESHOLD):
     """Monotone run of >= min_run steps of the Orbit o's x column followed
     by a retrace of at least retrace_threshold times the run amplitude.
@@ -275,6 +294,9 @@ def detect_boom_bust(o, min_run=DEFAULT_MIN_RUN, retrace_threshold=DEFAULT_RETRA
 
     A step whose difference is not positive or negative (flat, NaN) is in
     no run, and a run is maximal: the run after it starts where it ends.
+    The runs are found in one byte per step, 1 where the step rises; a
+    step is tested for a fall only after a long rising run or inside a long
+    stretch without a rise.
     """
     if not isinstance(o, _dyn.Orbit):
         raise TypeError(f"detect_boom_bust takes an Orbit, not {type(o).__name__}")
@@ -282,22 +304,32 @@ def detect_boom_bust(o, min_run=DEFAULT_MIN_RUN, retrace_threshold=DEFAULT_RETRA
         raise _dyn.PreconditionError("min_run must be >= 2")
     if not (0 < retrace_threshold <= 1):
         raise _dyn.PreconditionError("retrace_threshold must be in (0, 1]")
-    xs = o.xs()
-    nxt = xs[1:]
-    # The sign of each step's difference b - a, which is > 0 exactly when
-    # a < b and < 0 exactly when a > b: 0 for a flat or NaN step.
-    signs = list(map(sub, map(lt, xs, nxt), map(gt, xs, nxt)))
-    # Stretch k is steps bounds[k] to bounds[k + 1] - 1, all of one sign.
-    m = len(signs)
-    bounds = [0, *compress(range(1, m), map(ne, signs, signs[1:])), m]
-    long_enough = map(ge, map(sub, bounds[1:], bounds), repeat(min_run))
+    xs = o._x_column()
+    m = len(xs) - 1
+    if not min_run <= m:
+        return []
+    n = math.ceil(min_run)  # a run of min_run steps or more has n or more
+    # Step k rises (a < b) where ups[k] is 1.  A step that falls (a > b) is 0
+    # there, as is a flat or NaN one, so a falling run of n steps lies in a
+    # run of n or more 0s.
+    ups = bytes(map(lt, xs, islice(xs, 1, None)))
+    triples = []
+    # A rising run, and the falling stretch that starts where it ends.
+    for i, j in _runs(ups, 1, n):
+        z = ups.find(1, j)
+        falls = _falls(xs, j, m if z < 0 else z)
+        if falls[0]:
+            end = falls.find(0)
+            triples.append((i, j, j + len(falls) if end < 0 else j + end))
+    # A falling run, and the rising stretch that starts where it ends: a run
+    # of 0s ends at a rise, so the falling run is the run of 0s' last stretch.
+    for a, j in _runs(ups, 0, n):
+        i = a + _falls(xs, a, j).rfind(0) + 1
+        if j - i >= n:
+            end = ups.find(0, j)
+            triples.append((i, j, m if end < 0 else end))
     events = []
-    # A run followed by a run; two stretches next to each other differ in
-    # sign, so two runs there rise and fall.
-    for k in compress(range(len(bounds) - 2), long_enough):
-        i, j, end = bounds[k], bounds[k + 1], bounds[k + 2]
-        if not (signs[i] and signs[j]):
-            continue
+    for i, j, end in sorted(triples):
         amplitude = xs[j] - xs[i]
         retrace = abs(xs[j] - xs[end])
         fraction = min(1.0, retrace / abs(amplitude))

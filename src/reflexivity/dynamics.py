@@ -132,8 +132,14 @@ class Orbit:
     _ys: list = _expr.field(init=False, compare=False, repr=False, default=None)
 
     def xs(self):
+        xs = self._x_column()
+        return xs.copy() if xs is self._xs else xs
+
+    def _x_column(self):
+        """The x column: orbit's own list where it kept one, so not to be
+        changed; else built from states."""
         xs = self._xs
-        return list(map(attrgetter("x"), self.states)) if xs is None else xs.copy()
+        return list(map(attrgetter("x"), self.states)) if xs is None else xs
 
     def ys(self):
         ys = self._ys

@@ -20,9 +20,10 @@ from hypothesis import strategies as st
 
 import boom_bust_runs
 import render_points
-from conftest import as_orbit
+from conftest import as_orbit, gen_source
 from reflexivity import analysis, dynamics, render
 from reflexivity.dynamics import Orbit, SystemState, make_system, orbit
+from reflexivity.expr import ExpressionError
 
 # Values whose differences are NaN, infinite, signed zeros, subnormal or
 # overflowing.
@@ -46,6 +47,29 @@ def piecewise_monotone(rng):
                                   else rng.choice((5e-324, 1e-300)))
             xs.append(x)
     return xs[:n]
+
+
+def same(o, min_run, threshold):
+    """detect_boom_bust's events on the Orbit o, or on a hand-built one of
+    the column o, after checking them by repr against the run-by-run
+    reference."""
+    got = analysis.detect_boom_bust(o if isinstance(o, Orbit) else as_orbit(o), min_run, threshold)
+    assert repr(got) == repr(boom_bust_runs.detect_boom_bust(o, min_run, threshold)), \
+        (o, min_run, threshold)
+    return got
+
+
+def deep_random_map(rng):
+    """sin(k*T) for a random tree T of depth 7: bounded in [-1, 1], with an
+    orbit from 0.4 that still moves after 300 steps."""
+    while True:
+        f = f"sin({rng.uniform(2.0, 4.0):.3f}*{gen_source(rng, 7)})"
+        try:
+            xs = orbit(make_system(f, "y", (-1.0, 1.0), (-1.0, 1.0)), 0.4, 300).xs()
+        except (dynamics.DynamicsError, ExpressionError):
+            continue
+        if len(xs) == 301 and max(xs[-50:]) - min(xs[-50:]) > 1e-2 and f.count("(") > 8:
+            return f
 
 
 class TestBoomBustScan:
@@ -91,6 +115,147 @@ class TestBoomBustScan:
         got = analysis.detect_boom_bust(o)
         assert got and repr(got) == repr(boom_bust_runs.detect_boom_bust(o, 5, 0.5))
 
+    def test_long_monotone_stretches(self):
+        # Stretches of hundreds to thousands of steps, between short ones,
+        # with a flat or NaN step now and then.
+        rng = random.Random(16)
+        events = 0
+        for _ in range(40):
+            xs = [rng.uniform(-1.0, 1.0)]
+            while len(xs) < 6000:
+                length = rng.choice((1, 2, 3, rng.randrange(100, 3000)))
+                direction = rng.choice((1, -1))
+                for _ in range(length):
+                    xs.append(xs[-1] + direction * rng.uniform(1e-3, 1.0))
+                if rng.random() < 0.2:
+                    xs.append(rng.choice((xs[-1], math.nan)))
+                    xs.append(rng.uniform(-1.0, 1.0))
+            for min_run in (2, 7, 100, 999.5, 2999):
+                events += len(same(xs, min_run, 0.3))
+        assert events > 100, events
+
+    @pytest.mark.parametrize("xs, want", [
+        # One run over every step: no stretch follows it.
+        ([0.0, 1.0, 2.0, 3.0], []),
+        ([3.0, 2.0, 1.0, 0.0], []),
+        # Runs from the first step to a stretch that reaches the last.
+        ([0.0, 1.0, 2.0, 1.5, 1.0], [(0, 2, 4)]),
+        ([2.0, 1.0, 0.0, 0.5, 1.0], [(0, 2, 4)]),
+        # A run that ends at the last step: it pairs with the run before it,
+        # and no stretch follows it.
+        ([5.0, 4.0, 0.0, 1.0, 2.0, 3.0], [(0, 2, 5)]),
+        ([0.0, 1.0, 5.0, 4.0, 3.0, 2.0], [(0, 2, 5)]),
+        ([5.0, 0.0, 1.0, 2.0, 3.0], []),
+        # A single step on each side.
+        ([0.0, 1.0, 2.0, 0.0], [(0, 2, 3)]),
+        ([2.0, 1.0, 0.0, 3.0], [(0, 2, 3)]),
+    ])
+    def test_runs_touching_the_ends(self, xs, want):
+        got = same(xs, 2, 0.1)
+        assert [(e.rise_start, e.peak, e.reversal_end) for e in got] == want
+
+    @pytest.mark.parametrize("stop", [5.0, math.nan])
+    def test_fall_ending_on_a_flat_or_nan_step(self, stop):
+        # After the rise, a stretch of 14 steps without a rise: a fall of 5
+        # steps, a flat or NaN step, a fall of 4 (3 after the NaN), a flat
+        # step and a fall of 3; then a rise.  Only the rise and the last fall
+        # pair up.
+        rise = [0.0, 1.0, 2.0, 3.0, 4.0, 10.0]
+        rest = [9.0, 8.0, 7.0, 6.0, 5.0, stop, 4.0, 3.0, 2.0, 1.0, 1.0, 0.5, 0.0, -1.0,
+                2.0, 3.0]
+        xs = rise + rest
+        for min_run in (2, 3, 4, 5):
+            got = same(xs, min_run, 0.1)
+            assert got[0].peak == 5 and got[0].reversal_end == 10
+        assert [(e.rise_start, e.peak, e.reversal_end) for e in same(xs, 3, 0.1)] == \
+            [(0, 5, 10), (16, 19, 21)]
+        assert len(same(xs, 6, 0.1)) == 0 and len(same(xs, 5, 0.1)) == 1
+
+    @pytest.mark.parametrize("min_run", [2, 2.5, 7, "len-1", "len", math.inf, 10**12, 2**40])
+    def test_min_run_values(self, min_run):
+        rng = random.Random(17)
+        for _ in range(300):
+            xs = piecewise_monotone(rng)
+            run = {"len-1": len(xs) - 1, "len": len(xs)}.get(min_run, min_run)
+            if run >= 2:
+                for threshold in (0.1, 1.0):
+                    same(xs, run, threshold)
+
+    @pytest.mark.parametrize("xs, min_run", [
+        (xs, min_run)
+        for xs in ([], [0.5], [math.nan], [0.0, 1.0], [1.0, 0.0, 1.0], [0.0, 1.0, 2.0, 1.0])
+        for min_run in (2, 2.5, 3, 3.5, 10**12, 2**40, 2**70, math.inf)
+        if not min_run <= len(xs) - 1])
+    def test_short_orbits_and_long_min_runs(self, xs, min_run):
+        # An empty or one-point orbit, and min_run above the step count,
+        # give no events: no run of the column is compared or searched.
+        assert analysis.detect_boom_bust(as_orbit(xs), min_run, 0.5) == []
+        assert analysis.detect_boom_bust(as_orbit(xs), min_run) == []
+
+    def test_comparisons_only_where_a_run_fits(self):
+        # Every step is compared for a rise once; a step is compared for a
+        # fall only after a rising run of min_run steps, or inside a
+        # stretch of min_run steps without a rise.
+        calls = {"<": 0, ">": 0}
+
+        class Counted(float):
+            def __lt__(self, other):
+                calls["<"] += 1
+                return float.__lt__(self, other)
+
+            def __gt__(self, other):
+                calls[">"] += 1
+                return float.__gt__(self, other)
+
+        rng = random.Random(18)
+        xs = [0.0]
+        while len(xs) < 2000:
+            for _ in range(rng.randrange(1, 5)):
+                xs.append(xs[-1] + rng.choice((1.0, 1.0, -1.0, 0.0, math.nan)))
+        counted = [Counted(x) for x in xs]
+        assert repr(analysis.detect_boom_bust(as_orbit(counted), 5, 0.1)) == \
+            repr(boom_bust_runs.detect_boom_bust(xs, 5, 0.1))
+        assert calls == {"<": len(xs) - 1, ">": 0}
+
+    @pytest.mark.parametrize("f, domain, x0", [
+        ("3.83*x*(1-x)", (0.0, 1.0), 0.3),
+        ("3.9*x*(1-x)", (0.0, 1.0), 0.3),
+        ("0.93*(1 - abs(1 - 2*x))", (0.0, 1.0), 0.2),
+        ("0.95*sin(3.14159*x)", (0.0, 1.0), 0.7),
+        ("deep", (-1.0, 1.0), 0.4),
+    ])
+    def test_long_loop_orbits_and_hand_built(self, f, domain, x0):
+        if f == "deep":
+            f = deep_random_map(random.Random(19))
+        o = orbit(make_system(f, "y", domain, domain), x0, 3600)
+        assert len(o.states) == 3601 and o._xs is not None
+        hand = Orbit(o.states, o.terminated_by)
+        assert hand._xs is None
+        for min_run in (2, 2.5, 3, 5, 7):
+            for threshold in (0.1, 0.5, 1.0):
+                want = same(o, min_run, threshold)
+                assert repr(analysis.detect_boom_bust(hand, min_run, threshold)) == repr(want)
+
+    @given(st.lists(st.sampled_from(EDGES) | st.floats(-4.0, 4.0), max_size=40),
+           st.sampled_from((2, 3, 5)) | st.floats(2.0, 45.0), st.floats(0.01, 1.0))
+    @example([0.0, 1.0, 2.0, 1.0, 0.0], 2, 1.0)
+    @example([0.0, 1.0, math.inf, math.inf], 2, 0.5)
+    def test_random_columns(self, xs, min_run, threshold):
+        same(xs, min_run, threshold)
+
+    @given(st.lists(st.tuples(st.sampled_from((1.0, -1.0, 0.0)), st.integers(1, 30),
+                              st.sampled_from((None,) * 6 + EDGES)), max_size=12),
+           st.integers(2, 12), st.floats(0.01, 1.0))
+    def test_random_stretches(self, stretches, min_run, threshold):
+        # Columns of whole stretches, each ended by an edge value or not.
+        xs = [0.0]
+        for direction, length, last in stretches:
+            x = xs[-1] if math.isfinite(xs[-1]) else 0.0
+            xs += [x + direction * (k + 1) for k in range(length)]
+            if last is not None:
+                xs.append(last)
+        same(xs, min_run, threshold)
+
     @pytest.mark.parametrize("min_run, threshold, message", [
         (1, 0.5, "min_run must be >= 2"),
         (math.nan, 0.5, "min_run must be >= 2"),
@@ -98,8 +263,14 @@ class TestBoomBustScan:
         (2, math.nan, "retrace_threshold must be in (0, 1]"),
     ])
     def test_preconditions(self, min_run, threshold, message):
-        with pytest.raises(dynamics.PreconditionError, match=message.replace("(", r"\(")):
-            analysis.detect_boom_bust(as_orbit([0.0, 1.0]), min_run, threshold)
+        for xs in ([0.0, 1.0], [], [0.5]):
+            with pytest.raises(dynamics.PreconditionError, match=message.replace("(", r"\(")):
+                analysis.detect_boom_bust(as_orbit(xs), min_run, threshold)
+
+    def test_not_an_orbit(self):
+        for o in ([], [0.0, 1.0, 0.5], (), None):
+            with pytest.raises(TypeError, match="^detect_boom_bust takes an Orbit, not "):
+                analysis.detect_boom_bust(o, 2, 0.5)
 
 
 def _column_cases():

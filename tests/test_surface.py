@@ -114,3 +114,16 @@ def test_the_solver_step_rule_is_written_once():
     lines = [ln.strip() for p in sorted(SRC.glob("*.py")) for ln in p.read_text().splitlines()]
     assert lines.count(line) == 1
     assert [ln for ln in lines if "newton <" in ln or "< newton" in ln] == [line]
+
+
+def test_every_mutant_applies_once():
+    # tests/mutants.py replaces each entry's text in a copy of src/: a change
+    # that rewrites or repeats that text makes the entry stale, and must
+    # update it.
+    import mutants
+    assert len({m.name for m in mutants.MUTANTS}) == len(mutants.MUTANTS)
+    for m in mutants.MUTANTS:
+        assert (SRC / m.path).read_text().count(m.text) == 1, m.name
+        assert m.text != m.replacement, m.name
+        for test in m.tests:
+            assert (SRC.parent.parent / test.split("::")[0]).is_file(), (m.name, test)
