@@ -165,8 +165,8 @@ def function_distance(s, samples=DEFAULT_SAMPLES):
 # function_distance's sweep: at each of the n points y = y_lo + w*k/m of its
 # grid (dynamics._grid's arithmetic), clamped to f's range, the root x of
 # f(x) - y on [lo, hi] by dynamics._SOLVE, from the previous sample's x, with
-# f's dual lines for a Newton step and its value lines (fv) where one fails;
-# then |phi(y) - x|.  tol is the float above INVERT_RTOL*max(1, |y|), so that
+# f's value lines for g and its derivative lines for a Newton step; then
+# |phi(y) - x|.  tol is the float above INVERT_RTOL*max(1, |y|), so that
 # |g| < tol is |f(x) - y| <= INVERT_RTOL*max(1, |y|).  It returns the largest
 # distance, its y, the count of NaN distances and the count of samples in a
 # jump of f (status 1); a failing line of f or phi raises.  Comparisons stand
@@ -203,18 +203,17 @@ def compiled(y_lo, w, m, n, lo, hi, flo, fhi{params}):
             nans += 1
     return best, argmax, nans, jumps
 """, d="""\
-@f
-v, slope = {f}
-gx = v - y
+@df
+slope = {df}
 """, v="""\
-@fv
-gx = {fv} - y
+@f
+gx = {f} - y
 """)
 
 
 def _kernel(s):
     """s's compiled sweep (_SWEEP), kept by expr.kernel."""
-    return _expr.kernel(_SWEEP, {"f": (s.f, "x"), "fv": (s.f, "x"), "phi": (s.phi, "y")}, {
+    return _expr.kernel(_SWEEP, {"f": (s.f, "x"), "phi": (s.phi, "y")}, {
         **_dyn._solve_env(), "max": max, "nextafter": math.nextafter, "inf": math.inf,
         "rtol": INVERT_RTOL}, dual=("f",))
 

@@ -280,11 +280,11 @@ def compose_gamma(s):
 # step in g between them (a root below float resolution: x is the end with
 # the smaller |g|); 1 when that step is larger (g jumps across 0: x is again
 # the better end); and 2 after cap steps, logged by capped.  The caller's
-# lines "@D" set gx = g(x) and slope = g'(x) from dual lines, "@V" gx alone
-# from value lines: where a line of @D fails, @V runs after the try, so a
-# failing value line raises its own error, and the slope is 0.0, as it is at
-# a collapsed bracket's end where @D fails.  Comparisons stand in for abs
-# where a step calls it, with the same result.
+# lines "@V" set gx = g(x) from value lines, outside any try, so a failing
+# value line raises its own error, and "@D" slope = g'(x) from derivative
+# lines, which read @V's locals: in a try, only where a step reads the slope,
+# and at each end of a collapsed bracket after @V there, with 0.0 where a
+# line fails.  Comparisons stand in for abs where a step calls it.
 _SOLVE = """\
 status = 0
 if ntol < ga < tol:
@@ -295,13 +295,7 @@ else:
     x = x0 if a < x0 < b else 0.5 * (a + b)
     step = step_old = b - a
     for _ in range(cap):
-        try:
-            @D
-        except numeric:
-            gx = None
-        if gx is None:
-            @V
-            slope = 0.0
+        @V
         if ntol < gx < tol:
             break
         if (gx > 0) == (ga > 0):
@@ -313,6 +307,7 @@ else:
             least = None
             for x in a, b:
                 try:
+                    @V
                     @D
                 except numeric:
                     slope = 0.0
@@ -320,6 +315,10 @@ else:
             status = 0 if abs(gb - ga) <= 2.0 * least * (b - a) else 1
             x = a if abs(ga) <= abs(gb) else b
             break
+        try:
+            @D
+        except numeric:
+            slope = 0.0
         nxt = mid
         if slope != 0.0:
             newton = x - gx / slope
@@ -357,8 +356,8 @@ def _solve_env():
 
 
 # find_map_fixed_points' solve of g(x) = phi(f(x)) - x on a bracket of its
-# scan, from the midpoint, with slope phi'(f(x)) * f'(x) - 1.0 from f's and
-# phi's dual lines, and g from their value lines (fv, phiv) where one fails.
+# scan, from the midpoint, with g from f's and phi's value lines and slope
+# phi'(f(x)) * f'(x) - 1.0 from their derivative lines.
 _ROOT = _solver("""\
 def compiled(a, b, ga, gb, tol{params}):
     ntol = -tol
@@ -366,24 +365,21 @@ def compiled(a, b, ga, gb, tol{params}):
     @SOLVE
     return x, status
 """, d="""\
-@f
-y, fd = {f}
-@phi
-v, d = {phi}
-gx = v - x
-slope = d * fd - 1.0
+@df
+@dphi
+slope = {dphi} * {df} - 1.0
 """, v="""\
-@fv
-y = {fv}
-@phiv
-gx = {phiv} - x
+@f
+y = {f}
+@phi
+gx = {phi} - x
 """)
 
 
 def _root(f, phi):
     """The fixed-point solve (_ROOT) of phi(f(x)), kept by expr.kernel."""
-    return _expr.kernel(_ROOT, {"f": (f, "x"), "phi": (phi, "y"), "fv": (f, "x"),
-                                "phiv": (phi, "y")}, _solve_env(), dual=("f", "phi"))
+    return _expr.kernel(_ROOT, {"f": (f, "x"), "phi": (phi, "y")}, _solve_env(),
+                        dual=("f", "phi"))
 
 
 # find_map_fixed_points' scan of the map phi(f(x)): at each of the n points

@@ -428,9 +428,9 @@ def derivative(e, v):
 # becomes `a ** n` with n a bound int, the operation _pow performs for it.
 # _compile(root, dual=True) builds x -> derivative by forward-mode source
 # transformation: one pair of locals v<k>, d<k> per operator node, each a
-# dual number's value and derivative part.  The dual-number walk of the tree
-# in tests/dual_walk.py is the reference both modes are tested against, bit
-# for bit, errors included.
+# dual number's value and derivative part, the value line as in value mode.
+# The dual-number walk of the tree in tests/dual_walk.py is the reference
+# both modes are tested against, bit for bit, errors included.
 #
 # A line that fails raises ArithmeticError or ValueError (_NUMERIC_ERRORS).
 # _define puts the body of every generated function in one try, whose
@@ -441,7 +441,7 @@ def derivative(e, v):
 # costs nothing until something raises, so one function per mode is fast
 # and reports too.  A template may catch _NUMERIC_ERRORS around its part
 # lines itself, as dynamics._SCAN does to skip a failing grid point and
-# dynamics._SOLVE to fall back from dual to value lines; fail then never runs.
+# dynamics._SOLVE to take 0 for a failing slope; fail then never runs.
 #
 # The generated source holds only names the compiler chooses: the parameter
 # x, the locals, constants k<j>, the helpers in _HELPERS its lines call, and
@@ -455,31 +455,29 @@ def derivative(e, v):
 # compile_loop adds the names of its template, which come from the calling
 # layer's source, and names each expression's variable as the template asks
 # and its locals and constants with the part's name as prefix (phiv3, fd2,
-# fk0), so that the lines of several expressions share one function.
+# fk0), so that the lines of several expressions share one function, a dual
+# part's derivative lines as a part of their own.
 # _define is the one place any generated source is run.
 
 def _dual_pow(v, dv, e, de):
-    """(value, derivative) of (v + dv*eps) ** (e + de*eps)."""
+    """Derivative part of (v + dv*eps) ** (e + de*eps); unlike _pow it fails
+    for a base <= 0 wherever de is not 0, as the dual-number walk does."""
     if de == 0.0 and float(e).is_integer():
         n = int(e)
         if v == 0.0 and n < 0:
             raise ZeroDivisionError("zero raised to a negative power")
-        val = v ** n
-        if n == 0:
-            der = 0.0
-        elif v == 0.0:
-            der = dv if n == 1 else 0.0
-        else:
-            der = n * v ** (n - 1) * dv
-        return val, der
+        if n == 0 or v == 0.0:
+            return dv if n == 1 else 0.0
+        return n * v ** (n - 1) * dv
     if v <= 0.0:
         raise ValueError("non-integer power of a non-positive base")
     val = v ** e
-    return val, val * (de * math.log(v) + e * dv / v)
+    return val * (de * math.log(v) + e * dv / v)
 
 
 def _pow(v, e):
-    """Value part of _dual_pow when the exponent's derivative is 0."""
+    """v ** e, with the dual-number walk's checks for an exponent whose
+    derivative is 0."""
     if float(e).is_integer():
         n = int(e)
         if v == 0.0 and n < 0:
@@ -507,8 +505,7 @@ _NUMERIC_ERRORS = (ArithmeticError, ValueError)
 _CALL = re.compile(r"\b(\w+)\(")  # a helper's name where a line calls it
 
 # (value, derivative) templates per rule: a and b name the operands' values,
-# da and db their derivatives, v this node's value.  In dual mode "^" gets
-# value and derivative from one call to _dual_pow.
+# da and db their derivatives, v this node's value.
 _RULES = {
     "neg": ("-{a}", "-{da}"),
     "+": ("{a} + {b}", "{da} + {db}"),
@@ -516,7 +513,7 @@ _RULES = {
     "*": ("{a} * {b}", "{a} * {db} + {da} * {b}"),
     "/": ("{a} / {b}", "({da} - {v} * {db}) / {b}"),
     "^": ("pow({a}, {b})", "dpow({a}, {da}, {b}, {db})"),
-    "ipow": ("{a} ** {b}", None),  # value mode only; b is a bound int
+    "ipow": ("{a} ** {b}", "dpow({a}, {da}, {b}, {db})"),  # b is a bound int
     "sin": ("sin({a})", "cos({a}) * {da}"),
     "cos": ("cos({a})", "-sin({a}) * {da}"),
     "tan": ("tan({a})", "{da} / (cos({a}) * cos({a}))"),
@@ -556,18 +553,19 @@ def _constant(node):
 
 
 class _Emitter:
-    """Lines computing a tree's value (and derivative if dual), in the
-    variable var, with locals and constants named prefix + v<k>/d<k>/k<j>,
-    and for each line what it raises on failure: (the _FAILURES entry, the
-    name of its first operand, the node's offset)."""
+    """Lines computing a tree's value in the variable var, with locals and
+    constants named prefix + v<k>/d<k>/k<j>, and for each line what it
+    raises on failure: (the _FAILURES entry, the name of its first operand,
+    the node's offset).  If dual, each node's derivative line goes to the
+    emitter deriv: lines of their own, or these lines where deriv is self."""
 
     def __init__(self, dual, var="x", prefix=""):
-        self.dual = dual
         self.var = var
         self.prefix = prefix
         self.lines = []
         self.failures = []
         self.consts = []
+        self.deriv = _Emitter(False) if dual else None
 
     def const(self, value):
         self.consts.append(value)
@@ -589,7 +587,7 @@ class _Emitter:
             return self.var, "1.0"
         if isinstance(node, Neg):
             rule, operands = "neg", (node.operand,)
-        elif (not self.dual and isinstance(node, BinOp) and node.op == "^"
+        elif (isinstance(node, BinOp) and node.op == "^"
               and isinstance(node.right, Num) and _constant(node.right).is_integer()):
             # _pow's integer branch, without the call: v ** n with n an int.
             rule, operands = "ipow", (node.left,)
@@ -609,16 +607,15 @@ class _Emitter:
             names[vk], names[dk] = val, der
         value, deriv = _RULES[rule]
         on_value, on_deriv = _FAILURES.get(rule, (None, None))
-        if not self.dual:
-            steps = [(f"{v} = {value.format(**names)}", on_value)]
-        elif rule == "^":
-            steps = [(f"{v}, {d} = {deriv.format(**names)}", on_deriv)]
-        else:
-            steps = [(f"{v} = {value.format(**names)}", on_value),
-                     (f"{d} = {deriv.format(**names)}", on_deriv)]
-        for line, failure in steps:
-            self.lines.append(line)
-            self.failures.append((failure, names["a"], node.offset))
+        steps = [(self, f"{v} = {value.format(**names)}", on_value)]
+        if self.deriv is not None:
+            # Interleaved, "^"'s derivative line comes first: its _dual_pow
+            # fails as the dual-number walk does (0^x at x = -1), not _pow.
+            steps.insert(0 if rule == "^" else 1,
+                         (self.deriv, f"{d} = {deriv.format(**names)}", on_deriv))
+        for em, line, failure in steps:
+            em.lines.append(line)
+            em.failures.append((failure, names["a"], node.offset))
         return v, d
 
 
@@ -662,7 +659,8 @@ def _compile(root, dual=False):
     Nested expressions would hit the compiler's parenthesis limit on long
     sums, so every operator node gets its own statements.
     """
-    em = _Emitter(dual)
+    em = _Emitter(False)
+    em.deriv = em if dual else None
     value, deriv = em.emit(root)
     return _define(_POINT, {"value": (em, deriv if dual else value)})
 
@@ -671,16 +669,19 @@ def compile_loop(template, parts, env, dual=()):
     """The function in template, where parts maps a name to (expression,
     variable name): "@name" lines are the expression's value lines, with its
     variable so named and its locals and constants prefixed by name, and
-    {name} the name holding its value.  A part named in dual gets its value
-    and derivative lines instead, and {name} is "value, derivative", the
-    two names holding them.  env binds the template's own helpers.  A
-    failing part line raises its typed error, as in _compile's functions.
-    Callers reach it through kernel, which keeps what it compiles."""
+    {name} the name holding its value.  A part named in dual also has its
+    derivative lines, "@d<name>" lines after its value lines, and
+    {d<name>} the name holding its derivative.  env binds the template's
+    own helpers.  A failing part line raises its typed error, as in
+    _compile's functions.  Callers reach it through kernel, which keeps
+    what it compiles."""
     emitted = {}
     for name, (e, var) in parts.items():
         em = _Emitter(name in dual, var=var, prefix=name)
         value, deriv = em.emit(e.root)
-        emitted[name] = em, f"{value}, {deriv}" if em.dual else value
+        emitted[name] = em, value
+        if em.deriv is not None:
+            emitted["d" + name] = em.deriv, deriv
     return _define(template, emitted, env)
 
 

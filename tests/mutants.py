@@ -70,6 +70,19 @@ MUTANTS = [
     Mutant("solve-failing-end-slope-huge", "dynamics.py",
            "except numeric:\n                    slope = 0.0",
            "except numeric:\n                    slope = 1e300", SOLVE),
+    Mutant("solve-failing-step-slope-one", "dynamics.py",
+           "except numeric:\n            slope = 0.0",
+           "except numeric:\n            slope = 1.0", SOLVE),
+    Mutant("solve-end-value-dropped", "dynamics.py",
+           "                    @V\n                    @D\n", "                    @D\n", SOLVE),
+    Mutant("solve-value-error-swallowed", "dynamics.py",
+           "        @V\n        if ntol < gx < tol:",
+           "        try:\n            @V\n        except numeric:\n            break\n"
+           "        if ntol < gx < tol:", SOLVE),
+    # expr's dual lines: a power's derivative line before its value line.
+    Mutant("dual-power-value-first", "expr.py",
+           "steps.insert(0 if rule == \"^\" else 1,", "steps.insert(1,",
+           ("tests/test_expr.py",)),
 ]
 
 

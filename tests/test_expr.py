@@ -175,6 +175,19 @@ class TestEvaluate:
         assert ei.value.offset == 6
         assert str(ei.value) == "log of non-positive value -1e-200 (node at offset 6)"
 
+    def test_power_derivative_checks_the_base_first(self):
+        # The exponent x is a whole number at -1 and -2, where the value's
+        # power rule takes it; its derivative is not 0, so the dual walk
+        # takes the rule for a non-integer exponent, and derivative says so
+        # before the value line fails (0^-1) or succeeds ((-2)^-2).
+        assert expr.evaluate(expr.parse("x^x"), -2) == 0.25
+        with pytest.raises(expr.EvalDomainError, match="^zero raised to a negative power"):
+            expr.evaluate(expr.parse("0^x"), -1)
+        for src, v in (("0^x", -1), ("x^x", -2)):
+            with pytest.raises(expr.EvalDomainError) as ei:
+                expr.derivative(expr.parse(src), v)
+            assert str(ei.value) == "non-integer power of a non-positive base (node at offset 1)"
+
     @pytest.mark.parametrize("src, offset", [("sin(x)", 0), ("2 + cos(x)", 4), ("tan(x)", 0)])
     def test_math_domain_error_at_infinity_is_typed(self, src, offset):
         e = expr.parse(src)
@@ -224,20 +237,20 @@ class TestEvaluate:
                 assert re.fullmatch(r"(phi|f)[vk]\d+", local) or local in _COMPILER_HELPERS \
                     or local in _LOOP_NAMES, local
             assert {c for c in code.co_consts if isinstance(c, str)} <= _ORBIT_TAGS
-            # So does the distance sweep, f's lines in dual and in value mode.
+            # So does the distance sweep, f's value and derivative lines.
             code = analysis._kernel(s).__code__
             assert code.co_names == () and code.co_varnames[:4] == ("y_lo", "w", "m", "n"), src
             for local in code.co_varnames:
-                assert re.fullmatch(r"f[vdk]\d+|(fv|phi)[vk]\d+", local) \
+                assert re.fullmatch(r"f[vdk]\d+|phi[vk]\d+", local) \
                     or local in _COMPILER_HELPERS or local in _SWEEP_NAMES, local
             assert not any(isinstance(c, str) for c in code.co_consts), src
-            # And the fixed-point solve of e(e(x)) and of e alone, f and phi
-            # in both modes.
+            # And the fixed-point solve of e(e(x)) and of e alone, f's and
+            # phi's value and derivative lines.
             for kernel in (dynamics._root(e, e), dynamics._root(e, analysis._IDENTITY)):
                 code = kernel.__code__
                 assert code.co_names == () and code.co_varnames[:4] == ("a", "b", "ga", "gb")
                 for local in code.co_varnames:
-                    assert re.fullmatch(r"(f|phi)[vdk]\d+|(fv|phiv)[vk]\d+", local) \
+                    assert re.fullmatch(r"(f|phi)[vdk]\d+", local) \
                         or local in _COMPILER_HELPERS or local in _ROOT_NAMES, local
                 assert not any(isinstance(c, str) for c in code.co_consts), src
             # And the conjugacy residual, e as f, g and h in four parts.
@@ -529,6 +542,24 @@ class TestCompiledMatchesTreeWalk:
                 counts["error" if isinstance(ref, tuple) else "value"] += 1
         total = 1000 * len(self.POINTS)
         assert counts["value"] > total // 3 and counts["error"] > total // 20, counts
+
+    def test_dual_value_lines_are_the_value_lines(self):
+        # A dual part's value lines are _compile's, line for line, with the
+        # same failures and constants, constant whole-number powers
+        # included; its derivative lines, one per operator node, are a
+        # part of their own.
+        rng = random.Random(20261017)  # the trees of test_random_expressions
+        ipows = 0
+        for _ in range(1000):
+            root = expr.parse(gen_source(rng, 5, wide=True)).root
+            value, dual = expr._Emitter(False), expr._Emitter(True)
+            assert value.emit(root)[0] == dual.emit(root)[0]
+            assert (dual.lines, dual.failures) == (value.lines, value.failures), root
+            assert dual.consts == value.consts and value.deriv is None, root
+            assert len(dual.deriv.lines) == len(dual.deriv.failures) == len(dual.lines)
+            assert not any(line.startswith("v") for line in dual.deriv.lines), root
+            ipows += any(" ** " in line for line in dual.lines)
+        assert ipows > 100, ipows
 
     def test_random_compiled_errors(self):
         # Each compiled function raises the reference's error itself, with

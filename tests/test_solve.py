@@ -9,7 +9,8 @@ sweep is compiled with phi's lines replaced by one that records each
 sample's root, and run against the per-sample inversion over the grid; and
 _SOLVE is compiled with crafted @D and @V lines that look up any g and dg,
 so that the step rule meets slopes no expression has, and run against the
-reference solver on the same functions, point by point.
+reference solver on the same functions, point by point: it must ask for g
+and dg at the points, and in the order, that the reference calls them.
 Roots are compared by repr, so -0.0 is told from 0.0, statuses as
 _SOLVE's ints, warnings by message, and errors by type, offset, message and
 the types of their __context__ chain.  find_map_fixed_points,
@@ -158,8 +159,8 @@ class TestFixedPointSolve:
     ], ids=["log-in-f", "division-in-phi", "sqrt-in-f"])
     def test_failing_value_line(self, f, phi, error):
         # The value fails at the midpoint 0.325, the first point the solve
-        # tries, after the dual line of the same node failed: its own typed
-        # error and offset, with the line's exception as its only context.
+        # tries, before any derivative line runs: its own typed error and
+        # offset, with the line's exception as its only context.
         # The ends' values are given, as the scan would give them.
         f, phi = P(f), P(phi)
         got = outcome(lambda: dynamics._root(f, phi)(0.03, 0.62, 1.0, -1.0, 1e-12))
@@ -209,31 +210,22 @@ class TestFixedPointSolve:
             assert got == want, (f.source, phi.source, args[2:])
 
 
-class Dual:
-    """dual[x] is (g(x), dg(x)) for a crafted @D line, recording x; where g
-    or dg fails, a ValueError, as a failing dual line raises."""
+class Asked:
+    """asked[x] is fn(x) for a crafted line, logging (name, x) in log.  Where
+    fn fails, the value line's error passes through unchanged, and the
+    slope line's is a ValueError, as a failing derivative line raises."""
 
-    def __init__(self, g, dg, seen):
-        self.g, self.dg, self.seen = g, dg, seen
+    def __init__(self, name, fn, log):
+        self.name, self.fn, self.log = name, fn, log
 
     def __getitem__(self, x):
-        self.seen.append(x)
+        self.log.append((self.name, x))
         try:
-            return self.g(x), self.dg(x)
+            return self.fn(x)
         except expr.EvalDomainError:
-            raise ValueError("crafted dual line fails") from None
-
-
-class Value:
-    """value[x] is g(x) for a crafted @V line, recording x; g's error
-    passes through unchanged."""
-
-    def __init__(self, g, seen):
-        self.g, self.seen = g, seen
-
-    def __getitem__(self, x):
-        self.seen.append(x)
-        return self.g(x)
+            if self.name == "g":
+                raise
+            raise ValueError("crafted slope line fails") from None
 
 
 # _SOLVE with crafted lines for any g and dg: a subscript, since the
@@ -243,34 +235,46 @@ def compiled(a, b, ga, gb, tol, x0{params}):
     ntol = -tol
     @SOLVE
     return x, status
-""", d="gx, slope = dual[x]\n", v="gx = value[x]\n")
+""", d="slope = dg[x]\n", v="gx = g[x]\n")
 
 
-def crafted_solve(g, dg, a, b, ga, gb, tol, x0=None):
-    """(x, status, the points g or dg ran at, in order of first use) from
-    _SOLVE with crafted lines; x0 None starts from the midpoint."""
-    seen = []
-    solve = expr._define(CRAFTED, {}, {**dynamics._solve_env(), "dual": Dual(g, dg, seen),
-                                       "value": Value(g, seen)})
-    x, status = solve(a, b, ga, gb, tol, a if x0 is None else x0)
-    return x, status, list(dict.fromkeys(seen))
+def crafted_solve(log, g, dg, a, b, ga, gb, tol, x0=None):
+    """(x, status) from _SOLVE with crafted lines, logging each point where
+    it asks for g or dg; x0 None starts from the midpoint."""
+    solve = expr._define(CRAFTED, {}, {**dynamics._solve_env(), "g": Asked("g", g, log),
+                                       "dg": Asked("dg", dg, log)})
+    return solve(a, b, ga, gb, tol, a if x0 is None else x0)
 
 
-def reference_solve(g, dg, a, b, ga, gb, tol, x0=None):
-    """crafted_solve's result from solve_points.bracket_solve."""
-    seen = []
+def reference_solve(log, g, dg, a, b, ga, gb, tol, x0=None):
+    """crafted_solve's result from solve_points.bracket_solve, logging each
+    call of g and dg as crafted_solve does."""
     x, status, _ = solve_points.bracket_solve(
-        lambda t: seen.append(t) or g(t), a, b, ga, gb, tol, x0,
-        dg=lambda t: seen.append(t) or dg(t))
-    return x, solve_points.STATUS[status], list(dict.fromkeys(seen))
+        lambda t: log.append(("g", t)) or g(t), a, b, ga, gb, tol, x0,
+        dg=lambda t: log.append(("dg", t)) or dg(t))
+    return x, solve_points.STATUS[status]
+
+
+def with_end_values(log):
+    """The reference's log as the compiled solve asks: at a collapsed
+    bracket, where the log ends in the slopes at its two ends, g before each
+    slope, as the derivative lines read the value lines' locals there."""
+    if [name for name, _ in log[-2:]] != ["dg", "dg"]:
+        return log
+    (_, a), (_, b) = log[-2:]
+    return log[:-2] + [("g", a), ("dg", a), ("g", b), ("dg", b)]
 
 
 def same_solve(caplog, *args):
     """Assert crafted_solve agrees with reference_solve, bit for bit, in
-    the points it tries and in what it logs and raises; return its outcome."""
-    got = warned(caplog, lambda: crafted_solve(*args))
-    assert got == warned(caplog, lambda: reference_solve(*args)), args
-    return got
+    what it returns, logs and raises, and in the points where it asks for g
+    and dg, in order; return its outcome and warnings, and the points where
+    it asked for either, in order of first use."""
+    got_log, want_log = [], []
+    got = warned(caplog, lambda: crafted_solve(got_log, *args))
+    assert got == warned(caplog, lambda: reference_solve(want_log, *args)), args
+    assert got_log == with_end_values(want_log), args
+    return got, list(dict.fromkeys(x for _, x in got_log))
 
 
 def failing(at):
@@ -289,38 +293,50 @@ class TestCraftedSolve:
 
     def test_newton_converges_in_fewer_steps_than_bisection(self, caplog):
         g, dg = (lambda x: x * x - 2.0), (lambda x: 2.0 * x)
-        x, status, newton = eval(same_solve(caplog, g, dg, 0.0, 2.0, -2.0, 2.0, 1e-15)[0])
-        assert (x, status) == (math.sqrt(2.0), 0)
-        _, status, bisect = eval(same_solve(caplog, g, lambda x: 0.0, 0.0, 2.0, -2.0, 2.0,
-                                            1e-15)[0])
-        assert status == 0 and len(newton) <= 6 < len(bisect)
+        got, newton = same_solve(caplog, g, dg, 0.0, 2.0, -2.0, 2.0, 1e-15)
+        assert eval(got[0]) == (math.sqrt(2.0), 0)
+        got, bisect = same_solve(caplog, g, lambda x: 0.0, 0.0, 2.0, -2.0, 2.0, 1e-15)
+        assert eval(got[0])[1] == 0 and len(newton) <= 6 < len(bisect)
 
     def test_newton_step_leaving_the_bracket_bisects(self, caplog):
         # From x0 = -1.9 the Newton step for atan lands near 9.75, past b = 3.
         g, dg = (lambda x: math.atan(x - 1.0)), (lambda x: 1.0 / (1.0 + (x - 1.0) ** 2))
-        got, _ = same_solve(caplog, g, dg, -2.0, 3.0, g(-2.0), g(3.0), 1e-14, -1.9)
-        x, status, seen = eval(got)
+        got, seen = same_solve(caplog, g, dg, -2.0, 3.0, g(-2.0), g(3.0), 1e-14, -1.9)
+        x, status = eval(got[0])
         assert status == 0 and x == pytest.approx(1.0, abs=1e-13) and seen[1] == 0.55
 
     def test_endpoint_within_tolerance(self, caplog):
         g = lambda x: x  # noqa: E731
-        assert same_solve(caplog, g, g, 0.0, 1.0, 0.0, 1.0, 1e-12) == ("(0.0, 0, [])", [])
+        assert same_solve(caplog, g, g, 0.0, 1.0, 0.0, 1.0, 1e-12) == (("(0.0, 0)", []), [])
 
     def test_jump_is_discontinuity(self, caplog):
         g = lambda x: 1.0 if x > 0.3 else -1.0  # noqa: E731
-        x, status, seen = eval(same_solve(caplog, g, lambda x: 0.0, 0.0, 1.0, -1.0, 1.0,
-                                          1e-12)[0])
+        got, seen = same_solve(caplog, g, lambda x: 0.0, 0.0, 1.0, -1.0, 1.0, 1e-12)
+        x, status = eval(got[0])
         assert status == 1 and x in (0.3, math.nextafter(0.3, 1.0)) and len(seen) < 200
 
     def test_tolerance_is_exclusive(self, caplog):
         got = same_solve(caplog, lambda x: x - 0.25, lambda x: 1.0, 0.0, 1.0, -0.25, 0.75, 0.25)
-        assert got == ("(0.25, 0, [0.5, 0.25])", [])
+        assert got == (("(0.25, 0)", []), [0.5, 0.25])
+
+    def test_slope_is_asked_only_where_a_step_reads_it(self, caplog):
+        # g at every step, g' only after a step that neither converged nor
+        # collapsed the bracket: not at the root 0.25, where |g| < tol.
+        log = []
+        crafted_solve(log, lambda x: x - 0.25, lambda x: 1.0, 0.0, 1.0, -0.25, 0.75, 1e-12)
+        assert log == [("g", 0.5), ("dg", 0.5), ("g", 0.25)]
+        # At a collapsed bracket, g and g' at each end, after g at the step.
+        a, b = 1.0, math.nextafter(1.0, 2.0)
+        log = []
+        crafted_solve(log, lambda x: -1e-17 if x <= a else 1e-17, lambda x: 1.0, a, b,
+                      -1e-17, 1e-17, 1e-18)
+        assert log == [("g", a), ("g", a), ("dg", a), ("g", b), ("dg", b)]
 
     def test_iteration_cap_is_logged(self, caplog):
         # Bisection from [-1, 1] needs about 1000 halvings to reach 1e-300.
         g = lambda x: x - 1e-300  # noqa: E731
-        got, said = same_solve(caplog, g, lambda x: 0.0, -1.0, 1.0, g(-1.0), g(1.0), 0.0)
-        x, status, seen = eval(got)
+        (got, said), seen = same_solve(caplog, g, lambda x: 0.0, -1.0, 1.0, g(-1.0), g(1.0), 0.0)
+        x, status = eval(got)
         assert status == 2 and 0.0 <= x <= 2.0 ** -199 and len(seen) == 200
         assert said == [("reflexivity.dynamics", f"root solve: no convergence in 200 "
                          f"iterations on [0.0, {2.0 ** -199!r}]")]
@@ -333,7 +349,7 @@ class TestCraftedSolve:
               1.75: (0.0, 1.0)}
         got = same_solve(caplog, lambda x: gs[x][0], lambda x: gs[x][1], 0.0, 8.0, -1.0, 1.0,
                          1e-12)
-        assert got == ("(1.75, 0, [4.0, 2.0, 1.0, 1.25, 1.75])", [])
+        assert got == (("(1.75, 0)", []), [4.0, 2.0, 1.0, 1.25, 1.75])
 
     @pytest.mark.parametrize("fails_at", ["a", "b"])
     def test_failing_slope_at_a_collapsed_end_is_zero(self, caplog, fails_at):
@@ -343,13 +359,14 @@ class TestCraftedSolve:
         end = a if fails_at == "a" else b
         g = lambda x: -1e-17 if x <= a else 1e-17  # noqa: E731
         got = same_solve(caplog, g, failing(lambda x: x == end), a, b, -1e-17, 1e-17, 1e-18)
-        assert got == (repr((a, 1, [a, b])), [])
+        assert got == ((repr((a, 1)), []), [a, b])
 
     def test_failing_value(self, caplog):
-        # The value fails where the dual line does: its own error.
+        # The value line raises its own error, before any slope is asked for.
         got = same_solve(caplog, failing(lambda x: x == 0.5), lambda x: 1.0, 0.0, 1.0, -1.0, 1.0,
                          1e-12)
-        assert got == (("EvalDomainError", 3, "crafted failure (node at offset 3)", []), [])
+        assert got == ((("EvalDomainError", 3, "crafted failure (node at offset 3)", []), []),
+                       [0.5])
 
     def test_random_steps(self, caplog):
         # Piecewise g on dyadic points, with slopes that may be wrong, 0,
@@ -380,19 +397,17 @@ class TestCraftedSolve:
                 continue
             x0 = rng.choice((None, rng.uniform(a, b), a, b))
             tol = rng.choice((0.0, 1e-12, 1e-3, scale * 0.25))
-            got = same_solve(caplog, g, dg, a, b, g(a), g(b), tol, x0)
-            counts["error" if isinstance(got[0], tuple) else got[0].split(", ")[1]] += 1
+            (got, _), _ = same_solve(caplog, g, dg, a, b, g(a), g(b), tol, x0)
+            counts["error" if isinstance(got, tuple) else got[:-1].split(", ")[1]] += 1
         assert min(counts[s] for s in ("0", "1", "2")) > 20, counts
 
 
 def recording_sweep(f, xs):
     """f's compiled distance sweep, with phi's lines replaced by one that
     appends each sample's root to xs (each distance is then 0)."""
-    parts = {}
-    for name, dual in (("f", True), ("fv", False)):
-        em = expr._Emitter(dual, prefix=name)
-        value, deriv = em.emit(f.root)
-        parts[name] = em, f"{value}, {deriv}" if dual else value
+    em = expr._Emitter(True, prefix="f")
+    value, deriv = em.emit(f.root)
+    parts = {"f": (em, value), "df": (em.deriv, deriv)}
     em = expr._Emitter(False, var="y", prefix="phi")
     em.lines.append("phiv0 = record[x]")
     parts["phi"] = em, "phiv0"

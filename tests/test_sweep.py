@@ -161,7 +161,7 @@ class TestSweepMatchesLoop:
         got, _ = same_as_loop(caplog, monkeypatch, s, samples)
         assert got[0] == "EvalDomainError" and got[1].startswith(error), got
         # Each error carries only the exception of its own line: a failing
-        # value line of f raises after the dual lines' failure is handled.
+        # value line of f raises outside the solve's tries.
         chains = []
         for run in (function_distance, per_sample_distance):
             with pytest.raises(expr.EvalDomainError) as raised:
@@ -284,7 +284,7 @@ class TestScanCache:
         assert dynamics.find_fixed_points(s, 500) == first
         assert len(dynamics.find_fixed_points(s, 37)) == 2
         assert s.f._kernels == {dynamics._SCAN: ([s.phi], scan),
-                                dynamics._ROOT: ([s.phi, s.f, s.phi], root)}
+                                dynamics._ROOT: ([s.phi], root)}
         assert s.phi._kernels == {} and compiled == [dynamics._SCAN, dynamics._ROOT]
 
     def test_scan_is_kept_on_its_system(self):
@@ -857,10 +857,8 @@ class TestScansMatchLoops:
             # The sweep clamps each y to f's range, as the loop's grid is
             # clamped, before phi's line records it.  f is the identity.
             seen.clear()
-            em = expr._Emitter(True, prefix="f")
-            em.lines += ["fv0 = x", "fd0 = 1.0"]
             ys = [min(max(y, lo), hi) for y in dynamics._grid(lo, hi, n)]
-            sweep = expr._define(analysis._SWEEP, {"f": (em, "fv0, fd0"), "fv": held("fv", "x"),
+            sweep = expr._define(analysis._SWEEP, {"f": held("f", "x"), "df": held("f", "1.0"),
                                                    "phi": looked_up("phi", "y")}, {
                 **dynamics._solve_env(), **env, "max": max, "nextafter": math.nextafter,
                 "inf": math.inf, "rtol": analysis.INVERT_RTOL})
