@@ -46,7 +46,7 @@ class OutOfRangeError(AnalysisError):
 
 @_expr.record
 class DistanceReport:
-    d: float
+    d: float  # the largest sampled |phi(y) - f^-1(y)|: a lower bound on the supremum
     argmax_y: float
     samples: int
     monotone_direction: str  # "increasing" | "decreasing"

@@ -288,25 +288,31 @@ COMMANDS = {
 _NUMBER = SimpleNamespace(match=lambda text: text[1:2] != "-")
 
 
-def build_parser():
+def build_parser(command=None):
+    """Every subcommand with its help line, and the flags of `command` only."""
     parser = argparse.ArgumentParser(
         prog="reflexivity",
         description="Iterate, analyze, and plot coupled cognitive/manipulative "
                     "function pairs.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (_, help_text, required, optional) in COMMANDS.items():
-        sp = sub.add_parser(command, help=help_text)
+    for name, (_, help_text, required, optional) in COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        if name != command:
+            continue
         sp._negative_number_matcher = _NUMBER
-        for name in required + optional:
-            _, kind, default, text = FIELDS[name]
-            if default is not None and name not in required:
+        for field in required + optional:
+            _, kind, default, text = FIELDS[field]
+            if default is not None and field not in required:
                 text += f" (default {default})"
-            sp.add_argument("--" + name.replace("_", "-"), help=text, **KINDS[kind][1])
+            sp.add_argument("--" + field.replace("_", "-"), help=text, **KINDS[kind][1])
     return parser
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # No flag of the program takes a value: the first other word is the subcommand.
+    command = next((word for word in argv if not word.startswith("-")), None)
+    args = build_parser(command).parse_args(argv)
     handler, _, required, optional = COMMANDS[args.command]
     try:
         return handler(_record(args, required, optional))

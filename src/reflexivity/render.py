@@ -3,7 +3,7 @@ standalone SVG 1.1 documents.  All output is deterministic: identical
 inputs produce byte-identical documents.
 
 Traces are built from an orbit's x and y columns, and documents from
-columns of pixel coordinates, one format string per kind of element.
+columns of coordinate texts, so that no drawn point is formatted twice.
 """
 
 from __future__ import annotations
@@ -97,14 +97,27 @@ def _scaled(vs, lo, hi, size):
     return map(mul, map(truediv, map(sub, vs, repeat(lo)), repeat(hi - lo)), repeat(size))
 
 
-_STEP = ('<line class="step" x1="%.3f" y1="%.3f" x2="%.3f" y2="%.3f" '
+_STEP = ('<line class="step" x1="%s" y1="%s" x2="%s" y2="%s" '
          'stroke="#d62728" stroke-width="1"/>')
-_FIXED_POINT = '<circle class="fixed-point" cx="%.3f" cy="%.3f" r="4" fill="black"/>'
-_ORBIT_POINT = '<circle class="orbit-point" cx="%.3f" cy="%.3f" r="2" fill="#d62728"/>'
+_FIXED_POINT = '<circle class="fixed-point" cx="%s" cy="%s" r="4" fill="black"/>'
+_ORBIT_POINT = '<circle class="orbit-point" cx="%s" cy="%s" r="2" fill="#d62728"/>'
 
 
-def _polyline(pixels, cls, color):
-    coords = " ".join(map("%.3f,%.3f".__mod__, pixels))
+def _elements(template, xs, ys, sep="\n"):
+    """template % (x1, y1, ...) for each run of points of the text columns xs
+    and ys (at least one), joined by sep: one join of texts and fixed pieces."""
+    head, *pieces, tail = template.split("%s")
+    texts = list(chain.from_iterable(zip([f"{tail}{sep}{head}", *pieces], repeat(None))))
+    texts *= len(xs) * 4 // len(texts)  # elements: a point is two texts, two pieces
+    texts[0] = head
+    texts[1::4] = xs
+    texts[3::4] = ys
+    texts.append(tail)
+    return "".join(texts)
+
+
+def _polyline(xs, ys, cls, color):
+    coords = _elements("%s,%s", xs, ys, " ")
     return (f'<polyline class="{cls}" points="{coords}" fill="none" '
             f'stroke="{color}" stroke-width="1.5"/>')
 
@@ -120,6 +133,8 @@ def to_svg(trace, options=None):
     if not 0 <= 2 * opt.margin < min(opt.width, opt.height):
         raise _dyn.PreconditionError("margin must be >= 0 and less than half of each dimension")
     # Every drawn point, in drawing order; the data bounds come from all.
+    # A staircase's values repeat, so each distinct one (the first drawn of
+    # equal ones) is formatted once.  A portrait's seldom do: each point is.
     if isinstance(trace, StaircaseTrace):
         parts = (list(chain.from_iterable(trace.segments)), trace.curve_f,
                  trace.curve_phi, trace.fixed_points)
@@ -127,8 +142,10 @@ def to_svg(trace, options=None):
         parts = (trace.points,)
     else:
         raise TypeError(f"cannot render {type(trace).__name__}")
-    xs = list(map(itemgetter(0), chain(*parts)))
-    ys = list(map(itemgetter(1), chain(*parts)))
+    points = list(chain(*parts))
+    column = dict.fromkeys if isinstance(trace, StaircaseTrace) else list
+    xs = column(map(itemgetter(0), points))
+    ys = column(map(itemgetter(1), points))
     if not (all(map(math.isfinite, xs)) and all(map(math.isfinite, ys))):
         raise _dyn.PreconditionError("cannot draw a point that is not finite")
     x_lo, x_hi, y_lo, y_hi = _bounds(xs, ys)
@@ -177,21 +194,27 @@ def to_svg(trace, options=None):
             f'font-size="11" text-anchor="end">{t:.4g}</text>'
         )
 
-    pixels = iter(zip(px(xs), py(ys)))
-    pixels = [list(islice(pixels, len(part))) for part in parts]
+    x_texts = map("%.3f".__mod__, px(xs))
+    y_texts = map("%.3f".__mod__, py(ys))
+    if isinstance(xs, dict):  # each point looks its texts up
+        x_texts = map(dict(zip(xs, x_texts)).__getitem__, map(itemgetter(0), points))
+        y_texts = map(dict(zip(ys, y_texts)).__getitem__, map(itemgetter(1), points))
+    columns = [(list(islice(x_texts, len(part))), list(islice(y_texts, len(part))))
+               for part in parts]
     if isinstance(trace, StaircaseTrace):
-        steps, curve_f, curve_phi, fixed_points = pixels
-        if curve_f:
-            out.append(_polyline(curve_f, "curve-f", "#1f77b4"))
-        if curve_phi:
-            out.append(_polyline(curve_phi, "curve-phi", "#2ca02c"))
-        ends = iter(steps)
-        out += map(_STEP.__mod__, map(add, ends, ends))  # a segment's two pairs as one
-        out += map(_FIXED_POINT.__mod__, fixed_points)
+        steps, curve_f, curve_phi, fixed_points = columns
+        if trace.curve_f:
+            out.append(_polyline(*curve_f, "curve-f", "#1f77b4"))
+        if trace.curve_phi:
+            out.append(_polyline(*curve_phi, "curve-phi", "#2ca02c"))
+        if trace.segments:
+            out.append(_elements(_STEP, *steps))
+        out += map(_FIXED_POINT.__mod__, zip(*fixed_points))
     else:
-        (points,) = pixels
-        if len(points) > 1:
-            out.append(_polyline(points, "orbit", "#d62728"))
-        out += map(_ORBIT_POINT.__mod__, points)
+        (path,) = columns
+        if len(trace.points) > 1:
+            out.append(_polyline(*path, "orbit", "#d62728"))
+        if trace.points:
+            out.append(_elements(_ORBIT_POINT, *path))
     out.append("</svg>")
     return "\n".join(out) + "\n"

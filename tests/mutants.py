@@ -36,6 +36,7 @@ class Mutant(NamedTuple):
 
 SCAN = ("tests/test_columns.py::TestBoomBustScan",)
 SOLVE = ("tests/test_solve.py",)
+RENDER = ("tests/test_columns.py::TestRenderFromColumns",)
 
 MUTANTS = [
     # analysis.detect_boom_bust's scan over the column of rising steps.
@@ -83,6 +84,18 @@ MUTANTS = [
     Mutant("dual-power-value-first", "expr.py",
            "steps.insert(0 if rule == \"^\" else 1,", "steps.insert(1,",
            ("tests/test_expr.py",)),
+    # render.to_svg's coordinate texts: looked up per point in a staircase,
+    # set between a template's fixed pieces for each element.
+    Mutant("svg-y-in-x-table", "render.py",
+           "map(dict(zip(ys, y_texts)).__getitem__",
+           "map(dict(zip(xs, map(\"%.3f\".__mod__, px(xs)))).__getitem__", RENDER),
+    Mutant("svg-step-ends-off-by-one", "render.py",
+           "_elements(_STEP, *steps)", "_elements(_STEP, steps[0][1:] + steps[0][:1], steps[1])",
+           RENDER),
+    Mutant("svg-step-newline-dropped", "render.py",
+           "_elements(_STEP, *steps)", "_elements(_STEP, *steps, \"\")", RENDER),
+    Mutant("svg-circles-from-x-texts", "render.py",
+           "_elements(_ORBIT_POINT, *path)", "_elements(_ORBIT_POINT, path[0], path[0])", RENDER),
 ]
 
 

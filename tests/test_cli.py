@@ -443,13 +443,15 @@ class TestFlagSurface:
     }
 
     def test_each_subcommand_takes_exactly_its_flags(self):
-        parser = cli.build_parser()
-        (commands,) = [a for a in parser._actions
-                       if isinstance(a, argparse._SubParsersAction)]
-        assert set(commands.choices) == set(self.OPTIONS)
-        for name, sp in commands.choices.items():
-            flags = {s for a in sp._actions for s in a.option_strings} - {"-h", "--help"}
-            assert flags == self.OPTIONS[name], name
+        # A parser holds the flags of the subcommand it is built for only.
+        for command in (None, *self.OPTIONS):
+            parser = cli.build_parser(command)
+            (commands,) = [a for a in parser._actions
+                           if isinstance(a, argparse._SubParsersAction)]
+            assert set(commands.choices) == set(self.OPTIONS)
+            for name, sp in commands.choices.items():
+                flags = {s for a in sp._actions for s in a.option_strings} - {"-h", "--help"}
+                assert flags == (self.OPTIONS[name] if name == command else set()), (command, name)
 
     def test_pair_flag_takes_two_numbers(self):
         with pytest.raises(SystemExit) as exc:

@@ -11,6 +11,7 @@ for byte.
 import math
 import pickle
 import random
+import re
 from itertools import repeat
 from operator import add, sub
 
@@ -439,6 +440,63 @@ class TestRenderFromColumns:
                     render.to_svg(trace, opt)
                 refused += 1
         assert drawn > 100 and refused > 100, (drawn, refused)
+
+    # A staircase formats each distinct value once and looks each drawn
+    # point's texts up; these cases repeat values the most.
+    def test_long_staircases(self):
+        for r in (3.8777, 3.5):  # chaotic: each x drawn about 4 times; a 4-cycle
+            s = make_system(f"{r}*x*(1-x)", "y", (0.0, 1.0), (0.0, 1.0))
+            trace = render.staircase(s, orbit(s, 0.4123, 5000), 256)
+            assert len(trace.segments) == 10001
+            for opt in self.OPTIONS:
+                assert render.to_svg(trace, opt) == render_points.to_svg(trace, opt)
+
+    def test_staircases_from_a_small_pool(self):
+        # 0.0 and -0.0 share one text.  Where the first drawn of them is the
+        # minimum, either sign, the axis' first tick label reads 0: the tick
+        # is lo + 0.0.
+        rng = random.Random(31)
+        pool = (0.0, -0.0, 0.125, 0.5, 1.0, 3.0, 1e-9)
+        first_zeros = set()
+        for i in range(400):
+            pts = [(rng.choice(pool), rng.choice(pool)) for _ in range(rng.randrange(2, 30))]
+            chained = tuple(zip(pts, pts[1:]))
+            unchained = tuple(zip(pts[::2], pts[1::2]))
+            k = rng.randrange(len(pts))
+            trace = render.StaircaseTrace(rng.choice((chained, unchained)), tuple(pts[k:k + 3]),
+                                          tuple(pts[:rng.randrange(3)]), tuple(pts[-k:]))
+            if not _drawable(trace):
+                continue
+            opt = self.OPTIONS[i % 3]
+            doc = render.to_svg(trace, opt)
+            assert doc == render_points.to_svg(trace, opt), trace
+            drawn = [*(p for seg in trace.segments for p in seg), *trace.curve_f,
+                     *trace.curve_phi, *trace.fixed_points]
+            labels = re.findall(r'class="tick-label"[^>]*>([^<]*)<', doc)
+            for axis, label in ((0, labels[0]), (1, labels[render._TICKS])):
+                values = [p[axis] for p in drawn]
+                if min(values) == 0.0 and max(values) > 0.0:
+                    first_zeros.add((axis, repr(min(values))))
+                    assert label == "0", trace
+        assert first_zeros == {(0, "0.0"), (0, "-0.0"), (1, "0.0"), (1, "-0.0")}
+
+    def test_margin_zero_one_point_unchained_segments_and_empty_curves(self):
+        s = make_system("3.8777*x*(1-x)", "y", (0.0, 1.0), (0.0, 1.0))
+        one = render.staircase(s, Orbit((SystemState(0.25, 0.75, 0),), "step-budget"), 2)
+        assert one.segments == (((0.25, 0.0), (0.25, 0.75)),)
+        traces = [
+            one,
+            render.StaircaseTrace(one.segments, (), (), ()),
+            render.StaircaseTrace((((0.0, 0.0), (1.0, 1.0)), ((2.0, 0.5), (0.5, 2.0)),
+                                   ((0.0, 0.0), (0.5, 0.5))), (), one.curve_phi, ()),
+            render.StaircaseTrace((), one.curve_f, (), ((0.5, 0.5),)),
+            render.PhasePortraitTrace(((0.5, 0.25),)),
+            render.PhasePortraitTrace(((0.5, 0.25), (0.5, 0.25))),
+        ]
+        for trace in traces:
+            for opt in (*self.OPTIONS, render.RenderOptions(11, 3, 1),
+                        render.RenderOptions(3, 5, 0)):
+                assert render.to_svg(trace, opt) == render_points.to_svg(trace, opt), trace
 
     def test_hand_built_orbit_csv(self):
         o, _ = _column_cases()["hand-built"]
