@@ -6,6 +6,7 @@ sampled conjugacy verification.
 from __future__ import annotations
 
 import math
+from functools import cache
 from itertools import islice
 from operator import gt, lt
 
@@ -23,9 +24,14 @@ DEFAULT_SAMPLES = 4096
 DEFAULT_MIN_RUN = 5
 DEFAULT_RETRACE_THRESHOLD = 0.5
 DEFAULT_MAX_PERIOD = 32
-# The phi with which verify_conjugacy searches f's own fixed points.  One
-# object, so that f's fixed-point scan is compiled once (see expr.kernel).
-_IDENTITY = _expr.parse("y")
+
+
+@cache
+def _identity():
+    """The phi with which verify_conjugacy searches f's own fixed points,
+    parsed on first use.  One object, so that f's fixed-point scan is
+    compiled once (see expr.kernel)."""
+    return _expr.parse("y")
 
 
 class AnalysisError(Exception):
@@ -404,7 +410,7 @@ def verify_conjugacy(f, g, h, interval, samples=DEFAULT_SAMPLES,
     violation_x = argmax if max_residual > tol else nan_x
     verdict = "consistent" if violation_x is None else "violated"
 
-    fixed_points, _ = _dyn.find_map_fixed_points(f, _IDENTITY, lo, hi, grid_n=1024)
+    fixed_points, _ = _dyn.find_map_fixed_points(f, _identity(), lo, hi, grid_n=1024)
     checked = 0
     for x_bar in fixed_points:
         hx = _expr.evaluate(h, x_bar)

@@ -7,18 +7,24 @@ Each scenario field is one row of FIELDS, which drives its flag, its check
 in a scenario file and its default.  A handler receives one record holding
 its command's fields, each taken from the flag, else the scenario file,
 else the default.
+
+A process loads only the layers its subcommand runs: the handlers import
+analysis and render themselves, and FIELDS states their defaults.  The
+process entry, entry(), freezes the start-up heap before main() runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
+import gc
 import json
+import os
+import stat
 import sys
-from importlib import resources
-from pathlib import Path
 from types import SimpleNamespace
 
-from . import analysis, dynamics, expr, render
+from . import dynamics, expr
 
 
 class UsageError(Exception):
@@ -39,8 +45,6 @@ KINDS = {
                       lambda v: tuple(map(float, v))),
 }
 
-_RENDER = render.RenderOptions()
-
 # name (flag --name with '_' as '-'): (JSON path, None if flag only; kind; default; help)
 FIELDS = {
     "scenario": (None, "string", None, "scenario JSON (path or bundled name)"),
@@ -53,39 +57,52 @@ FIELDS = {
     "domain": ("x_domain", "[lo, hi] pair", (-10.0, 10.0), "x domain"),
     "y_domain": ("y_domain", "[lo, hi] pair", None, "y domain (default: image of f)"),
     "grid": ("grid", "integer", dynamics.DEFAULT_GRID, "fixed-point search grid size"),
-    "samples": ("samples", "integer", analysis.DEFAULT_SAMPLES, "sample grid size"),
-    "max_period": ("analysis.max_period", "integer", analysis.DEFAULT_MAX_PERIOD,
-                   "longest period tested"),
+    # The defaults below are analysis.DEFAULT_*, render.RenderOptions() and
+    # render.DEFAULT_CURVE_SAMPLES, stated here so that no other subcommand
+    # loads those layers (tests/test_startup.py holds them equal).
+    "samples": ("samples", "integer", 4096, "sample grid size"),
+    "max_period": ("analysis.max_period", "integer", 32, "longest period tested"),
     "burn_in": ("analysis.burn_in", "integer", 1000, "steps iterated before the period test"),
-    "min_run": ("analysis.min_run", "integer", analysis.DEFAULT_MIN_RUN,
-                "shortest rise that counts as a boom"),
-    "retrace_threshold": ("analysis.retrace_threshold", "number",
-                          analysis.DEFAULT_RETRACE_THRESHOLD,
+    "min_run": ("analysis.min_run", "integer", 5, "shortest rise that counts as a boom"),
+    "retrace_threshold": ("analysis.retrace_threshold", "number", 0.5,
                           "share of the rise the reversal must retrace"),
-    "width": ("render.width", "integer", _RENDER.width, "SVG width in pixels"),
-    "height": ("render.height", "integer", _RENDER.height, "SVG height in pixels"),
-    "margin": ("render.margin", "integer", _RENDER.margin, "SVG margin in pixels"),
-    "curve_samples": ("render.curve_samples", "integer", render.DEFAULT_CURVE_SAMPLES,
-                      "points per drawn curve"),
+    "width": ("render.width", "integer", 800, "SVG width in pixels"),
+    "height": ("render.height", "integer", 600, "SVG height in pixels"),
+    "margin": ("render.margin", "integer", 60, "SVG margin in pixels"),
+    "curve_samples": ("render.curve_samples", "integer", 256, "points per drawn curve"),
     "out": (None, "string", None, "write output to this file instead of stdout"),
 }
 _BY_PATH = {tuple(row[0].split(".")): name for name, row in FIELDS.items() if row[0]}
 _SECTIONS = {path[0] for path in _BY_PATH if len(path) > 1}
+_SCENARIOS = os.path.join(os.path.dirname(__file__), "scenarios")
+
+
+def _is_file(path):
+    """Whether path names a regular file.  Unlike os.path.isfile, it raises
+    an error that is not a missing or looping path, such as a name too long."""
+    try:
+        return stat.S_ISREG(os.stat(path).st_mode)
+    except ValueError:  # a NUL byte
+        return False
+    except OSError as exc:
+        if exc.errno in (errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP):
+            return False
+        raise
 
 
 def load_scenario(name_or_path):
-    """Load a scenario JSON file.  A bare name, with no path separator and
-    no suffix, that is not a file names a bundled scenario."""
-    p = Path(name_or_path)
-    bundled = resources.files(__package__) / "scenarios" / f"{p.name}.json"
+    """Load a scenario JSON file.  A bare name, with no path separator, that
+    is not a file names a bundled scenario."""
+    bundled = os.path.join(_SCENARIOS, f"{name_or_path}.json")
     try:
-        if p.is_file():
-            source = p
-        elif p.name == str(name_or_path) and not p.suffix and bundled.is_file():
+        if _is_file(name_or_path):
+            source = name_or_path
+        elif os.path.basename(name_or_path) == name_or_path and _is_file(bundled):
             source = bundled
         else:
             raise UsageError(f"scenario not found: {name_or_path}")
-        text = source.read_text()
+        with open(source) as fh:
+            text = fh.read()
         data = json.loads(text)
     except json.JSONDecodeError:
         raise
@@ -159,7 +176,8 @@ def _build_system(sc):
 def _emit(sc, text):
     if sc.out:
         try:
-            Path(sc.out).write_text(text)
+            with open(sc.out, "w") as fh:
+                fh.write(text)
         except ValueError as exc:  # a path with a NUL byte
             raise UsageError(f"--out {sc.out!r}: {exc}") from exc
         except OSError as exc:  # a missing directory, a directory, no permission
@@ -177,6 +195,7 @@ def _run_orbit(sc):
 # command handlers
 
 def cmd_simulate(sc):
+    from . import render
     _, o = _run_orbit(sc)
     _emit(sc, render.to_csv(o))
     print(f"terminated_by={o.terminated_by}", file=sys.stderr)
@@ -196,6 +215,7 @@ def cmd_fixed_points(sc):
 
 
 def cmd_distance(sc):
+    from . import analysis
     rep = analysis.function_distance(_build_system(sc), sc.samples)
     _emit(sc, "d=%.17g argmax_y=%.17g samples=%d direction=%s\n" % (
         rep.d, rep.argmax_y, rep.samples, rep.monotone_direction))
@@ -203,6 +223,7 @@ def cmd_distance(sc):
 
 
 def cmd_period(sc):
+    from . import analysis
     gamma = dynamics.compose_gamma(_build_system(sc))
     rep = analysis.detect_period(gamma, sc.x0, sc.max_period, sc.burn_in)
     if rep is None:
@@ -214,6 +235,7 @@ def cmd_period(sc):
 
 
 def cmd_boom_bust(sc):
+    from . import analysis
     _, o = _run_orbit(sc)
     events = analysis.detect_boom_bust(o, sc.min_run, sc.retrace_threshold)
     lines = [f"events={len(events)}"]
@@ -228,6 +250,7 @@ def cmd_boom_bust(sc):
 
 
 def cmd_conjugacy(sc):
+    from . import analysis
     rep = analysis.verify_conjugacy(expr.parse(sc.f), expr.parse(sc.g), expr.parse(sc.h),
                                     sc.domain, sc.samples)
     line = "verdict=%s max_residual=%.17g fixed_points_checked=%d" % (
@@ -239,6 +262,7 @@ def cmd_conjugacy(sc):
 
 
 def cmd_staircase(sc):
+    from . import render
     s, o = _run_orbit(sc)
     trace = render.staircase(s, o, sc.curve_samples)
     _emit(sc, render.to_svg(trace, render.RenderOptions(sc.width, sc.height, sc.margin)))
@@ -246,6 +270,7 @@ def cmd_staircase(sc):
 
 
 def cmd_portrait(sc):
+    from . import render
     _, o = _run_orbit(sc)
     trace = render.phase_portrait(o)
     _emit(sc, render.to_svg(trace, render.RenderOptions(sc.width, sc.height, sc.margin)))
@@ -326,10 +351,25 @@ def main(argv=None):
             dynamics.OrbitNumericError, OverflowError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
-    except (analysis.AnalysisError, dynamics.PreconditionError) as exc:
+    except (dynamics.PreconditionError, *_analysis_errors()) as exc:
         print(f"precondition error: {exc}", file=sys.stderr)
         return 4
 
 
+def _analysis_errors():
+    # A handler that raised an AnalysisError has imported analysis.
+    analysis = sys.modules.get(f"{__package__}.analysis")
+    return (analysis.AnalysisError,) if analysis else ()
+
+
+def entry():
+    """The process entry: `python -m reflexivity.cli` and the `reflexivity`
+    script.  Once the imports are done, the heap they left is frozen, so
+    that no collection, the interpreter's exit included, walks it again.
+    main(argv), called in process, freezes nothing."""
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

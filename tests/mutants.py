@@ -37,6 +37,7 @@ class Mutant(NamedTuple):
 SCAN = ("tests/test_columns.py::TestBoomBustScan",)
 SOLVE = ("tests/test_solve.py",)
 RENDER = ("tests/test_columns.py::TestRenderFromColumns",)
+STARTUP = ("tests/test_startup.py",)
 
 MUTANTS = [
     # analysis.detect_boom_bust's scan over the column of rising steps.
@@ -96,6 +97,18 @@ MUTANTS = [
            "_elements(_STEP, *steps)", "_elements(_STEP, *steps, \"\")", RENDER),
     Mutant("svg-circles-from-x-texts", "render.py",
            "_elements(_ORBIT_POINT, *path)", "_elements(_ORBIT_POINT, path[0], path[0])", RENDER),
+    # A CLI process: the entry's freeze, the package's lazy names, and the
+    # layers each handler imports for itself.
+    Mutant("entry-freeze-dropped", "cli.py", "gc.freeze()", "gc.collect()", STARTUP),
+    Mutant("lazy-name-in-wrong-layer", "__init__.py",
+           '"orbit", "step"),\n    "analysis": (\n        "',
+           '"orbit"),\n    "analysis": (\n        "step", "',
+           STARTUP + ("tests/test_surface.py::test_exports_are_pinned",)),
+    Mutant("handler-import-dropped", "cli.py",
+           "def cmd_period(sc):\n    from . import analysis\n", "def cmd_period(sc):\n",
+           STARTUP),
+    Mutant("analysis-error-unmapped", "cli.py",
+           "return (analysis.AnalysisError,) if analysis else ()", "return ()", STARTUP),
 ]
 
 

@@ -130,13 +130,24 @@ class TestScenarioHandling:
         got = run(capsys, "simulate", "--f", "x/2", "--phi", "y", "--x0", "1", "--out", path)
         assert got == (2, "", f"error: --out {path!r}: {os.strerror(code)}\n")
 
+    def test_a_path_that_ends_in_a_slash_names_a_directory(self, capsys, tmp_path):
+        # As the operating system reads it: no file is read or written.
+        scenario = tmp_path / "s.json"
+        scenario.write_text("{}")
+        got = run(capsys, "simulate", "--scenario", f"{scenario}/")
+        assert got == (2, "", f"error: scenario not found: {scenario}/\n")
+        out = f"{tmp_path / 'o.csv'}/"
+        got = run(capsys, "simulate", "--f", "x/2", "--phi", "y", "--x0", "1", "--out", out)
+        assert got == (2, "", f"error: --out {out!r}: {os.strerror(errno.EISDIR)}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json"]
+
     def test_scenario_read_failure_exit_2(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "s.json"
         path.write_text("{}")
 
-        def failing(self, *args, **kwargs):
-            raise OSError(errno.EIO, os.strerror(errno.EIO), str(self))
-        monkeypatch.setattr(Path, "read_text", failing)
+        def failing(file, *args, **kwargs):
+            raise OSError(errno.EIO, os.strerror(errno.EIO), file)
+        monkeypatch.setattr(cli, "open", failing, raising=False)
         got = run(capsys, "simulate", "--scenario", str(path))
         assert got == (2, "", f"error: scenario {path}: {os.strerror(errno.EIO)}\n")
 

@@ -246,7 +246,7 @@ class TestEvaluate:
             assert not any(isinstance(c, str) for c in code.co_consts), src
             # And the fixed-point solve of e(e(x)) and of e alone, f's and
             # phi's value and derivative lines.
-            for kernel in (dynamics._root(e, e), dynamics._root(e, analysis._IDENTITY)):
+            for kernel in (dynamics._root(e, e), dynamics._root(e, analysis._identity())):
                 code = kernel.__code__
                 assert code.co_names == () and code.co_varnames[:4] == ("a", "b", "ga", "gb")
                 for local in code.co_varnames:
@@ -262,7 +262,7 @@ class TestEvaluate:
             assert not any(isinstance(c, str) for c in code.co_consts), src
             # And the grid scans: the fixed-point scan of e(e(x)) and of e
             # alone, and the monotonicity scan.
-            kernels = [dynamics._scan(e, e), dynamics._scan(e, analysis._IDENTITY),
+            kernels = [dynamics._scan(e, e), dynamics._scan(e, analysis._identity()),
                        analysis._monotone(e)]
             for kernel, names in zip(kernels, (_SCAN_NAMES, _SCAN_NAMES, _MONOTONE_NAMES)):
                 code = kernel.__code__

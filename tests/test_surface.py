@@ -11,23 +11,25 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "reflexivity"
 
-EXPORTS = {
-    # expr
-    "EvalDomainError", "Expression", "ExpressionError", "MultipleVariablesError",
-    "NonDifferentiableError", "ParseError", "UnknownIdentifierError",
-    "derivative", "evaluate", "evaluate_many", "parse",
-    # dynamics
-    "FixedPoint", "Orbit", "OrbitNumericError", "PreconditionError", "ReflexiveSystem",
-    "SystemState", "check_proposition_1", "classify_stability", "compose_gamma",
-    "find_fixed_points", "make_system", "orbit", "step",
-    # analysis
-    "BoomBustEvent", "ConjugacyReport", "DistanceReport", "NonMonotoneError",
-    "OutOfRangeError", "PeriodReport", "detect_boom_bust", "detect_period",
-    "function_distance", "verify_conjugacy",
-    # render
-    "PhasePortraitTrace", "RenderOptions", "StaircaseTrace", "phase_portrait",
-    "staircase", "to_csv", "to_svg",
+# layer: the names reflexivity exports from it
+LAYERS = {
+    "expr": {
+        "EvalDomainError", "Expression", "ExpressionError", "MultipleVariablesError",
+        "NonDifferentiableError", "ParseError", "UnknownIdentifierError",
+        "derivative", "evaluate", "evaluate_many", "parse"},
+    "dynamics": {
+        "FixedPoint", "Orbit", "OrbitNumericError", "PreconditionError", "ReflexiveSystem",
+        "SystemState", "check_proposition_1", "classify_stability", "compose_gamma",
+        "find_fixed_points", "make_system", "orbit", "step"},
+    "analysis": {
+        "BoomBustEvent", "ConjugacyReport", "DistanceReport", "NonMonotoneError",
+        "OutOfRangeError", "PeriodReport", "detect_boom_bust", "detect_period",
+        "function_distance", "verify_conjugacy"},
+    "render": {
+        "PhasePortraitTrace", "RenderOptions", "StaircaseTrace", "phase_portrait",
+        "staircase", "to_csv", "to_svg"},
 }
+EXPORTS = set().union(*LAYERS.values())
 
 
 def tree(name):
@@ -57,11 +59,15 @@ def test_every_imported_name_is_used(name):
 
 
 def test_exports_are_pinned():
+    # __init__.py imports no layer: its table of lazy names is the surface.
     module = tree("__init__.py")
-    assigned = {t.id for node in module.body if isinstance(node, ast.Assign)
+    assigned = {t.id: node.value for node in module.body if isinstance(node, ast.Assign)
                 for t in node.targets}
-    assert imported(module) == EXPORTS
-    assert assigned == {"__version__"}
+    table = ast.literal_eval(assigned["_EXPORTS"])
+    assert {layer: set(names) for layer, names in table.items()} == LAYERS
+    assert sum(map(len, table.values())) == len(EXPORTS)
+    assert imported(module) == set()
+    assert set(assigned) == {"__version__", "_EXPORTS", "__all__"}
 
 
 def defined(node):
