@@ -34,11 +34,7 @@ def _identity():
     return _expr.parse("y")
 
 
-class AnalysisError(Exception):
-    pass
-
-
-class NonMonotoneError(AnalysisError):
+class NonMonotoneError(_dyn.PreconditionError):
     """The sampled function is not strictly monotone on the interval."""
 
     def __init__(self, message, x_pair=None):
@@ -46,7 +42,7 @@ class NonMonotoneError(AnalysisError):
         self.x_pair = x_pair
 
 
-class OutOfRangeError(AnalysisError):
+class OutOfRangeError(_dyn.PreconditionError):
     """Requested value lies outside the attained range."""
 
 
@@ -383,23 +379,21 @@ def _residuals(f, g, h):
         "f": (f, "x"), "h": (h, "x"), "hf": (h, "fx"), "gh": (g, "hx")}, {"range": range})
 
 
-def verify_conjugacy(f, g, h, interval, samples=DEFAULT_SAMPLES,
-                     tol=CONJUGACY_TOL, fp_tol=CONJUGACY_FP_TOL):
+def verify_conjugacy(f, g, h, interval, samples=DEFAULT_SAMPLES):
     """Sampled check of h(f(x)) = g(h(x)) with h strictly monotone, on an
     interval (lo, hi) with lo < hi (DomainValidationError if not).
 
-    A NaN residual is a violation: violation_x is the first such x unless a
-    residual exceeds tol; max_residual is the largest residual that is not
-    NaN, or NaN if every residual is.  Also verifies that images of f's
-    fixed points are fixed under g; a NaN image residual is a violation too.
+    A residual above CONJUGACY_TOL is a violation, and so is a NaN one:
+    violation_x is the first NaN x unless a residual exceeds the tolerance;
+    max_residual is the largest residual that is not NaN, or NaN if every
+    residual is.  Also verifies that g fixes the images under h of f's fixed
+    points within CONJUGACY_FP_TOL; a NaN image residual is a violation too.
 
     The residuals come from one compiled loop (_RESIDUALS), which raises the
     error the first failing x meets.
     """
     if samples < 2:
         raise _dyn.PreconditionError("samples must be >= 2")
-    if not (tol >= 0 and fp_tol >= 0):
-        raise _dyn.PreconditionError("tol and fp_tol must be >= 0")
     lo, hi = interval
     _dyn._check_interval(lo, hi)
     _monotone_direction(h, lo, hi)  # homeomorphism proxy check
@@ -407,14 +401,14 @@ def verify_conjugacy(f, g, h, interval, samples=DEFAULT_SAMPLES,
     w, m = _dyn._grid_span(lo, hi, samples)
     best, argmax, nan_x = _residuals(f, g, h)(lo, w, m, samples)
     max_residual = best if best >= 0.0 else math.nan
-    violation_x = argmax if max_residual > tol else nan_x
+    violation_x = argmax if max_residual > CONJUGACY_TOL else nan_x
     verdict = "consistent" if violation_x is None else "violated"
 
     fixed_points, _ = _dyn.find_map_fixed_points(f, _identity(), lo, hi, grid_n=1024)
     checked = 0
     for x_bar in fixed_points:
         hx = _expr.evaluate(h, x_bar)
-        if not abs(_expr.evaluate(g, hx) - hx) <= fp_tol:
+        if not abs(_expr.evaluate(g, hx) - hx) <= CONJUGACY_FP_TOL:
             verdict = "violated"
             if violation_x is None:
                 violation_x = x_bar

@@ -1,7 +1,8 @@
 """Command-line interface.  Data goes to stdout (or --out), diagnostics to
 stderr.  Exit codes: 0 ok, 2 parse/usage error, 3 numeric or domain error,
-4 violated precondition (e.g. a non-monotone function).  Any other error is
-a bug, and its traceback is shown.
+4 violated precondition (a dynamics.PreconditionError, e.g. a non-monotone
+function).  Any other error is a bug, and its traceback is shown.  Handlers
+raise; main alone maps a failure to its exit code.
 
 Each scenario field is one row of FIELDS, which drives its flag, its check
 in a scenario file and its default.  A handler receives one record holding
@@ -9,8 +10,9 @@ its command's fields, each taken from the flag, else the scenario file,
 else the default.
 
 A process loads only the layers its subcommand runs: the handlers import
-analysis and render themselves, and FIELDS states their defaults.  The
-process entry, entry(), freezes the start-up heap before main() runs.
+analysis and render themselves, FIELDS states their defaults, and only a
+scenario loads json.  The process entry, entry(), freezes the start-up
+heap before main() runs.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from __future__ import annotations
 import argparse
 import errno
 import gc
-import json
 import os
 import stat
 import sys
@@ -93,6 +94,7 @@ def _is_file(path):
 def load_scenario(name_or_path):
     """Load a scenario JSON file.  A bare name, with no path separator, that
     is not a file names a bundled scenario."""
+    import json
     bundled = os.path.join(_SCENARIOS, f"{name_or_path}.json")
     try:
         if _is_file(name_or_path):
@@ -102,22 +104,23 @@ def load_scenario(name_or_path):
         else:
             raise UsageError(f"scenario not found: {name_or_path}")
         with open(source) as fh:
-            text = fh.read()
-        data = json.loads(text)
-    except json.JSONDecodeError:
-        raise
+            data = json.loads(fh.read())
+    except json.JSONDecodeError as exc:
+        raise UsageError(str(exc)) from exc
     except ValueError as exc:  # not text, or an integer too long to convert
         raise UsageError(f"scenario {name_or_path}: {exc}") from exc
     except OSError as exc:  # a name too long, a read that fails
         raise UsageError(f"scenario {name_or_path}: {exc.strerror}") from exc
     if not isinstance(data, dict):
-        raise json.JSONDecodeError("scenario must be a JSON object", text, 0)
+        # The text of a json.JSONDecodeError at the first character.
+        raise UsageError("scenario must be a JSON object: line 1 column 1 (char 0)")
     return data
 
 
 def _scenario_values(data):
     """{field name: value} of a scenario dict; a null value is absent.
     Raises UsageError for an unknown key or a value of the wrong kind."""
+    import json
     items = []
     for key, v in data.items():
         if key not in _SECTIONS:
@@ -199,7 +202,6 @@ def cmd_simulate(sc):
     _, o = _run_orbit(sc)
     _emit(sc, render.to_csv(o))
     print(f"terminated_by={o.terminated_by}", file=sys.stderr)
-    return 0
 
 
 def cmd_fixed_points(sc):
@@ -211,7 +213,6 @@ def cmd_fixed_points(sc):
             fp.residual_f, fp.residual_phi))
     _emit(sc, "\n".join(lines) + "\n")
     print(f"fixed_points={len(fps)}", file=sys.stderr)
-    return 0
 
 
 def cmd_distance(sc):
@@ -219,7 +220,6 @@ def cmd_distance(sc):
     rep = analysis.function_distance(_build_system(sc), sc.samples)
     _emit(sc, "d=%.17g argmax_y=%.17g samples=%d direction=%s\n" % (
         rep.d, rep.argmax_y, rep.samples, rep.monotone_direction))
-    return 0
 
 
 def cmd_period(sc):
@@ -231,7 +231,6 @@ def cmd_period(sc):
     else:
         cycle = " ".join("%.17g" % v for v in rep.cycle)
         _emit(sc, "period=%d residual=%.3g cycle=%s\n" % (rep.period, rep.residual, cycle))
-    return 0
 
 
 def cmd_boom_bust(sc):
@@ -246,7 +245,6 @@ def cmd_boom_bust(sc):
                 ev.rise_start, ev.peak, ev.reversal_end, ev.amplitude,
                 ev.retrace_fraction))
     _emit(sc, "\n".join(lines) + "\n")
-    return 0
 
 
 def cmd_conjugacy(sc):
@@ -258,7 +256,6 @@ def cmd_conjugacy(sc):
     if rep.violation_x is not None:
         line += " violation_x=%.17g" % rep.violation_x
     _emit(sc, line + "\n")
-    return 0
 
 
 def cmd_staircase(sc):
@@ -266,7 +263,6 @@ def cmd_staircase(sc):
     s, o = _run_orbit(sc)
     trace = render.staircase(s, o, sc.curve_samples)
     _emit(sc, render.to_svg(trace, render.RenderOptions(sc.width, sc.height, sc.margin)))
-    return 0
 
 
 def cmd_portrait(sc):
@@ -274,7 +270,6 @@ def cmd_portrait(sc):
     _, o = _run_orbit(sc)
     trace = render.phase_portrait(o)
     _emit(sc, render.to_svg(trace, render.RenderOptions(sc.width, sc.height, sc.margin)))
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -340,26 +335,21 @@ def main(argv=None):
     args = build_parser(command).parse_args(argv)
     handler, _, required, optional = COMMANDS[args.command]
     try:
-        return handler(_record(args, required, optional))
+        handler(_record(args, required, optional))
     except expr.ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except (json.JSONDecodeError, UsageError) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (expr.EvalDomainError, dynamics.DomainValidationError,
             dynamics.OrbitNumericError, OverflowError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
-    except (dynamics.PreconditionError, *_analysis_errors()) as exc:
+    except dynamics.PreconditionError as exc:
         print(f"precondition error: {exc}", file=sys.stderr)
         return 4
-
-
-def _analysis_errors():
-    # A handler that raised an AnalysisError has imported analysis.
-    analysis = sys.modules.get(f"{__package__}.analysis")
-    return (analysis.AnalysisError,) if analysis else ()
+    return 0
 
 
 def entry():

@@ -18,6 +18,7 @@ CONVERGENCE_RTOL = 1e-13
 CONVERGENCE_WINDOW = 3
 STABILITY_BAND = 1e-6  # half-width of the "marginal" band around |multiplier| = 1
 ROOT_TOL = 1e-12
+PROP1_TOL = 1e-9
 SOLVE_MAX_ITER = 200
 DEDUP_RADIUS_FACTOR = 1e-9
 DEFAULT_GRID = 4096
@@ -128,8 +129,8 @@ class Orbit:
     terminated_by: str  # "step-budget" | "divergence" | "convergence"
     # The x and y columns of states, kept by orbit; None in any other
     # orbit, whose columns come from states.
-    _xs: list = _expr.field(init=False, compare=False, repr=False, default=None)
-    _ys: list = _expr.field(init=False, compare=False, repr=False, default=None)
+    _xs: list = _expr.field(init=False, default=None)
+    _ys: list = _expr.field(init=False, default=None)
 
     def xs(self):
         xs = self._x_column()
@@ -424,7 +425,7 @@ def _scan(f, phi):
         "range": range, "numeric": _expr._NUMERIC_ERRORS, "nan": math.nan})
 
 
-def find_map_fixed_points(f, phi, lo, hi, grid_n=DEFAULT_GRID, tol=ROOT_TOL):
+def find_map_fixed_points(f, phi, lo, hi, grid_n=DEFAULT_GRID):
     """Roots of phi(f(x)) - x on [lo, hi], lo < hi (else
     DomainValidationError), for the Expressions f and phi, by uniform grid
     plus the safeguarded Newton solve (_SOLVE) with the chain-rule
@@ -435,13 +436,13 @@ def find_map_fixed_points(f, phi, lo, hi, grid_n=DEFAULT_GRID, tol=ROOT_TOL):
     Returns (roots, skipped) where skipped counts grid points dropped for
     numeric domain errors, and brackets whose solve meets one.  A pair of
     grid values with a NaN end brackets nothing.  Sign changes that are
-    jumps, not roots, are dropped with a warning.  Tangential roots are only
-    caught when a grid point lands within tol of zero.
+    jumps, not roots, are dropped with a warning.  A point where
+    |phi(f(x)) - x| < ROOT_TOL is a root, so tangential roots are only
+    caught when a grid point lands that close.
     """
     if grid_n < 2:
         raise PreconditionError("grid_n must be >= 2")
-    if not tol >= 0:
-        raise PreconditionError("tol must be >= 0")
+    tol = ROOT_TOL
     _check_interval(lo, hi)
     w, m = _grid_span(lo, hi, grid_n)
     near, signs, skipped = _scan(f, phi)(lo, w, m, grid_n, tol)
@@ -508,11 +509,12 @@ def classify_stability(s, x_bar, y_bar):
     return FixedPoint(x_bar, y_bar, residual_f, residual_phi, multiplier, stability)
 
 
-def check_proposition_1(s, fp, tol=1e-9):
-    """Residuals of x_bar under phi(f(.)) and y_bar under f(phi(.))."""
-    if abs(_expr.evaluate(s.f, fp.x_bar) - fp.y_bar) > tol:
+def check_proposition_1(s, fp):
+    """Residuals of x_bar under phi(f(.)) and y_bar under f(phi(.)), for a
+    fixed point whose own residuals are within PROP1_TOL."""
+    if abs(_expr.evaluate(s.f, fp.x_bar) - fp.y_bar) > PROP1_TOL:
         raise PreconditionError("fixed point violates y_bar = f(x_bar)")
-    if abs(_expr.evaluate(s.phi, fp.y_bar) - fp.x_bar) > tol:
+    if abs(_expr.evaluate(s.phi, fp.y_bar) - fp.x_bar) > PROP1_TOL:
         raise PreconditionError("fixed point violates x_bar = phi(y_bar)")
     residual_gamma = abs(compose_gamma(s)(fp.x_bar) - fp.x_bar)
     residual_phi_map = abs(_expr.evaluate(s.f, _expr.evaluate(s.phi, fp.y_bar)) - fp.y_bar)

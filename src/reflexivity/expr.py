@@ -67,12 +67,13 @@ _NO_DEFAULT = object()
 
 
 class field:
-    """A record field's options, given as its class attribute."""
+    """A record field's options, given as its class attribute.  A field that
+    is not init is neither compared nor shown."""
 
-    __slots__ = ("default", "compare", "init", "repr")
+    __slots__ = ("default", "compare", "init")
 
-    def __init__(self, *, default=_NO_DEFAULT, compare=True, init=True, repr=True):
-        self.default, self.compare, self.init, self.repr = default, compare, init, repr
+    def __init__(self, *, default=_NO_DEFAULT, compare=True, init=True):
+        self.default, self.compare, self.init = default, compare and init, init
 
 
 def _frozen(self, name, *value):
@@ -107,8 +108,8 @@ def record(cls):
     fields set to their default, then __post_init__ if cls has one), __eq__
     (true only for the same class: a record never equals a plain tuple) and
     __hash__ over the compared fields, no ordering (<, <=, > and >= raise
-    TypeError, also against a plain tuple), a dataclass-style __repr__, and a
-    __reduce__ that calls the class with the init fields.  Setting or
+    TypeError, also against a plain tuple), and a dataclass-style __repr__
+    and a __reduce__, both over the init fields.  Setting or
     deleting an attribute raises AttributeError; only object.__setattr__,
     on a __slots__ record, gets past it.
     """
@@ -120,7 +121,6 @@ def record(cls):
           if k not in specs and k not in ("__dict__", "__weakref__")}
     ns.update(__qualname__=cls.__qualname__, __setattr__=_frozen, __delattr__=_frozen)
     compared = [n for n, s in specs.items() if s.compare]
-    shown = [n for n, s in specs.items() if s.repr]
     inits = [n for n, s in specs.items() if s.init]
     env = {f"_default_{n}": s.default for n, s in specs.items() if s.default is not _NO_DEFAULT}
     params = [n if specs[n].default is _NO_DEFAULT else f"{n}=_default_{n}" for n in inits]
@@ -157,7 +157,7 @@ def record(cls):
                    "__hash__": lambda self: hash(_values(self, compared))}
 
     def __repr__(self):
-        shows = ", ".join([f"{n}={getattr(self, n)!r}" for n in shown])
+        shows = ", ".join([f"{n}={getattr(self, n)!r}" for n in inits])
         return f"{self.__class__.__qualname__}({shows})"
 
     methods.update(__repr__=__repr__,
@@ -231,11 +231,11 @@ class Expression:
     root: object
     variable_name: str | None
     source: str = field(compare=False, default="")
-    _value: object = field(init=False, compare=False, repr=False)
+    _value: object = field(init=False)
     # Compiled on the first derivative call: most expressions never need it.
-    _derivative: object = field(init=False, compare=False, repr=False, default=None)
+    _derivative: object = field(init=False, default=None)
     # The compiled kernels whose first part this is, by template (see kernel).
-    _kernels: dict = field(init=False, compare=False, repr=False)
+    _kernels: dict = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_value", _compile(self.root))

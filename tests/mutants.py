@@ -35,6 +35,8 @@ class Mutant(NamedTuple):
 
 
 SCAN = ("tests/test_columns.py::TestBoomBustScan",)
+FIXED_POINT_SCAN = ("tests/test_sweep.py::TestScansMatchLoops::test_fixed_point_scan",
+                    "tests/test_dynamics.py::TestFindFixedPoints")
 SOLVE = ("tests/test_solve.py",)
 RENDER = ("tests/test_columns.py::TestRenderFromColumns",)
 STARTUP = ("tests/test_startup.py",)
@@ -58,6 +60,13 @@ MUTANTS = [
            "_runs(ups, 0, n)", "_runs(ups, 0, 1)", SCAN),
     Mutant("scan-flat-after-a-rise", "analysis.py",
            "if falls[0]:", "if falls:", SCAN),
+    # dynamics._SCAN, the fixed-point grid's scan.
+    Mutant("fixed-point-near-inclusive", "dynamics.py",
+           "if ntol < g < tol:", "if ntol <= g <= tol:", FIXED_POINT_SCAN),
+    Mutant("fixed-point-sign-inclusive", "dynamics.py",
+           "elif 0.0 > prev * g:", "elif 0.0 >= prev * g:", FIXED_POINT_SCAN),
+    Mutant("fixed-point-failure-is-zero", "dynamics.py",
+           "            g = nan\n", "            g = 0.0\n", FIXED_POINT_SCAN),
     # dynamics._SOLVE, the one bracketing root solver.
     Mutant("solve-bracket-swapped", "dynamics.py",
            "if (gx > 0) == (ga > 0):", "if (gx > 0) != (ga > 0):", SOLVE),
@@ -97,8 +106,8 @@ MUTANTS = [
            "_elements(_STEP, *steps)", "_elements(_STEP, *steps, \"\")", RENDER),
     Mutant("svg-circles-from-x-texts", "render.py",
            "_elements(_ORBIT_POINT, *path)", "_elements(_ORBIT_POINT, path[0], path[0])", RENDER),
-    # A CLI process: the entry's freeze, the package's lazy names, and the
-    # layers each handler imports for itself.
+    # A CLI process: the entry's freeze, the package's lazy names, the
+    # layers each handler imports for itself, and the failures main maps.
     Mutant("entry-freeze-dropped", "cli.py", "gc.freeze()", "gc.collect()", STARTUP),
     Mutant("lazy-name-in-wrong-layer", "__init__.py",
            '"orbit", "step"),\n    "analysis": (\n        "',
@@ -107,8 +116,12 @@ MUTANTS = [
     Mutant("handler-import-dropped", "cli.py",
            "def cmd_period(sc):\n    from . import analysis\n", "def cmd_period(sc):\n",
            STARTUP),
-    Mutant("analysis-error-unmapped", "cli.py",
-           "return (analysis.AnalysisError,) if analysis else ()", "return ()", STARTUP),
+    Mutant("precondition-class-dropped", "analysis.py",
+           "class NonMonotoneError(_dyn.PreconditionError):", "class NonMonotoneError(Exception):",
+           STARTUP),
+    Mutant("json-error-unmapped", "cli.py",
+           "raise UsageError(str(exc)) from exc", "raise",
+           ("tests/test_cli.py::TestScenarioHandling",)),
 ]
 
 

@@ -123,6 +123,18 @@ class TestFunctionDistance:
         with pytest.raises(analysis.NonMonotoneError):
             function_distance(s)
 
+    @pytest.mark.parametrize("system, error", [
+        (("sin(x)", "y", (0.0, 6.28), (-1.5, 1.5)), analysis.NonMonotoneError),
+        (("x", "y", (0.0, 1.0), (5.0, 6.0)), analysis.OutOfRangeError),
+    ], ids=["non-monotone", "out-of-range"])
+    def test_refusals_are_precondition_errors(self, system, error):
+        # The CLI maps every dynamics.PreconditionError, and no other class,
+        # to exit 4; each is a ValueError too.
+        with pytest.raises(error) as exc:
+            function_distance(make_system(*system))
+        assert isinstance(exc.value, dynamics.PreconditionError)
+        assert isinstance(exc.value, ValueError)
+
     def test_inverse_pair_affine(self):
         s = make_system("2*x+1", "(y-1)/2", (0.0, 1.0), (1.0, 3.0))
         assert function_distance(s).d <= 1e-10
@@ -301,15 +313,6 @@ class TestVerifyConjugacy:
         assert rep.verdict == "violated"
         assert rep.max_residual == pytest.approx(1.0, abs=1e-12)
         assert rep.violation_x == pytest.approx(1.0)
-
-    @pytest.mark.parametrize("tols", [{"tol": math.nan}, {"fp_tol": math.nan},
-                                      {"tol": -1e-9}, {"fp_tol": -1.0}])
-    def test_tolerance_below_0_or_nan_rejected(self, tols):
-        # A NaN tol made every residual pass: this pair is violated.
-        f = expr.parse("4*x*(1-x)")
-        with pytest.raises(dynamics.PreconditionError, match="^tol and fp_tol must be >= 0$"):
-            verify_conjugacy(f, expr.parse("x/3"), expr.parse("x"), (0.0, 1.0), samples=64,
-                             **tols)
 
     def test_non_monotone_h_rejected(self):
         with pytest.raises(analysis.NonMonotoneError):

@@ -102,8 +102,16 @@ class TestScenarioHandling:
     def test_malformed_json_exit_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
-        code, _, _ = run(capsys, "simulate", "--scenario", str(path))
-        assert code == 2
+        assert run(capsys, "simulate", "--scenario", str(path)) == (
+            2, "", "error: Expecting property name enclosed in double quotes: "
+                   "line 1 column 2 (char 1)\n")
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "null", '"case1"'])
+    def test_scenario_that_is_not_an_object_exit_2(self, capsys, tmp_path, text):
+        path = tmp_path / "list.json"
+        path.write_text(text)
+        assert run(capsys, "simulate", "--scenario", str(path)) == (
+            2, "", "error: scenario must be a JSON object: line 1 column 1 (char 0)\n")
 
     @pytest.mark.parametrize("data, message", [
         (b'\xff{"x0": 0.3}', "codec can't decode byte 0xff"),

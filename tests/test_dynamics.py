@@ -265,11 +265,13 @@ class TestFindFixedPoints:
         s = make_system("x", "y", (0.0, 1.0), (0.0, 1.0))
         with pytest.raises(ValueError):
             find_fixed_points(s, grid_n=1)
-        # A NaN tol missed the fixed point at 0 of the logistic map.
-        s = make_system("4*x*(1-x)", "y", (0.0, 1.0), (0.0, 1.0))
-        for tol in (math.nan, -1e-12):
-            with pytest.raises(dynamics.PreconditionError, match="^tol must be >= 0$"):
-                dynamics.find_map_fixed_points(s.f, s.phi, 0.0, 1.0, 64, tol=tol)
+
+    def test_root_tol_is_a_strict_bound_read_at_call_time(self, monkeypatch):
+        # phi(f(x)) - x is ROOT_TOL exactly at 0, and just above it at 1.
+        f, phi = expr.parse("x + 1e-12"), expr.parse("y")
+        assert dynamics.find_map_fixed_points(f, phi, 0.0, 1.0, 2) == ([], 0)
+        monkeypatch.setattr(dynamics, "ROOT_TOL", math.nextafter(1e-12, 1.0))
+        assert dynamics.find_map_fixed_points(f, phi, 0.0, 1.0, 2) == ([0.0], 0)
 
     def test_residual_bounds(self):
         s = make_system("2.5*x*(1-x)", "y", (-0.5, 1.5), (-5.0, 5.0))

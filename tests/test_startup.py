@@ -88,9 +88,25 @@ class TestLazyPackage:
             from reflexivity import nope  # noqa: F401
 
     def test_analysis_error_exits_4_in_a_fresh_process(self):
-        # main maps AnalysisError to 4 without importing analysis up front.
-        argv = ["distance", "--f", "sin(x)", "--phi", "y", "--domain", "0", "6.28"]
-        assert json.loads(python("-c", LOADED, *argv))[0] == 4
+        # analysis' refusals are dynamics.PreconditionErrors, which main maps
+        # to 4 without importing analysis up front.
+        system = ["distance", "--f", "sin(x)", "--phi", "y", "--domain", "0", "6.28"]
+        assert json.loads(python("-c", LOADED, *system))[0] == 4
+        system = ["distance", "--f", "x", "--phi", "y", "--domain", "0", "1",
+                  "--y-domain", "5", "6"]
+        assert json.loads(python("-c", LOADED, *system))[0] == 4
+
+    @pytest.mark.parametrize("argv, loaded", [
+        (["fixed-points", "--f", "x/2", "--phi", "y", "--domain", "0", "1"], False),
+        (["fixed-points", "--scenario", "case1", "--grid", "64"], True),
+    ], ids=["flags", "scenario"])
+    def test_only_a_scenario_loads_json(self, argv, loaded):
+        code = ("import contextlib, io, sys\n"
+                "from reflexivity import cli\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    code = cli.main(sys.argv[1:])\n"
+                "print(code, 'json' in sys.modules)\n")
+        assert python("-c", code, *argv) == f"0 {loaded}\n"
 
 
 def test_fields_state_the_layers_defaults():

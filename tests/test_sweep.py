@@ -696,7 +696,7 @@ class TestScansMatchLoops:
             fn = point_map(value, lambda x: 0.0)
 
             def find():
-                return dynamics.find_map_fixed_points(f, phi, -1e-300, 1e-300, n, tol)
+                return dynamics.find_map_fixed_points(f, phi, -1e-300, 1e-300, n)
 
             results = []
             for run, scan in ((find, lambda *_: kernel), (find, point_scan),
@@ -707,6 +707,7 @@ class TestScansMatchLoops:
                 calls.clear()
                 caplog.clear()
                 with monkeypatch.context() as m, caplog.at_level(logging.WARNING):
+                    m.setattr(dynamics, "ROOT_TOL", tol)
                     m.setattr(expr, "evaluate", lambda e, x: value(x) if e is f else real(e, x))
                     if scan is not None:
                         m.setattr(dynamics, "_scan", scan)
