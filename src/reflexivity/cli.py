@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import errno
 import gc
+import math
 import os
 import stat
 import sys
@@ -166,6 +167,9 @@ def _derive_y_domain(f, x_domain):
     y_lo, y_hi = min(vals), max(vals)
     if y_lo == y_hi:
         y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
+    if y_lo == y_hi:  # |f| so large that 1.0 is below the spacing of floats there
+        big = sys.float_info.max  # a neighbour, but no infinite end
+        y_lo, y_hi = math.nextafter(y_lo, -big), math.nextafter(y_hi, big)
     return (y_lo, y_hi)
 
 

@@ -271,8 +271,8 @@ def compose_gamma(s):
 
 
 # The one bracketing root solver: the safeguarded Newton solve of Numerical
-# Recipes' rtsafe, as lines that _solver splices into the fixed-point solve
-# (_ROOT) and analysis' distance sweep.  On [a, b], where g's values ga and
+# Recipes' rtsafe, as lines that _solver splices into the fixed-point scan
+# (_SCAN) and analysis' distance sweep.  On [a, b], where g's values ga and
 # gb differ in sign, from x0 (the midpoint if x0 is not inside), each step is
 # a Newton step, or a bisection where that leaves the bracket, is not at
 # least half as long as the step before last, or the slope is 0.  It sets x
@@ -356,47 +356,23 @@ def _solve_env():
             "capped": _capped, "numeric": _expr._NUMERIC_ERRORS}
 
 
-# find_map_fixed_points' solve of g(x) = phi(f(x)) - x on a bracket of its
-# scan, from the midpoint, with g from f's and phi's value lines and slope
-# phi'(f(x)) * f'(x) - 1.0 from their derivative lines.
-_ROOT = _solver("""\
-def compiled(a, b, ga, gb, tol{params}):
-    ntol = -tol
-    x0 = a
-    @SOLVE
-    return x, status
-""", d="""\
-@df
-@dphi
-slope = {dphi} * {df} - 1.0
-""", v="""\
-@f
-y = {f}
-@phi
-gx = {phi} - x
-""")
-
-
-def _root(f, phi):
-    """The fixed-point solve (_ROOT) of phi(f(x)), kept by expr.kernel."""
-    return _expr.kernel(_ROOT, {"f": (f, "x"), "phi": (phi, "y")}, _solve_env(),
-                        dual=("f", "phi"))
-
-
 # find_map_fixed_points' scan of the map phi(f(x)): at each of the n points
 # x = lo + w*k/m of its grid (_grid's arithmetic), g = phi(f(x)) - x from the
-# lines of f on x and of phi on f's value, or NaN where a line fails.  It
-# returns the indices k where |g| < tol, a triple (k, g at k, g at k + 1)
-# for each k where g changes sign from k to k + 1 with neither end near 0 or
-# NaN, the only ones there is a root to solve for, and the number of NaN
-# (skipped) points.  A g near 0 counts as 0.0 in the sign test, and so does
-# the g before the first point: 0.0 times any g is not < 0.  A product that
+# lines of f on x and of phi on f's value, or NaN where a line fails (a
+# skipped point).  A point where |g| < tol is a root.  Where g changes sign
+# from k - 1 to k, with neither end near 0 or NaN, the solve (_SOLVE) runs
+# on [lo + w*(k-1)/m, x] from the midpoint, with the scan's values at its
+# ends, g from f's and phi's value lines and slope phi'(f(x)) * f'(x) - 1.0
+# from their derivative lines: its x is a root, unless its status is 1 (a
+# jump), and a bracket whose value line fails counts as failed.  It returns
+# the roots in the order it finds them, and the skipped, jump and failed
+# counts.  A g near 0 counts as 0.0 in the sign test, and so does the g
+# before the first point: 0.0 times any g is not < 0.  A product that
 # underflows to 0 is no sign change either.
-_SCAN = """\
+_SCAN = _solver("""\
 def compiled(lo, w, m, n, tol{params}):
-    near = []
-    signs = []
-    skipped = 0
+    roots = []
+    skipped = jumps = failed = 0
     ntol = -tol
     prev = 0.0
     for k in range(n):
@@ -410,28 +386,47 @@ def compiled(lo, w, m, n, tol{params}):
             g = nan
             skipped += 1
         if ntol < g < tol:
-            near.append(k)
+            roots.append(x)
             g = 0.0
         elif 0.0 > prev * g:
-            signs.append((k - 1, prev, g))
+            a = x0 = lo + w * (k - 1) / m
+            b, ga, gb = x, prev, g
+            try:
+                @SOLVE
+            except numeric:
+                failed += 1
+            else:
+                if status == 1:
+                    jumps += 1
+                else:
+                    roots.append(x)
         prev = g
-    return near, signs, skipped
-"""
+    return roots, skipped, jumps, failed
+""", d="""\
+@df
+@dphi
+slope = {dphi} * {df} - 1.0
+""", v="""\
+@f
+y = {f}
+@phi
+gx = {phi} - x
+""")
 
 
 def _scan(f, phi):
     """The fixed-point scan (_SCAN) of phi(f(x)), kept by expr.kernel."""
-    return _expr.kernel(_SCAN, {"f": (f, "x"), "phi": (phi, "y")}, {
-        "range": range, "numeric": _expr._NUMERIC_ERRORS, "nan": math.nan})
+    return _expr.kernel(_SCAN, {"f": (f, "x"), "phi": (phi, "y")},
+                        {**_solve_env(), "nan": math.nan}, dual=("f", "phi"))
 
 
 def find_map_fixed_points(f, phi, lo, hi, grid_n=DEFAULT_GRID):
     """Roots of phi(f(x)) - x on [lo, hi], lo < hi (else
     DomainValidationError), for the Expressions f and phi, by uniform grid
     plus the safeguarded Newton solve (_SOLVE) with the chain-rule
-    derivative.  The compiled scan of phi(f(x)) covers the grid, and the
-    compiled solve (_ROOT) takes each sign change from the scan's values; a
-    caller searching f alone passes the identity as phi.
+    derivative, in one compiled scan of phi(f(x)) that solves each sign
+    change where it finds it; a caller searching f alone passes the
+    identity as phi.
 
     Returns (roots, skipped) where skipped counts grid points dropped for
     numeric domain errors, and brackets whose solve meets one.  A pair of
@@ -442,28 +437,13 @@ def find_map_fixed_points(f, phi, lo, hi, grid_n=DEFAULT_GRID):
     """
     if grid_n < 2:
         raise PreconditionError("grid_n must be >= 2")
-    tol = ROOT_TOL
     _check_interval(lo, hi)
     w, m = _grid_span(lo, hi, grid_n)
-    near, signs, skipped = _scan(f, phi)(lo, w, m, grid_n, tol)
+    roots, skipped, jumps, failed = _scan(f, phi)(lo, w, m, grid_n, ROOT_TOL)
     if skipped == grid_n:
         raise DomainValidationError("map invalid over the entire domain")
     if skipped:
         log.warning("fixed-point grid: skipped %d of %d points", skipped, grid_n)
-
-    # The bracket ends are made as the scan made them, with its values there.
-    roots = [lo + w * k / m for k in near]
-    jumps = 0
-    for k, ga, gb in signs:
-        try:
-            x, status = _root(f, phi)(lo + w * k / m, lo + w * (k + 1) / m, ga, gb, tol)
-        except _expr.EvalDomainError:
-            skipped += 1
-            continue
-        if status == 1:
-            jumps += 1
-        else:
-            roots.append(x)
     if jumps:
         log.warning("fixed-point search: dropped %d sign changes that are jumps, "
                     "not roots", jumps)
@@ -473,7 +453,7 @@ def find_map_fixed_points(f, phi, lo, hi, grid_n=DEFAULT_GRID):
     for r in roots:
         if not merged or r - merged[-1] > radius:
             merged.append(r)
-    return merged, skipped
+    return merged, skipped + failed
 
 
 def find_fixed_points(s, grid_n=DEFAULT_GRID):

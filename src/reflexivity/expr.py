@@ -440,8 +440,8 @@ def derivative(e, v):
 # offset.  A template's own line re-raises its exception unchanged.  A try
 # costs nothing until something raises, so one function per mode is fast
 # and reports too.  A template may catch _NUMERIC_ERRORS around its part
-# lines itself, as dynamics._SCAN does to skip a failing grid point and
-# dynamics._SOLVE to take 0 for a failing slope; fail then never runs.
+# lines itself, as dynamics._SCAN does for a failing grid point or bracket,
+# and dynamics._SOLVE to take 0 for a failing slope; fail then never runs.
 #
 # The generated source holds only names the compiler chooses: the parameter
 # x, the locals, constants k<j>, the helpers in _HELPERS its lines call, and

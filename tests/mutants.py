@@ -37,6 +37,7 @@ class Mutant(NamedTuple):
 SCAN = ("tests/test_columns.py::TestBoomBustScan",)
 FIXED_POINT_SCAN = ("tests/test_sweep.py::TestScansMatchLoops::test_fixed_point_scan",
                     "tests/test_dynamics.py::TestFindFixedPoints")
+FIXED_POINT_SEARCH = FIXED_POINT_SCAN + ("tests/test_solve.py::TestFixedPointSolve",)
 SOLVE = ("tests/test_solve.py",)
 RENDER = ("tests/test_columns.py::TestRenderFromColumns",)
 STARTUP = ("tests/test_startup.py",)
@@ -60,13 +61,20 @@ MUTANTS = [
            "_runs(ups, 0, n)", "_runs(ups, 0, 1)", SCAN),
     Mutant("scan-flat-after-a-rise", "analysis.py",
            "if falls[0]:", "if falls:", SCAN),
-    # dynamics._SCAN, the fixed-point grid's scan.
+    # dynamics._SCAN, the fixed-point grid's scan, and the solve of each
+    # sign change it finds.
     Mutant("fixed-point-near-inclusive", "dynamics.py",
            "if ntol < g < tol:", "if ntol <= g <= tol:", FIXED_POINT_SCAN),
     Mutant("fixed-point-sign-inclusive", "dynamics.py",
            "elif 0.0 > prev * g:", "elif 0.0 >= prev * g:", FIXED_POINT_SCAN),
     Mutant("fixed-point-failure-is-zero", "dynamics.py",
            "            g = nan\n", "            g = 0.0\n", FIXED_POINT_SCAN),
+    Mutant("fixed-point-bracket-from-its-upper-end", "dynamics.py",
+           "lo + w * (k - 1) / m", "lo + w * k / m", FIXED_POINT_SEARCH),
+    Mutant("fixed-point-failed-bracket-skipped", "dynamics.py",
+           "failed += 1", "skipped += 1", FIXED_POINT_SEARCH),
+    Mutant("fixed-point-capped-solve-is-a-jump", "dynamics.py",
+           "if status == 1:", "if status != 0:", FIXED_POINT_SEARCH),
     # dynamics._SOLVE, the one bracketing root solver.
     Mutant("solve-bracket-swapped", "dynamics.py",
            "if (gx > 0) == (ga > 0):", "if (gx > 0) != (ga > 0):", SOLVE),

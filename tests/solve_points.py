@@ -1,14 +1,15 @@
 """The bracketing root solver in Python: the reference that the solve lines
 of reflexivity.dynamics (dynamics._SOLVE), spliced into the fixed-point
-solve (dynamics._ROOT) and the distance sweep (analysis._SWEEP), are tested
+scan (dynamics._SCAN) and the distance sweep (analysis._SWEEP), are tested
 against.
 
 bracket_solve is the safeguarded Newton solve (Numerical Recipes' rtsafe)
 on a value function g and a derivative function dg; invert is the
 per-sample inversion function_distance ran with it, and per_sample_distance
-the loop of invert over the whole grid.  point_root, in place of
-dynamics._root, makes find_map_fixed_points solve with bracket_solve, with
-g and its chain-rule slope from expr.evaluate and expr.derivative.
+the loop of invert over the whole grid.  point_root solves one sign change
+of the fixed-point scan with bracket_solve, with g and its chain-rule slope
+from expr.evaluate and expr.derivative; scan_points.point_search runs it on
+each sign change the scan finds.
 """
 
 import math
@@ -79,9 +80,10 @@ def bracket_solve(g, a, b, ga, gb, tol, x0=None, *, dg):
 
 
 def point_root(f, phi):
-    """A stand-in for dynamics._root(f, phi): bracket_solve on phi(f(x)) - x
-    with the slope phi'(f(x)) * f'(x) - 1.0, returning (x, _SOLVE's status).
-    bracket_solve is looked up at each call, so a test may replace it."""
+    """The solve of one bracket [a, b] of the fixed-point scan, given g's
+    values ga and gb at its ends: bracket_solve on phi(f(x)) - x from the
+    midpoint, with the slope phi'(f(x)) * f'(x) - 1.0, returning (x,
+    _SOLVE's status)."""
     def g(x):
         return expr.evaluate(phi, expr.evaluate(f, x)) - x
 

@@ -357,19 +357,17 @@ class TestVerifyConjugacy:
         assert rep.violation_x == 0.5
         assert rep.fixed_point_images_checked == 0
 
-    def test_nan_grid_value_brackets_no_root(self, monkeypatch, caplog):
-        ends = []
-        real = dynamics._root
-
-        def recording(f, phi):
-            solve = real(f, phi)
-            return lambda a, b, ga, gb, tol: ends.append((ga, gb)) or solve(a, b, ga, gb, tol)
-
-        monkeypatch.setattr(dynamics, "_root", recording)
+    def test_nan_grid_value_brackets_no_root(self, caplog):
+        # On f's fixed-point grid (1024 points of [-1, 1], none at 0),
+        # g = f(x) - x is -x/2 left of 0 and NaN right of it, where no line
+        # fails, so no point is skipped.  A NaN end brackets nothing, so the
+        # scan solves no bracket: it finds no root, jump or failed bracket.
+        f = expr.parse(self.NAN_RIGHT)
+        w, m = dynamics._grid_span(-1.0, 1.0, 1024)
+        assert dynamics._scan(f, analysis._identity())(-1.0, w, m, 1024, dynamics.ROOT_TOL) == \
+            ([], 0, 0, 0)
         with caplog.at_level(logging.WARNING, logger="reflexivity.dynamics"):
-            verify_conjugacy(expr.parse(self.NAN_RIGHT), expr.parse("x/2"),
-                             expr.parse("x"), (-1.0, 1.0), samples=101)
-        assert not any(math.isnan(ga) or math.isnan(gb) for ga, gb in ends)
+            verify_conjugacy(f, expr.parse("x/2"), expr.parse("x"), (-1.0, 1.0), samples=101)
         assert "jumps" not in caplog.text
 
     # W is inf at y = 0.5 and 0 elsewhere, so W - W is NaN only there.

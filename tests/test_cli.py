@@ -4,11 +4,14 @@ import json
 import math
 import os
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
 
-from reflexivity import cli, dynamics
+from reflexivity import cli, dynamics, expr
+
+BIG = sys.float_info.max
 
 
 def run(capsys, *argv):
@@ -321,6 +324,25 @@ class TestExitCodeScheme:
         w = f"exp(-((x - {at!r})*1e300*1e300)*((x - {at!r})*1e300*1e300))*1e300*1e300"
         got = run(capsys, "simulate", "--f", f.replace("W", w), "--phi", "y", "--x0", "1")
         assert got == (3, "", f"numeric error: f not finite at {at!r}\n")
+
+    @pytest.mark.parametrize("c, want", [
+        ("2.5", (1.5, 3.5)), ("-1e17", (-1e17 - 16.0, -1e17 + 16.0)),
+        ("1e17", (1e17 - 16.0, 1e17 + 16.0)),
+        # 2^53 + 1.0 rounds back to 2^53, but 2^53 - 1.0 separates the ends.
+        (repr(2.0 ** 53), (2.0 ** 53 - 1.0, 2.0 ** 53)),
+        (repr(BIG), (math.nextafter(BIG, 0.0), BIG)),
+        (repr(-BIG), (-BIG, math.nextafter(-BIG, 0.0)))],
+        ids=["small", "-1e17", "1e17", "2^53", "max", "-max"])
+    def test_flat_f_derives_a_y_domain_around_its_value(self, c, want):
+        # A flat image is padded by 1.0, or by one float each way where 1.0
+        # is below the spacing of floats there, and by none past the
+        # largest float.
+        assert cli._derive_y_domain(expr.parse(c), (-10.0, 10.0)) == want
+
+    def test_huge_flat_f_runs_as_with_a_given_y_domain(self, capsys):
+        argv = ("simulate", "--f", "1e17", "--phi", "y/1e17", "--x0", "0", "--steps", "3")
+        got = run(capsys, *argv)
+        assert got == run(capsys, *argv, "--y-domain", "0", "2e17") and got[0] == 0
 
     @pytest.mark.parametrize("y_domain", [(), ("--y-domain", "0", "1")], ids=["derived", "given"])
     def test_f_invalid_reads_the_same_with_or_without_y_domain(self, capsys, y_domain):

@@ -18,7 +18,7 @@ from reflexivity.dynamics import (
     orbit,
     step,
 )
-from scan_points import point_scan
+from scan_points import point_search
 from solve_points import bracket_solve
 
 
@@ -295,7 +295,7 @@ class TestFindFixedPoints:
         assert "skipped 134 of 401 points" in caplog.text
         assert fp.x_bar == pytest.approx((5.0 + math.sqrt(5.0)) / 2.0, abs=1e-12)
         got = dynamics.find_map_fixed_points(s.f, s.phi, -1.0, 5.0, 401)
-        monkeypatch.setattr(dynamics, "_scan", point_scan)
+        monkeypatch.setattr(dynamics, "_scan", point_search)
         assert dynamics.find_map_fixed_points(s.f, s.phi, -1.0, 5.0, 401) == got
         assert got[1] == 134
 

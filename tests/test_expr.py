@@ -244,15 +244,6 @@ class TestEvaluate:
                 assert re.fullmatch(r"f[vdk]\d+|phi[vk]\d+", local) \
                     or local in _COMPILER_HELPERS or local in _SWEEP_NAMES, local
             assert not any(isinstance(c, str) for c in code.co_consts), src
-            # And the fixed-point solve of e(e(x)) and of e alone, f's and
-            # phi's value and derivative lines.
-            for kernel in (dynamics._root(e, e), dynamics._root(e, analysis._identity())):
-                code = kernel.__code__
-                assert code.co_names == () and code.co_varnames[:4] == ("a", "b", "ga", "gb")
-                for local in code.co_varnames:
-                    assert re.fullmatch(r"(f|phi)[vdk]\d+", local) \
-                        or local in _COMPILER_HELPERS or local in _ROOT_NAMES, local
-                assert not any(isinstance(c, str) for c in code.co_consts), src
             # And the conjugacy residual, e as f, g and h in four parts.
             code = analysis._residuals(e, e, e).__code__
             assert code.co_names == () and code.co_varnames[:4] == ("lo", "w", "m", "n"), src
@@ -261,15 +252,17 @@ class TestEvaluate:
                     or local in _COMPILER_HELPERS or local in _RESIDUAL_NAMES, local
             assert not any(isinstance(c, str) for c in code.co_consts), src
             # And the grid scans: the fixed-point scan of e(e(x)) and of e
-            # alone, and the monotonicity scan.
-            kernels = [dynamics._scan(e, e), dynamics._scan(e, analysis._identity()),
-                       analysis._monotone(e)]
-            for kernel, names in zip(kernels, (_SCAN_NAMES, _SCAN_NAMES, _MONOTONE_NAMES)):
+            # alone, which solves with f's and phi's value and derivative
+            # lines, and the monotonicity scan, f's value lines.
+            kernels = [(dynamics._scan(e, e), r"(f|phi)[vdk]\d+", _SCAN_NAMES),
+                       (dynamics._scan(e, analysis._identity()), r"(f|phi)[vdk]\d+", _SCAN_NAMES),
+                       (analysis._monotone(e), r"f[vk]\d+", _MONOTONE_NAMES)]
+            for kernel, lines, names in kernels:
                 code = kernel.__code__
                 assert code.co_names in ((), ("append",)), src
                 assert code.co_varnames[:4] == ("lo", "w", "m", "n"), src
                 for local in code.co_varnames:
-                    assert re.fullmatch(r"(f|phi)[vk]\d+", local) \
+                    assert re.fullmatch(lines, local) \
                         or local in _COMPILER_HELPERS or local in names, local
                 assert not any(isinstance(c, str) for c in code.co_consts), src
 
@@ -460,18 +453,17 @@ _LOOP_NAMES = {"x", "y", "n", "streak", "window", "xs", "ys", "append_x", "appen
                "t", "range", "cutoff", "rtol"}
 _ORBIT_TAGS = {"divergence", "convergence", "step-budget"}
 # The names of the solve lines (dynamics._SOLVE), in the sweep and the
-# fixed-point solve.
+# fixed-point scan.
 _SOLVE_NAMES = {"a", "b", "ga", "gb", "tol", "ntol", "x0", "x", "status", "step", "step_old", "_",
                 "gx", "slope", "mid", "least", "nxt", "newton", "range", "cap", "capped", "min",
                 "numeric"}
 _SWEEP_NAMES = _SOLVE_NAMES | {"y_lo", "w", "m", "n", "k", "lo", "hi", "flo", "fhi", "argmax",
                                "f_max", "best", "nans", "jumps", "y", "v", "diff", "max",
                                "nextafter", "inf", "rtol"}
-_ROOT_NAMES = _SOLVE_NAMES | {"y", "fd", "v", "d"}
 _RESIDUAL_NAMES = {"lo", "w", "m", "n", "best", "argmax", "nan_x", "k", "x", "fx", "hx", "r",
                    "range"}
-_SCAN_NAMES = {"lo", "w", "m", "n", "tol", "near", "signs", "skipped", "ntol", "prev", "k", "x",
-               "y", "g", "range", "numeric", "nan"}
+_SCAN_NAMES = _SOLVE_NAMES | {"lo", "w", "m", "n", "roots", "skipped", "jumps", "failed", "prev",
+                              "k", "y", "g", "nan"}
 _MONOTONE_NAMES = {"lo", "w", "m", "n", "prev", "sign", "k", "x", "v", "range"}
 
 

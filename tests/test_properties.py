@@ -141,11 +141,11 @@ offset = st.floats(min_value=-2.0, max_value=2.0)
 @given(slope, offset, st.sampled_from([2, 3, 256, 4096]))
 def test_inverse_pair_fixes_every_grid_point(a, b, n):
     # phi(f(x)) - x is rounding, far below the root tolerance, at every grid
-    # point, so each is near 0 and no sign change is left to solve.
+    # point, so each is a root and no sign change is left to solve.
     s = inverse_pair(a, b)
     w, m = dynamics._grid_span(-1.0, 1.0, n)
     assert dynamics._scan(s.f, s.phi)(-1.0, w, m, n, dynamics.ROOT_TOL) == \
-        (list(range(n)), [], 0)
+        (dynamics._grid(-1.0, 1.0, n), 0, 0, 0)
 
 
 @settings(max_examples=30, deadline=None)

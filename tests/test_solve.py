@@ -1,19 +1,23 @@
 """The one bracketing root solver, dynamics._SOLVE, against the Python solver
 it replaced (tests/solve_points.py), bit for bit.
 
-The solve lines run in two kernels: the fixed-point solve (dynamics._ROOT),
-one call per sign change of the fixed-point scan, and the distance sweep
-(analysis._SWEEP), one solve per sample from the previous sample's root.
-The fixed-point solve is run bracket by bracket against point_root; the
-sweep is compiled with phi's lines replaced by one that records each
-sample's root, and run against the per-sample inversion over the grid; and
-_SOLVE is compiled with crafted @D and @V lines that look up any g and dg,
-so that the step rule meets slopes no expression has, and run against the
+The solve lines run in two kernels: the fixed-point scan (dynamics._SCAN),
+which solves each sign change of its grid where it finds it, and the
+distance sweep (analysis._SWEEP), one solve per sample from the previous
+sample's root.  The fixed-point solve is run bracket by bracket against
+point_root, in a test kernel (ROOT) that splices _SOLVE as the scan does
+but solves one given bracket; whole scans are run against point_search,
+which solves each of point_scan's sign changes with point_root; the sweep
+is compiled with phi's lines replaced by one that records each sample's
+root, and run against the per-sample inversion over the grid; and _SOLVE
+is compiled with crafted @D and @V lines that look up any g and dg, so
+that the step rule meets slopes no expression has, and run against the
 reference solver on the same functions, point by point: it must ask for g
 and dg at the points, and in the order, that the reference calls them.
 Roots are compared by repr, so -0.0 is told from 0.0, statuses as
 _SOLVE's ints, warnings by message, and errors by type, offset, message and
-the types of their __context__ chain.  find_map_fixed_points,
+the types of their __context__ chain; a TypeError is raised, not compared,
+as no compared call raises one by design.  find_map_fixed_points,
 function_distance and verify_conjugacy are compared whole too, and each
 case of the reference's own tests (test_dynamics.py's TestBracketSolve)
 that an Expression can express is run on the compiled solve.
@@ -30,6 +34,7 @@ import solve_points
 from conftest import gen_source
 from reflexivity import analysis, dynamics, expr
 from reflexivity.dynamics import make_system
+from scan_points import point_scan, point_search
 from solve_points import per_sample_distance, point_root
 
 P = expr.parse
@@ -40,6 +45,8 @@ def outcome(run):
     types of its __context__ chain."""
     try:
         return repr(run())
+    except TypeError:
+        raise
     except expr.ExpressionError as exc:
         chain, ctx = [], exc.__context__
         while ctx is not None:
@@ -65,6 +72,33 @@ def gamma_values(f, phi):
     return lambda x: expr.evaluate(phi, expr.evaluate(f, x)) - x
 
 
+# The fixed-point scan's solve of one bracket [a, b], given g's values ga
+# and gb at its ends, in a kernel of its own: _SOLVE from the midpoint, with
+# the scan's lines for g = phi(f(x)) - x and its chain-rule slope.
+ROOT = dynamics._solver("""\
+def compiled(a, b, ga, gb, tol{params}):
+    ntol = -tol
+    x0 = a
+    @SOLVE
+    return x, status
+""", d="""\
+@df
+@dphi
+slope = {dphi} * {df} - 1.0
+""", v="""\
+@f
+y = {f}
+@phi
+gx = {phi} - x
+""")
+
+
+def root(f, phi):
+    """ROOT compiled for phi(f(x)), with the cap as it is now."""
+    return expr.compile_loop(ROOT, {"f": (f, "x"), "phi": (phi, "y")}, dynamics._solve_env(),
+                             dual=("f", "phi"))
+
+
 def same_root(caplog, f, phi, a, b, tol):
     """Assert the compiled solve of phi(f(x)) - x on [a, b] agrees with
     point_root's, where g differs in sign at the ends; return the outcome
@@ -77,7 +111,7 @@ def same_root(caplog, f, phi, a, b, tol):
     if not ga * gb < 0:
         return None
     want = warned(caplog, lambda: point_root(f, phi)(a, b, ga, gb, tol))
-    got = warned(caplog, lambda: dynamics._root(f, phi)(a, b, ga, gb, tol))
+    got = warned(caplog, lambda: root(f, phi)(a, b, ga, gb, tol))
     assert got == want, (f.source, phi.source, a, b, tol)
     return got
 
@@ -119,7 +153,7 @@ class TestFixedPointSolve:
         assert x == pytest.approx(want[0], abs=1e-15)
 
     def test_endpoint_within_tolerance(self):
-        solve = dynamics._root(P("x"), P("y"))
+        solve = root(P("x"), P("y"))
         assert solve(0.0, 1.0, 0.0, 1.0, 1e-12) == (0.0, 0)
         assert solve(0.0, 1.0, -1.0, -0.0, 1e-12) == (1.0, 0)
 
@@ -129,7 +163,7 @@ class TestFixedPointSolve:
         # so the slope there counts as 0.0 and the step in g is a jump.
         f, phi = P("x"), P("y + sqrt(y - 0.5)")
         args = 0.5, 1.0, 0.0, expr.evaluate(phi, 1.0) - 1.0, 0.0
-        got = warned(caplog, lambda: dynamics._root(f, phi)(*args))
+        got = warned(caplog, lambda: root(f, phi)(*args))
         assert got == warned(caplog, lambda: point_root(f, phi)(*args))
         assert got == ("(0.5, 1)", [])
         with pytest.raises(expr.NonDifferentiableError):
@@ -163,7 +197,7 @@ class TestFixedPointSolve:
         # offset, with the line's exception as its only context.
         # The ends' values are given, as the scan would give them.
         f, phi = P(f), P(phi)
-        got = outcome(lambda: dynamics._root(f, phi)(0.03, 0.62, 1.0, -1.0, 1e-12))
+        got = outcome(lambda: root(f, phi)(0.03, 0.62, 1.0, -1.0, 1e-12))
         assert got == outcome(lambda: point_root(f, phi)(0.03, 0.62, 1.0, -1.0, 1e-12))
         assert got[::2] == ("EvalDomainError", error), got
         assert len(got[3]) == 1, got
@@ -185,7 +219,7 @@ class TestFixedPointSolve:
             tol = rng.choice((0.0, dynamics.ROOT_TOL, 1e-6))
             n = rng.choice((17, 64, 257))
             w, m = dynamics._grid_span(lo, hi, n)
-            _, signs, _ = dynamics._scan(f, phi)(lo, w, m, n, tol)
+            _, signs, _ = point_scan(f, phi)(lo, w, m, n, tol)
             brackets = [(lo + w * k / m, lo + w * (k + 1) / m) for k, _, _ in signs]
             brackets += [sorted((rng.uniform(lo, hi), rng.uniform(lo, hi))) for _ in range(3)]
             for a, b in brackets:
@@ -195,19 +229,60 @@ class TestFixedPointSolve:
         assert counts["status 0"] > 150 and counts["status 1"] > 20, counts
         assert counts["status 2"] >= 2 and counts["error"] >= 3, counts
 
+    def test_capped_solve_is_a_root_logged_before_the_skipped_points(self, caplog,
+                                                                      monkeypatch):
+        # With ROOT_TOL 0 the solve of the sign change between 0 and 0.5
+        # meets its cap: its x is a root, not a jump.  sqrt fails at -1, the
+        # one skipped point.  The scan logs the cap as it solves, before the
+        # search logs the skipped point.
+        monkeypatch.setattr(dynamics, "ROOT_TOL", 0.0)
+        f, phi = P("2*x - 1e-300 + 0*sqrt(x + 0.75)"), P("y")
+        got = warned(caplog, lambda: dynamics.find_map_fixed_points(f, phi, -1.0, 1.0, 5))
+        monkeypatch.setattr(dynamics, "_scan", point_search)
+        assert got == warned(caplog, lambda: dynamics.find_map_fixed_points(f, phi, -1.0, 1.0, 5))
+        assert got == (repr(([0.0], 1)), [
+            ("reflexivity.dynamics", "root solve: no convergence in 200 iterations on "
+                                     f"[0.0, {2.0 ** -201!r}]"),
+            ("reflexivity.dynamics", "fixed-point grid: skipped 1 of 5 points")])
+
     def test_random_find_map_fixed_points(self, caplog, monkeypatch):
-        # Whole searches, with the library's solve and with point_root.
+        # Whole searches of random wide pairs, each at both tolerances, with
+        # the library's scan and with point_search: the scan's own result,
+        # then the search's.  Some f get a jump, or a hole where their value
+        # fails, at a random point, or at the midpoint of a sign change's
+        # bracket, the first point its solve tries.
         rng = random.Random(240102)
-        for _ in range(120):
-            f, phi = P(gen_source(rng, 4, wide=True)), P(gen_source(rng, 3, wide=True))
+        counts = Counter()
+        for _ in range(150):
+            f = gen_source(rng, 4, wide=True)
+            r = rng.uniform(-2.0, 4.0)
+            f = rng.choice((f, f, f"{f} + 0.1*tanh(1e300*(x - {r!r}))",
+                            f"{f} + 0*sqrt(abs(x - {r!r}) - 0.01)"))
+            phi = P(gen_source(rng, 3, wide=True))
             lo = rng.choice((-2.0, 0.0, 1e-200))
-            args = (f, phi, lo, lo + rng.choice((1.0, 3.0)), rng.choice((33, 256)),
-                    rng.choice((0.0, dynamics.ROOT_TOL)))
-            got = warned(caplog, lambda: dynamics.find_map_fixed_points(*args))
-            with monkeypatch.context() as m:
-                m.setattr(dynamics, "_root", point_root)
-                want = warned(caplog, lambda: dynamics.find_map_fixed_points(*args))
-            assert got == want, (f.source, phi.source, args[2:])
+            hi, n = lo + rng.choice((1.0, 3.0)), rng.choice((33, 256))
+            w, m = dynamics._grid_span(lo, hi, n)
+            signs = point_scan(P(f), phi)(lo, w, m, n, dynamics.ROOT_TOL)[1]
+            if signs and rng.random() < 0.5:
+                k = rng.choice(signs)[0]
+                f = f"{f} + 0*log(abs(x - {0.5 * ((lo + w * k / m) + (lo + w * (k + 1) / m))!r}))"
+            f = P(f)
+            for tol in (0.0, dynamics.ROOT_TOL):
+                results = []
+                for scan in (dynamics._scan, point_search):
+                    with monkeypatch.context() as mp:
+                        mp.setattr(dynamics, "ROOT_TOL", tol)
+                        mp.setattr(dynamics, "_scan", scan)
+                        results.append((
+                            warned(caplog, lambda: scan(f, phi)(lo, w, m, n, tol)),
+                            warned(caplog,
+                                   lambda: dynamics.find_map_fixed_points(f, phi, lo, hi, n))))
+                assert results[0] == results[1], (f.source, phi.source, lo, hi, n, tol)
+                roots, skipped, jumps, failed = dynamics._scan(f, phi)(lo, w, m, n, tol)
+                counts.update(roots=len(roots), skipped=skipped, jumps=jumps, failed=failed,
+                              refused=isinstance(results[0][1][0], tuple))
+        assert counts["roots"] > 1000 and counts["skipped"] > 1000, counts
+        assert min(counts[k] for k in ("jumps", "failed", "refused")) >= 20, counts
 
 
 class Asked:

@@ -17,12 +17,15 @@ compiled loop (_RESIDUALS), which raises the error the first failing x
 meets; the grid passes and builtin scans it replaced, with the
 point-by-point evaluation that found that error before the loop raised it
 itself, and the loop over the residuals before them, are kept here as
-references.  The fixed-point scan skips and counts a failing point itself;
-the point loop it ran again before, in scan_points.py, is the reference.
-The finiteness check of make_system runs one loop over its grid; the grid
-pass and point loop it replaced are the reference.  Reports are compared by
-repr, so -0.0 and NaN are told apart, warnings by message, and errors by
-type and message.
+references.  The fixed-point scan skips and counts a failing point itself,
+and solves each sign change where it finds it; the point loop it ran
+again before, with the Python solver on each sign change after it
+(scan_points.point_search), is the reference.  The finiteness check of
+make_system runs one loop over its grid; the grid pass and point loop it
+replaced are the reference.  Reports are compared by repr, so -0.0 and NaN
+are told apart, warnings by message, and errors by type and message; a
+TypeError is raised, not compared, as no compared call raises one by
+design.
 """
 
 import gc
@@ -30,6 +33,8 @@ import logging
 import math
 import pickle
 import random
+from bisect import bisect_right
+from collections import Counter
 from itertools import compress, filterfalse, repeat
 from operator import gt, lt, mul, sub
 
@@ -40,7 +45,7 @@ from conftest import gen_source
 from reflexivity import analysis, cli, dynamics, expr, render
 from reflexivity.analysis import function_distance
 from reflexivity.dynamics import make_system
-from scan_points import point_map, point_scan
+from scan_points import point_map, point_search
 from solve_points import per_sample_distance
 
 
@@ -49,6 +54,8 @@ def outcome(run):
     NonMonotoneError's x_pair too."""
     try:
         return repr(run())
+    except TypeError:
+        raise
     except analysis.NonMonotoneError as exc:
         return type(exc).__name__, str(exc), repr(exc.x_pair)
     except Exception as exc:  # noqa: BLE001 - every error is compared
@@ -241,8 +248,7 @@ class TestKernelCache:
             analysis.detect_period(dynamics.compose_gamma(s), 0.3, 8, 20)
             dynamics.find_fixed_points(s, 256)
             function_distance(s, 128)
-        assert compiled == [dynamics._LOOP, dynamics._SCAN, dynamics._ROOT, analysis._MONOTONE,
-                            analysis._SWEEP]
+        assert compiled == [dynamics._LOOP, dynamics._SCAN, analysis._MONOTONE, analysis._SWEEP]
         assert list(s.f._kernels) == compiled and s.phi._kernels == {}
 
 
@@ -275,17 +281,16 @@ class TestSweepCache:
 
 class TestScanCache:
     def test_gamma_scan_compiled_once_and_kept_on_its_system(self, monkeypatch):
-        # The scan and the solve of its brackets, both kept on f.
+        # The scan, which solves its brackets itself, kept on f.
         s = make_system("2.5*x*(1 - x)", "y", (-0.5, 1.5), (-5.0, 5.0))
         compiled = spy_compile_loop(monkeypatch)
         first = dynamics.find_fixed_points(s, 500)
-        scan, root = dynamics._scan(s.f, s.phi), dynamics._root(s.f, s.phi)
-        assert len(first) == 2 and compiled == [dynamics._SCAN, dynamics._ROOT]
+        scan = dynamics._scan(s.f, s.phi)
+        assert len(first) == 2 and compiled == [dynamics._SCAN]
         assert dynamics.find_fixed_points(s, 500) == first
         assert len(dynamics.find_fixed_points(s, 37)) == 2
-        assert s.f._kernels == {dynamics._SCAN: ([s.phi], scan),
-                                dynamics._ROOT: ([s.phi], root)}
-        assert s.phi._kernels == {} and compiled == [dynamics._SCAN, dynamics._ROOT]
+        assert s.f._kernels == {dynamics._SCAN: ([s.phi], scan)}
+        assert s.phi._kernels == {} and compiled == [dynamics._SCAN]
 
     def test_scan_is_kept_on_its_system(self):
         # As the sweep is: a scan cached by id() could serve a later system.
@@ -468,19 +473,17 @@ FAIL = "fail"  # a crafted column's failing point
 
 class Column:
     """A crafted column of a kernel's part: column[k, x] is values[k], or
-    raises an error of the class raises where values[k] is FAIL, and records
-    x in seen.  A kernel that reports a failing line meets the typed error
-    the line's handler raises; the fixed-point scan, which skips the point,
-    meets what the line itself raises, a ValueError or ArithmeticError."""
+    raises EvalDomainError where values[k] is FAIL, the typed error a
+    failing line's handler raises, and records x in seen."""
 
-    def __init__(self, values, seen, raises=expr.EvalDomainError):
-        self.values, self.seen, self.raises = values, seen, raises
+    def __init__(self, values, seen):
+        self.values, self.seen = values, seen
 
     def __getitem__(self, key):
         k, x = key
         self.seen.append(x)
         if self.values[k] is FAIL:
-            raise self.raises("crafted failure")
+            raise expr.EvalDomainError("crafted failure")
         return self.values[k]
 
 
@@ -495,6 +498,70 @@ def looked_up(name, var="x"):
 def held(name, var):
     """A part with no lines, which holds its variable var."""
     return expr._Emitter(False, var=var, prefix=name), var
+
+
+class CraftedMap:
+    """A crafted map on the reals for the fixed-point scan: at the grid point
+    xs[k] its value is col[k], and strictly between xs[j] and xs[j + 1] it is
+    x + gaps[j][0]; its slope at x is gaps[j][1] for the gap x opens (the
+    last gap's at the last point).  value and derivative raise
+    EvalDomainError where their entry is FAIL.  asked logs each x where
+    the value is asked for."""
+
+    def __init__(self, xs, col, gaps):
+        self.xs, self.col, self.gaps = xs, col, gaps
+        self.index = {x: k for k, x in enumerate(xs)}
+        self.asked = []
+
+    def value(self, x):
+        self.asked.append(x)
+        k = self.index.get(x)
+        if k is None:
+            c = self.gaps[bisect_right(self.xs, x) - 1][0]
+            v = FAIL if c is FAIL else x + c
+        else:
+            v = self.col[k]
+        if v is FAIL:
+            raise expr.EvalDomainError("crafted failure")
+        return v
+
+    def derivative(self, x):
+        d = self.gaps[min(bisect_right(self.xs, x), len(self.gaps)) - 1][1]
+        if d is FAIL:
+            raise expr.EvalDomainError("crafted failure")
+        return d
+
+
+class Lookup:
+    """lookup[x] is fn(x), with fn's EvalDomainError raised as the class
+    raises, as a failing line raises: a crafted line's lookup, whose fn a
+    test may set again before each call."""
+
+    def __init__(self, fn=None, raises=ValueError):
+        self.fn, self.raises = fn, raises
+
+    def __getitem__(self, x):
+        try:
+            return self.fn(x)
+        except expr.EvalDomainError:
+            raise self.raises("crafted failure") from None
+
+
+def at_x(name, table):
+    """A part of a crafted kernel whose one line `<name>v0 = <table>[x]`
+    stands for an expression's lines."""
+    em = expr._Emitter(False, prefix=name)
+    em.lines.append(f"{name}v0 = {table}[x]")
+    return em, f"{name}v0"
+
+
+def crafted_scan(column, dcolumn):
+    """The fixed-point scan with the lookups column[x] and dcolumn[x] in
+    place of f's value and derivative lines, and the identity as phi."""
+    return expr._define(dynamics._SCAN, {
+        "f": at_x("f", "column"), "phi": held("phi", "y"), "df": at_x("df", "dcolumn"),
+        "dphi": held("dphi", "1.0")},
+        {**dynamics._solve_env(), "nan": math.nan, "column": column, "dcolumn": dcolumn})
 
 
 def fixed_point_trials(rng):
@@ -637,42 +704,33 @@ SPECIAL = (math.nan, math.inf, -math.inf, 0.0, -0.0, 1e-200, -1e-200, 1.0, -1.0,
 
 class TestScansMatchLoops:
     def test_fixed_point_scan(self, caplog, monkeypatch):
-        # The scan compiled with a crafted column for the map's value, looked
-        # up by grid index, in place of f's lines (phi is the identity); a
-        # failing entry raises as a failing line does, ValueError or
-        # ZeroDivisionError, which the scan skips.  evaluate gives f the
-        # same column point by point.  Grid points within 1e-300 of 0, so
-        # g = v - x is v for every v drawn here but the smallest;
-        # 1e-200 * -1e-200 underflows to -0.0.
+        # The scan compiled with a crafted map in place of f's lines (phi is
+        # the identity), its value and slope looked up by x: at the grid's
+        # points from the trial's column, and in each gap between them as
+        # x plus the gap's constant, so that each sign change's solve asks
+        # for points off the grid.  A failing entry raises as a failing
+        # line does, ValueError or ZeroDivisionError, which the scan skips
+        # at a grid point, and counts as a failed bracket in a solve.
+        # evaluate and derivative give f the same map point by point.  Grid
+        # points within 1e-300 of 0, so g = v - x is v for every v drawn
+        # here but the smallest; 1e-200 * -1e-200 underflows to -0.0.
         rng = random.Random(7)
-        calls = []
         f, phi = expr.parse("x"), expr.parse("y")
-        real = expr.evaluate
-
-        def solve(g, a, b, ga, gb, tol, x0=None, dg=None):
-            calls.append((a, b, ga, gb))
-            if ga == 0.3:
-                raise expr.EvalDomainError("fails", 0)
-            return a + (b - a) / 3, ("discontinuity" if gb == 1.0 else "converged"), 1
-
-        # The library solves through point_root, and so through solve too.
-        monkeypatch.setattr(solve_points, "bracket_solve", solve)
-        monkeypatch.setattr(dynamics, "_root", solve_points.point_root)
+        real_value, real_slope = expr.evaluate, expr.derivative
+        counts = Counter()
+        column, dcolumn = Lookup(), Lookup()
+        kernel = crafted_scan(column, dcolumn)
         for vs, bad, tol in fixed_point_trials(rng):
             n = len(vs)
             xs = dynamics._grid(-1e-300, 1e-300, n)
             w, m = dynamics._grid_span(-1e-300, 1e-300, n)
-            col = [FAIL if i in bad else v for i, v in enumerate(vs)]
-            seen = []
-            column = Column(col, seen, rng.choice((ValueError, ZeroDivisionError)))
-            kernel = expr._define(dynamics._SCAN, {"f": looked_up("f"), "phi": held("phi", "y")},
-                                  {"range": range, "column": column,
-                                   "numeric": expr._NUMERIC_ERRORS, "nan": math.nan})
-
-            def value(x):
-                if xs.index(x) in bad:
-                    raise expr.EvalDomainError("bad point", 0)
-                return vs[xs.index(x)]
+            gaps = [(rng.choice((FAIL, 0.0, -0.0, 3e-301, -3e-301, 1.0, -2.5, math.nan)),
+                     rng.choice((FAIL, 0.0, 1.0, 2.0, -1.0, 1e300, math.nan)))
+                    for _ in range(n - 1)]
+            fmap = CraftedMap(xs, [FAIL if i in bad else v for i, v in enumerate(vs)], gaps)
+            column.fn, dcolumn.fn = fmap.value, fmap.derivative
+            column.raises = dcolumn.raises = rng.choice((ValueError, ZeroDivisionError))
+            fn = point_map(fmap.value, fmap.derivative)
 
             def many(ts):
                 assert ts == xs
@@ -680,40 +738,48 @@ class TestScansMatchLoops:
                     raise expr.EvalDomainError("bad point", 0)
                 return list(vs)
 
-            # The kernel alone gives the indices the builtins pick from the
-            # list, a failing point being NaN, less the sign changes with an
-            # end near 0, which the list's loop skips, each sign change with
-            # the values at its ends; it counts the failing points and makes
-            # _grid's points.
-            gs = [math.nan if i in bad else v - x for i, (v, x) in enumerate(zip(vs, xs))]
-            near = list(map(gt, repeat(tol), map(abs, gs)))
-            signs = compress(range(n - 1), map((0.0).__gt__, map(mul, gs, gs[1:])))
-            assert kernel(-1e-300, w, m, n, tol) == (
-                list(compress(range(n), near)),
-                [(k, gs[k], gs[k + 1]) for k in signs if not (near[k] or near[k + 1])],
-                len(bad)), (vs, bad)
-            assert list(map(repr, seen)) == list(map(repr, xs))
-            fn = point_map(value, lambda x: 0.0)
-
             def find():
                 return dynamics.find_map_fixed_points(f, phi, -1e-300, 1e-300, n)
 
+            # The kernel alone makes _grid's points, in order, each before
+            # any solve asks for it, and gives what point_search gives from
+            # the same map.
+            got = kernel(-1e-300, w, m, n, tol)
+            grid_asked = dict.fromkeys(x for x in fmap.asked if x in fmap.index)
+            assert list(map(repr, grid_asked)) == list(map(repr, xs))
+            with monkeypatch.context() as mp:
+                mp.setattr(expr, "evaluate",
+                           lambda e, x: fmap.value(x) if e is f else real_value(e, x))
+                mp.setattr(expr, "derivative",
+                           lambda e, x: fmap.derivative(x) if e is f else real_slope(e, x))
+                assert got == point_search(f, phi)(-1e-300, w, m, n, tol), (vs, bad, gaps, tol)
+            counts.update(roots=len(got[0]), jumps=got[2], failed=got[3])
+
             results = []
-            for run, scan in ((find, lambda *_: kernel), (find, point_scan),
+            for run, scan in ((find, lambda *_: kernel), (find, point_search),
                               (lambda: list_fixed_points(fn, many, -1e-300, 1e-300, n, tol),
                                None),
                               (lambda: reference_fixed_points(fn, many, -1e-300, 1e-300, n, tol),
                                None)):
-                calls.clear()
+                fmap.asked.clear()
                 caplog.clear()
-                with monkeypatch.context() as m, caplog.at_level(logging.WARNING):
-                    m.setattr(dynamics, "ROOT_TOL", tol)
-                    m.setattr(expr, "evaluate", lambda e, x: value(x) if e is f else real(e, x))
+                with monkeypatch.context() as mp, caplog.at_level(logging.WARNING):
+                    mp.setattr(dynamics, "ROOT_TOL", tol)
+                    mp.setattr(expr, "evaluate",
+                               lambda e, x: fmap.value(x) if e is f else real_value(e, x))
+                    mp.setattr(expr, "derivative",
+                               lambda e, x: fmap.derivative(x) if e is f else real_slope(e, x))
                     if scan is not None:
-                        m.setattr(dynamics, "_scan", scan)
+                        mp.setattr(dynamics, "_scan", scan)
                     got = outcome(run)
-                results.append((got, list(calls), [r.getMessage() for r in caplog.records]))
-            assert results[0] == results[1] == results[2] == results[3], (vs, bad, tol)
+                # The points off the grid each solve asks for, in order; at
+                # a collapsed bracket the kernel asks for the value at its
+                # ends again, where the references ask only for the slope.
+                off_grid = dict.fromkeys(x for x in fmap.asked if x not in fmap.index)
+                results.append((got, list(map(repr, off_grid)),
+                                [r.getMessage() for r in caplog.records]))
+            assert results[0] == results[1] == results[2] == results[3], (vs, bad, gaps, tol)
+        assert min(counts.values()) > 100, counts
 
     def test_failure_heavy_grid_is_scanned_once(self, caplog, monkeypatch):
         # sqrt and log fail on the 2,048 points of [-1, 0); the scan skips
@@ -727,7 +793,7 @@ class TestScansMatchLoops:
             return lambda *grid: scans.append(grid) or kernel(*grid)
 
         results = []
-        for scan in (counted, point_scan):
+        for scan in (counted, point_search):
             monkeypatch.setattr(dynamics, "_scan", scan)
             caplog.clear()
             with caplog.at_level(logging.WARNING):
@@ -843,8 +909,10 @@ class TestScansMatchLoops:
             col = [float(k) for k in range(n)]
             seen = []
             env = {"range": range, "column": Column(col, seen)}
-            scan = expr._define(dynamics._SCAN, {"f": looked_up("f"), "phi": held("phi", "y")}, env)
-            scan(lo, w, m, n, 0.0)
+            # The fixed-point scan looks the value up by x; with tol inf,
+            # every point is near 0, so no bracket is solved.
+            column = Lookup(lambda x: seen.append(x) or 0.0)
+            assert crafted_scan(column, None)(lo, w, m, n, math.inf)[1:] == (0, 0, 0)
             assert list(map(repr, seen)) == grid, (lo, hi, n)
             seen.clear()
             assert expr._define(analysis._MONOTONE, {"f": looked_up("f")}, env)(
@@ -1034,14 +1102,13 @@ class TestResidualCache:
 
     def test_compiled_once_per_f_and_g(self, monkeypatch):
         # A check compiles h's monotonicity scan, kept on h, and the residual
-        # loop and f's fixed-point scan and solve, kept on f; later checks
-        # with the same objects compile nothing, so the identity the scan
-        # and solve take as phi is one object.  A new g compiles the
-        # residual loop again; a new f, equal to the old one, the residual
-        # loop and f's scan and solve.
+        # loop and f's fixed-point scan, kept on f; later checks with the
+        # same objects compile nothing, so the identity the scan takes as
+        # phi is one object.  A new g compiles the residual loop again; a
+        # new f, equal to the old one, the residual loop and f's scan.
         f, g, h = expr.parse(self.F), expr.parse(self.G), expr.parse(self.H)
         compiled = spy_compile_loop(monkeypatch)
-        each = [analysis._MONOTONE, analysis._RESIDUALS, dynamics._SCAN, dynamics._ROOT]
+        each = [analysis._MONOTONE, analysis._RESIDUALS, dynamics._SCAN]
         first = same_as_grid_passes(f, g, h, (0.0, 1.0), 500)
         kept = dict(f._kernels), dict(h._kernels)
         assert list(kept[0]) == each[1:] and list(kept[1]) == each[:1] and compiled == each
@@ -1054,7 +1121,7 @@ class TestResidualCache:
         assert f._kernels[dynamics._SCAN] is kept[0][dynamics._SCAN]
         other = expr.parse(self.F)
         same_as_grid_passes(other, g, h, (0.0, 1.0), 500)
-        assert compiled == each + [analysis._RESIDUALS] * 2 + [dynamics._SCAN, dynamics._ROOT]
+        assert compiled == each + [analysis._RESIDUALS] * 2 + [dynamics._SCAN]
         assert h._kernels == kept[1] and list(other._kernels) == each[1:]
 
     def test_another_f_or_g_with_the_same_h(self):
